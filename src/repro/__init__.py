@@ -24,11 +24,9 @@ Everything an application needs is importable from ``repro`` itself:
     # Durable variant: WAL + checkpoints + crash recovery.
     conn = repro.connect("pydbc:standard:acme", data_dir="/var/lib/acme")
 
-The deep import paths that predate the façade
-(``repro.engine.Database``, ``repro.dbapi.ConnectionPool``, ...) keep
-working but emit :class:`DeprecationWarning`; new code should import
-from ``repro`` (or the documented submodule homes such as
-``repro.runtime.sqlj`` for translated programs).  ``repro.__all__`` is
+Import from ``repro`` (or the documented submodule homes such as
+``repro.runtime.sqlj`` for translated programs and
+``repro.engine.database`` for engine internals).  ``repro.__all__`` is
 the supported surface — ``tools/check_public_api.py`` diffs it (plus
 the façade signatures) against a committed snapshot in CI.
 """

@@ -15,19 +15,13 @@ URLs take the form ``pydbc:<dialect>:<database-name>`` (mirroring
 paper prescribes.
 
 The connectivity entry points (``DriverManager``, ``Connection``,
-``ConnectionPool``, ...) now live on the top-level :mod:`repro` façade;
-importing them from ``repro.dbapi`` still works but emits
-:class:`DeprecationWarning`.  The statement/result classes
-(``Statement``, ``ResultSet``, ``DatabaseMetaData``, ...) are normally
-obtained from a connection rather than imported, and stay importable
-here without a warning.
+``ConnectionPool``, ...) live on the top-level :mod:`repro` façade.  The
+statement/result classes (``Statement``, ``ResultSet``,
+``DatabaseMetaData``, ...) are normally obtained from a connection
+rather than imported, and are importable here.
 """
 
 from __future__ import annotations
-
-import importlib
-import warnings
-from typing import Any, List
 
 from repro.dbapi.cursor import Cursor, apilevel, paramstyle
 from repro.dbapi.metadata import DatabaseMetaData
@@ -40,11 +34,6 @@ from repro.dbapi.statement import (
 )
 
 __all__ = [
-    "DriverManager",
-    "registry",
-    "Connection",
-    "ConnectionPool",
-    "PooledConnection",
     "Statement",
     "PreparedStatement",
     "CallableStatement",
@@ -55,31 +44,3 @@ __all__ = [
     "apilevel",
     "paramstyle",
 ]
-
-# Names that moved to the repro façade: lazy PEP 562 shims that warn.
-_FACADE_HOMES = {
-    "DriverManager": "repro.dbapi.driver",
-    "registry": "repro.dbapi.driver",
-    "Connection": "repro.dbapi.connection",
-    "ConnectionPool": "repro.dbapi.pool",
-    "PooledConnection": "repro.dbapi.pool",
-}
-
-
-def __getattr__(name: str) -> Any:
-    home = _FACADE_HOMES.get(name)
-    if home is None:
-        raise AttributeError(
-            f"module 'repro.dbapi' has no attribute {name!r}"
-        )
-    warnings.warn(
-        f"importing {name} from repro.dbapi is deprecated; "
-        "import it from the top-level repro package instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(home), name)
-
-
-def __dir__() -> List[str]:
-    return sorted(set(globals()) | set(__all__))

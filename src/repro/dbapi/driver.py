@@ -187,8 +187,8 @@ class DriverManager:
     ) -> "ConnectionPool":
         """Shared pool for ``(url, user)``, created on first use.
 
-        ``pool_options`` (``min_size``, ``max_size``,
-        ``checkout_timeout``, ``max_age``, ...) only take effect on the
+        ``pool_options`` (``min_size``, ``max_size``, ``timeout``,
+        ``max_age``, ...) only take effect on the
         call that creates the pool; later callers share it as-is.
         """
         from repro.dbapi.pool import ConnectionPool

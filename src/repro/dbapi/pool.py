@@ -9,8 +9,7 @@ Semantics:
 
 * **Bounded.** At most ``max_size`` sessions exist at once; ``min_size``
   are opened eagerly.  A checkout against an exhausted pool blocks up to
-  ``timeout`` seconds (the pre-façade spelling ``checkout_timeout``
-  still works but warns), then raises
+  ``timeout`` seconds, then raises
   :class:`repro.errors.PoolTimeoutError` (SQLSTATE 08004) — never hangs
   forever, never over-allocates.
 * **Health-checked.** Sessions are inspected on return and again on
@@ -98,17 +97,7 @@ class ConnectionPool:
         autocommit: bool = True,
         name: Optional[str] = None,
         url: str = "",
-        checkout_timeout: Optional[float] = None,
     ) -> None:
-        if checkout_timeout is not None:
-            warnings.warn(
-                "ConnectionPool(checkout_timeout=...) is deprecated; "
-                "use the unified spelling timeout=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if timeout is None:
-                timeout = checkout_timeout
         if timeout is None:
             timeout = 5.0
         if max_size < 1:
@@ -343,17 +332,6 @@ class ConnectionPool:
                 "max_size": self.max_size,
                 "closed": self._closed,
             }
-
-    @property
-    def checkout_timeout(self) -> float:
-        """Deprecated alias for :attr:`timeout`."""
-        warnings.warn(
-            "ConnectionPool.checkout_timeout is deprecated; "
-            "read .timeout instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.timeout
 
     @property
     def closed(self) -> bool:

@@ -8,53 +8,7 @@ privilege system and a durable storage option (WAL + checkpoints + crash
 recovery in :mod:`repro.engine.wal` / :mod:`repro.engine.durability`) —
 everything the SQLJ layers above need to behave as the paper describes.
 
-The names historically re-exported here (``Database``, ``Session``, ...)
-now live on the top-level :mod:`repro` façade; importing them from
-``repro.engine`` still works but emits :class:`DeprecationWarning`.
-Submodules (``repro.engine.ast``, ``repro.engine.database``, ...) are
-unaffected.
+``Database``, ``Session`` and the other application-facing names live on
+the top-level :mod:`repro` façade; engine internals are imported from
+their submodules (``repro.engine.ast``, ``repro.engine.database``, ...).
 """
-
-from __future__ import annotations
-
-import importlib
-import warnings
-from typing import Any, List
-
-__all__ = [
-    "Database",
-    "Session",
-    "Dialect",
-    "DIALECTS",
-    "save_database",
-    "load_database",
-]
-
-# name -> submodule that actually defines it (PEP 562 lazy shim).
-_FACADE_HOMES = {
-    "Database": "repro.engine.database",
-    "Session": "repro.engine.database",
-    "Dialect": "repro.engine.dialects",
-    "DIALECTS": "repro.engine.dialects",
-    "save_database": "repro.engine.persistence",
-    "load_database": "repro.engine.persistence",
-}
-
-
-def __getattr__(name: str) -> Any:
-    home = _FACADE_HOMES.get(name)
-    if home is None:
-        raise AttributeError(
-            f"module 'repro.engine' has no attribute {name!r}"
-        )
-    warnings.warn(
-        f"importing {name} from repro.engine is deprecated; "
-        "import it from the top-level repro package instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(home), name)
-
-
-def __dir__() -> List[str]:
-    return sorted(set(globals()) | set(__all__))

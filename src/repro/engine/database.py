@@ -15,21 +15,20 @@ from __future__ import annotations
 
 import contextlib
 import threading
-import time
 from time import perf_counter as _perf_counter
 import weakref
-from typing import Any, Iterator, List, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, List, Optional, Sequence, \
+    Union
 
 from repro import errors, faultpoints
 from repro.observability import metrics as _metrics
 from repro.observability import slowlog as _slowlog
 from repro.observability import stats as _stats
 from repro.observability import tracing as _tracing
-from repro.engine import ast
+from repro.engine import ast, ddl, dml
 from repro.engine.catalog import Catalog, InstalledPar, Routine, \
     Table, UserDefinedType
 from repro.engine.dialects import DIALECTS, STANDARD, Dialect
-from repro.engine.executor import QueryPlan
 from repro.engine.expressions import RowShape
 from repro.engine.locks import ReadWriteLock
 from repro.engine.mvcc import TransactionManager, WriteConflict
@@ -37,6 +36,7 @@ from repro.engine.parser import Parser
 from repro.engine.plancache import CachedPlan, PlanCache
 from repro.engine.planner import DEFAULT_PLANNER_OPTIONS, plan_query
 from repro.engine.privileges import PrivilegeManager
+from repro.engine.render import render_statement
 from repro.engine.storage import TransactionLog
 from repro.sqltypes import ObjectType
 
@@ -52,6 +52,9 @@ _STATEMENT_COUNTERS: dict = {}
 #: through them; ``batch.rows / batch.executed`` is the mean batch size.
 _BATCH_EXECUTED = _metrics.registry.counter("batch.executed")
 _BATCH_ROWS = _metrics.registry.counter("batch.rows")
+#: ``statement`` span attributes of a prepared execution (shared: the
+#: envelope only reads them, and only while tracing is on).
+_PREPARED_SPAN = {"prepared": True}
 
 #: Statement kinds that may run concurrently under the database's
 #: shared lock.  With MVCC row versioning this is everything except
@@ -173,133 +176,59 @@ class StatementResult:
 class PreparedStatementPlan:
     """A statement prepared once and executable many times.
 
-    Queries keep their compiled :class:`QueryPlan`; other statements keep
-    the parsed AST (re-binding names per execution, which is what lets
-    prepared DML observe later catalog changes).
+    Queries keep their compiled plan as a :class:`CachedPlan`,
+    revalidated against the catalog on every execution like a
+    plan-cache entry; other statements keep the parsed AST (re-binding
+    names per execution, which is what lets prepared DML observe later
+    catalog changes).
     """
 
     def __init__(self, session: "Session", sql: str) -> None:
+        self._bind(
+            session,
+            sql,
+            Parser(sql, session.database.dialect).parse_statement(),
+        )
+
+    @classmethod
+    def _precompiled(
+        cls, session: "Session", sql: str, statement: ast.Statement
+    ) -> "PreparedStatementPlan":
+        """A prepared plan for a statement parsed ahead of time (a
+        profile customization parses at deployment time)."""
+        prepared = cls.__new__(cls)
+        prepared._bind(session, sql, statement)
+        return prepared
+
+    def _bind(
+        self, session: "Session", sql: str, statement: ast.Statement
+    ) -> None:
         self.session = session
         self.sql = sql
-        self.statement = Parser(sql, session.database.dialect) \
-            .parse_statement()
-        self._query_plan: Optional[QueryPlan] = None
-        self._plan_version = -1
-        if isinstance(self.statement, (ast.Select, ast.SetOperation)):
+        self.statement = statement
+        self._cached: Optional[CachedPlan] = None
+        if isinstance(statement, (ast.Select, ast.SetOperation)):
             # Planning reads the catalog, so it must not race a DDL
             # statement rewriting it.
             with session.database.lock.read():
-                self._replan()
+                self._cached = session._plan_query(statement)
 
-    def _replan(self) -> None:
-        """(Re)plan the query; caller holds the shared lock."""
-        self._query_plan, self._shape = plan_query(
-            self.statement, self.session
-        )
-        catalog = self.session.catalog
-        self._plan_version = (catalog.version, catalog.stats_version)
-
-    def _run_planned(self, params: Sequence[Any]) -> List[List[Any]]:
-        """Execute under the already-held shared lock, replanning if the
-        catalog changed since the statement was prepared (DDL between
-        executions: new indexes, dropped columns, revoked privileges —
-        or ANALYZE, whose fresh statistics may cost a different plan)."""
-        catalog = self.session.catalog
-        if self._plan_version != (catalog.version, catalog.stats_version):
-            self._replan()
-        return self._query_plan.run(self.session, params)
+    def _store(self, entry: CachedPlan) -> None:
+        self._cached = entry
 
     def execute(self, params: Sequence[Any] = ()) -> StatementResult:
-        if self._query_plan is not None:
-            # Pre-planned query: runs outside execute_statement, so it
-            # carries its own span, counters and statistics hooks.  The
-            # reused plan is recorded as a plan-cache hit — preparing IS
-            # this path's plan cache.
-            counter = _STATEMENT_COUNTERS.get(self.statement.__class__)
-            if counter is None:
-                counter = _statement_counter(self.statement.__class__)
-            counter.increment()
-            tracer = _tracing.current
-            session = self.session
-            collect = _stats.enabled
-            context = _stats.begin() if collect else None
-            lock = session.database.lock
-            if not tracer.enabled:
-                start = _perf_counter() if collect else 0.0
-                try:
-                    with lock.read():
-                        rows = self._run_planned(params)
-                        result = session.finish_rowset(
-                            rows, self._shape
-                        )
-                        session._after_read_statement()
-                except errors.SQLException as exc:
-                    session._after_read_statement(failed=True)
-                    _metrics.increment(f"errors.{exc.sqlstate}")
-                    if context is not None:
-                        session._record_statement(
-                            context,
-                            self.sql,
-                            _perf_counter() - start,
-                            error_sqlstate=exc.sqlstate,
-                            cache_hit=True,
-                        )
-                        context = None
-                    raise
-                except BaseException:
-                    if context is not None:
-                        _stats.abandon(context)
-                    raise
-                _ROWS_RETURNED.increment(len(rows))
-                if context is not None:
-                    session._record_statement(
-                        context,
-                        self.sql,
-                        _perf_counter() - start,
-                        len(rows),
-                        None,
-                        True,
-                    )
-                return result
-            with tracer.span("statement", sql=self.sql, prepared=True):
-                start = _perf_counter()
-                try:
-                    with tracer.span("execute"), lock.read():
-                        rows = self._run_planned(params)
-                    _STATEMENT_SECONDS.observe(_perf_counter() - start)
-                    _ROWS_RETURNED.increment(len(rows))
-                    with tracer.span("fetch"), lock.read():
-                        result = session.finish_rowset(rows, self._shape)
-                        session._after_read_statement()
-                except errors.SQLException as exc:
-                    session._after_read_statement(failed=True)
-                    _metrics.increment(f"errors.{exc.sqlstate}")
-                    if context is not None:
-                        session._record_statement(
-                            context,
-                            self.sql,
-                            _perf_counter() - start,
-                            error_sqlstate=exc.sqlstate,
-                            cache_hit=True,
-                        )
-                        context = None
-                    raise
-                except BaseException:
-                    if context is not None:
-                        _stats.abandon(context)
-                    raise
-                if context is not None:
-                    session._record_statement(
-                        context,
-                        self.sql,
-                        _perf_counter() - start,
-                        len(rows),
-                        None,
-                        True,
-                    )
-                return result
-        return self.session.execute_statement(
-            self.statement, params, sql=self.sql
+        session, statement = self.session, self.statement
+        if self._cached is None:
+            return session.execute_statement(statement, params, sql=self.sql)
+        # The reused plan is recorded as a plan-cache hit: preparing IS
+        # this path's plan cache.
+        return session._run_statement(
+            statement, self.sql, [params],
+            lambda: session._run_query(
+                statement, params, self._cached, self._store
+            ),
+            span=_PREPARED_SPAN,
+            cache_hit=True,
         )
 
 
@@ -325,8 +254,9 @@ class Database:
         self.admin_user = admin_user
         self.catalog = Catalog()
         self.privileges = PrivilegeManager(admin_user)
-        #: Statement-granularity reader-writer lock: queries share it,
-        #: mutating statements hold it exclusively (see engine/locks.py).
+        #: Statement-granularity reader-writer lock: queries, DML and
+        #: transaction control share it; only DDL and CALL hold it
+        #: exclusively (see engine/locks.py).
         self.lock = ReadWriteLock()
         #: Compiled SELECT plans keyed by (sql, dialect, user), invalidated
         #: by catalog-version bumps.  ``plan_cache_size=0`` disables it.
@@ -621,24 +551,26 @@ class Session:
         else:
             self.database.transactions.abort(txn)
 
-    def _after_read_statement(self, failed: bool = False) -> None:
-        """Close out the implicit transaction of a bare query.
+    def _end_statement(self, failed: bool = False) -> Optional[int]:
+        """Close out one statement's transaction state under the engine
+        lock; returns the WAL position to wait on after releasing it.
 
-        Autocommit queries end their snapshot immediately (read-only
-        commit, or abort on failure); inside an explicit transaction a
-        completed query pins the snapshot (``pristine`` off) so later
-        statements repeat exactly the same reads.
-        """
-        if self._routine_depth > 0:
-            return
-        if self.autocommit:
-            if not failed and self.transaction_log.active:
-                self.transaction_log.commit()
-            self._end_mvcc(commit=not failed)
+        An autocommit statement commits the session's open work (or, if
+        it failed, ends the implicit transaction: no work survived, so
+        its snapshot must stop pinning the vacuum horizon and conflict
+        waiters move on).  In an explicit transaction — or a routine
+        body, whose enclosing statement decides — a completed statement
+        pins the snapshot (``pristine`` off) so later statements repeat
+        exactly the same reads."""
+        if self.autocommit and self._routine_depth == 0:
+            if not failed:
+                return self._commit_all()
+            self._end_mvcc(commit=False)
         elif not failed:
             txn = self._mvcc_txn
             if txn is not None:
                 txn.pristine = False
+        return None
 
     def _wait_for_conflict(self, blocker: int) -> None:
         """Wait out a write-write conflict; called with NO engine lock
@@ -669,17 +601,17 @@ class Session:
         context: "_stats.StatementContext",
         sql_text: str,
         seconds: float,
-        rows: int = 0,
-        error_sqlstate: Optional[str] = None,
-        cache_hit: bool = False,
-        batch_rows: Optional[int] = None,
+        rows: int,
+        error_sqlstate: Optional[str],
+        cache_hit: bool,
+        batch_rows: Optional[int],
     ) -> None:
         """Finish one statement's statistics: emit a slow-query record
         when the statement crossed the threshold, then fold the
         execution into the per-statement collector (which consumes the
         wait-attribution context and closes the bracket opened by
-        ``_stats.begin``).  Called exactly once per statement on every
-        exit path of the three terminal executors."""
+        ``_stats.begin``).  Called exactly once per statement, by the
+        envelope (:meth:`_run_statement`)."""
         self.statements_executed += 1
         # Module-global peek before the call: with no threshold set
         # anywhere (the default) the slow-query log must cost two
@@ -709,157 +641,194 @@ class Session:
             cache_hit,
         )
 
+    def _run_statement(
+        self,
+        statement: ast.Statement,
+        sql: Optional[str],
+        param_rows: Sequence[Sequence[Any]],
+        body: Callable[[], Any],
+        span: Optional[dict] = None,
+        cache_hit: bool = False,
+        batch: bool = False,
+    ) -> Any:
+        """The statement envelope: every executor runs its body here.
+
+        ``body`` does the statement's own work under the engine lock —
+        run a held query plan, dispatch a parsed statement, apply DML to
+        the parameter rows of a batch — and returns the result.  The
+        envelope owns everything around it: counter, statistics bracket,
+        ``statement`` span (when tracing is on and the caller passed its
+        attributes as ``span``; ``execute`` opens its own, around
+        parsing), one engine-lock acquisition, undo mark and
+        statement-level rollback, the redo record for ``param_rows``,
+        :meth:`_end_statement`, the write-conflict retry, the fsync wait
+        and error accounting.  docs/ARCHITECTURE.md ("Statement
+        lifecycle") walks the stages in order.
+        """
+        self._check_open()
+        tracer = _tracing.current
+        timed = tracer.enabled
+        if timed and span is not None:
+            with tracer.span("statement", sql=sql, **span):
+                return self._run_statement(
+                    statement, sql, param_rows, body, None, cache_hit, batch
+                )
+        counter = _STATEMENT_COUNTERS.get(statement.__class__)
+        if counter is None:
+            counter = _statement_counter(statement.__class__)
+        counter.increment()
+        context = _stats.begin() if _stats.enabled else None
+        start = _perf_counter() if (timed or context is not None) else 0.0
+        lock = self.database.lock
+        # Bound acquire/release, not the context managers: a generator
+        # frame per statement is measurable on the cheapest queries.
+        if isinstance(statement, _SHARED_STATEMENTS):
+            acquire, release = lock.acquire_read, lock.release_read
+        else:
+            acquire, release = lock.acquire_write, lock.release_write
+        undo = self.transaction_log
+        returned, error = 0, None
+        try:
+            # A write-write conflict retries the whole statement: the
+            # failed attempt rolled itself back under the lock, then the
+            # wait for the blocking transaction happens with NO engine
+            # lock held (the blocker needs the lock to finish).
+            while True:
+                try:
+                    acquire()
+                    try:
+                        mark = undo.position()
+                        try:
+                            result = body()
+                            # Redo-log only statements that succeeded; a
+                            # logging failure (unpicklable parameter,
+                            # unrenderable AST) rolls the statement back
+                            # too, keeping WAL and heap in agreement.
+                            pending = self._log_durable(
+                                statement, param_rows, sql
+                            )
+                        except BaseException:
+                            # Statement-level atomicity: a failing
+                            # statement (one killed by an injected fault,
+                            # a query whose function ran DML) backs out
+                            # its own partial mutations first.
+                            if undo.position() > mark:
+                                undo.rollback_to_position(mark)
+                            self._end_statement(failed=True)
+                            raise
+                        committed = self._end_statement()
+                        if committed is not None:
+                            pending = committed
+                    finally:
+                        release()
+                    break
+                except WriteConflict as conflict:
+                    if lock.held_exclusive_by_me():
+                        # Still inside an outer exclusive statement (a
+                        # routine body): the blocker can never finish
+                        # while we hold the engine lock, so waiting is
+                        # futile — fail fast, retryably.  Ownership
+                        # matters: an unrelated thread holding the
+                        # exclusive lock will release it, so that case
+                        # falls through to the normal wait below.
+                        raise errors.SerializationFailureError(
+                            "write-write conflict inside an exclusive "
+                            "statement; roll back and retry the "
+                            "transaction"
+                        ) from None
+                    self._wait_for_conflict(conflict.blocker)
+            if pending is not None:
+                # fsync AFTER the engine lock is released: concurrent
+                # committers pile onto one group-commit flush instead of
+                # serialising the engine behind the disk.  The statistics
+                # bracket is still open, so the stall is charged to this
+                # statement (waits.wal.sync).
+                self._after_commit(pending)
+            if timed:
+                # Per-statement latency is only sampled while tracing is
+                # on: two clock reads plus a histogram update are
+                # measurable next to the fastest prepared statements.
+                _STATEMENT_SECONDS.observe(_perf_counter() - start)
+            if batch:
+                returned = sum(result)
+            elif result.kind == "rowset":
+                returned = len(result.rows)
+                _ROWS_RETURNED.increment(returned)
+        except errors.SQLException as exc:
+            error = exc.sqlstate
+            _metrics.increment(f"errors.{error}")
+            raise
+        except BaseException:
+            if context is not None:
+                _stats.abandon(context)
+                context = None
+            raise
+        finally:
+            if context is not None:
+                self._record_statement(
+                    context,
+                    sql if sql is not None
+                    else f"<{type(statement).__name__}>",
+                    _perf_counter() - start,
+                    returned,
+                    error,
+                    cache_hit,
+                    len(param_rows) if batch else None,
+                )
+        return result
+
     def execute(
         self, sql: str, params: Sequence[Any] = ()
     ) -> StatementResult:
         """Parse and execute one statement."""
         self._check_open()
         tracer = _tracing.current
+        if not tracer.enabled:
+            return self._execute_text(sql, params)
+        with tracer.span("statement", sql=sql) as span:
+            return self._execute_text(sql, params, span)
+
+    def _execute_text(
+        self, sql: str, params: Sequence[Any], span: Any = None
+    ) -> StatementResult:
+        """Route one text: a cached query plan runs unparsed, a query
+        parsed here is planned into the cache, the rest is dispatched.
+        ``span`` is the caller's statement span when tracing is on."""
         cache = self.database.plan_cache
-        key = (sql, self.dialect.name, self.user)
+        entry = None
         if cache is not None:
             # Optimistic peek before parsing: a hit skips the parser and
-            # planner entirely.  The catalog version is re-validated under
-            # the shared lock in _execute_query_cached, so a DDL statement
-            # racing this peek can at worst force a replan, never a stale
+            # planner entirely.  _run_query re-validates the catalog
+            # version under the shared lock, so a DDL statement racing
+            # this peek can at worst force a replan, never a stale
             # execution.  peek (not get): the statement may turn out to
             # be uncacheable DML, which must not count as a miss.
+            key = (sql, self.dialect.name, self.user)
             entry = cache.peek(
                 key, self.catalog.version, self.catalog.stats_version
             )
-            if entry is not None:
-                return self._execute_query_cached(
-                    sql, key, entry.statement, entry, params
-                )
-        if not tracer.enabled:
-            statement = Parser(sql, self.dialect).parse_statement()
-            if cache is not None and isinstance(
-                statement, (ast.Select, ast.SetOperation)
-            ):
-                return self._execute_query_cached(
-                    sql, key, statement, None, params
-                )
-            return self.execute_statement(statement, params, sql=sql)
-        with tracer.span("statement", sql=sql):
-            with tracer.span("parse"):
+        if entry is not None:
+            statement = entry.statement
+            if span is not None:
+                span.annotate(cached=True)
+        elif span is not None:
+            with _tracing.current.span("parse"):
                 statement = Parser(sql, self.dialect).parse_statement()
-            if cache is not None and isinstance(
-                statement, (ast.Select, ast.SetOperation)
-            ):
-                return self._execute_query_cached(
-                    sql, key, statement, None, params, in_span=True
-                )
+        else:
+            statement = Parser(sql, self.dialect).parse_statement()
+        if cache is None or not isinstance(
+            statement, (ast.Select, ast.SetOperation)
+        ):
             return self.execute_statement(statement, params, sql=sql)
-
-    def _execute_query_cached(
-        self,
-        sql: str,
-        key: Any,
-        statement: ast.Statement,
-        entry: Optional[CachedPlan],
-        params: Sequence[Any],
-        in_span: bool = False,
-    ) -> StatementResult:
-        """Run a SELECT/set-operation through the plan cache.
-
-        Mirrors :meth:`execute_statement` exactly (counters, shared lock,
-        statement-level atomicity, autocommit, error accounting), but
-        reuses the cached plan instead of replanning — or plans once and
-        stores the result.  ``entry`` is None on a cache miss.
-        """
-        cache = self.database.plan_cache
         if entry is None:
             cache.miss()
-        counter = _STATEMENT_COUNTERS.get(statement.__class__)
-        if counter is None:
-            counter = _statement_counter(statement.__class__)
-        counter.increment()
-        tracer = _tracing.current
-        timed = tracer.enabled
-        collect = _stats.enabled
-        context = _stats.begin() if collect else None
-        start = _perf_counter() if (timed or collect) else 0.0
-
-        def run_locked() -> StatementResult:
-            # Holding the shared lock: DDL (which takes the lock
-            # exclusively) cannot change the catalog under us, so this
-            # version check is authoritative.
-            local = entry
-            mark = self.transaction_log.position()
-            try:
-                version = self.catalog.version
-                stats_version = self.catalog.stats_version
-                if (
-                    local is None
-                    or local.catalog_version != version
-                    or local.stats_version != stats_version
-                ):
-                    if timed:
-                        with tracer.span("plan"):
-                            plan, shape = plan_query(statement, self)
-                    else:
-                        plan, shape = plan_query(statement, self)
-                    local = CachedPlan(
-                        statement, plan, shape, version, stats_version
-                    )
-                    cache.put(key, local)
-                if timed:
-                    with tracer.span("execute"):
-                        rows = local.plan.run(self, params)
-                    with tracer.span("fetch"):
-                        result = self.finish_rowset(rows, local.shape)
-                else:
-                    rows = local.plan.run(self, params)
-                    result = self.finish_rowset(rows, local.shape)
-            except BaseException:
-                if self.transaction_log.position() > mark:
-                    self.transaction_log.rollback_to_position(mark)
-                self._after_read_statement(failed=True)
-                raise
-            self._after_read_statement()
-            return result
-
-        lock = self.database.lock
-        try:
-            if not timed or in_span:
-                # Untraced, or the caller already opened the
-                # statement/parse spans.
-                with lock.read():
-                    result = run_locked()
-            else:
-                # Cache hit before parsing: no parse span to emit.
-                with tracer.span("statement", sql=sql, cached=True):
-                    with lock.read():
-                        result = run_locked()
-        except errors.SQLException as exc:
-            _metrics.increment(f"errors.{exc.sqlstate}")
-            if context is not None:
-                self._record_statement(
-                    context,
-                    sql,
-                    _perf_counter() - start,
-                    error_sqlstate=exc.sqlstate,
-                    cache_hit=entry is not None,
-                )
-                context = None
-            raise
-        except BaseException:
-            if context is not None:
-                _stats.abandon(context)
-            raise
-        if timed:
-            _STATEMENT_SECONDS.observe(_perf_counter() - start)
-        _ROWS_RETURNED.increment(len(result.rows))
-        if context is not None:
-            self._record_statement(
-                context,
-                sql,
-                _perf_counter() - start,
-                len(result.rows),
-                None,
-                entry is not None,
-            )
-        return result
+        return self._run_statement(
+            statement, sql, [params],
+            lambda: self._run_query(
+                statement, params, entry, lambda plan: cache.put(key, plan)
+            ),
+            cache_hit=entry is not None,
+        )
 
     def prepare(self, sql: str) -> PreparedStatementPlan:
         """Parse (and for queries, plan) once for repeated execution."""
@@ -875,130 +844,14 @@ class Session:
         """Execute a pre-parsed statement.
 
         ``sql`` is the statement's original text when the caller has it
-        (``execute``, prepared statements); redo logging falls back to
-        rendering the AST when it is absent (profile-driven execution).
+        (``execute``, prepared statements); statistics then key on it,
+        and redo logging falls back to rendering the AST when it is
+        absent.
         """
-        self._check_open()
-        counter = _STATEMENT_COUNTERS.get(statement.__class__)
-        if counter is None:
-            counter = _statement_counter(statement.__class__)
-        counter.increment()
-        timed = _tracing.current.enabled
-        collect = _stats.enabled
-        context = _stats.begin() if collect else None
-        start = _perf_counter() if (timed or collect) else 0.0
-        lock = self.database.lock
-        guard = (
-            lock.read
-            if isinstance(statement, _SHARED_STATEMENTS)
-            else lock.write
+        return self._run_statement(
+            statement, sql, [params],
+            lambda: self._dispatch(statement, params),
         )
-        pending: Optional[int] = None
-        try:
-            # Write-write conflicts retry the whole statement: the
-            # failed attempt rolled itself back under the lock, then the
-            # wait for the blocking transaction happens with NO engine
-            # lock held (the blocker needs the lock to finish).
-            while True:
-                try:
-                    with guard():
-                        mark = self.transaction_log.position()
-                        try:
-                            if timed:
-                                result = self._dispatch_traced(
-                                    statement, params
-                                )
-                            else:
-                                result = self._dispatch(statement, params)
-                            # Redo-log only statements that succeeded; a
-                            # logging failure (unpicklable parameter,
-                            # unrenderable AST) rolls the statement back
-                            # below, keeping the WAL and the heap in
-                            # agreement.
-                            pending = self._log_durable(
-                                statement, params, sql
-                            )
-                        except BaseException:
-                            # Statement-level atomicity: a failing
-                            # statement (including one killed by an
-                            # injected fault) backs out its own partial
-                            # mutations before propagating.
-                            if self.transaction_log.position() > mark:
-                                self.transaction_log.rollback_to_position(
-                                    mark
-                                )
-                            if (
-                                self.autocommit
-                                and self._routine_depth == 0
-                            ):
-                                # The implicit per-statement transaction
-                                # holds no surviving work; end it so its
-                                # snapshot stops pinning the vacuum
-                                # horizon and conflict waiters move on.
-                                self._end_mvcc(commit=False)
-                            raise
-                        if self.autocommit and self._routine_depth == 0:
-                            committed = self._commit_all()
-                            if committed is not None:
-                                pending = committed
-                        else:
-                            txn = self._mvcc_txn
-                            if txn is not None:
-                                txn.pristine = False
-                    break
-                except WriteConflict as conflict:
-                    if self.database.lock.held_exclusive_by_me():
-                        # Still inside an outer exclusive statement (a
-                        # routine body): the blocker can never finish
-                        # while we hold the engine lock, so waiting is
-                        # futile — fail fast, retryably.  Ownership
-                        # matters: an unrelated thread holding the
-                        # exclusive lock will release it, so that case
-                        # falls through to the normal wait below.
-                        raise errors.SerializationFailureError(
-                            "write-write conflict inside an exclusive "
-                            "statement; roll back and retry the "
-                            "transaction"
-                        ) from None
-                    self._wait_for_conflict(conflict.blocker)
-        except errors.SQLException as exc:
-            _metrics.increment(f"errors.{exc.sqlstate}")
-            if context is not None:
-                self._record_statement(
-                    context,
-                    sql if sql is not None
-                    else f"<{type(statement).__name__}>",
-                    _perf_counter() - start,
-                    error_sqlstate=exc.sqlstate,
-                )
-                context = None
-            raise
-        except BaseException:
-            if context is not None:
-                _stats.abandon(context)
-            raise
-        if pending is not None:
-            # fsync AFTER the engine lock is released: concurrent
-            # committers pile onto one group-commit fsync instead of
-            # serialising the whole engine behind the disk.  The wait
-            # context is still active here so the fsync stall is charged
-            # to this statement (waits.wal.sync).
-            self._after_commit(pending)
-        if timed:
-            # Per-statement latency is only sampled while tracing is on:
-            # two clock reads plus a histogram update are measurable next
-            # to the fastest prepared statements.
-            _STATEMENT_SECONDS.observe(_perf_counter() - start)
-        if result.kind == "rowset":
-            _ROWS_RETURNED.increment(len(result.rows))
-        if context is not None:
-            self._record_statement(
-                context,
-                sql if sql is not None else f"<{type(statement).__name__}>",
-                _perf_counter() - start,
-                len(result.rows) if result.kind == "rowset" else 0,
-            )
-        return result
 
     def execute_batch(
         self,
@@ -1016,23 +869,17 @@ class Session:
         index pass), and durability writes ONE logical WAL record for
         the whole batch, so group commit fsyncs once per batch.
 
-        The batch is one statement for every purpose that matters:
-
-        * **atomicity** — any failure rolls back every row of the batch
-          (statement-level rollback to the batch's start); in
-          autocommit mode nothing is committed, inside an explicit
-          transaction the surrounding transaction stays open and
-          undisturbed;
-        * **observability** — one ``repro_stats.statements`` entry with
-          the total affected-row count, one slow-query record carrying
-          the batch size and per-row mean.
+        The batch is one statement — one trip through the statement
+        envelope — so any failure rolls back every row (in autocommit
+        mode nothing is committed; an explicit transaction stays open
+        and undisturbed), and it is one ``repro_stats.statements`` entry
+        with the total affected-row count and one slow-query record
+        carrying the batch size and per-row mean.
 
         Returns the per-parameter-row affected counts (JDBC
         ``updateCounts``).
         """
         self._check_open()
-        from repro.engine import dml
-
         rows = [list(row) for row in param_rows]
         if not rows:
             return []
@@ -1042,150 +889,104 @@ class Session:
                 "execute_batch supports only INSERT, UPDATE and DELETE "
                 "statements"
             )
-        counter = _STATEMENT_COUNTERS.get(statement.__class__)
-        if counter is None:
-            counter = _statement_counter(statement.__class__)
-        counter.increment()
         _BATCH_EXECUTED.increment()
         _BATCH_ROWS.increment(len(rows))
-        fast_insert = isinstance(statement, ast.Insert) and isinstance(
-            statement.source, ast.ValuesSource
+        return self._run_statement(
+            statement, sql, rows,
+            lambda: self._apply_dml(statement, rows),
+            span={"batch": len(rows)},
+            batch=True,
         )
-        tracer = _tracing.current
-        collect = _stats.enabled
-        context = _stats.begin() if collect else None
-        start = _perf_counter() if (tracer.enabled or collect) else 0.0
-        span = (
-            tracer.span("statement", sql=sql, batch=len(rows))
-            if tracer.enabled
-            else contextlib.nullcontext()
-        )
-        lock = self.database.lock
-        pending: Optional[int] = None
-        counts: List[int] = []
-        try:
-            with span:
-                while True:
-                    try:
-                        with lock.read():
-                            mark = self.transaction_log.position()
-                            counts = []
-                            try:
-                                if fast_insert:
-                                    counts = dml.execute_insert_batch(
-                                        statement, self, rows
-                                    )
-                                else:
-                                    # UPDATE / DELETE / INSERT..SELECT:
-                                    # no bulk heap path, but the parse,
-                                    # the WAL record and the commit are
-                                    # still amortized over the batch.
-                                    for row_params in rows:
-                                        result = self._dispatch(
-                                            statement, row_params
-                                        )
-                                        counts.append(result.update_count)
-                                    self.after_mutation(rows=sum(counts))
-                                self._log_durable_batch(
-                                    statement, rows, sql
-                                )
-                            except BaseException:
-                                # All-or-nothing: back out every row of
-                                # the batch before propagating.
-                                if self.transaction_log.position() > mark:
-                                    self.transaction_log \
-                                        .rollback_to_position(mark)
-                                if (
-                                    self.autocommit
-                                    and self._routine_depth == 0
-                                ):
-                                    self._end_mvcc(commit=False)
-                                raise
-                            if (
-                                self.autocommit
-                                and self._routine_depth == 0
-                            ):
-                                committed = self._commit_all()
-                                if committed is not None:
-                                    pending = committed
-                            else:
-                                txn = self._mvcc_txn
-                                if txn is not None:
-                                    txn.pristine = False
-                        break
-                    except WriteConflict as conflict:
-                        if self.database.lock.held_exclusive_by_me():
-                            raise errors.SerializationFailureError(
-                                "write-write conflict inside an "
-                                "exclusive statement; roll back and "
-                                "retry the transaction"
-                            ) from None
-                        self._wait_for_conflict(conflict.blocker)
-                if pending is not None:
-                    # fsync after the engine lock is released so
-                    # concurrent committers share one group-commit
-                    # flush — one barrier for the whole batch.
-                    self._after_commit(pending)
-        except errors.SQLException as exc:
-            _metrics.increment(f"errors.{exc.sqlstate}")
-            if context is not None:
-                self._record_statement(
-                    context,
-                    sql,
-                    _perf_counter() - start,
-                    error_sqlstate=exc.sqlstate,
-                    batch_rows=len(rows),
-                )
-                context = None
-            raise
-        except BaseException:
-            if context is not None:
-                _stats.abandon(context)
-            raise
-        if tracer.enabled:
-            _STATEMENT_SECONDS.observe(_perf_counter() - start)
-        if context is not None:
-            self._record_statement(
-                context,
-                sql,
-                _perf_counter() - start,
-                rows=sum(counts),
-                batch_rows=len(rows),
-            )
-        return counts
 
-    def _dispatch_traced(
-        self, statement: ast.Statement, params: Sequence[Any]
-    ) -> StatementResult:
-        """Tracing-enabled dispatch: pipeline stages under spans."""
+    # ------------------------------------------------------------------
+    # statement bodies (run inside the envelope, engine lock held)
+    # ------------------------------------------------------------------
+    def _plan_query(self, statement: ast.Statement) -> CachedPlan:
+        """Plan a query under the current catalog and statistics
+        versions; the shared lock keeps DDL (which takes it
+        exclusively) from changing the catalog meanwhile."""
+        catalog = self.catalog
+        version, stats_version = catalog.version, catalog.stats_version
         tracer = _tracing.current
-        if isinstance(statement, (ast.Select, ast.SetOperation)):
+        if tracer.enabled:
             with tracer.span("plan"):
                 plan, shape = plan_query(statement, self)
-            with tracer.span("execute"):
-                rows = plan.run(self, params)
-            with tracer.span("fetch"):
-                return self.finish_rowset(rows, shape)
-        with tracer.span("execute", statement=type(statement).__name__):
-            return self._dispatch(statement, params)
+        else:
+            plan, shape = plan_query(statement, self)
+        return CachedPlan(statement, plan, shape, version, stats_version)
+
+    def _run_query(
+        self,
+        statement: ast.Statement,
+        params: Sequence[Any],
+        entry: Optional[CachedPlan] = None,
+        store: Optional[Callable[[CachedPlan], Any]] = None,
+    ) -> StatementResult:
+        """Body: run a query through ``entry``, the plan its caller
+        holds (a plan-cache entry, a prepared or precompiled statement's
+        own) — replanned, and handed to ``store``, when absent or when
+        DDL or ANALYZE moved the catalog since it was built (new
+        indexes, dropped columns, revoked privileges, fresh statistics
+        that cost a different plan)."""
+        catalog = self.catalog
+        if (
+            entry is None
+            or entry.catalog_version != catalog.version
+            or entry.stats_version != catalog.stats_version
+        ):
+            entry = self._plan_query(statement)
+            if store is not None:
+                store(entry)
+        tracer = _tracing.current
+        if not tracer.enabled:
+            return self.finish_rowset(
+                entry.plan.run(self, params), entry.shape
+            )
+        with tracer.span("execute"):
+            rows = entry.plan.run(self, params)
+        with tracer.span("fetch"):
+            return self.finish_rowset(rows, entry.shape)
+
+    def _apply_dml(
+        self, statement: ast.Statement, param_rows: Sequence[Sequence[Any]]
+    ) -> List[int]:
+        """Body: apply one INSERT / UPDATE / DELETE to each parameter
+        row; returns the per-row affected counts.  A single statement is
+        the one-row case."""
+        if isinstance(statement, ast.Insert):
+            if len(param_rows) > 1 and isinstance(
+                statement.source, ast.ValuesSource
+            ):
+                return dml.execute_insert_batch(statement, self, param_rows)
+            run = dml.execute_insert
+        elif isinstance(statement, ast.Update):
+            run = dml.execute_update
+        else:
+            run = dml.execute_delete
+        # UPDATE / DELETE / INSERT..SELECT have no bulk heap path, but
+        # the parse, the WAL record and the commit are still amortized
+        # over the batch.
+        counts = [run(statement, self, params) for params in param_rows]
+        self.after_mutation(rows=sum(counts))
+        return counts
 
     def _dispatch(
         self, statement: ast.Statement, params: Sequence[Any]
     ) -> StatementResult:
-        from repro.engine import ddl, dml
-
+        """Body: run one parsed statement of any kind."""
         if isinstance(statement, (ast.Select, ast.SetOperation)):
-            plan, shape = plan_query(statement, self)
-            rows = plan.run(self, params)
-            return self.finish_rowset(rows, shape)
-        if isinstance(statement, ast.Insert):
-            count = dml.execute_insert(statement, self, params)
-            return StatementResult("update", update_count=count)
-        if isinstance(statement, ast.Update):
-            count = dml.execute_update(statement, self, params)
-            return StatementResult("update", update_count=count)
-        if isinstance(statement, ast.Delete):
-            count = dml.execute_delete(statement, self, params)
+            return self._run_query(statement, params)
+        tracer = _tracing.current
+        if not tracer.enabled:
+            return self._dispatch_command(statement, params)
+        with tracer.span("execute", statement=type(statement).__name__):
+            return self._dispatch_command(statement, params)
+
+    def _dispatch_command(
+        self, statement: ast.Statement, params: Sequence[Any]
+    ) -> StatementResult:
+        if isinstance(statement, (ast.Insert, ast.Update, ast.Delete)):
+            [count] = self._apply_dml(statement, [params])
             return StatementResult("update", update_count=count)
         if isinstance(statement, ast.CreateTable):
             ddl.execute_create_table(statement, self)
@@ -1328,9 +1129,10 @@ class Session:
                     query, params, analyze
                 )
             except BaseException:
-                self._after_read_statement(failed=True)
+                self._end_statement(failed=True)
                 raise
-            self._after_read_statement()
+            pending = self._end_statement()
+        self._after_commit(pending)
         return tree
 
     def _analyze(self, statement: ast.Analyze) -> StatementResult:
@@ -1426,21 +1228,31 @@ class Session:
     def _log_durable(
         self,
         statement: ast.Statement,
-        params: Sequence[Any],
+        param_rows: Sequence[Sequence[Any]],
         sql: Optional[str],
     ) -> Optional[int]:
         """Append the redo record for a just-executed statement.
 
+        One parameter row makes a statement record; more make ONE
+        logical batch record carrying every row, so a batch of N rows
+        costs one WAL append (and, at commit, one group-commit fsync
+        barrier) instead of N, and recovery replays it through
+        :meth:`execute_batch`, all-or-nothing.
+
         Returns a WAL position the caller must make durable after
         releasing the engine lock (DDL commits immediately), or None
-        (reads, non-durable databases, statements that join the
-        session transaction and become durable at its COMMIT).
+        (reads, EXPLAIN, COMMIT/ROLLBACK — logged as markers —
+        non-durable databases, and statements that join the session
+        transaction and become durable at its COMMIT).
 
         Statements executed inside an external routine are *not*
         logged: the outer CALL is, and replaying it re-runs the body.
         """
         durability = self.database.durability
         if durability is None or self._routine_depth > 0:
+            return None
+        immediate = isinstance(statement, _DDL_STATEMENTS)
+        if not immediate and not isinstance(statement, _TXN_STATEMENTS):
             return None
         # Record the snapshot the statement actually executed with, so
         # crash-recovery replay reproduces its visibility even when the
@@ -1451,59 +1263,23 @@ class Session:
             if open_txn is not None
             else self.database.transactions.commit_seq
         )
-        if isinstance(statement, _DDL_STATEMENTS):
-            text = sql if sql is not None else self._render_for_log(
-                statement
-            )
+        text = (
+            sql if sql is not None
+            else render_statement(statement, self.dialect)
+        )
+        if immediate:
             txn = durability.begin()
-            durability.log_statement(txn, self.user, text, params, snapshot)
-            return durability.log_commit(txn)
-        if isinstance(statement, _TXN_STATEMENTS):
-            text = sql if sql is not None else self._render_for_log(
-                statement
-            )
+        else:
             if self._durable_txn is None:
                 self._durable_txn = durability.begin()
+            txn = self._durable_txn
+        if len(param_rows) > 1:
+            durability.log_batch(txn, self.user, text, param_rows, snapshot)
+        else:
             durability.log_statement(
-                self._durable_txn, self.user, text, params, snapshot
+                txn, self.user, text, param_rows[0], snapshot
             )
-            return None
-        return None  # reads, EXPLAIN, COMMIT/ROLLBACK (logged as markers)
-
-    def _log_durable_batch(
-        self,
-        statement: ast.Statement,
-        param_rows: Sequence[Sequence[Any]],
-        sql: Optional[str],
-    ) -> None:
-        """Append ONE logical redo record for a whole executed batch.
-
-        The record carries the statement text plus every parameter row,
-        so a batch of N rows costs one WAL append (and, at commit, one
-        group-commit fsync barrier) instead of N statement records.
-        Recovery replays the batch through :meth:`execute_batch`, which
-        restores its all-or-nothing semantics.
-        """
-        durability = self.database.durability
-        if durability is None or self._routine_depth > 0:
-            return
-        open_txn = self._mvcc_txn
-        snapshot = (
-            open_txn.snapshot_seq
-            if open_txn is not None
-            else self.database.transactions.commit_seq
-        )
-        text = sql if sql is not None else self._render_for_log(statement)
-        if self._durable_txn is None:
-            self._durable_txn = durability.begin()
-        durability.log_batch(
-            self._durable_txn, self.user, text, param_rows, snapshot
-        )
-
-    def _render_for_log(self, statement: ast.Statement) -> str:
-        from repro.engine.render import render_statement
-
-        return render_statement(statement, self.dialect)
+        return durability.log_commit(txn) if immediate else None
 
     def _commit_durable(self, stamp: Optional[int] = None) -> Optional[int]:
         """Write the COMMIT marker (carrying the MVCC commit stamp) for
@@ -1614,10 +1390,7 @@ class Session:
                 or self._durable_txn is not None
                 or self._mvcc_txn is not None
             ):
-                with self.database.lock.read():
-                    self.transaction_log.rollback()
-                    self._end_mvcc(commit=False)
-                    self._abort_durable()
+                self.rollback()
             self.closed = True
 
     def _check_open(self) -> None:

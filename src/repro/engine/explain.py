@@ -22,16 +22,12 @@ actual row counts and cumulative time::
 
     Project (4 columns) (actual rows=3 time=0.041 ms)
       SeqScan on emps (actual rows=10 time=0.012 ms)
-
-:func:`format_plan` (render straight from an operator tree) is kept as a
-deprecation shim for pre-PlanNode callers.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.engine.executor import (
     Distinct,
@@ -57,7 +53,6 @@ __all__ = [
     "build_plan_tree",
     "format_plan_tree",
     "describe_operator",
-    "format_plan",
 ]
 
 
@@ -276,41 +271,4 @@ def format_plan_tree(node: PlanNode, indent: int = 0) -> List[str]:
         lines.append(alt_line)
     for child in node.children:
         lines.extend(format_plan_tree(child, indent + 1))
-    return lines
-
-
-def format_plan(
-    operator: Operator,
-    indent: int = 0,
-    annotate: Optional[Callable[[Operator], Optional[str]]] = None,
-) -> List[str]:
-    """Deprecated: render an operator tree directly as text lines.
-
-    Kept for pre-PlanNode callers.  Use ``Session.explain(sql)`` for the
-    typed tree, or :func:`build_plan_tree` + :func:`format_plan_tree`
-    when you already hold an operator tree.  ``annotate`` may return a
-    per-node suffix; None or an empty string leaves the line bare.
-    """
-    warnings.warn(
-        "format_plan() is deprecated; use Session.explain() or "
-        "build_plan_tree()/format_plan_tree()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _format_operator(operator, indent, annotate)
-
-
-def _format_operator(
-    operator: Operator,
-    indent: int = 0,
-    annotate: Optional[Callable[[Operator], Optional[str]]] = None,
-) -> List[str]:
-    line = "  " * indent + describe_operator(operator)
-    if annotate is not None:
-        suffix = annotate(operator)
-        if suffix:
-            line = f"{line} ({suffix})"
-    lines = [line]
-    for child in operator_children(operator):
-        lines.extend(_format_operator(child, indent + 1, annotate))
     return lines

@@ -6,8 +6,9 @@ snapshot-isolated, queries, DML and transaction control all acquire it
 *shared* — concurrent writers coordinate through row-version claims
 and the commit mutex instead of this lock.  Only catalog-shape changes
 (DDL) and CALL (routines may run arbitrary nested statements) still
-acquire it exclusive.  Acquisition happens once per statement in
-:meth:`repro.engine.database.Session.execute_statement` — never nested
+acquire it exclusive.  Acquisition happens once per statement, in the
+statement envelope every executor shares
+(``repro.engine.database.Session._run_statement``) — never nested
 across two databases, which is what keeps the ordering deadlock-free.
 
 The lock is **reentrant per thread** in both modes, because external
@@ -187,7 +188,8 @@ class ReadWriteLock:
             self._cond.notify_all()
 
     # ------------------------------------------------------------------
-    # context managers (the only interface the engine uses)
+    # context managers (the statement envelope binds acquire/release
+    # directly; everything else uses these)
     # ------------------------------------------------------------------
     @contextlib.contextmanager
     def read(self) -> Iterator[None]:

@@ -22,13 +22,12 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro import errors
 from repro.engine import ast as engine_ast
 from repro.engine.database import (
+    PreparedStatementPlan,
     Session,
     StatementResult,
 )
 from repro.engine.dialects import DIALECTS
-from repro.engine.executor import QueryPlan
 from repro.engine.parser import Parser
-from repro.engine.planner import plan_query
 from repro.engine.render import render_statement
 from repro.observability import metrics as _metrics
 from repro.profiles.model import EntryInfo, Profile
@@ -72,49 +71,22 @@ class RTStatement:
         return result.update_count
 
 
-class _DynamicRTStatement(RTStatement):
-    """Default path: prepare the SQL text on the connection, once."""
-
-    def __init__(self, entry: EntryInfo, session: Session) -> None:
-        super().__init__(entry, session)
-        self._prepared = session.prepare(entry.sql)
-
-    def execute(self, params: Sequence[Any] = ()) -> StatementResult:
-        return self._prepared.execute(params)
-
-
-class _PrecompiledRTStatement(RTStatement):
-    """Customized path: execute a pre-parsed statement; queries keep a
-    compiled plan."""
+class _PreparedRTStatement(RTStatement):
+    """An entry executes through a prepared plan on its connection, so
+    it runs the engine's one statement pipeline; the customizations
+    differ only in who parsed the statement, and when."""
 
     def __init__(
         self,
         entry: EntryInfo,
         session: Session,
-        statement: engine_ast.Statement,
+        prepared: PreparedStatementPlan,
     ) -> None:
         super().__init__(entry, session)
-        self.statement = statement
-        self._plan: Optional[QueryPlan] = None
-        self._plan_version = -1
-        if isinstance(
-            statement, (engine_ast.Select, engine_ast.SetOperation)
-        ):
-            self._replan()
-
-    def _replan(self) -> None:
-        self._plan, self._shape = plan_query(self.statement, self.session)
-        self._plan_version = self.session.catalog.version
+        self._prepared = prepared
 
     def execute(self, params: Sequence[Any] = ()) -> StatementResult:
-        if self._plan is not None:
-            if self._plan_version != self.session.catalog.version:
-                # DDL since this entry was compiled (new index, dropped
-                # column, revoked privilege): rebuild the plan.
-                self._replan()
-            rows = self._plan.run(self.session, params)
-            return self.session.finish_rowset(rows, self._shape)
-        return self.session.execute_statement(self.statement, params)
+        return self._prepared.execute(params)
 
 
 class Customization:
@@ -150,7 +122,10 @@ class DefaultCustomization(Customization):
     def make_statement(
         self, entry: EntryInfo, session: Session
     ) -> RTStatement:
-        return _DynamicRTStatement(entry, session)
+        # Default path: prepare the SQL text on the connection, once.
+        return _PreparedRTStatement(
+            entry, session, session.prepare(entry.sql)
+        )
 
     def describe(self) -> str:
         return "default (dynamic SQL via connection)"
@@ -197,8 +172,16 @@ class DialectCustomization(Customization):
     def make_statement(
         self, entry: EntryInfo, session: Session
     ) -> RTStatement:
-        return _PrecompiledRTStatement(
-            entry, session, self.statements[entry.index]
+        # Customized path: the vendor text was parsed at deployment
+        # time; only planning is left for the connection.
+        return _PreparedRTStatement(
+            entry,
+            session,
+            PreparedStatementPlan._precompiled(
+                session,
+                self.sql_texts[entry.index],
+                self.statements[entry.index],
+            ),
         )
 
     def describe(self) -> str:

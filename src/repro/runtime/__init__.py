@@ -8,17 +8,12 @@ strongly typed cursors, and :mod:`repro.runtime.api` holds the entry
 points the translator's generated code calls (``sqlj.execute``,
 ``sqlj.query``, ``sqlj.fetch``, ``sqlj.load_profile``).
 
-``sqlj`` and the iterator classes stay eagerly importable here — they
-are the translator's code-generation targets.  ``ConnectionContext``
-and ``ExecutionContext`` moved to the top-level :mod:`repro` façade;
-importing them from ``repro.runtime`` still works but emits
-:class:`DeprecationWarning`.
+``sqlj`` and the iterator classes are importable here — they are the
+translator's code-generation targets.  ``ConnectionContext`` and
+``ExecutionContext`` live on the top-level :mod:`repro` façade.
 """
 
 from __future__ import annotations
-
-import warnings
-from typing import Any, List
 
 from repro.runtime import api as sqlj
 from repro.runtime.iterators import (
@@ -29,31 +24,7 @@ from repro.runtime.iterators import (
 
 __all__ = [
     "sqlj",
-    "ConnectionContext",
-    "ExecutionContext",
     "SQLJIterator",
     "PositionalIterator",
     "NamedIterator",
 ]
-
-_FACADE_NAMES = ("ConnectionContext", "ExecutionContext")
-
-
-def __getattr__(name: str) -> Any:
-    if name not in _FACADE_NAMES:
-        raise AttributeError(
-            f"module 'repro.runtime' has no attribute {name!r}"
-        )
-    warnings.warn(
-        f"importing {name} from repro.runtime is deprecated; "
-        "import it from the top-level repro package instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.runtime import context
-
-    return getattr(context, name)
-
-
-def __dir__() -> List[str]:
-    return sorted(set(globals()) | set(__all__))

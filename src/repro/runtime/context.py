@@ -14,7 +14,6 @@ mirroring ``sqlj.runtime.ref.DefaultContext``.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro import errors
@@ -72,17 +71,7 @@ class ConnectionContext:
         user: Optional[str] = None,
         pooled: bool = False,
         timeout: Optional[float] = None,
-        target: Any = None,
     ) -> None:
-        if target is not None:
-            warnings.warn(
-                "ConnectionContext(target=...) is deprecated; pass the "
-                "connection source as the first argument (url=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if url is None:
-                url = target
         self._owns_session = False
         self._owned_connection: Optional[Any] = None
         self.timeout = timeout

@@ -1,6 +1,7 @@
 """Public-façade tests: ``repro.connect``, ``repro.__all__``, the
-unified error hierarchy, and the deprecation shims that keep the old
-deep-import paths working."""
+unified error hierarchy, and the one spelling of each import path and
+keyword (submodule homes import silently; the façade is the only place
+the application-facing names live)."""
 
 from __future__ import annotations
 
@@ -170,37 +171,7 @@ class TestErrorHierarchy:
         assert repro.SQLException is errors.SQLException
 
 
-class TestDeprecationShims:
-    @pytest.mark.parametrize(
-        "module, name",
-        [
-            ("repro.engine", "Database"),
-            ("repro.engine", "Session"),
-            ("repro.engine", "Dialect"),
-            ("repro.engine", "DIALECTS"),
-            ("repro.engine", "save_database"),
-            ("repro.engine", "load_database"),
-            ("repro.dbapi", "DriverManager"),
-            ("repro.dbapi", "registry"),
-            ("repro.dbapi", "Connection"),
-            ("repro.dbapi", "ConnectionPool"),
-            ("repro.dbapi", "PooledConnection"),
-            ("repro.runtime", "ConnectionContext"),
-            ("repro.runtime", "ExecutionContext"),
-        ],
-    )
-    def test_old_import_path_warns_and_matches_facade(
-        self, module, name
-    ):
-        import importlib
-
-        mod = importlib.import_module(module)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = getattr(mod, name)
-        assert _deprecations(caught), f"{module}.{name} did not warn"
-        assert value is getattr(repro, name)
-
+class TestImportPathsAndSpellings:
     def test_submodule_imports_stay_silent(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -222,18 +193,6 @@ class TestDeprecationShims:
         with pytest.raises(AttributeError):
             repro.dbapi.NoSuchThing
 
-    def test_pool_checkout_timeout_kwarg_shim(self, db):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            pool = repro.ConnectionPool(db, checkout_timeout=2.5)
-        assert _deprecations(caught)
-        assert pool.timeout == 2.5
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert pool.checkout_timeout == 2.5
-        assert _deprecations(caught)
-        pool.close()
-
     def test_pool_timeout_kwarg_is_silent(self, db):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -241,14 +200,6 @@ class TestDeprecationShims:
         assert not _deprecations(caught)
         assert pool.timeout == 1.5
         pool.close()
-
-    def test_context_target_kwarg_shim(self, db):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ctx = repro.ConnectionContext(target=db)
-        assert _deprecations(caught)
-        assert ctx.session.database is db
-        ctx.close()
 
     def test_context_url_positional_is_silent(self, db):
         with warnings.catch_warnings(record=True) as caught:

@@ -22,7 +22,7 @@ import pytest
 
 import repro
 from repro import Database, errors
-from repro.engine.explain import PlanNode, format_plan, format_plan_tree
+from repro.engine.explain import PlanNode, format_plan_tree
 from repro.engine.statistics import (
     ColumnStatistics,
     collect_table_statistics,
@@ -428,17 +428,6 @@ class TestExplainApi:
         text = "\n".join(row[0] for row in result.rows)
         assert "(cost=401.0 rows=100)" in text
         assert "Rejected: SeqScan on emps (cost=1000.0)" in text
-
-    def test_format_plan_shim_warns(self, session):
-        from repro.engine.planner import plan_query
-        from repro.engine.parser import parse_statement
-
-        session.execute("create table t (a int)")
-        statement = parse_statement("select a from t")
-        plan, _shape = plan_query(statement, session)
-        with pytest.warns(DeprecationWarning):
-            lines = format_plan(plan.root)
-        assert lines[0] == "Project (1 columns)"
 
     def test_connection_explain(self):
         with repro.connect() as conn:

@@ -1,0 +1,522 @@
+"""One statement pipeline: every entry point means the same thing.
+
+``Session.execute``, ``Session.prepare().execute``,
+``Session.execute_statement`` (with and without its ``sql=`` text),
+``Session.execute_batch`` and a customized profile entry all run their
+statement through one envelope (``Session._run_statement``).  The table
+below runs each statement through every entry point that accepts it and
+compares everything an observer could tell them apart by — result,
+``statements.*`` / ``rows.returned`` / ``errors.*`` counter deltas, the
+number of ``repro_stats.statements`` calls, the WAL record sequence and
+the session's transaction state — against the same statement run through
+``execute`` on an identically prepared database; tracing off and on,
+in memory and durable, autocommit and inside a transaction.
+
+The three regression tests at the bottom pin the bugs the shared
+envelope fixed: a prepared query on a closed session, a customized
+profile entry that ran outside the lock / statistics / transaction
+machinery, and a prepared query whose failure left partial work in the
+undo log.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import threading
+import time
+
+import pytest
+
+from repro import ConnectionContext, Database, errors, open_database
+from repro.engine.dialects import STANDARD
+from repro.engine.durability import WAL_FILENAME
+from repro.engine.parser import parse_statement
+from repro.engine.render import render_statement
+from repro.engine.wal import KIND_BATCH, KIND_STATEMENT, scan_records
+from repro.observability import slowlog, snapshot, tracing
+from repro.procedures import build_par
+from repro.profiles.customization import (
+    ConnectedProfile,
+    DialectCustomization,
+)
+from repro.profiles.customizer import customize_profile
+from repro.profiles.model import EntryInfo, Profile
+
+ROUTINES = '''
+from repro import DriverManager
+
+
+def bump(k, delta):
+    conn = DriverManager.get_connection("DBAPI:DEFAULT:CONNECTION")
+    stmt = conn.prepare_statement("UPDATE t SET v = v + ? WHERE k = ?")
+    stmt.set_int(1, delta)
+    stmt.set_int(2, k)
+    stmt.execute_update()
+
+
+def log_it(k):
+    conn = DriverManager.get_connection("DBAPI:DEFAULT:CONNECTION")
+    stmt = conn.prepare_statement("INSERT INTO audit VALUES (?)")
+    stmt.set_int(1, k)
+    stmt.execute_update()
+    return 0
+'''
+
+SETUP = [
+    "create table t (k int unique, v int)",
+    "create table audit (k int)",
+    "insert into t values (1, 10), (2, 20), (3, 30)",
+    "create procedure bump(k integer, delta integer) modifies sql data "
+    "external name 'p:pipeline_routines.bump' "
+    "language python parameter style python",
+    "create function log_it(k integer) returns integer modifies sql data "
+    "external name 'p:pipeline_routines.log_it' "
+    "language python parameter style python",
+]
+
+
+# ---------------------------------------------------------------------------
+# entry points
+# ---------------------------------------------------------------------------
+
+
+def _via_profile(session, sql, params):
+    profile = Profile(name="pipeline_profile", context_type="Default")
+    profile.data.add(EntryInfo(index=0, sql=sql, role="STATEMENT"))
+    customize_profile(profile, session.dialect.name)
+    connected = ConnectedProfile(profile, session)
+    assert isinstance(connected.customization(), DialectCustomization)
+    return connected.execute(0, params)
+
+
+ENTRY_POINTS = {
+    "execute": lambda s, sql, p: s.execute(sql, p),
+    "prepare": lambda s, sql, p: s.prepare(sql).execute(p),
+    "statement+sql": lambda s, sql, p: s.execute_statement(
+        parse_statement(sql), p, sql=sql
+    ),
+    "statement": lambda s, sql, p: s.execute_statement(
+        parse_statement(sql), p
+    ),
+    "batch": lambda s, sql, p: s.execute_batch(sql, [p]),
+    "profile": _via_profile,
+}
+
+#: name, sql, params, accepted by execute_batch
+CASES = [
+    ("select_miss", "select v from t where k = ?", [1], False),
+    ("select_hit", "select v from t where k = ?", [1], False),
+    ("insert", "insert into t values (?, ?)", [4, 40], True),
+    ("update", "update t set v = v + ? where k = ?", [5, 1], True),
+    ("delete", "delete from t where k = ?", [2], True),
+    ("ddl", "create table u (a int)", [], False),
+    ("call", "call bump(?, ?)", [1, 7], False),
+    ("explain", "explain select v from t where k = ?", [1], False),
+    ("analyze", "analyze t", [], False),
+    ("fail_insert", "insert into t values (?, ?)", [1, 99], True),
+    ("fail_select", "select 1 / (v - v) from t where k = ?", [1], False),
+    ("fail_function", "select 1 / log_it(k) from t where k = ?", [1], False),
+]
+
+COMBINATIONS = [
+    pytest.param(case, entry, id=f"{case[0]}-{entry}")
+    for case in CASES
+    for entry in ENTRY_POINTS
+    if entry != "execute"
+    and (case[3] or entry != "batch")
+    # the customizer cannot render EXPLAIN, so no profile carries one
+    and (case[0], entry) != ("explain", "profile")
+]
+
+
+# ---------------------------------------------------------------------------
+# harness
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(params=["untraced", "traced"])
+def traced(request):
+    if request.param == "traced":
+        tracing.enable_tracing("json", io.StringIO())
+    yield request.param == "traced"
+    tracing.disable_tracing()
+
+
+@pytest.fixture(params=["memory", "durable"])
+def make_database(request, tmp_path):
+    """Factory of identically prepared databases (one per label)."""
+    par = build_par(
+        os.path.join(str(tmp_path), "p.par"),
+        {"pipeline_routines": ROUTINES},
+    )
+    opened = []
+
+    def make(label):
+        if request.param == "durable":
+            directory = os.path.join(str(tmp_path), label)
+            database = open_database(directory, checkpoint_interval=0)
+            database.wal_path = os.path.join(directory, WAL_FILENAME)
+        else:
+            database = Database(name=label)
+            database.wal_path = None
+        admin = database.create_session(autocommit=True)
+        admin.execute(f"call sqlj.install_par('{par}', 'p')")
+        for statement in SETUP:
+            admin.execute(statement)
+        admin.close()
+        opened.append(database)
+        return database
+
+    yield make
+    for database in opened:
+        database.close()
+
+
+def _canonical(sql):
+    return render_statement(parse_statement(sql), STANDARD)
+
+
+def _wal(database, start=0):
+    """The log from record ``start`` on, as comparable tuples; with
+    ``start`` None, just its length.  Statement texts are canonicalised
+    (a record written without the original text carries a rendering)."""
+    if database.wal_path is None:
+        return 0 if start is None else []
+    with open(database.wal_path, "rb") as handle:
+        records, _valid = scan_records(handle.read())
+    if start is None:
+        return len(records)
+    out = []
+    for record in records[start:]:
+        data = record.data
+        if record.kind in (KIND_STATEMENT, KIND_BATCH):
+            data = (data[0], _canonical(data[1])) + tuple(data[2:])
+        out.append((record.kind, record.txn, data))
+    return out
+
+
+def _counters():
+    return {
+        name: value
+        for name, value in snapshot()["counters"].items()
+        if name.startswith(("statements.", "rows.returned", "errors."))
+    }
+
+
+def _calls(database):
+    return sum(row[1] for row in database.statement_stats.statement_rows())
+
+
+def _state(session, mark):
+    txn = session._mvcc_txn
+    return {
+        "mvcc_open": txn is not None,
+        "pristine": None if txn is None else txn.pristine,
+        "undo_growth": session.transaction_log.position() - mark,
+        "durable_open": session._durable_txn is not None,
+    }
+
+
+def observe(database, entry, case, autocommit):
+    """Run ``case`` through ``entry`` on a fresh session; returns every
+    observable of that one statement."""
+    name, sql, params, _batchable = case
+    run = ENTRY_POINTS[entry]
+    session = database.create_session(autocommit=autocommit)
+    if name == "select_hit":
+        run(session, sql, params)  # prime whatever cache this entry has
+        if not autocommit:
+            session.commit()
+    wal_before = _wal(database, None)
+    counters_before = _counters()
+    calls_before = _calls(database)
+    mark = session.transaction_log.position()
+    try:
+        result = run(session, sql, params)
+    except errors.SQLException as exc:
+        outcome = ("error", type(exc).__name__, exc.sqlstate)
+    else:
+        if isinstance(result, list):  # execute_batch: per-row counts
+            outcome = ("update", [], result[0])
+        else:
+            outcome = (result.kind, result.rows, result.update_count)
+    counters_after = _counters()
+    observed = {
+        "outcome": outcome,
+        "counters": {
+            key: counters_after[key] - counters_before.get(key, 0)
+            for key in counters_after
+            if counters_after[key] != counters_before.get(key, 0)
+        },
+        "stats_calls": _calls(database) - calls_before,
+        "state": _state(session, mark),
+    }
+    if not autocommit:
+        session.commit()
+    observed["wal"] = _wal(database, wal_before)
+    observed["table"] = sorted(
+        session.execute("select k, v from t").rows
+    )
+    observed["audit"] = session.execute("select count(*) from audit").rows
+    session.close()
+    return observed
+
+
+# ---------------------------------------------------------------------------
+# the table
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("autocommit", [True, False], ids=["auto", "txn"])
+@pytest.mark.parametrize("case, entry", COMBINATIONS)
+def test_entry_point_matches_execute(
+    make_database, traced, case, entry, autocommit
+):
+    expected = observe(make_database("ref"), "execute", case, autocommit)
+    actual = observe(make_database("sut"), entry, case, autocommit)
+    assert actual == expected
+    # Absolutes the comparison alone would not catch if every path
+    # drifted together.  A routine body's nested statement is a
+    # statement of its own.
+    nested = 1 if case[0] in ("call", "fail_function") else 0
+    assert actual["stats_calls"] == 1 + nested
+    if autocommit:
+        assert actual["state"] == {
+            "mvcc_open": False,
+            "pristine": None,
+            "undo_growth": 0,
+            "durable_open": False,
+        }
+    elif actual["outcome"][0] == "error":
+        assert actual["state"]["undo_growth"] == 0
+    elif actual["state"]["mvcc_open"]:
+        assert actual["state"]["pristine"] is False
+    if case[0].startswith("fail_"):
+        assert actual["outcome"][0] == "error"
+        assert actual["counters"].get(
+            f"errors.{actual['outcome'][2]}"
+        ) == 1
+        assert actual["wal"] == []
+    if not autocommit:
+        # (On an autocommit connection the dbapi layer commits the
+        # function's INSERT from inside the routine body, before the
+        # SELECT fails — on every path alike.)
+        assert actual["audit"] == [[0]]
+
+
+@pytest.mark.parametrize("autocommit", [True, False], ids=["auto", "txn"])
+def test_batch_of_many_is_the_n_row_case(make_database, traced, autocommit):
+    """N parameter rows through ``execute_batch`` leave the state N
+    single executions leave, as ONE statement: one counter bump, one
+    statistics call, one WAL batch record."""
+    sql = "update t set v = v + ? where k = ?"
+    rows = [[1, 1], [2, 2], [3, 3], [4, 99]]
+    reference = make_database("ref")
+    session = reference.create_session(autocommit=autocommit)
+    expected_counts = [
+        session.execute(sql, row).update_count for row in rows
+    ]
+    session.commit()
+    expected_table = sorted(session.execute("select k, v from t").rows)
+
+    database = make_database("sut")
+    session = database.create_session(autocommit=autocommit)
+    wal_before = _wal(database, None)
+    counters_before = _counters()
+    calls_before = _calls(database)
+    counts = session.execute_batch(sql, rows)
+    counters_after = _counters()
+    assert counts == expected_counts == [1, 1, 1, 0]
+    assert counters_after["statements.update"] \
+        - counters_before.get("statements.update", 0) == 1
+    assert _calls(database) - calls_before == 1
+    state = _state(session, session.transaction_log.position())
+    if autocommit:
+        assert not state["mvcc_open"] and not state["durable_open"]
+    else:
+        assert state["pristine"] is False
+        session.commit()
+    assert sorted(session.execute("select k, v from t").rows) \
+        == expected_table
+    if database.wal_path is not None:
+        batch, commit = _wal(database, wal_before)
+        assert batch[0] == KIND_BATCH
+        assert batch[2][1:3] == (
+            _canonical(sql), tuple(tuple(row) for row in rows)
+        )
+        assert commit[0] == "commit" and commit[1] == batch[1]
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_write_conflict_retries_whole_statement(
+    make_database, traced, entry
+):
+    """A statement blocked by another transaction's row claim waits with
+    no engine lock held, then retries under a fresh snapshot — and is
+    still ONE statement to every counter."""
+    database = make_database("sut")
+    blocker = database.create_session(autocommit=False)
+    blocker.execute("update t set v = 100 where k = 1")
+    session = database.create_session(autocommit=True)
+    waits_before = snapshot()["counters"].get("mvcc.conflict_waits", 0)
+    counters_before = _counters()
+    calls_before = _calls(database)
+    outcome = []
+
+    def run():
+        outcome.append(ENTRY_POINTS[entry](
+            session, "update t set v = v + ? where k = ?", [1, 1]
+        ))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    deadline = time.monotonic() + 10.0
+    while (
+        snapshot()["counters"].get("mvcc.conflict_waits", 0) == waits_before
+        and time.monotonic() < deadline
+    ):
+        time.sleep(0.001)
+    assert database.lock.reader_count() == 0  # waiting outside the lock
+    blocker.commit()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    [result] = outcome
+    count = result[0] if isinstance(result, list) else result.update_count
+    assert count == 1
+    assert session.execute("select v from t where k = 1").rows == [[101]]
+    deltas = _counters()
+    assert deltas["statements.update"] \
+        - counters_before.get("statements.update", 0) == 1
+    # the retried update plus the verification select above
+    assert _calls(database) - calls_before == 2
+    assert session._mvcc_txn is None
+
+
+# ---------------------------------------------------------------------------
+# regressions fixed by the shared envelope
+# ---------------------------------------------------------------------------
+
+
+def test_prepared_query_on_closed_session_raises(session):
+    session.execute("create table t (k int)")
+    plan = session.prepare("select k from t")
+    session.close()
+    with pytest.raises(errors.ConnectionClosedError) as excinfo:
+        plan.execute()
+    assert excinfo.value.sqlstate == "08003"
+
+
+def test_customized_query_entry_runs_the_statement_pipeline(db):
+    """A translated, customized query clause on an autocommit connection
+    sees other sessions' commits, holds no snapshot between executions,
+    replans after ANALYZE, and is visible to counters, the statistics
+    views and the slow log."""
+    from repro.runtime import PositionalIterator, sqlj
+    from repro.translator import TranslationOptions, Translator
+
+    admin = db.create_session(autocommit=True)
+    admin.execute("create table t (k int, v int)")
+    admin.execute("create index t_k on t (k)")
+    admin.execute_batch(
+        "insert into t values (?, ?)", [(i, 2) for i in range(200)]
+    )
+    admin.execute("analyze t")
+    result = Translator(TranslationOptions(exemplar=db)).translate_source(
+        "#sql iterator Values (int);\n"
+        "def read(key):\n"
+        "    rows: Values\n"
+        "    #sql rows = { SELECT v FROM t WHERE k = :key };\n"
+        "    return rows\n",
+        "pipeline_mod",
+    )
+    profile = customize_profile(result.profiles[0], "standard")
+
+    class Values(PositionalIterator):
+        _column_types = (int,)
+
+    reader = db.create_session(autocommit=True)
+    context = ConnectionContext(reader)
+    log = io.StringIO()
+    slowlog.configure(0.0, log)
+
+    def read(key):
+        iterator = sqlj.query(profile, 0, context, (key,), Values)
+        return [row[0] for row in iter(iterator.fetch_row, None)]
+
+    selects_before = snapshot()["counters"].get("statements.select", 0)
+    assert read(1) == [2]
+    connected = context.connected_profile(profile)
+    assert isinstance(connected.customization(), DialectCustomization)
+    # no snapshot is held between statements ...
+    assert reader._mvcc_txn is None
+    admin.execute("update t set v = 3 where k = 1")
+    assert db.transactions.oldest_visible_seq() \
+        == db.transactions.commit_seq
+    # ... so the next execution sees the other session's commit
+    assert read(1) == [3]
+    assert snapshot()["counters"]["statements.select"] \
+        == selects_before + 2
+    # ANALYZE alone (catalog version unchanged) re-costs the held plan
+    admin.execute("update t set k = 1")
+    admin.execute("analyze t")
+    assert len(read(1)) == 200
+    held = connected.get_statement(0)._prepared._cached
+    assert held.stats_version == db.catalog.stats_version
+    # statistics views and slow log both saw the entry's vendor text
+    text = connected.customization().sql_texts[0]
+    calls = {
+        row[0]: row[1] for row in db.statement_stats.statement_rows()
+    }
+    assert calls[text] == 3
+    logged = [json.loads(line) for line in log.getvalue().splitlines()]
+    assert sum(1 for record in logged if record["statement"] == text) == 3
+    context.close()
+
+
+@pytest.mark.parametrize("entry", ["prepare", "profile"])
+def test_failed_held_query_rolls_back_to_its_mark(
+    make_database, traced, entry
+):
+    """The function ran DML through the default connection before the
+    SELECT failed; inside a transaction that partial work must not
+    survive the statement."""
+    database = make_database("sut")
+    session = database.create_session(autocommit=False)
+    session.execute("insert into audit values (0)")
+    mark = session.transaction_log.position()
+    with pytest.raises(errors.DivisionByZeroError):
+        ENTRY_POINTS[entry](
+            session, "select 1 / log_it(k) from t where k = ?", [1]
+        )
+    assert session.transaction_log.position() == mark
+    assert session.execute("select k from audit").rows == [[0]]
+    session.commit()
+    assert session.execute("select k from audit").rows == [[0]]
+
+
+def test_traced_prepared_query_takes_the_lock_once(session):
+    """One engine-lock acquisition per statement, as locks.py documents
+    (the traced prepared path used to take it for execute and again for
+    fetch)."""
+    session.execute("create table t (k int)")
+    plan = session.prepare("select k from t")
+    lock = session.database.lock
+    acquisitions = []
+    original = lock.acquire_read
+
+    def counting():
+        acquisitions.append(1)
+        original()
+
+    lock.acquire_read = counting
+    tracer = tracing.enable_tracing("json", io.StringIO())
+    try:
+        plan.execute()
+    finally:
+        tracing.disable_tracing()
+        del lock.acquire_read
+    assert len(acquisitions) == 1
+    names = [span.name for span, _depth in tracer.finished[-1].walk()]
+    assert names == ["statement", "execute", "fetch"]
