@@ -269,6 +269,9 @@ class RemoteSession:
             raise errors.ConnectionError_(
                 f"cannot connect to repro server at {host}:{port}: {exc}"
             ) from exc
+        # cancel() followed by the next execute() is two small writes
+        # in a row: with Nagle on, the second waits out a delayed ACK.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
             # The connect timeout stays armed through the handshake: a
             # server that accepts but never answers HELLO must fail the

@@ -18,8 +18,9 @@ TLS tunnel — see ``docs/SERVER.md``.
 from __future__ import annotations
 
 import argparse
-import asyncio
+import signal
 import sys
+import threading
 from typing import Optional, Sequence
 
 from repro.server.protocol import DEFAULT_PORT
@@ -44,8 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="dialect for databases this server creates")
     parser.add_argument("--max-connections", type=int, default=64,
                         help="concurrent client cap (default 64)")
-    parser.add_argument("--threads", type=int, default=8,
-                        help="engine executor threads (default 8)")
     parser.add_argument("--page-size", type=int, default=256,
                         help="rows per result page (default 256)")
     parser.add_argument("--max-cursors", type=int, default=64,
@@ -64,16 +63,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def _serve(server: ReproServer, drain_timeout: float) -> None:
-    await server.start()
+def serve_forever(server: ReproServer, drain_timeout: float) -> None:
+    """Serve until SIGINT or SIGTERM, then drain and return.
+
+    Ctrl-C, ``Popen.terminate()``, ``docker stop`` and systemd all end
+    the same way: in-flight statements finish, every session gets
+    GOODBYE, and the process exits 0.
+    """
+    stop = threading.Event()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda *_: stop.set())
+    server.start_background()
     print(f"repro server listening on {server.host}:{server.port}",
           flush=True)
-    try:
-        await server.serve_forever()
-    except asyncio.CancelledError:
-        pass
-    finally:
-        await server.stop(drain_timeout)
+    stop.wait()
+    server.stop_background(drain_timeout)
+    print("repro server stopped", flush=True)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -84,16 +89,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         data_dir=options.data_dir,
         dialect=options.dialect,
         max_connections=options.max_connections,
-        executor_threads=options.threads,
         page_size=options.page_size,
         max_cursors=options.max_cursors,
         auth_token=options.auth_token,
         slow_query_ms=options.slow_query_ms,
     )
-    try:
-        asyncio.run(_serve(server, options.drain_timeout))
-    except KeyboardInterrupt:
-        print("repro server stopped", flush=True)
+    serve_forever(server, options.drain_timeout)
     return 0
 
 

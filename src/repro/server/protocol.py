@@ -99,6 +99,7 @@ __all__ = [
     "decode_payload",
     "encode_shape",
     "decode_shape",
+    "read_frame",
     "recv_frame",
     "send_frame",
     "error_payload",
@@ -403,7 +404,7 @@ def decode_shape(data: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Blocking-socket helpers (client side)
+# Blocking-socket helpers
 # ---------------------------------------------------------------------------
 
 
@@ -427,14 +428,13 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket) -> Tuple[int, Any]:
+def read_frame(sock: socket.socket) -> Tuple[int, Any]:
     """Read one frame from a blocking socket.
 
     Returns ``(msg_type, payload)``.  Raises
     :class:`~repro.errors.ConnectionLostError` on EOF or a torn frame
     and :class:`~repro.errors.ProtocolError` on an invalid header.
     """
-    faultpoints.trigger("net.read")
     length, msg_type = parse_header(_recv_exact(sock, HEADER_SIZE))
     body = _recv_exact(sock, length) if length else b""
     try:
@@ -448,8 +448,16 @@ def recv_frame(sock: socket.socket) -> Tuple[int, Any]:
         ) from exc
 
 
+def recv_frame(sock: socket.socket) -> Tuple[int, Any]:
+    """Client side of :func:`read_frame`: fires the ``net.read``
+    faultpoint first (the server's own sites are ``net.accept`` and
+    ``net.respond``)."""
+    faultpoints.trigger("net.read")
+    return read_frame(sock)
+
+
 def send_frame(sock: socket.socket, msg_type: int, payload: Any = None) -> None:
-    """Write one frame to a blocking socket.
+    """Write one frame to a blocking socket (client side).
 
     The encoded bytes pass through the ``net.write`` faultpoint, so a
     test plan can truncate them (torn frame) or delay them (slow peer).

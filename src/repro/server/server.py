@@ -1,51 +1,58 @@
-"""Asyncio TCP server multiplexing clients onto the embedded engine.
+"""Blocking-socket TCP server: one thread per ``repro://`` connection.
 
-One :class:`ReproServer` owns a listening socket, a bounded thread-pool
-executor for engine work (the engine is thread-safe but blocking), and
-one engine :class:`~repro.engine.database.Database` per database name a
-client asks for — durable via ``registry.get_or_open_durable`` when the
-server is configured with a data directory.
+One :class:`ReproServer` owns a listening socket, one accept thread,
+and one engine :class:`~repro.engine.database.Database` per database
+name a client asks for — durable via ``registry.get_or_open_durable``
+when the server is configured with a data directory.
 
-Per client connection the server runs two coroutines:
+Every admitted connection gets one thread that reads a frame, runs the
+engine call **inline**, and writes exactly one response frame, so a
+session's statements run strictly in order on one thread, exactly as
+they do embedded.  The engine is thread-safe but blocking and
+statements are not interruptible, so nothing sits between the socket
+and the engine — no event loop, no request queue, no executor pool —
+and ``max_connections`` is the one bound on engine-side concurrency.
 
-* a **reader** that decodes frames off the socket and enqueues them.
-  CANCEL frames bypass the queue and set the connection's cancel flag,
-  which is how a cancel can overtake the statement it targets.
-* a **worker** that drains the queue strictly in order, runs engine
-  calls on the executor (never on the event loop), and writes exactly
-  one response frame per request.
+Before and after each engine call the connection thread takes whatever
+frames are already buffered on its socket (a zero-timeout readiness
+check).  Requests keep their arrival order; a CANCEL is not queued but
+arms the connection's cancel flag, which is how it overtakes the
+statement it targets.  Cancellation is best-effort, as in real servers:
+a statement whose CANCEL arrived ahead of it is cancelled for certain
+(SQLSTATE 57014); a statement already executing runs to completion
+inside the engine and its *response* is replaced by the 57014 error.
+Each EXECUTE carries a client-assigned sequence number and CANCEL names
+the sequence it targets, so a cancel that loses the race (arriving
+after its statement already answered) is discarded instead of killing
+the next statement.
 
-Graceful shutdown enqueues a drain sentinel behind every connection's
-pending requests: in-flight and already-queued statements complete and
-get their responses, then each session receives GOODBYE and is closed.
-Connections that do not drain within the timeout are force-closed.
-
-Statement cancellation is best-effort, as in real servers: a statement
-still waiting in the queue is cancelled for certain (SQLSTATE 57014);
-a statement already executing runs to completion inside the engine and
-its *response* is replaced by the 57014 error.  Each EXECUTE carries a
-client-assigned sequence number and CANCEL names the sequence it
-targets, so a cancel that loses the race (arriving after its statement
-already answered) is discarded instead of killing the next statement.
+Graceful shutdown closes the listener and shuts the read side of every
+connection: an idle thread wakes at once, a busy one first answers the
+statement in flight and the requests it had already read, then each
+session gets GOODBYE and is closed.  Connections that do not drain
+within the timeout are force-closed.
 """
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
+import collections
 import hmac
 import os
+import select
+import socket
 import threading
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro import errors, faultpoints
 from repro.dbapi.driver import registry
+from repro.engine.database import StatementResult
 from repro.observability import metrics as _metrics
 from repro.observability import tracing as _tracing
 from repro.server import protocol
 from repro.server.protocol import (
     MSG_AUTOCOMMIT,
+    MSG_CANCEL,
     MSG_CLOSE_CURSOR,
     MSG_COMMIT,
     MSG_ERROR,
@@ -70,36 +77,36 @@ _REQUESTS = _metrics.registry.counter("server.requests")
 _ERRORS = _metrics.registry.counter("server.errors")
 _CANCELLED = _metrics.registry.counter("server.cancelled")
 _FETCHES = _metrics.registry.counter("server.fetches")
-
-#: Worker-queue sentinels.  _DRAIN asks the worker to finish everything
-#: already queued, say GOODBYE, and exit; _CLOSE means the peer is gone.
-_DRAIN = object()
-_CLOSE = object()
+_REQUEST_SECONDS = _metrics.registry.histogram("server.request.seconds")
+_EXECUTE_SECONDS = _metrics.registry.histogram("server.execute.seconds")
 
 
 class _ClientConnection:
-    """Per-connection state shared by the reader and worker coroutines."""
+    """One client's socket and session, owned by its connection thread.
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        session_id: int,
-    ) -> None:
-        self.reader = reader
-        self.writer = writer
+    The only thing another thread does to it is ``stop_background``
+    shutting the socket's read side to wake a blocked read.
+    """
+
+    def __init__(self, sock: socket.socket, session_id: int) -> None:
+        self.sock = sock
         self.session_id = session_id
         self.session: Any = None
         self.database_name = ""
-        self.queue: "asyncio.Queue[Any]" = asyncio.Queue()
-        self.cancel_event = threading.Event()
+        self.thread: Optional[threading.Thread] = None
+        self.poller = select.poll()
+        self.poller.register(sock, select.POLLIN)
+        #: Requests read off the socket but not yet answered, oldest
+        #: first (CANCEL and GOODBYE never wait here).
+        self.pending: Deque[Tuple[int, Any]] = collections.deque()
+        #: No further frame will arrive: EOF, reset, a torn frame, or
+        #: the client's own GOODBYE.
+        self.eof = False
+        self.cancel_armed = False
         #: Sequence number the armed CANCEL targets (None = any).
         self.cancel_seq: Optional[int] = None
         self.cursors: Dict[int, Tuple[list, int]] = {}
         self.next_cursor = 1
-        self.done = asyncio.Event()
-        self.task: Optional[asyncio.Task] = None
-        self.reader_task: Optional[asyncio.Task] = None
 
 
 class ReproServer:
@@ -109,7 +116,8 @@ class ReproServer:
     ----------
     host, port:
         Listen address.  ``port=0`` binds an ephemeral port; the bound
-        port is available as ``self.port`` after :meth:`start`.
+        port is available as ``self.port`` after
+        :meth:`start_background`.
     data_dir:
         When set, databases are opened durably under
         ``<data_dir>/<name>`` (WAL + checkpoints + crash recovery).
@@ -118,11 +126,9 @@ class ReproServer:
         Engine dialect for databases this server creates.
     max_connections:
         Hard cap on concurrent client connections; clients beyond it
-        are refused with SQLSTATE 08004.
-    executor_threads:
-        Size of the thread pool running engine statements.  Bounds
-        engine-side concurrency exactly like a connection pool's
-        ``max_size`` does in-process.
+        are refused with SQLSTATE 08004.  Each connection is one
+        thread, so this also bounds engine-side concurrency exactly
+        like a connection pool's ``max_size`` does in-process.
     page_size:
         Rows per result page on the wire.  The first page rides on the
         RESULT frame; the remainder is fetched on demand.
@@ -140,8 +146,9 @@ class ReproServer:
         slower than this threshold to the structured slow-query log
         (``docs/OBSERVABILITY.md``); overrides ``REPRO_SLOW_QUERY_MS``.
     durability_options:
-        Passed through to ``registry.get_or_open_durable`` (e.g.
-        ``group_commit_window=...``).
+        Passed through to ``registry.get_or_open_durable``:
+        ``group_window``, ``group_size``, ``sync``,
+        ``checkpoint_interval``, ``storage``.
     """
 
     def __init__(
@@ -152,7 +159,6 @@ class ReproServer:
         data_dir: Optional[str] = None,
         dialect: str = "standard",
         max_connections: int = 64,
-        executor_threads: int = 8,
         page_size: int = 256,
         max_cursors: int = 64,
         auth_token: Optional[str] = None,
@@ -171,173 +177,137 @@ class ReproServer:
         #: server opens; ``None`` falls back to ``REPRO_SLOW_QUERY_MS``.
         self.slow_query_ms = slow_query_ms
         self.durability_options = durability_options
-        self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=executor_threads, thread_name_prefix="repro-server"
-        )
-        self._server: Optional[asyncio.base_events.Server] = None
+        self._listener: Optional[socket.socket] = None
+        self._accept_thread: Optional[threading.Thread] = None
+        #: Guards ``_connections`` and ``_closing``.
+        self._lock = threading.Lock()
+        #: Every admitted connection, handshaken or not: a socket still
+        #: inside its 30s HELLO window counts toward ``max_connections``
+        #: so a flood of silent peers cannot exceed the cap.
         self._connections: set = set()
-        #: Accepted sockets still inside the HELLO handshake; they count
-        #: toward ``max_connections`` so a flood of silent pre-handshake
-        #: peers cannot exceed the cap during their 30s HELLO window.
-        self._pending: set = set()
         self._closing = False
         self._next_session_id = 1
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
-    async def start(self) -> "ReproServer":
-        """Bind the listening socket (call from the event loop)."""
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "start() first"
-        await self._server.serve_forever()
-
-    async def stop(self, drain_timeout: float = 10.0) -> None:
-        """Graceful shutdown: refuse new connections, drain in-flight
-        requests, GOODBYE every session, then force-close stragglers."""
-        self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        conns = list(self._connections)
-        for conn in conns:
-            conn.queue.put_nowait(_DRAIN)
-        if conns:
-            waits = [
-                asyncio.ensure_future(conn.done.wait()) for conn in conns
-            ]
-            done, pending = await asyncio.wait(waits, timeout=drain_timeout)
-            for fut in pending:
-                fut.cancel()
-            for conn in conns:
-                if not conn.done.is_set() and conn.task is not None:
-                    conn.task.cancel()
-            await asyncio.gather(
-                *(conn.done.wait() for conn in conns), return_exceptions=True
-            )
-        self._executor.shutdown(wait=True)
-
-    # -- background (own event loop thread) helpers --------------------
-
     def start_background(self) -> "ReproServer":
-        """Run this server on a dedicated event-loop thread.
+        """Bind the listening socket and accept on a background thread.
 
-        Returns once the socket is bound (``self.port`` is final).
-        Intended for tests and for embedding a server in an existing
-        process; the CLI uses :meth:`serve_forever` directly.
+        Returns once the socket is bound (``self.port`` is final); the
+        calling thread is free to do anything else, including nothing
+        (``python -m repro.server`` just waits for a signal).
         """
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever,
-            name="repro-server-loop",
+        self._listener = socket.create_server(
+            (self.host, self.port),
+            family=socket.AF_INET6 if ":" in self.host else socket.AF_INET,
+            backlog=100,
+        )
+        self.port = self._listener.getsockname()[1]
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop,
+            name="repro-server-accept",
             daemon=True,
         )
-        self._thread.start()
-        future = asyncio.run_coroutine_threadsafe(self.start(), self._loop)
-        future.result(timeout=30)
+        self._accept_thread.start()
         return self
 
     def stop_background(self, drain_timeout: float = 10.0) -> None:
-        """Gracefully stop a server started with :meth:`start_background`."""
-        if self._loop is None:
+        """Graceful shutdown: refuse new connections, drain in-flight
+        requests, GOODBYE every session, then force-close stragglers."""
+        if self._listener is None:
             return
-        future = asyncio.run_coroutine_threadsafe(
-            self.stop(drain_timeout), self._loop
-        )
-        future.result(timeout=drain_timeout + 30)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-        self._loop.close()
-        self._loop = None
-        self._thread = None
+        deadline = time.monotonic() + drain_timeout
+        with self._lock:
+            self._closing = True
+            conns = list(self._connections)
+        # close() alone leaves a thread blocked in accept() asleep;
+        # shutting the listener down first wakes it.
+        _shutdown(self._listener, socket.SHUT_RDWR)
+        self._accept_thread.join(timeout=30)
+        self._listener.close()
+        self._listener = None
+        for conn in conns:
+            # Wakes a thread blocked reading (idle, or still waiting for
+            # HELLO); a busy one sees the EOF after its engine call.
+            # The write side stays open for the responses and GOODBYE.
+            _shutdown(conn.sock, socket.SHUT_RD)
+        for conn in conns:
+            conn.thread.join(timeout=max(0.0, deadline - time.monotonic()))
+            if conn.thread.is_alive():
+                # Still inside an uninterruptible engine call: cut the
+                # link; the thread cleans up when the call returns.
+                _shutdown(conn.sock, socket.SHUT_RDWR)
 
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
 
-    async def _handle_client(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            faultpoints.trigger("net.accept")
-        except Exception:
-            writer.close()
-            return
-        session_id = self._next_session_id
-        self._next_session_id += 1
-        conn = _ClientConnection(reader, writer, session_id)
-        conn.task = asyncio.current_task()
-        try:
-            if self._closing or (
-                len(self._connections) + len(self._pending)
-                >= self.max_connections
-            ):
-                _REJECTED.increment()
-                await self._send(
-                    conn,
-                    MSG_ERROR,
-                    protocol.error_payload(
-                        errors.ConnectionError_(
-                            "server connection limit reached"
-                            if not self._closing
-                            else "server is shutting down",
-                            sqlstate="08004",
-                        )
-                    ),
-                )
-                return
-            self._pending.add(conn)
-            if not await self._handshake(conn):
-                return
-            self._connections.add(conn)
-            self._pending.discard(conn)
-            _CONNECTIONS.increment()
-            _metrics.increment(f"server.{conn.database_name}.sessions")
-            conn.reader_task = asyncio.ensure_future(self._read_loop(conn))
+    def _accept_loop(self) -> None:
+        listener = self._listener
+        while True:
             try:
-                await self._worker_loop(conn)
-            finally:
-                conn.reader_task.cancel()
-                self._connections.discard(conn)
-                _metrics.increment(
-                    f"server.{conn.database_name}.sessions", -1
-                )
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._pending.discard(conn)
-            if conn.session is not None and not conn.session.closed:
-                try:
-                    await self._run_engine(conn.session.close)
-                except Exception:
-                    pass
-            conn.cursors.clear()
+                sock, _address = listener.accept()
+            except OSError:
+                return  # listener shut down by stop_background()
             try:
-                writer.close()
+                faultpoints.trigger("net.accept")
             except Exception:
-                pass
-            conn.done.set()
-
-    async def _handshake(self, conn: _ClientConnection) -> bool:
-        """Validate HELLO, open the session, answer WELCOME or ERROR."""
-        try:
-            msg_type, payload = await asyncio.wait_for(
-                self._read_frame(conn.reader), timeout=30.0
+                sock.close()
+                continue
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = _ClientConnection(sock, self._next_session_id)
+            self._next_session_id += 1
+            conn.thread = threading.Thread(
+                target=self._serve,
+                args=(conn,),
+                name=f"repro-server-conn-{conn.session_id}",
+                daemon=True,
             )
-        except Exception:
-            return False
+            with self._lock:
+                if self._closing:
+                    refusal = "server is shutting down"
+                elif len(self._connections) >= self.max_connections:
+                    refusal = "server connection limit reached"
+                else:
+                    refusal = None
+                    self._connections.add(conn)
+                    conn.thread.start()
+            if refusal is not None:
+                _REJECTED.increment()
+                error = errors.ConnectionError_(refusal, sqlstate="08004")
+                self._send(conn, MSG_ERROR, protocol.error_payload(error))
+                sock.close()
+
+    def _serve(self, conn: _ClientConnection) -> None:
+        """Body of one connection thread: handshake, converse, clean up."""
+        try:
+            if self._handshake(conn):
+                _CONNECTIONS.increment()
+                sessions = f"server.{conn.database_name}.sessions"
+                _metrics.increment(sessions)
+                try:
+                    self._converse(conn)
+                finally:
+                    _metrics.increment(sessions, -1)
+        finally:
+            try:
+                if conn.session is not None and not conn.session.closed:
+                    conn.session.close()  # rolls back an open transaction
+            finally:
+                conn.sock.close()
+                with self._lock:
+                    self._connections.discard(conn)
+
+    def _handshake(self, conn: _ClientConnection) -> bool:
+        """Validate HELLO, open the session, answer WELCOME or ERROR."""
+        conn.sock.settimeout(30.0)
+        try:
+            msg_type, payload = protocol.read_frame(conn.sock)
+        except (errors.ReproError, OSError):
+            return False  # silent for 30s, vanished, or sent garbage
+        conn.sock.settimeout(None)
         try:
             if msg_type != MSG_HELLO or not isinstance(payload, dict):
                 raise errors.ProtocolError("expected HELLO")
@@ -356,25 +326,23 @@ class ReproServer:
                         "invalid authentication token"
                     )
             database_name = payload.get("database") or "db"
-            dialect = payload.get("dialect") or self.dialect
-            user = payload.get("user") or "PUBLIC"
-            autocommit = bool(payload.get("autocommit", True))
-            database = await self._run_engine(
-                self._open_database, database_name, dialect
+            database = self._open_database(
+                database_name, payload.get("dialect") or self.dialect
             )
-            conn.session = await self._run_engine(
-                database.create_session, user=user, autocommit=autocommit
+            conn.session = database.create_session(
+                user=payload.get("user") or "PUBLIC",
+                autocommit=bool(payload.get("autocommit", True)),
             )
             if self.slow_query_ms is not None:
                 conn.session.slow_query_ms = self.slow_query_ms
             conn.database_name = database_name
         except Exception as exc:
             _ERRORS.increment()
-            await self._send(conn, MSG_ERROR, protocol.error_payload(exc))
+            self._send(conn, MSG_ERROR, protocol.error_payload(exc))
             return False
         from repro import __version__
 
-        await self._send(
+        return self._send(
             conn,
             MSG_WELCOME,
             {
@@ -386,7 +354,6 @@ class ReproServer:
                 "page_size": self.page_size,
             },
         )
-        return True
 
     def _open_database(self, name: str, dialect: str) -> Any:
         if self.data_dir is not None:
@@ -399,52 +366,55 @@ class ReproServer:
         return registry.get_or_create(name, dialect)
 
     # ------------------------------------------------------------------
-    # Reader / worker
+    # Request loop
     # ------------------------------------------------------------------
 
-    async def _read_loop(self, conn: _ClientConnection) -> None:
+    def _read_one(self, conn: _ClientConnection) -> None:
+        """Block for the next frame and file it on the connection."""
         try:
-            while True:
-                msg_type, payload = await self._read_frame(conn.reader)
-                if msg_type == protocol.MSG_CANCEL:
-                    # Out of band: overtake queued work.  The payload
-                    # names the EXECUTE sequence it targets so a cancel
-                    # landing after its statement already answered
-                    # cannot spill onto the next unrelated statement.
-                    conn.cancel_seq = (
-                        payload.get("seq")
-                        if isinstance(payload, dict)
-                        else None
-                    )
-                    conn.cancel_event.set()
-                elif msg_type == MSG_GOODBYE:
-                    await conn.queue.put(_CLOSE)
-                    return
-                else:
-                    await conn.queue.put((msg_type, payload))
-        except asyncio.CancelledError:
-            raise
-        except Exception:
-            # EOF, reset, torn frame: the worker shuts the session down.
-            await conn.queue.put(_CLOSE)
+            msg_type, payload = protocol.read_frame(conn.sock)
+        except (errors.ReproError, OSError):
+            # EOF, reset, torn or undecodable frame: the stream cannot
+            # be trusted past this point.
+            conn.eof = True
+            return
+        if msg_type == MSG_CANCEL:
+            # Out of band: overtake the request it follows.  The payload
+            # names the EXECUTE sequence it targets so a cancel landing
+            # after its statement already answered cannot spill onto
+            # the next unrelated statement.
+            conn.cancel_seq = (
+                payload.get("seq") if isinstance(payload, dict) else None
+            )
+            conn.cancel_armed = True
+        elif msg_type == MSG_GOODBYE:
+            conn.eof = True
+        else:
+            conn.pending.append((msg_type, payload))
 
-    async def _worker_loop(self, conn: _ClientConnection) -> None:
+    def _read_ahead(self, conn: _ClientConnection) -> None:
+        """Take every frame already buffered on the socket, never
+        waiting for one that has not started to arrive."""
+        while not conn.eof and conn.poller.poll(0):
+            self._read_one(conn)
+
+    def _converse(self, conn: _ClientConnection) -> None:
         while True:
-            item = await conn.queue.get()
-            if item is _CLOSE:
-                return
-            if item is _DRAIN:
-                await self._send(
-                    conn, MSG_GOODBYE, {"reason": "server shutting down"}
-                )
-                return
-            msg_type, payload = item
+            if not conn.pending:
+                if self._closing:
+                    self._send(
+                        conn, MSG_GOODBYE, {"reason": "server shutting down"}
+                    )
+                    return
+                if conn.eof:
+                    return
+                self._read_one(conn)
+                continue
+            msg_type, payload = conn.pending.popleft()
             _REQUESTS.increment()
             start = time.perf_counter()
             try:
-                reply_type, reply = await self._dispatch(
-                    conn, msg_type, payload
-                )
+                reply_type, reply = self._dispatch(conn, msg_type, payload)
             except Exception as exc:
                 _ERRORS.increment()
                 if (
@@ -453,43 +423,35 @@ class ReproServer:
                 ):
                     _CANCELLED.increment()
                 reply_type, reply = MSG_ERROR, protocol.error_payload(exc)
-            _metrics.observe(
-                "server.request.seconds", time.perf_counter() - start
-            )
-            try:
-                await self._send(conn, reply_type, reply)
-            except Exception:
-                return  # peer is gone; _handle_client cleans up
+            _REQUEST_SECONDS.observe(time.perf_counter() - start)
+            if not self._send(conn, reply_type, reply):
+                return  # peer is gone; _serve cleans up
 
-    async def _dispatch(
+    def _dispatch(
         self, conn: _ClientConnection, msg_type: int, payload: Any
     ) -> Tuple[int, Any]:
         session = conn.session
-        if msg_type == MSG_EXECUTE:
-            return await self._do_execute(conn, payload or {})
-        if msg_type == MSG_EXECUTE_BATCH:
-            return await self._do_execute_batch(conn, payload or {})
+        if msg_type == MSG_EXECUTE or msg_type == MSG_EXECUTE_BATCH:
+            return self._do_execute(
+                conn, payload or {}, msg_type == MSG_EXECUTE_BATCH
+            )
         if msg_type == MSG_FETCH:
             _FETCHES.increment()
             return self._do_fetch(conn, payload or {})
         if msg_type == MSG_CLOSE_CURSOR:
             conn.cursors.pop((payload or {}).get("cursor"), None)
-            return MSG_OK, {"in_txn": self._in_txn(session)}
-        if msg_type == MSG_COMMIT:
-            await self._run_engine(session.commit)
-            return MSG_OK, {"in_txn": self._in_txn(session)}
-        if msg_type == MSG_ROLLBACK:
-            await self._run_engine(session.rollback)
-            return MSG_OK, {"in_txn": self._in_txn(session)}
-        if msg_type == MSG_AUTOCOMMIT:
+        elif msg_type == MSG_COMMIT:
+            session.commit()
+        elif msg_type == MSG_ROLLBACK:
+            session.rollback()
+        elif msg_type == MSG_AUTOCOMMIT:
             session.autocommit = bool((payload or {}).get("value", True))
-            return MSG_OK, {"in_txn": self._in_txn(session)}
-        if msg_type == MSG_PING:
-            return MSG_OK, {"in_txn": self._in_txn(session)}
-        raise errors.ProtocolError(
-            f"unexpected message type "
-            f"{protocol.MESSAGE_NAMES.get(msg_type, msg_type)}"
-        )
+        elif msg_type != MSG_PING:
+            raise errors.ProtocolError(
+                f"unexpected message type "
+                f"{protocol.MESSAGE_NAMES.get(msg_type, msg_type)}"
+            )
+        return MSG_OK, {"in_txn": self._in_txn(session)}
 
     @staticmethod
     def _consume_cancel(conn: _ClientConnection, seq: Optional[int]) -> bool:
@@ -497,131 +459,69 @@ class ReproServer:
 
         A stale cancel — one naming a statement that already answered —
         is discarded instead of cancelling the next unrelated
-        statement; a cancel naming a later, still-queued statement
-        stays armed until that statement reaches the worker.
+        statement; a cancel naming a later statement stays armed until
+        that statement is dispatched.
         """
-        if not conn.cancel_event.is_set():
+        if not conn.cancel_armed:
             return False
         target = conn.cancel_seq
-        if target is None or seq is None or target == seq:
-            conn.cancel_event.clear()
+        hit = target is None or seq is None or target == seq
+        if hit or target < seq:
+            conn.cancel_armed = False
             conn.cancel_seq = None
-            return True
-        if target < seq:
-            conn.cancel_event.clear()
-            conn.cancel_seq = None
-        return False
+        return hit
 
-    async def _do_execute(
-        self, conn: _ClientConnection, payload: Dict[str, Any]
+    def _do_execute(
+        self, conn: _ClientConnection, payload: Dict[str, Any], batch: bool
     ) -> Tuple[int, Any]:
+        """EXECUTE and EXECUTE_BATCH: one frame = one engine call.
+
+        A batch's whole parameter-row set arrives in a single frame,
+        runs as one atomic statement in the engine (one parse, one WAL
+        record, one fsync barrier), and answers with one RESULT frame
+        carrying the per-row counts — a 10k-row ingest is one round
+        trip.
+        """
         seq = payload.get("seq")
+        self._read_ahead(conn)
         if self._consume_cancel(conn, seq):
             raise errors.QueryCanceledError(
                 "statement cancelled before execution"
             )
         sql = payload.get("sql", "")
         params = payload.get("params") or ()
+        session = conn.session
+        # Continue the client's trace: the span adopts the client's span
+        # as its remote parent, and the engine's own statement/plan/
+        # execute spans nest under it on this same thread — one
+        # connected span tree across the wire.
+        span = _tracing.current.span(
+            "server.execute_batch" if batch else "server.execute",
+            sql=sql,
+            session=conn.session_id,
+            **({"batch": len(params)} if batch else {}),
+        )
         trace = payload.get("trace")
+        if isinstance(trace, dict) and trace.get("trace_id"):
+            span.set_remote_parent(trace["trace_id"], trace.get("span_id"))
         start = time.perf_counter()
-        tracer = _tracing.current
-        if tracer.enabled:
-            # Continue the client's trace: the server.execute span
-            # adopts the client's span as its remote parent, and it is
-            # opened *inside* the engine thread so the engine's own
-            # statement/plan/execute spans nest under it — one
-            # connected span tree across the wire.
-            session = conn.session
-            session_id = conn.session_id
-
-            def traced_execute() -> Any:
-                span = _tracing.current.span(
-                    "server.execute", sql=sql, session=session_id
-                )
-                if isinstance(trace, dict) and trace.get("trace_id"):
-                    span.set_remote_parent(
-                        str(trace["trace_id"]),
-                        str(trace["span_id"])
-                        if trace.get("span_id") else None,
-                    )
-                with span:
-                    return session.execute(sql, params)
-
-            result = await self._run_engine(traced_execute)
-        else:
-            result = await self._run_engine(conn.session.execute, sql, params)
-        _metrics.observe("server.execute.seconds", time.perf_counter() - start)
+        with span:
+            if batch:
+                counts = session.execute_batch(sql, params)
+                result = StatementResult("update", update_count=sum(counts))
+            else:
+                result = session.execute(sql, params)
+        _EXECUTE_SECONDS.observe(time.perf_counter() - start)
+        self._read_ahead(conn)
         if self._consume_cancel(conn, seq):
             # The engine finished anyway (statements are not
             # interruptible mid-flight); honour the cancel by replacing
             # the response, as real servers racing a cancel packet do.
             raise errors.QueryCanceledError("statement cancelled")
-        return MSG_RESULT, self._result_payload(conn, result)
-
-    async def _do_execute_batch(
-        self, conn: _ClientConnection, payload: Dict[str, Any]
-    ) -> Tuple[int, Any]:
-        """One EXECUTE_BATCH frame = one engine ``execute_batch`` call.
-
-        The whole parameter-row set arrives in a single frame, runs as
-        one atomic statement in the engine (one parse, one WAL record,
-        one fsync barrier), and answers with one RESULT frame carrying
-        the per-row counts — a 10k-row ingest is one round trip.
-        """
-        seq = payload.get("seq")
-        if self._consume_cancel(conn, seq):
-            raise errors.QueryCanceledError(
-                "statement cancelled before execution"
-            )
-        sql = payload.get("sql", "")
-        param_rows = payload.get("params") or []
-        trace = payload.get("trace")
-        start = time.perf_counter()
-        tracer = _tracing.current
-        if tracer.enabled:
-            session = conn.session
-            session_id = conn.session_id
-
-            def traced_batch() -> Any:
-                span = _tracing.current.span(
-                    "server.execute_batch",
-                    sql=sql,
-                    session=session_id,
-                    batch=len(param_rows),
-                )
-                if isinstance(trace, dict) and trace.get("trace_id"):
-                    span.set_remote_parent(
-                        str(trace["trace_id"]),
-                        str(trace["span_id"])
-                        if trace.get("span_id") else None,
-                    )
-                with span:
-                    return session.execute_batch(sql, param_rows)
-
-            counts = await self._run_engine(traced_batch)
-        else:
-            counts = await self._run_engine(
-                conn.session.execute_batch, sql, param_rows
-            )
-        _metrics.observe(
-            "server.execute.seconds", time.perf_counter() - start
-        )
-        if self._consume_cancel(conn, seq):
-            raise errors.QueryCanceledError("statement cancelled")
-        return MSG_RESULT, {
-            "kind": "update",
-            "update_count": sum(counts),
-            "update_counts": list(counts),
-            "out_values": [],
-            "result_sets": [],
-            "function_value": None,
-            "columns": [],
-            "shape": None,
-            "rows": [],
-            "row_count": 0,
-            "cursor": None,
-            "in_txn": self._in_txn(conn.session),
-        }
+        reply = self._result_payload(conn, result)
+        if batch:
+            reply["update_counts"] = list(counts)
+        return MSG_RESULT, reply
 
     def _do_fetch(
         self, conn: _ClientConnection, payload: Dict[str, Any]
@@ -691,25 +591,10 @@ class ReproServer:
             )
         )
 
-    async def _run_engine(self, fn, *args, **kwargs):
-        loop = asyncio.get_event_loop()
-        if kwargs:
-            return await loop.run_in_executor(
-                self._executor, lambda: fn(*args, **kwargs)
-            )
-        return await loop.run_in_executor(self._executor, fn, *args)
-
-    async def _read_frame(
-        self, reader: asyncio.StreamReader
-    ) -> Tuple[int, Any]:
-        header = await reader.readexactly(protocol.HEADER_SIZE)
-        length, msg_type = protocol.parse_header(header)
-        body = await reader.readexactly(length) if length else b""
-        return msg_type, protocol.decode_payload(body)
-
-    async def _send(
+    def _send(
         self, conn: _ClientConnection, msg_type: int, payload: Any
-    ) -> None:
+    ) -> bool:
+        """Write one frame; False when the link is gone or was torn."""
         try:
             data = protocol.encode_frame(msg_type, payload)
         except Exception as exc:
@@ -725,11 +610,21 @@ class ReproServer:
                     )
                 ),
             )
-        sent = faultpoints.pipe("net.respond", data)
-        conn.writer.write(sent)
-        await conn.writer.drain()
-        if sent != data:
-            # The fault plan tore/garbled this response: the stream is
-            # desynchronised, so drop the link the way a real
-            # mid-response disconnect would.
-            raise ConnectionResetError("response torn by fault injection")
+        try:
+            sent = faultpoints.pipe("net.respond", data)
+            conn.sock.sendall(sent)
+        except Exception:
+            # OSError from a dead peer — or anything at all, because
+            # net.respond is a fault-injection site.
+            return False
+        # A plan that tore/garbled the response desynchronised the
+        # stream: the caller drops the link the way a real mid-response
+        # disconnect would.
+        return sent == data
+
+
+def _shutdown(sock: socket.socket, how: int) -> None:
+    try:
+        sock.shutdown(how)
+    except OSError:
+        pass  # already disconnected or closed

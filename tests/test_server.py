@@ -39,6 +39,39 @@ def url_of(srv, name):
     return f"repro://127.0.0.1:{srv.port}/{name}"
 
 
+def _server_threads():
+    return [
+        thread for thread in threading.enumerate()
+        if thread.name.startswith("repro-server-")
+    ]
+
+
+def _connection_threads():
+    return [
+        thread for thread in _server_threads()
+        if thread.name.startswith("repro-server-conn-")
+    ]
+
+
+def _wait_until(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never became true"
+        time.sleep(0.01)
+
+
+def _hello(sock, database):
+    """Raw-socket handshake; returns the WELCOME payload."""
+    protocol.send_frame(
+        sock, protocol.MSG_HELLO,
+        {"magic": protocol.MAGIC, "version": protocol.PROTOCOL_VERSION,
+         "database": database},
+    )
+    msg_type, payload = protocol.recv_frame(sock)
+    assert msg_type == protocol.MSG_WELCOME, payload
+    return payload
+
+
 # ---------------------------------------------------------------------------
 # basics
 # ---------------------------------------------------------------------------
@@ -284,7 +317,7 @@ class TestMultiClient:
                 socket.create_connection(("127.0.0.1", srv.port))
                 for _ in range(2)
             ]
-            time.sleep(0.3)  # let the event loop accept both
+            time.sleep(0.3)  # let the accept thread admit both
             with pytest.raises(errors.ConnectionError_) as exc:
                 repro.connect(url_of(srv, "flood"))
             assert exc.value.sqlstate == "08004"
@@ -344,6 +377,75 @@ class TestLifecycle:
             rs.next()
             assert rs.get_int(1) == 1  # no spurious 57014
 
+    def test_cancel_ahead_of_its_execute_cancels_for_certain(self, server):
+        # Raw socket, CANCEL{seq:n} written *before* EXECUTE{seq:n}: the
+        # connection thread reads frames in order, so the cancel is
+        # armed by the time its statement is dispatched — the statement
+        # never runs, and the next one is untouched.
+        with repro.connect(url_of(server, "ahead")) as setup:
+            setup.create_statement().execute_update(
+                "create table t (n int)"
+            )
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            _hello(sock, "ahead")
+            protocol.send_frame(sock, protocol.MSG_CANCEL, {"seq": 5})
+            protocol.send_frame(
+                sock, protocol.MSG_EXECUTE,
+                {"sql": "insert into t values (1)", "params": [], "seq": 5},
+            )
+            msg_type, payload = protocol.recv_frame(sock)
+            assert msg_type == protocol.MSG_ERROR
+            error = protocol.rebuild_error(payload)
+            assert error.sqlstate == "57014"
+            assert "cancelled before execution" in error.message
+            protocol.send_frame(
+                sock, protocol.MSG_EXECUTE,
+                {"sql": "select count(*) from t", "params": [], "seq": 6},
+            )
+            msg_type, payload = protocol.recv_frame(sock)
+            assert msg_type == protocol.MSG_RESULT
+            assert payload["rows"] == [[0]]  # the cancelled INSERT never ran
+
+    def test_vanished_client_mid_statement_leaves_nothing_behind(self):
+        srv = ReproServer().start_background()
+        try:
+            conn = repro.connect(url_of(srv, "vanish"))
+            conn.create_statement().execute_update("create table t (n int)")
+            conn.set_auto_commit(False)
+            conn.create_statement().execute_update(
+                "insert into t values (1)"
+            )  # an open transaction the server must roll back
+            database = repro.registry.lookup("vanish")
+            assert len(database.transactions.active_transactions()) == 1
+            sock = conn.session._sock
+            plan = FaultPlan(seed=8).inject(
+                "executor.run", delay=0.4, times=1
+            )
+            with plan.armed():
+                protocol.send_frame(
+                    sock, protocol.MSG_EXECUTE,
+                    {"sql": "select * from t", "params": [], "seq": 99},
+                )
+                time.sleep(0.15)  # the statement is inside its delay
+                sock.close()      # ...and the client is gone
+                _wait_until(lambda: not _connection_threads())
+            assert plan.fired["executor.run"] == 1
+            assert database.transactions.active_transactions() == []
+            assert not [s for s in database.sessions if not s.closed]
+            gauges = repro.observability.snapshot()["counters"]
+            assert gauges["server.vanish.sessions"] == 0
+            assert not srv._connections
+            with repro.connect(url_of(srv, "vanish")) as check:
+                rs = check.create_statement().execute_query(
+                    "select count(*) from t"
+                )
+                rs.next()
+                assert rs.get_int(1) == 0  # rolled back, not committed
+        finally:
+            srv.stop_background()
+
     def test_graceful_shutdown_drains_inflight(self):
         srv = ReproServer().start_background()
         conn = repro.connect(url_of(srv, "drain"))
@@ -372,6 +474,60 @@ class TestLifecycle:
         # afterwards the link is down and typed as such
         with pytest.raises(errors.ConnectionError_):
             conn.create_statement().execute_query("select n from t")
+
+    def test_drain_matrix_idle_busy_and_pre_handshake(self):
+        srv = ReproServer().start_background()
+        busy = repro.connect(url_of(srv, "matrix"))
+        busy.create_statement().execute_update("create table t (n int)")
+        busy.create_statement().execute_update("insert into t values (7)")
+        idle = repro.connect(url_of(srv, "matrix"))
+        silent = socket.create_connection(("127.0.0.1", srv.port))
+        plan = FaultPlan(seed=10).inject("executor.run", delay=0.5, times=1)
+        outcome = {}
+
+        def run():
+            try:
+                rs = busy.create_statement().execute_query("select n from t")
+                rs.next()
+                outcome["value"] = rs.get_int(1)
+            except errors.ReproError as exc:  # pragma: no cover
+                outcome["value"] = exc
+
+        try:
+            with plan.armed():
+                worker = threading.Thread(target=run)
+                worker.start()
+                time.sleep(0.15)
+                _wait_until(lambda: len(_connection_threads()) == 3)
+                started = time.monotonic()
+                srv.stop_background(drain_timeout=5.0)
+                elapsed = time.monotonic() - started
+                worker.join(timeout=30)
+            assert elapsed < 5.0  # drained, not timed out
+            assert outcome["value"] == 7  # the busy client got its rows
+            with pytest.raises(errors.ConnectionClosedError) as exc:
+                idle.create_statement().execute_query("select n from t")
+            assert "server shutting down" in str(exc.value)  # GOODBYE
+            silent.settimeout(10)
+            assert silent.recv(16) == b""  # pre-handshake: just closed
+            assert not _connection_threads()
+        finally:
+            silent.close()
+
+    def test_one_thread_per_connection_and_none_after_stop(self):
+        srv = ReproServer().start_background()
+        conns = [repro.connect(url_of(srv, "threads")) for _ in range(5)]
+        try:
+            for conn in conns:
+                assert conn.session.ping()
+            assert len(_connection_threads()) == 5
+            conns.pop().close()
+            _wait_until(lambda: len(_connection_threads()) == 4)
+        finally:
+            srv.stop_background()
+        assert not _server_threads()
+        for conn in conns:
+            conn.close()
 
     def test_server_refuses_while_draining_or_after(self):
         srv = ReproServer().start_background()
@@ -959,6 +1115,42 @@ class TestSecondProcessAcceptance:
         finally:
             server_proc.terminate()
             server_proc.wait(timeout=30)
+
+
+class TestCliSignals:
+    @pytest.mark.parametrize("signum", ["SIGTERM", "SIGINT"])
+    def test_signal_drains_and_exits_zero(self, signum):
+        import signal
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.server", "--port", "0",
+             "--drain-timeout", "5"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_subprocess_env(),
+        )
+        try:
+            banner = proc.stdout.readline()
+            assert banner.startswith("repro server listening on "), banner
+            port = int(banner.rsplit(":", 1)[1])
+            conn = repro.connect(f"repro://127.0.0.1:{port}/sig")
+            conn.create_statement().execute_update("create table t (n int)")
+            started = time.monotonic()
+            proc.send_signal(getattr(signal, signum))
+            assert proc.wait(timeout=30) == 0
+            assert time.monotonic() - started < 5.0  # inside the drain
+            # The idle client was told, not just cut off.
+            with pytest.raises(errors.ConnectionClosedError) as exc:
+                conn.create_statement().execute_query("select n from t")
+            assert "server shutting down" in str(exc.value)
+            assert "repro server stopped" in proc.stdout.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            proc.stdout.close()
+            proc.stderr.close()
 
 
 def _subprocess_env():

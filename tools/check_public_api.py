@@ -2,7 +2,8 @@
 """Public-API snapshot check.
 
 Renders the supported surface — ``repro.__all__``, the signatures of the
-façade entry points, and the error hierarchy with its SQLSTATEs — to a
+façade entry points, the server's constructor and CLI flags, and the
+error hierarchy with its SQLSTATEs — to a
 stable text form and diffs it against the committed snapshot
 (``tools/public_api.snapshot``).  CI fails on any drift, so changing the
 public API requires deliberately regenerating the snapshot:
@@ -93,6 +94,13 @@ SIGNATURES = [
             "repro.engine.explain", fromlist=["PlanNode"]
         ).PlanNode.to_dict,
     ),
+    # network server knobs
+    (
+        "repro.server.ReproServer.__init__",
+        lambda repro: __import__(
+            "repro.server", fromlist=["ReproServer"]
+        ).ReproServer.__init__,
+    ),
 ]
 
 
@@ -109,6 +117,15 @@ def render_surface() -> str:
     lines.append("[signatures]")
     for label, getter in SIGNATURES:
         lines.append(f"{label}{inspect.signature(getter(repro))}")
+    lines.append("")
+    lines.append("[python -m repro.server]")
+    from repro.server.__main__ import build_parser
+
+    for action in build_parser()._actions:
+        if action.option_strings != ["-h", "--help"]:
+            lines.append(
+                f"{' '.join(action.option_strings)} default={action.default!r}"
+            )
     lines.append("")
     lines.append("[errors]")
     for name in errors.__all__:
