@@ -271,8 +271,8 @@ class Database:
         #: Duck-typed to avoid an import cycle with engine.durability.
         self.durability: Optional[Any] = None
         #: LSM run store when the database uses the LSM storage engine
-        #: (attached by ``repro.open_database(storage="lsm")`` *before*
-        #: recovery replay, so vacuum and DDL hooks fire during replay
+        #: (attached by ``LsmStore.build_database`` — so *before*
+        #: recovery replay: vacuum and DDL hooks fire during replay
         #: too); ``None`` under the snapshot engine.  Duck-typed for
         #: the same import-cycle reason as ``durability``.
         self.lsm_store: Optional[Any] = None
@@ -1273,12 +1273,7 @@ class Session:
             if self._durable_txn is None:
                 self._durable_txn = durability.begin()
             txn = self._durable_txn
-        if len(param_rows) > 1:
-            durability.log_batch(txn, self.user, text, param_rows, snapshot)
-        else:
-            durability.log_statement(
-                txn, self.user, text, param_rows[0], snapshot
-            )
+        durability.log_statement(txn, self.user, text, param_rows, snapshot)
         return durability.log_commit(txn) if immediate else None
 
     def _commit_durable(self, stamp: Optional[int] = None) -> Optional[int]:

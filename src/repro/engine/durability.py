@@ -3,10 +3,10 @@
 This module ties the :mod:`repro.engine.wal` log to the engine:
 
 * :func:`open_database` opens (or creates) a durable database in a
-  directory, running crash recovery first — load the last checkpoint
-  snapshot, truncate the WAL's torn tail, replay every *committed*
-  transaction the snapshot does not already contain, and discard
-  uncommitted ones.
+  directory, running crash recovery first — restore the checkpoint
+  store's state, truncate the WAL's torn tail, replay every
+  *committed* transaction the store does not already contain, and
+  discard uncommitted ones.
 * :class:`DurabilityManager` is attached to the database as
   ``database.durability`` and receives redo records from the session
   layer (see ``Session._log_durable`` in
@@ -15,10 +15,8 @@ This module ties the :mod:`repro.engine.wal` log to the engine:
   fsync barrier (:meth:`DurabilityManager.wait_durable`) that the
   session calls *after* releasing the engine lock so concurrent
   committers group-commit.
-* :meth:`DurabilityManager.checkpoint` folds the log into the snapshot
-  persistence format of :mod:`repro.engine.persistence` (same
-  ``DatabaseImage``, wrapped with the last folded WAL sequence number)
-  and truncates the log.
+* :meth:`DurabilityManager.checkpoint` folds the log into the
+  directory's *checkpoint store* and truncates the log.
 
 Redo is *logical*, at statement granularity: a record stores the
 statement's SQL text, its parameters and the executing user, and
@@ -29,32 +27,31 @@ original execution ran.  The documented limit (docs/DURABILITY.md) is
 determinism: a statement whose effect depends on the outside world
 (an external routine reading the clock, say) may replay differently.
 
-Crash safety of the checkpoint itself: the snapshot is written to a
-temp file, fsynced, and atomically ``os.replace``d over the previous
-one *before* the log is truncated.  A crash between those two steps
-leaves a snapshot that already contains every WAL record — recovery
-skips records with ``seq <= snapshot.last_seq``, so nothing is applied
-twice.
+Checkpoint stores: ``open_database(directory, storage=...)`` picks one
+of two stores with one protocol (spelled out on
+:class:`repro.engine.persistence.SnapshotStore`) — ``"snapshot"``
+rewrites one atomic image of the whole database (O(database)),
+``"lsm"`` writes only the delta since the last flush as immutable
+SSTable runs (:mod:`repro.engine.lsm`, docs/STORAGE.md).  The WAL, the
+logical replay, the checkpoint sequence below and every contract the
+session layer sees are the same for both.
 
-Fault-injection sites: ``wal.checkpoint`` fires before the snapshot is
-written, ``wal.checkpoint.install`` fires after the snapshot is
-installed but before the log is truncated (the classic torn-checkpoint
-window).
+Crash safety of the checkpoint: the store's flush installs the new
+state atomically *before* the log is truncated.  A crash between those
+two steps leaves a store that already contains every WAL record —
+recovery skips records with ``seq <= store.last_seq``, so nothing is
+applied twice.
 
-Storage engines: the above describes the default ``snapshot`` engine.
-``open_database(directory, storage="lsm")`` swaps the checkpoint for
-an LSM flush — the WAL, the logical replay, and every contract the
-session layer sees are identical, but folding the log writes only the
-delta since the last flush as immutable SSTable runs instead of
-rewriting the whole database (see :mod:`repro.engine.lsm` and
-docs/STORAGE.md).  The LSM analogues of the checkpoint faultpoints are
-``lsm.flush``, ``lsm.manifest`` and ``lsm.flush.install``.
+Fault-injection sites: the store's ``FLUSH_SITE`` (``wal.checkpoint``
+/ ``lsm.flush``) fires before the flush writes anything, its
+``INSTALLED_SITE`` (``wal.checkpoint.install`` / ``lsm.flush.install``)
+after the flush is installed but before the log is truncated (the
+classic torn-checkpoint window).
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import threading
 import time
 from typing import Any, Dict, Union
@@ -64,11 +61,8 @@ from repro.observability import metrics as _metrics
 from repro.observability import stats as _stats
 from repro.engine.database import Database, Session
 from repro.engine.dialects import STANDARD, Dialect
-from repro.engine.persistence import (
-    DatabaseImage,
-    image_of,
-    restore_database,
-)
+from repro.engine.lsm import LsmStore
+from repro.engine.persistence import SNAPSHOT_FILENAME, SnapshotStore
 from repro.engine.wal import (
     KIND_ABORT,
     KIND_BATCH,
@@ -86,20 +80,13 @@ __all__ = [
     "WAL_FILENAME",
 ]
 
-SNAPSHOT_FILENAME = "snapshot.db"
 WAL_FILENAME = "wal.log"
 
-#: Version of the ``{image, last_seq, commit_seq}`` checkpoint wrapper
-#: (the inner ``DatabaseImage`` carries its own FORMAT_VERSION).
-#: Version 2 added ``commit_seq`` — the MVCC commit counter at
-#: checkpoint time, restored so post-recovery stamps continue above
-#: everything durable.  Version-1 snapshots are still readable (their
-#: counter restarts at 0, which is safe: a checkpoint is quiesced, so
-#: every surviving version is a bootstrap version with stamp 0).
-CHECKPOINT_VERSION = 2
+#: ``storage=`` name -> checkpoint store class.  Listed in the order an
+#: initialised directory is probed for each store's marker file.
+_STORES = {"lsm": LsmStore, "snapshot": SnapshotStore}
 
 _CHECKPOINTS = _metrics.registry.counter("wal.checkpoints")
-_CHECKPOINT_SECONDS = _metrics.registry.histogram("wal.checkpoint.seconds")
 _RECOVERIES = _metrics.registry.counter("wal.recoveries")
 _RECOVERY_SECONDS = _metrics.registry.histogram("wal.recovery.seconds")
 _RECOVERED_TXNS = _metrics.registry.counter("wal.recovered_txns")
@@ -120,24 +107,22 @@ class DurabilityManager:
         self,
         database: Database,
         wal: WriteAheadLog,
-        directory: str,
+        store: Any,
         *,
         last_seq: int = 0,
         checkpoint_interval: int = 256,
-        lsm: Any = None,
     ) -> None:
         self.database = database
         self.wal = wal
-        self.directory = directory
+        #: The checkpoint store (SnapshotStore or LsmStore) the log is
+        #: folded into; decides what "checkpoint" writes.
+        self.store = store
+        self.directory = store.directory
+        self.storage = store.storage
         self.checkpoint_interval = checkpoint_interval
-        #: LSM store when the directory uses the LSM engine; None for
-        #: the snapshot engine.  Decides what "checkpoint" means.
-        self.lsm = lsm
-        self.storage = "lsm" if lsm is not None else "snapshot"
         self._state_lock = threading.Lock()
         self._next_seq = last_seq + 1
         self._next_txn = 1
-        self._snapshot_seq = last_seq  # highest seq folded into snapshot
         self._commits_since_checkpoint = 0
         self.active_txns: set = set()
         self.closed = False
@@ -164,10 +149,16 @@ class DurabilityManager:
         txn: int,
         user: str,
         sql: str,
-        params: Any,
+        param_rows: Any,
         snapshot_seq: int = 0,
     ) -> None:
-        """Append one redo record for a successfully executed statement.
+        """Append ONE redo record for a successfully executed statement.
+
+        ``param_rows`` holds every parameter row bound against ``sql``:
+        one row is logged as a ``stmt`` record, N rows (an
+        :meth:`Session.execute_batch`) as a single ``batch`` record —
+        one WAL append instead of N, replayed through the same batch
+        path, atomically, so a crash can never surface a partial batch.
 
         ``snapshot_seq`` is the MVCC snapshot the statement executed
         under; replay pins the recovered transaction to the same
@@ -175,37 +166,13 @@ class DurabilityManager:
         the rows the original execution saw, however the original
         history interleaved.
         """
+        if len(param_rows) > 1:
+            kind = KIND_BATCH
+            params: Any = tuple(tuple(row) for row in param_rows)
+        else:
+            kind, params = KIND_STATEMENT, tuple(param_rows[0] or ())
         record = WalRecord(
-            self._alloc_seq(), KIND_STATEMENT, txn,
-            (user, sql, tuple(params or ()), snapshot_seq),
-        )
-        self.wal.append(record)
-
-    def log_batch(
-        self,
-        txn: int,
-        user: str,
-        sql: str,
-        param_rows: Any,
-        snapshot_seq: int = 0,
-    ) -> None:
-        """Append ONE redo record for a whole executed batch.
-
-        ``param_rows`` is the full sequence of parameter rows bound
-        against ``sql`` by :meth:`Session.execute_batch`.  A batch of N
-        rows therefore costs one WAL append (plus the transaction's
-        commit marker) instead of N statement records, and recovery
-        replays it through the same batch path — atomically, so a
-        crash can never surface a partial batch.
-        """
-        record = WalRecord(
-            self._alloc_seq(), KIND_BATCH, txn,
-            (
-                user,
-                sql,
-                tuple(tuple(row) for row in param_rows),
-                snapshot_seq,
-            ),
+            self._alloc_seq(), kind, txn, (user, sql, params, snapshot_seq)
         )
         self.wal.append(record)
 
@@ -264,102 +231,35 @@ class DurabilityManager:
     # checkpoint
     # ------------------------------------------------------------------
     def checkpoint(self) -> bool:
-        """Fold the WAL into the snapshot and truncate it.
+        """Fold the WAL into the checkpoint store and truncate it.
 
         Runs under the exclusive engine lock and only when no durable
         transaction is in flight (an open transaction's uncommitted
-        heap changes must not leak into the snapshot); returns False
+        heap changes must not leak into the store); returns False
         when skipped for that reason.  Safe against a crash at any
-        point: the snapshot is installed atomically *before* the log
-        is truncated, and recovery skips already-folded records.
-
-        Under the LSM engine the same call flushes the memtable delta
-        to SSTable runs instead — same quiescence rule, same atomic
-        install-then-truncate discipline, O(delta) instead of
-        O(database).
+        point: the store installs its new state atomically *before*
+        the log is truncated, and recovery skips already-folded
+        records.  What the flush writes is the store's business — the
+        whole database image (snapshot) or the delta since the last
+        flush (LSM); its ``after_flush`` hook runs once the engine
+        lock is released.
         """
-        if self.lsm is not None:
-            return self._checkpoint_lsm()
+        store = self.store
         start = time.perf_counter()
         with self.database.lock.write():
             with self._state_lock:
-                if self.closed:
-                    return False
-                if self.active_txns:
+                if self.closed or self.active_txns:
                     return False
                 last_seq = self._next_seq - 1
-            image = image_of(self.database)
-            payload = {
-                "version": CHECKPOINT_VERSION,
-                "image": image,
-                "last_seq": last_seq,
-                "commit_seq": self.database.transactions.commit_seq,
-            }
-            faultpoints.trigger("wal.checkpoint")
-            path = os.path.join(self.directory, SNAPSHOT_FILENAME)
-            tmp_path = path + ".tmp"
-            try:
-                data = pickle.dumps(
-                    payload, protocol=pickle.HIGHEST_PROTOCOL
-                )
-            except Exception as exc:
-                raise errors.DataError(
-                    "database is not checkpointable — object columns "
-                    "may only hold instances of importable classes: "
-                    f"{exc}"
-                ) from exc
-            with open(tmp_path, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, path)
-            self._fsync_directory()
-            faultpoints.trigger("wal.checkpoint.install")
+            faultpoints.trigger(store.FLUSH_SITE)
+            store.flush(self.database, last_seq=last_seq)
+            faultpoints.trigger(store.INSTALLED_SITE)
             self.wal.reset()
             with self._state_lock:
-                self._snapshot_seq = last_seq
                 self._commits_since_checkpoint = 0
         _CHECKPOINTS.increment()
-        _CHECKPOINT_SECONDS.observe(time.perf_counter() - start)
+        store.after_flush(self.database, time.perf_counter() - start)
         return True
-
-    def _checkpoint_lsm(self) -> bool:
-        """LSM flush: fold the WAL into immutable runs and truncate it.
-
-        The write pause (``lsm.stall_ms``) covers only the delta since
-        the last flush; compare ``wal.checkpoint.seconds``, which
-        rewrites the whole database.  Compaction is kicked *after* the
-        engine lock is released — it never contributes to the stall.
-        """
-        start = time.perf_counter()
-        with self.database.lock.write():
-            with self._state_lock:
-                if self.closed:
-                    return False
-                if self.active_txns:
-                    return False
-                last_seq = self._next_seq - 1
-            faultpoints.trigger("lsm.flush")
-            self.lsm.flush(self.database, last_seq=last_seq)
-            faultpoints.trigger("lsm.flush.install")
-            self.wal.reset()
-            with self._state_lock:
-                self._snapshot_seq = last_seq
-                self._commits_since_checkpoint = 0
-        _CHECKPOINTS.increment()
-        self.lsm.note_stall(time.perf_counter() - start)
-        self.lsm.maybe_compact(self.database)
-        return True
-
-    def _fsync_directory(self) -> None:
-        try:
-            fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform-dependent
-            return
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -377,41 +277,12 @@ class DurabilityManager:
         with self._state_lock:
             self.closed = True
         self.wal.close()
-        if self.lsm is not None:
-            self.lsm.close()
+        self.store.close()
 
 
 # ---------------------------------------------------------------------------
 # recovery / open
 # ---------------------------------------------------------------------------
-
-
-def _load_snapshot(path: str):
-    """Read a checkpoint snapshot; returns ``(image, last_seq,
-    commit_seq)`` or ``(None, 0, 0)`` when no snapshot exists.
-    Version-1 snapshots (pre-MVCC) load with ``commit_seq`` 0."""
-    if not os.path.exists(path):
-        return None, 0, 0
-    with open(path, "rb") as handle:
-        try:
-            payload = pickle.load(handle)
-        except Exception as exc:
-            raise errors.DataError(
-                f"cannot load checkpoint snapshot {path!r}: {exc}"
-            ) from exc
-    if (
-        not isinstance(payload, dict)
-        or not isinstance(payload.get("image"), DatabaseImage)
-        or payload.get("version") not in (1, CHECKPOINT_VERSION)
-    ):
-        raise errors.DataError(
-            f"{path!r} does not contain a supported checkpoint snapshot"
-        )
-    return (
-        payload["image"],
-        int(payload["last_seq"]),
-        int(payload.get("commit_seq", 0)),
-    )
 
 
 def _read_wal(path: str):
@@ -451,7 +322,7 @@ def _replay(database: Database, records, last_seq: int) -> int:
     try:
         for record in records:
             if record.seq <= last_seq:
-                continue  # already folded into the snapshot
+                continue  # already folded into the store
             if record.txn not in committed:
                 # In-flight at the crash (no marker survived) or
                 # explicitly aborted: either way, not replayed.
@@ -523,9 +394,9 @@ def open_database(
 ) -> Database:
     """Open (or create) a durable database rooted at ``directory``.
 
-    Recovery runs first: the last checkpoint snapshot (or, under the
-    LSM engine, the manifest and its SSTable runs) is restored, the
-    WAL's torn tail is truncated, and committed-but-uncheckpointed
+    Recovery runs first: the checkpoint store's state (the last
+    snapshot, or the LSM manifest and its SSTable runs) is restored,
+    the WAL's torn tail is truncated, and committed-but-uncheckpointed
     transactions are replayed in log order.  The returned database has
     a :class:`DurabilityManager` attached as ``database.durability``;
     ``name``/``dialect``/``admin_user`` only apply when the directory
@@ -544,63 +415,34 @@ def open_database(
     every ``checkpoint_interval`` commits (0 disables automatic
     checkpoints — call :meth:`Database.checkpoint` yourself).
     """
-    from repro.engine.lsm import LsmStore, MANIFEST_FILENAME
-
-    if storage not in ("snapshot", "lsm"):
+    store_class = _STORES.get(storage)
+    if store_class is None:
         raise errors.ConnectionError_(
             f"unknown storage engine {storage!r} — "
             "expected 'snapshot' or 'lsm'"
         )
     started = time.perf_counter()
     os.makedirs(directory, exist_ok=True)
-    snapshot_path = os.path.join(directory, SNAPSHOT_FILENAME)
-    wal_path = os.path.join(directory, WAL_FILENAME)
-
     # An initialised directory dictates its own engine.
-    if os.path.exists(os.path.join(directory, MANIFEST_FILENAME)):
-        storage = "lsm"
-    elif os.path.exists(snapshot_path):
-        storage = "snapshot"
+    for candidate in _STORES.values():
+        if os.path.exists(os.path.join(directory, candidate.MARKER)):
+            store_class = candidate
+            break
 
-    store = None
-    if storage == "lsm":
-        store = LsmStore.open(directory)
-        fresh = store._image is None
-        database = store.build_database(
-            name=name,
-            dialect=dialect,
-            admin_user=admin_user,
-            plan_cache_size=plan_cache_size,
-        )
-        if fresh:
-            # The manifest is what marks the directory as LSM-format,
-            # so the creation-time choice must be durable before any
-            # commit is: a crash ahead of the first flush would
-            # otherwise reopen this directory under the snapshot
-            # engine.
-            store.initialise(database)
-        last_seq = store.last_seq
-        commit_seq = store.flushed_stamp
-        database.lsm_store = store
-    else:
-        image, last_seq, commit_seq = _load_snapshot(snapshot_path)
-        if image is not None:
-            database = restore_database(
-                image, plan_cache_size=plan_cache_size
-            )
-        else:
-            database = Database(
-                name=name,
-                dialect=dialect,
-                admin_user=admin_user,
-                plan_cache_size=plan_cache_size,
-            )
-    # Resume the MVCC commit counter above everything in the snapshot
-    # so replayed (and future) stamps stay monotonic.
-    database.transactions.restore(commit_seq)
+    store = store_class.open(directory)
+    database = store.build_database(
+        name=name,
+        dialect=dialect,
+        admin_user=admin_user,
+        plan_cache_size=plan_cache_size,
+    )
+    # Resume the MVCC commit counter above everything in the store so
+    # replayed (and future) stamps stay monotonic.
+    database.transactions.restore(store.flushed_stamp)
 
+    wal_path = os.path.join(directory, WAL_FILENAME)
     records, max_seq = _read_wal(wal_path)
-    replayed = _replay(database, records, last_seq)
+    replayed = _replay(database, records, store.last_seq)
     if replayed:
         _verify_indexes(database)
         _RECOVERED_TXNS.increment(replayed)
@@ -614,15 +456,14 @@ def open_database(
     manager = DurabilityManager(
         database,
         wal,
-        directory,
-        last_seq=max(last_seq, max_seq),
+        store,
+        last_seq=max(store.last_seq, max_seq),
         checkpoint_interval=checkpoint_interval,
-        lsm=store,
     )
     database.durability = manager
     if records:
-        # Fold the surviving log into a fresh snapshot so the WAL
-        # restarts empty; skipping already-folded records made the
+        # Fold the surviving log into the store so the WAL restarts
+        # empty; skipping already-folded records made the
         # replay idempotent, this makes the on-disk state canonical.
         manager.checkpoint()
     _RECOVERIES.increment()

@@ -8,11 +8,11 @@ walkthrough and the tradeoff table, and the module docstrings here for
 the layer-by-layer contracts:
 
 * :mod:`repro.engine.lsm.sstable` — immutable sorted run files with
-  Bloom filters and sparse block indexes;
+  sparse block indexes;
 * :mod:`repro.engine.lsm.manifest` — the atomically-replaced file
   naming the live runs;
-* :mod:`repro.engine.lsm.store` — flush, merged reads, vacuum/DDL
-  hooks and background size-tiered compaction.
+* :mod:`repro.engine.lsm.store` — the checkpoint store: flush, merged
+  scans, vacuum/DDL hooks and background size-tiered compaction.
 """
 
 from repro.engine.lsm.manifest import MANIFEST_FILENAME

@@ -7,10 +7,9 @@ and the durable watermarks — the MVCC commit stamp and WAL sequence
 number covered by the runs, and the next row id / run file number to
 allocate.
 
-It is replaced the same way checkpoints are installed: written to
-``MANIFEST.tmp``, fsynced, atomically ``os.replace``d over
-``MANIFEST``, directory fsynced.  A crash at any point leaves either
-the old or the new manifest — never a blend — and run files are
+It is replaced the same way checkpoints are installed
+(:func:`repro.engine.diskfile.install`): a crash at any point leaves
+either the old or the new manifest — never a blend — and run files are
 themselves written crash-atomically before the manifest references
 them, so recovery can always trust the manifest: files it names exist
 and are complete; files it does not name are garbage to sweep.
@@ -19,12 +18,10 @@ and are complete; files it does not name are garbage to sweep.
 from __future__ import annotations
 
 import os
-import pickle
-import struct
-import zlib
 from typing import Any, Dict, Optional
 
 from repro import errors
+from repro.engine import diskfile
 
 __all__ = [
     "MANIFEST_FILENAME",
@@ -37,22 +34,16 @@ MANIFEST_FILENAME = "MANIFEST"
 MANIFEST_VERSION = 1
 
 _MAGIC = b"RLSMMAN\x00"
-_FRAME = struct.Struct("<II")
 
 
 def write_manifest(directory: str, payload: Dict[str, Any]) -> None:
-    """Atomically install ``payload`` as the directory's manifest."""
-    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    path = os.path.join(directory, MANIFEST_FILENAME)
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(_FRAME.pack(len(data), zlib.crc32(data)))
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
-    _fsync_directory(directory)
+    """Atomically install ``payload``, stamped with the format
+    version, as the directory's manifest."""
+    payload = {"version": MANIFEST_VERSION, **payload}
+    diskfile.install(
+        os.path.join(directory, MANIFEST_FILENAME),
+        [_MAGIC, diskfile.frame(diskfile.dumps(payload, "LSM manifest"))],
+    )
 
 
 def read_manifest(directory: str) -> Optional[Dict[str, Any]]:
@@ -67,20 +58,14 @@ def read_manifest(directory: str) -> Optional[Dict[str, Any]]:
         return None
     with open(path, "rb") as handle:
         blob = handle.read()
-    if len(blob) < len(_MAGIC) + _FRAME.size or not blob.startswith(_MAGIC):
+    if not blob.startswith(_MAGIC):
         raise errors.DataError(
             f"{path!r} is not an LSM manifest (torn or foreign file)"
         )
-    length, crc = _FRAME.unpack_from(blob, len(_MAGIC))
-    data = blob[len(_MAGIC) + _FRAME.size:]
-    if len(data) < length or zlib.crc32(data[:length]) != crc:
-        raise errors.DataError(f"corrupt LSM manifest {path!r}")
-    try:
-        payload = pickle.loads(data[:length])
-    except Exception as exc:
-        raise errors.DataError(
-            f"cannot load LSM manifest {path!r}: {exc}"
-        ) from exc
+    what = f"LSM manifest {path!r}"
+    payload = diskfile.loads(
+        diskfile.unframe(blob, len(_MAGIC), what)[0], what
+    )
     if (
         not isinstance(payload, dict)
         or payload.get("version") != MANIFEST_VERSION
@@ -89,14 +74,3 @@ def read_manifest(directory: str) -> Optional[Dict[str, Any]]:
             f"unsupported LSM manifest version in {path!r}"
         )
     return payload
-
-
-def _fsync_directory(directory: str) -> None:
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)

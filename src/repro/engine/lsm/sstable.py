@@ -12,35 +12,36 @@ sequence of *entries* sorted by row id:
   merge that unions tombstones *before* scanning a run's data entries
   never resurrects a deleted row.
 
-On-disk layout (all frames CRC-checked)::
+On-disk layout (frames are :func:`repro.engine.diskfile.frame`'s,
+CRC-checked on every read)::
 
     magic                 b"RLSM1\\0"
     block*                [u32 len][u32 crc32][pickle([entry, ...])]
     footer                [u32 len][u32 crc32][pickle(footer dict)]
     trailer               [u64 footer offset][b"LSMFOOT\\0"]
 
-The footer carries a *sparse index* — ``(first rid, file offset)`` per
-block — and a Bloom filter over the data rids, so a point lookup reads
-the footer plus at most one block: ``might_contain`` filters misses
-without touching a block at all, then a binary search over the sparse
-index names the single candidate block.
+The footer carries the entry counts, the tombstoned rids and a *sparse
+index* — ``(first rid, file offset)`` per block — which is what scans
+and compaction walk.  Runs are a checkpoint format, not a read path:
+queries read the in-memory heap, and nothing looks a single rid up in a
+run.  (Runs written before the point-read path was removed carry two
+extra footer keys for its membership filter; the reader never looks at
+them — docs/STORAGE.md names them.)
 
-Writes are crash-atomic the same way checkpoints are: the run is
-written to ``<path>.tmp``, fsynced, and ``os.replace``d into place; the
-manifest (:mod:`repro.engine.lsm.manifest`) only ever references
-completed files, and orphaned temp files are swept at open.
+Writes are crash-atomic the same way checkpoints are
+(:func:`repro.engine.diskfile.install`); the manifest
+(:mod:`repro.engine.lsm.manifest`) only ever references completed
+files, and orphaned temp files are swept at open.
 """
 
 from __future__ import annotations
 
-import bisect
 import os
-import pickle
 import struct
-import zlib
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Tuple
 
 from repro import errors
+from repro.engine import diskfile
 
 __all__ = ["write_sstable", "SSTableReader", "Entry"]
 
@@ -50,118 +51,54 @@ Entry = Tuple[Any, ...]
 MAGIC = b"RLSM1\x00"
 FOOTER_MAGIC = b"LSMFOOT\x00"
 _TRAILER = struct.Struct("<Q8s")
-_FRAME = struct.Struct("<II")
 
-#: Entries per block: small enough that a point lookup deserialises a
-#: few KB, large enough that the sparse index stays tiny.
+#: Entries per block: small enough that the sparse index is worth
+#: having, large enough that it stays tiny.
 BLOCK_ENTRIES = 256
 
-#: Bloom filter geometry: ~10 bits and 4 probes per data rid gives a
-#: false-positive rate of about 1-2%.
-_BLOOM_BITS_PER_KEY = 10
-_BLOOM_PROBES = 4
 
-
-def _mix64(value: int) -> int:
-    """Deterministic 64-bit mixer (splitmix64 finaliser) — stable
-    across processes regardless of ``PYTHONHASHSEED``."""
-    value = (value + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return value ^ (value >> 31)
-
-
-def _bloom_probes(rid: int, nbits: int) -> Iterator[int]:
-    base = _mix64(rid)
-    step = _mix64(rid ^ 0xA5A5A5A5A5A5A5A5) | 1
-    for i in range(_BLOOM_PROBES):
-        yield (base + i * step) % nbits
-
-
-def _build_bloom(rids: Sequence[int]) -> Tuple[bytearray, int]:
-    nbits = max(64, len(rids) * _BLOOM_BITS_PER_KEY)
-    bits = bytearray((nbits + 7) // 8)
-    for rid in rids:
-        for probe in _bloom_probes(rid, nbits):
-            bits[probe >> 3] |= 1 << (probe & 7)
-    return bits, nbits
-
-
-def _write_frame(handle, payload: bytes) -> None:
-    handle.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
-    handle.write(payload)
-
-
-def _read_frame(handle, path: str) -> bytes:
-    header = handle.read(_FRAME.size)
-    if len(header) < _FRAME.size:
-        raise errors.DataError(f"truncated frame in run file {path!r}")
-    length, crc = _FRAME.unpack(header)
-    payload = handle.read(length)
-    if len(payload) < length or zlib.crc32(payload) != crc:
-        raise errors.DataError(f"corrupt frame in run file {path!r}")
-    return payload
+def _run_parts(entries: List[Entry], table: str) -> Iterator[bytes]:
+    """The run file's bytes, block by block, in file order."""
+    yield MAGIC
+    offset = len(MAGIC)
+    index: List[Tuple[int, int]] = []
+    for start in range(0, len(entries), BLOCK_ENTRIES):
+        block = entries[start:start + BLOCK_ENTRIES]
+        index.append((block[0][1], offset))
+        framed = diskfile.frame(diskfile.dumps(block, "table rows"))
+        offset += len(framed)
+        yield framed
+    footer = {
+        "table": table,
+        "count": len(entries),
+        "data_count": sum(1 for e in entries if e[0] == "d"),
+        "index": index,
+        "tombstones": [e[1] for e in entries if e[0] == "t"],
+    }
+    yield diskfile.frame(diskfile.dumps(footer, "run footer"))
+    yield _TRAILER.pack(offset, FOOTER_MAGIC)
 
 
 def write_sstable(path: str, entries: List[Entry], *, table: str = "") -> str:
     """Write ``entries`` (pre-sorted by rid) as a run file at ``path``.
 
-    Crash-atomic: a crash mid-write leaves only ``<path>.tmp``, which
-    the store's orphan sweep removes; ``path`` appears complete or not
-    at all.  Returns ``path``.
+    Crash-atomic: ``path`` appears complete or not at all, and a write
+    that fails (an unpicklable row, a full disk) leaves no temp file
+    behind.  Returns ``path``.
     """
-    data_rids = [e[1] for e in entries if e[0] == "d"]
-    tombstones = [e[1] for e in entries if e[0] == "t"]
-    bloom, nbits = _build_bloom(data_rids)
-    index: List[Tuple[int, int]] = []
-
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "wb") as handle:
-        handle.write(MAGIC)
-        for start in range(0, len(entries), BLOCK_ENTRIES):
-            block = entries[start:start + BLOCK_ENTRIES]
-            index.append((block[0][1], handle.tell()))
-            try:
-                payload = pickle.dumps(
-                    block, protocol=pickle.HIGHEST_PROTOCOL
-                )
-            except Exception as exc:
-                raise errors.DataError(
-                    "table rows are not flushable — object columns may "
-                    "only hold instances of importable classes: "
-                    f"{exc}"
-                ) from exc
-            _write_frame(handle, payload)
-        footer = {
-            "table": table,
-            "count": len(entries),
-            "data_count": len(data_rids),
-            "index": index,
-            "bloom": bytes(bloom),
-            "bloom_bits": nbits,
-            "tombstones": tombstones,
-        }
-        footer_offset = handle.tell()
-        _write_frame(
-            handle,
-            pickle.dumps(footer, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-        handle.write(_TRAILER.pack(footer_offset, FOOTER_MAGIC))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
+    diskfile.install(path, _run_parts(entries, table))
     return path
 
 
 class SSTableReader:
     """Read access to one immutable run file.
 
-    The footer (sparse index, Bloom filter, tombstone list) is read
-    once at construction and cached.  The file stays open for the
-    reader's lifetime: block reads use ``os.pread`` on the held
-    descriptor, so they carry no seek state (safe under concurrent
-    scans) and POSIX unlink semantics keep in-flight reads working
-    after compaction unlinks a victim run out from under them.  The
+    The footer (sparse index, tombstone list) is read once at
+    construction and cached.  The file stays open for the reader's
+    lifetime: block reads are positioned reads on the held descriptor,
+    so they carry no seek state (safe under concurrent scans) and POSIX
+    unlink semantics keep in-flight reads working after compaction
+    unlinks a victim run out from under them.  The
     descriptor is released when the last reference to the reader is
     dropped — the store never closes a reader explicitly, because a
     concurrent scan may still hold it.
@@ -187,8 +124,12 @@ class SSTableReader:
                     f"run file {path!r} has no footer "
                     "(torn write?)"
                 )
-            handle.seek(footer_offset)
-            footer = pickle.loads(_read_frame(handle, path))
+            footer = diskfile.loads(
+                diskfile.read_frame(
+                    handle.fileno(), footer_offset, f"run file {path!r}"
+                ),
+                f"footer of run file {path!r}",
+            )
         except BaseException:
             self._handle.close()
             raise
@@ -196,71 +137,25 @@ class SSTableReader:
         self.count: int = footer["count"]
         self.data_count: int = footer["data_count"]
         self._index: List[Tuple[int, int]] = footer["index"]
-        self._index_keys: List[int] = [k for k, _ in self._index]
-        self._bloom: bytes = footer["bloom"]
-        self._bloom_bits: int = footer["bloom_bits"]
         self.tombstone_rids: frozenset = frozenset(footer["tombstones"])
-
-    # ------------------------------------------------------------------
-    # point lookup
-    # ------------------------------------------------------------------
-    def might_contain(self, rid: int) -> bool:
-        """Bloom-filter membership test for a *data* entry of ``rid``
-        (no false negatives; ~1-2% false positives)."""
-        if not self._index:
-            return False
-        for probe in _bloom_probes(rid, self._bloom_bits):
-            if not self._bloom[probe >> 3] & (1 << (probe & 7)):
-                return False
-        return True
-
-    def get(self, rid: int) -> Optional[Entry]:
-        """Return the data entry for ``rid``, or None.
-
-        Costs one block read: the Bloom filter rejects most misses
-        outright, the sparse index names the only candidate block.
-        """
-        if not self.might_contain(rid):
-            return None
-        position = bisect.bisect_right(self._index_keys, rid) - 1
-        if position < 0:
-            return None
-        for entry in self._read_block(position):
-            if entry[1] == rid and entry[0] == "d":
-                return entry
-            if entry[1] > rid:
-                break
-        return None
 
     # ------------------------------------------------------------------
     # scans
     # ------------------------------------------------------------------
     def entries(self) -> Iterator[Entry]:
-        """All entries in rid order."""
-        for position in range(len(self._index)):
-            yield from self._read_block(position)
+        """All entries in rid order, one CRC-checked block at a time."""
+        what = f"run file {self.path!r}"
+        fd = self._handle.fileno()
+        for _, offset in self._index:
+            yield from diskfile.loads(
+                diskfile.read_frame(fd, offset, what), what
+            )
 
     def data_entries(self) -> Iterator[Entry]:
         """Data entries only, in rid order."""
         for entry in self.entries():
             if entry[0] == "d":
                 yield entry
-
-    def _read_block(self, position: int) -> List[Entry]:
-        offset = self._index[position][1]
-        fd = self._handle.fileno()
-        header = os.pread(fd, _FRAME.size, offset)
-        if len(header) < _FRAME.size:
-            raise errors.DataError(
-                f"truncated frame in run file {self.path!r}"
-            )
-        length, crc = _FRAME.unpack(header)
-        payload = os.pread(fd, length, offset + _FRAME.size)
-        if len(payload) < length or zlib.crc32(payload) != crc:
-            raise errors.DataError(
-                f"corrupt frame in run file {self.path!r}"
-            )
-        return pickle.loads(payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

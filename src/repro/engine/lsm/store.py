@@ -1,12 +1,16 @@
 """The LSM store: memtable flushes, run bookkeeping, compaction.
 
 One :class:`LsmStore` owns a durable database directory's run files
-and manifest.  The *memtable* is the un-flushed portion of the live
-MVCC heap — versions whose ``rid`` is still None, made durable by the
-existing WAL exactly as under the snapshot engine.  What changes is the
-checkpoint: instead of pickling the whole database (O(database)), a
-flush writes only the delta since the previous flush (O(new data)) as
-one immutable SSTable run per table:
+and manifest, and is that directory's *checkpoint store* (the protocol
+shared with :class:`repro.engine.persistence.SnapshotStore`).  Runs are
+a checkpoint format, not a read path: queries read the in-memory heap,
+and the only readers of run files are the merged scan that rebuilds the
+heap at open, and compaction.  The *memtable* is the un-flushed portion
+of the live MVCC heap — versions whose ``rid`` is still None, made
+durable by the existing WAL exactly as under the snapshot engine.  What
+changes is the checkpoint: instead of pickling the whole database
+(O(database)), a flush writes only the delta since the previous flush
+(O(new data)) as one immutable SSTable run per table:
 
 * a **data entry** per committed-live version not yet on disk (the
   version's ``rid`` is staged during collection and assigned only once
@@ -42,15 +46,18 @@ unlinked).  Every window is recovery-neutral by construction.
 from __future__ import annotations
 
 import os
-import pickle
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro import errors, faultpoints
+from repro.engine import diskfile
+from repro.engine.database import Database
+from repro.engine.mvcc import TXN_BOOTSTRAP, RowVersion
+from repro.engine.persistence import image_of, restore_database
+from repro.engine.virtual import VirtualTable
 from repro.observability import metrics as _metrics
 from repro.engine.lsm.manifest import (
     MANIFEST_FILENAME,
-    MANIFEST_VERSION,
     read_manifest,
     write_manifest,
 )
@@ -69,6 +76,14 @@ _RUN_PREFIX = "run-"
 _RUN_SUFFIX = ".run"
 
 
+def _unlink_quietly(paths: Iterable[str]) -> None:
+    for path in paths:
+        try:
+            os.unlink(path)
+        except OSError:  # pragma: no cover - already gone
+            pass
+
+
 class LsmStore:
     """Run files + manifest for one durable database directory.
 
@@ -80,6 +95,13 @@ class LsmStore:
     lock — so the lock is held for bookkeeping, never for I/O-sized
     work except the manifest install itself.
     """
+
+    #: Checkpoint-store protocol constants (spelled out on
+    #: :class:`repro.engine.persistence.SnapshotStore`).
+    storage = "lsm"
+    MARKER = MANIFEST_FILENAME
+    FLUSH_SITE = "lsm.flush"
+    INSTALLED_SITE = "lsm.flush.install"
 
     def __init__(self, directory: str, *, compact_threshold: int = 4) -> None:
         self.directory = directory
@@ -101,8 +123,8 @@ class LsmStore:
         #: Tables whose runs must be rewritten wholesale at the next
         #: flush (a column add/drop rewrote every row image in place).
         self._doomed: Set[str] = set()
-        #: Schema image from the manifest (None on a fresh store).
-        self._image: Optional[Any] = None
+        #: Serialised row-less schema image of the installed manifest
+        #: (None on a fresh store); compaction re-installs it verbatim.
         self._image_blob: Optional[bytes] = None
         self._compact_gate = threading.Lock()
         self._compact_thread: Optional[threading.Thread] = None
@@ -129,12 +151,6 @@ class LsmStore:
         referenced: Set[str] = set()
         if payload is not None:
             store._image_blob = payload["image_blob"]
-            try:
-                store._image = pickle.loads(store._image_blob)
-            except Exception as exc:
-                raise errors.DataError(
-                    f"cannot load LSM manifest schema: {exc}"
-                ) from exc
             store.flushed_stamp = int(payload["commit_seq"])
             store.last_seq = int(payload["last_seq"])
             store.next_rid = int(payload["next_rid"])
@@ -163,35 +179,12 @@ class LsmStore:
                 or filename.startswith(MANIFEST_FILENAME)
             )
             if is_orphan_run or is_tmp:
-                try:
-                    os.unlink(os.path.join(directory, filename))
-                except OSError:  # pragma: no cover - race with cleanup
-                    pass
+                _unlink_quietly([os.path.join(directory, filename)])
         return store
 
-    def initialise(self, database: Any) -> None:
-        """Install the creation-time manifest for a brand-new directory.
-
-        The manifest is what marks a directory as LSM-format on
-        reopen, so it must exist from the moment the database does —
-        otherwise a crash before the first flush would silently reopen
-        the directory under the snapshot engine.  Empty run set,
-        ``last_seq`` 0: the WAL replays everything, exactly as it
-        would have before this manifest was written.
-        """
-        with self._lock:
-            self._install_manifest(
-                database, {}, commit_seq=0, last_seq=0
-            )
-
     def build_database(
-        self,
-        *,
-        name: str,
-        dialect: Any,
-        admin_user: str,
-        plan_cache_size: int,
-    ) -> Any:
+        self, *, plan_cache_size: int, **identity: Any
+    ) -> Database:
         """Reconstruct the database the manifest + runs describe.
 
         The catalog comes from the manifest's schema image; every
@@ -201,30 +194,39 @@ class LsmStore:
         Secondary indexes are rebuilt from the loaded heaps.  WAL
         replay — run by :func:`repro.engine.durability.open_database`
         afterwards — then refills the memtable.
-        """
-        from repro.engine.database import Database
-        from repro.engine.mvcc import TXN_BOOTSTRAP, RowVersion
-        from repro.engine.persistence import restore_database
-        from repro.engine.virtual import VirtualTable
 
-        if self._image is None:
-            return Database(
-                name=name,
-                dialect=dialect,
-                admin_user=admin_user,
-                plan_cache_size=plan_cache_size,
+        The database gets this store as ``database.lsm_store`` (its
+        vacuum and DDL hooks must fire during replay too).  On a
+        brand-new directory (``identity`` — name, dialect, admin user
+        — only applies then) the creation-time manifest is installed
+        here: the manifest is what marks a directory as LSM-format on
+        reopen, so it must exist from the moment the database does —
+        otherwise a crash before the first flush would reopen the
+        directory under the snapshot engine.  Empty run set,
+        ``last_seq`` 0: the WAL replays everything.
+        """
+        if self._image_blob is None:
+            database = Database(
+                plan_cache_size=plan_cache_size, **identity
             )
+            database.lsm_store = self
+            with self._lock:
+                self._install_manifest(
+                    database, {},
+                    commit_seq=0, last_seq=0, next_rid=self.next_rid,
+                )
+            return database
         database = restore_database(
-            self._image, plan_cache_size=plan_cache_size
+            diskfile.loads(self._image_blob, "LSM manifest schema"),
+            plan_cache_size=plan_cache_size,
         )
+        database.lsm_store = self
         for table in database.catalog.tables.values():
             if isinstance(table, VirtualTable):
                 continue
             versions = []
             for rid, begin, row in self.scan_table(table.name):
-                version = RowVersion(
-                    list(row), xmin=TXN_BOOTSTRAP, begin=begin
-                )
+                version = RowVersion(row, xmin=TXN_BOOTSTRAP, begin=begin)
                 version.rid = rid
                 versions.append(version)
             table.versions = versions
@@ -235,7 +237,7 @@ class LsmStore:
     # ------------------------------------------------------------------
     # flush (the LSM checkpoint)
     # ------------------------------------------------------------------
-    def flush(self, database: Any, *, last_seq: int) -> int:
+    def flush(self, database: Database, *, last_seq: int) -> int:
         """Flush the memtable delta to one new run per dirty table.
 
         Called by the durability manager under the exclusive engine
@@ -246,10 +248,7 @@ class LsmStore:
         atomically, and the WAL is truncated by the *caller* only after
         the manifest install succeeded.
         """
-        from repro.engine.virtual import VirtualTable
-
         cutoff = database.transactions.commit_seq
-        written = 0
         with self._lock:
             tables = [
                 t for t in database.catalog.tables.values()
@@ -320,7 +319,6 @@ class LsmStore:
                         write_sstable(path, entries, table=table.name)
                         staged_paths.append(path)
                         base.append(SSTableReader(path))
-                        written += 1
                     if base:
                         new_runs[table.name] = base
                 # Runs of tables dropped from the catalog die with them.
@@ -334,11 +332,7 @@ class LsmStore:
                     next_rid=next_rid,
                 )
             except BaseException:
-                for path in staged_paths:
-                    try:
-                        os.unlink(path)
-                    except OSError:  # pragma: no cover
-                        pass
+                _unlink_quietly(staged_paths)
                 raise
             # The manifest is durable — now (and only now) mark the
             # flushed versions and advance the watermarks.
@@ -350,54 +344,53 @@ class LsmStore:
             self.last_seq = last_seq
             self._pending.clear()
             self._doomed.clear()
-            for path in doomed_files:
-                try:
-                    os.unlink(path)
-                except OSError:  # pragma: no cover
-                    pass
+            _unlink_quietly(doomed_files)
         _FLUSHES.increment()
-        if written:
-            _RUNS_WRITTEN.increment(written)
-        return written
+        if staged_paths:
+            _RUNS_WRITTEN.increment(len(staged_paths))
+        return len(staged_paths)
 
     def _install_manifest(
         self,
-        database: Any,
+        database: Database,
         runs: Dict[str, List[SSTableReader]],
         *,
         commit_seq: int,
         last_seq: int,
-        next_rid: Optional[int] = None,
+        next_rid: int,
     ) -> None:
-        from repro.engine.persistence import image_of
+        blob = diskfile.dumps(
+            image_of(database, include_rows=False), "catalog"
+        )
+        self._write_manifest(
+            blob, runs,
+            commit_seq=commit_seq, last_seq=last_seq, next_rid=next_rid,
+        )
+        # Cache the image only once it is durable, so a failed install
+        # cannot leave compaction's manifest rewrites holding a schema
+        # newer than the watermarks say.
+        self._image_blob = blob
 
-        image = image_of(database, include_rows=False)
-        try:
-            blob = pickle.dumps(
-                image, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        except Exception as exc:
-            raise errors.DataError(
-                "catalog is not flushable — object defaults may only "
-                f"be instances of importable classes: {exc}"
-            ) from exc
+    def _write_manifest(
+        self,
+        image_blob: bytes,
+        runs: Dict[str, List[SSTableReader]],
+        *,
+        commit_seq: int,
+        last_seq: int,
+        next_rid: int,
+    ) -> None:
         write_manifest(self.directory, {
-            "version": MANIFEST_VERSION,
-            "image_blob": blob,
+            "image_blob": image_blob,
             "commit_seq": commit_seq,
             "last_seq": last_seq,
-            "next_rid": self.next_rid if next_rid is None else next_rid,
+            "next_rid": next_rid,
             "next_file": self._next_file,
             "runs": {
                 name: [os.path.basename(r.path) for r in readers]
                 for name, readers in runs.items()
             },
         })
-        # Cache the image only once it is durable, so a failed install
-        # cannot leave compaction's manifest rewrites holding a schema
-        # newer than the watermarks say.
-        self._image = image
-        self._image_blob = blob
 
     def _allocate_run_path(self) -> str:
         number = self._next_file
@@ -406,67 +399,39 @@ class LsmStore:
             self.directory, f"{_RUN_PREFIX}{number:08d}{_RUN_SUFFIX}"
         )
 
-    def note_stall(self, seconds: float) -> None:
-        """Record one flush pause (the LSM analogue of the snapshot
-        checkpoint's ``wal.checkpoint.seconds``)."""
+    def after_flush(self, database: Database, seconds: float) -> None:
+        """Post-checkpoint hook, called with no engine lock held:
+        record the write pause (``lsm.stall_ms`` covers only the delta
+        since the last flush; compare the snapshot engine's
+        ``wal.checkpoint.seconds``) and offer a compaction — which
+        therefore never contributes to the stall."""
         _STALL_MS.observe(seconds * 1000.0)
+        self.maybe_compact(database)
 
     # ------------------------------------------------------------------
-    # merged reads
+    # merged scan
     # ------------------------------------------------------------------
     def scan_table(
-        self, name: str, memtable: Optional[Any] = None
-    ) -> Iterator[Tuple[Optional[int], Optional[int], List[Any]]]:
-        """Merged committed-row scan: memtable first, runs newest-first.
+        self, name: str
+    ) -> Iterator[Tuple[int, int, List[Any]]]:
+        """Merged scan of a table's flushed state, runs newest-first.
 
-        Yields ``(rid, begin, row)`` triples.  ``memtable`` is the live
-        version heap (iterable of RowVersions) and takes precedence for
-        any rid it holds; omitted (recovery, tests over cold runs) the
-        scan covers the flushed state only.  Tombstones — from the
-        vacuum-handoff buffer, from each run, and from end-stamped
-        memtable versions — shadow older data entries; a run's own
-        tombstones are unioned *before* its data entries are read, so a
-        (data, tombstone) pair kept together by compaction still
-        annihilates at read time.
+        Yields ``(rid, begin, row)`` triples.  Tombstones — from the
+        vacuum-handoff buffer and from each run — shadow older data
+        entries; a run's own tombstones are unioned *before* its data
+        entries are read, so a (data, tombstone) pair kept together by
+        compaction still annihilates at read time.
         """
         with self._lock:
             runs = list(self.runs.get(name, ()))
             shadowed: Set[int] = set(self._pending.get(name, ()))
-        seen: Set[int] = set()
-        if memtable is not None:
-            for version in memtable:
-                rid = version.rid
-                if rid is not None:
-                    seen.add(rid)
-                    if version.end is not None:
-                        shadowed.add(rid)
-                if version.committed_live():
-                    yield (rid, version.begin, list(version.row))
         for run in reversed(runs):
             shadowed |= run.tombstone_rids
             for entry in run.data_entries():
                 rid = entry[1]
-                if rid in shadowed or rid in seen:
-                    continue
-                seen.add(rid)
-                yield (rid, entry[2], list(entry[3]))
-
-    def get(self, name: str, rid: int) -> Optional[Entry]:
-        """Point lookup of ``rid``'s data entry across a table's runs,
-        newest first (Bloom filters skip runs that cannot hold it);
-        None if absent or tombstoned."""
-        with self._lock:
-            runs = list(self.runs.get(name, ()))
-            if rid in self._pending.get(name, ()):
-                return None
-        shadowed = False
-        for run in reversed(runs):
-            if rid in run.tombstone_rids:
-                shadowed = True
-            entry = run.get(rid)
-            if entry is not None:
-                return None if shadowed else entry
-        return None
+                if rid not in shadowed:
+                    shadowed.add(rid)  # never yield a rid twice
+                    yield (rid, entry[2], entry[3])
 
     # ------------------------------------------------------------------
     # engine hooks (vacuum / DDL)
@@ -502,7 +467,7 @@ class LsmStore:
     # ------------------------------------------------------------------
     # compaction
     # ------------------------------------------------------------------
-    def maybe_compact(self, database: Any) -> bool:
+    def maybe_compact(self, database: Database) -> bool:
         """Kick off a background compaction if any table has
         accumulated enough runs.  At most one compaction thread runs at
         a time; it is a daemon and never holds the engine lock."""
@@ -529,7 +494,7 @@ class LsmStore:
             thread.start()
         return True
 
-    def _compact_quietly(self, database: Any) -> None:
+    def _compact_quietly(self, database: Database) -> None:
         try:
             self.compact(database)
         except errors.DataError as exc:
@@ -549,7 +514,7 @@ class LsmStore:
             # either the old or the new run set — both consistent.
             pass
 
-    def compact(self, database: Any) -> int:
+    def compact(self, database: Database) -> int:
         """One foreground compaction pass over every table; returns the
         number of merges performed."""
         horizon = database.transactions.oldest_visible_seq()
@@ -595,12 +560,12 @@ class LsmStore:
         merged.sort(key=lambda e: e[1])
         faultpoints.trigger("lsm.compact")
         replacement: List[SSTableReader] = []
-        merged_path: Optional[str] = None
         if merged:
             with self._lock:
-                merged_path = self._allocate_run_path()
-            write_sstable(merged_path, merged, table=name)
-            replacement = [SSTableReader(merged_path)]
+                path = self._allocate_run_path()
+            replacement = [
+                SSTableReader(write_sstable(path, merged, table=name))
+            ]
         with self._lock:
             current = list(self.runs.get(name, ()))
             try:
@@ -613,24 +578,24 @@ class LsmStore:
             ):
                 # The table was rewritten (ALTER/DROP) while we merged;
                 # our input no longer exists.  Discard the output.
-                if merged_path is not None:
-                    try:
-                        os.unlink(merged_path)
-                    except OSError:  # pragma: no cover
-                        pass
+                _unlink_quietly(r.path for r in replacement)
                 return 0
             self.runs[name] = (
                 current[:start]
                 + replacement
                 + current[start + len(victims):]
             )
-            self._write_manifest_locked()
+            # Same schema and watermarks as the last flush: compaction
+            # changes which files hold the durable state, never what
+            # that state is.
+            assert self._image_blob is not None
+            self._write_manifest(
+                self._image_blob, self.runs,
+                commit_seq=self.flushed_stamp, last_seq=self.last_seq,
+                next_rid=self.next_rid,
+            )
             faultpoints.trigger("lsm.compact.install")
-        for reader in victims:
-            try:
-                os.unlink(reader.path)
-            except OSError:  # pragma: no cover
-                pass
+        _unlink_quietly(r.path for r in victims)
         _COMPACTIONS.increment()
         if annihilated:
             _TOMBSTONES_GCED.increment(len(annihilated))
@@ -661,24 +626,6 @@ class LsmStore:
     @staticmethod
     def _tier(size: int) -> int:
         return max(1, size).bit_length() // 2
-
-    def _write_manifest_locked(self) -> None:
-        """Re-install the manifest with the current run lists but the
-        *last flush's* schema and watermarks — compaction changes which
-        files hold the durable state, never what that state is."""
-        assert self._image_blob is not None
-        write_manifest(self.directory, {
-            "version": MANIFEST_VERSION,
-            "image_blob": self._image_blob,
-            "commit_seq": self.flushed_stamp,
-            "last_seq": self.last_seq,
-            "next_rid": self.next_rid,
-            "next_file": self._next_file,
-            "runs": {
-                name: [os.path.basename(r.path) for r in readers]
-                for name, readers in self.runs.items()
-            },
-        })
 
     # ------------------------------------------------------------------
     # lifecycle / introspection

@@ -7,6 +7,12 @@ installed archives, routines, user-defined types, and grants — and
 :func:`load_database` reconstructs a fully working database from the
 file.
 
+The same image, wrapped with the durable watermarks, is what the
+snapshot storage engine checkpoints: :class:`SnapshotStore` is the
+checkpoint store :func:`repro.engine.durability.open_database` uses for
+``storage="snapshot"`` (its LSM counterpart, with the same protocol, is
+:class:`repro.engine.lsm.LsmStore`).
+
 Host-language bindings are *not* pickled: routine callables and UDT
 classes are re-resolved on load from their EXTERNAL NAME strings and the
 persisted archives, exactly as they were at CREATE time.  The one
@@ -17,11 +23,13 @@ instances of archive-defined classes raise a clear error at save time.
 
 from __future__ import annotations
 
-import pickle
+import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import errors
+from repro.engine import diskfile
+from repro.observability import metrics as _metrics
 from repro.engine.catalog import (
     AttributeBinding,
     Column,
@@ -43,9 +51,24 @@ __all__ = [
     "image_of",
     "restore_database",
     "DatabaseImage",
+    "SnapshotStore",
+    "SNAPSHOT_FILENAME",
 ]
 
 FORMAT_VERSION = 1
+
+SNAPSHOT_FILENAME = "snapshot.db"
+
+#: Version of the ``{image, last_seq, commit_seq}`` checkpoint wrapper
+#: (the inner ``DatabaseImage`` carries its own FORMAT_VERSION).
+#: Version 2 added ``commit_seq`` — the MVCC commit counter at
+#: checkpoint time, restored so post-recovery stamps continue above
+#: everything durable.  Version-1 snapshots are still readable (their
+#: counter restarts at 0, which is safe: a checkpoint is quiesced, so
+#: every surviving version is a bootstrap version with stamp 0).
+CHECKPOINT_VERSION = 2
+
+_CHECKPOINT_SECONDS = _metrics.registry.histogram("wal.checkpoint.seconds")
 
 
 @dataclass
@@ -168,9 +191,9 @@ def image_of(
 ) -> DatabaseImage:
     """Capture ``database`` as a picklable :class:`DatabaseImage`.
 
-    Used by :func:`save_database` and by the durability checkpointer
-    (:mod:`repro.engine.durability`), which folds the write-ahead log
-    into exactly this snapshot format.  ``include_rows=False`` captures
+    Used by :func:`save_database` and by the snapshot checkpoint store
+    (:class:`SnapshotStore`), which folds the write-ahead log into
+    exactly this format.  ``include_rows=False`` captures
     the catalog only (empty row lists) — the LSM manifest
     (:mod:`repro.engine.lsm`) stores schema this way because row data
     lives in the SSTable runs, not the manifest.
@@ -278,23 +301,15 @@ def image_of(
     )
 
 
-#: Backwards-compatible private alias (pre-durability callers).
-_image_of = image_of
-
-
 def save_database(database: Database, path: str) -> str:
-    """Serialise ``database`` to ``path``; returns the path."""
-    image = image_of(database)
-    try:
-        payload = pickle.dumps(image, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:
-        raise errors.DataError(
-            "database is not serialisable — object columns may only "
-            "hold instances of importable classes (archive-defined "
-            f"classes cannot be pickled): {exc}"
-        ) from exc
-    with open(path, "wb") as handle:
-        handle.write(payload)
+    """Serialise ``database`` to ``path``; returns the path.
+
+    The file is replaced atomically (:func:`diskfile.install`): a
+    crash or a full disk mid-write leaves the previous image intact.
+    """
+    diskfile.install(
+        path, [diskfile.dumps(image_of(database), "database")]
+    )
     return path
 
 
@@ -306,12 +321,7 @@ def save_database(database: Database, path: str) -> str:
 def load_database(path: str) -> Database:
     """Reconstruct a database saved by :func:`save_database`."""
     with open(path, "rb") as handle:
-        try:
-            image = pickle.load(handle)
-        except Exception as exc:
-            raise errors.DataError(
-                f"cannot load database image: {exc}"
-            ) from exc
+        image = diskfile.loads(handle.read(), "database image")
     if not isinstance(image, DatabaseImage):
         raise errors.DataError(
             "file does not contain a PySQLJ database image"
@@ -477,3 +487,99 @@ def _restore_member(member, catalog) -> MethodBinding:
         static=member.static,
         is_constructor=member.is_constructor,
     )
+
+
+# ---------------------------------------------------------------------------
+# the snapshot checkpoint store
+# ---------------------------------------------------------------------------
+
+
+class SnapshotStore:
+    """``snapshot.db``: the whole database as one atomically replaced
+    file — O(database) per checkpoint, the smallest possible file set.
+
+    One of the two *checkpoint stores* the durability manager folds
+    the write-ahead log into (the other is
+    :class:`repro.engine.lsm.LsmStore`); both have this shape:
+
+    * ``open(directory)`` reads the watermarks ``last_seq`` (replay
+      skips WAL records at or below it) and ``flushed_stamp`` (the MVCC
+      commit counter resumes above it);
+    * ``build_database(plan_cache_size=, **identity)`` reconstructs the
+      database as of them (``identity`` — name, dialect, admin user —
+      only applies to an empty directory);
+    * ``flush(database, last_seq=)`` makes the committed state durable,
+      atomically; called under the exclusive engine lock with no
+      transaction in flight;
+    * ``after_flush(database, seconds)`` runs once the lock is
+      released; ``close()`` stops background work;
+    * ``storage`` names the engine, ``MARKER`` is the file whose
+      presence marks a directory as its own, and ``FLUSH_SITE`` /
+      ``INSTALLED_SITE`` are the fault sites the manager fires before
+      ``flush`` and between a finished flush and the WAL truncate.
+    """
+
+    storage = "snapshot"
+    MARKER = SNAPSHOT_FILENAME
+    FLUSH_SITE = "wal.checkpoint"
+    INSTALLED_SITE = "wal.checkpoint.install"
+
+    def __init__(self, directory: str) -> None:
+        self.directory = directory
+        self.path = os.path.join(directory, SNAPSHOT_FILENAME)
+        self.last_seq = 0
+        self.flushed_stamp = 0
+        #: The loaded image, held only from open() to build_database().
+        self._image: Optional[DatabaseImage] = None
+
+    @classmethod
+    def open(cls, directory: str) -> "SnapshotStore":
+        """Load ``snapshot.db`` if the directory has one."""
+        store = cls(directory)
+        if not os.path.exists(store.path):
+            return store
+        with open(store.path, "rb") as handle:
+            payload = diskfile.loads(
+                handle.read(), f"checkpoint snapshot {store.path!r}"
+            )
+        if (
+            not isinstance(payload, dict)
+            or not isinstance(payload.get("image"), DatabaseImage)
+            or payload.get("version") not in (1, CHECKPOINT_VERSION)
+        ):
+            raise errors.DataError(
+                f"{store.path!r} does not contain a supported "
+                "checkpoint snapshot"
+            )
+        store._image = payload["image"]
+        store.last_seq = int(payload["last_seq"])
+        store.flushed_stamp = int(payload.get("commit_seq", 0))
+        return store
+
+    def build_database(
+        self, *, plan_cache_size: int, **identity: Any
+    ) -> Database:
+        image, self._image = self._image, None
+        if image is None:
+            return Database(plan_cache_size=plan_cache_size, **identity)
+        return restore_database(image, plan_cache_size=plan_cache_size)
+
+    def flush(self, database: Database, *, last_seq: int) -> None:
+        """Install ``{version, image, last_seq, commit_seq}`` around an
+        image of the whole database."""
+        commit_seq = database.transactions.commit_seq
+        payload = {
+            "version": CHECKPOINT_VERSION,
+            "image": image_of(database),
+            "last_seq": last_seq,
+            "commit_seq": commit_seq,
+        }
+        diskfile.install(self.path, [diskfile.dumps(payload, "database")])
+        self.last_seq = last_seq
+        self.flushed_stamp = commit_seq
+
+    def after_flush(self, database: Database, seconds: float) -> None:
+        _CHECKPOINT_SECONDS.observe(seconds)
+
+    def close(self) -> None:
+        """Nothing runs in the background."""

@@ -11,7 +11,7 @@ from the last checkpoint and discards torn tails.
 Record framing
 --------------
 
-Each record is length-prefixed and checksummed::
+Each record is one :func:`repro.engine.diskfile.frame`::
 
     +----------------+----------------+==================+
     | length (u32LE) | crc32  (u32LE) | payload (pickle) |
@@ -68,14 +68,12 @@ into ``repro.observability.snapshot()``.
 from __future__ import annotations
 
 import os
-import pickle
-import struct
 import threading
 import time
-import zlib
 from typing import Any, List, Tuple
 
 from repro import errors, faultpoints
+from repro.engine import diskfile
 from repro.observability import metrics as _metrics
 
 __all__ = [
@@ -84,8 +82,6 @@ __all__ = [
     "encode_record",
     "scan_records",
 ]
-
-_HEADER = struct.Struct("<II")  # payload length, payload crc32
 
 _WAL_BYTES = _metrics.registry.counter("wal.bytes_appended")
 _WAL_RECORDS = _metrics.registry.counter("wal.records")
@@ -127,18 +123,7 @@ class WalRecord:
 
 def encode_record(record: WalRecord) -> bytes:
     """Frame ``record`` as ``header + pickled payload``."""
-    try:
-        payload = pickle.dumps(
-            record.as_tuple(), protocol=pickle.HIGHEST_PROTOCOL
-        )
-    except Exception as exc:
-        raise errors.DataError(
-            "statement cannot be made durable — parameters and literals "
-            "must be picklable (instances of importable classes): "
-            f"{exc}"
-        ) from exc
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    return _HEADER.pack(len(payload), crc) + payload
+    return diskfile.frame(diskfile.dumps(record.as_tuple(), "statement"))
 
 
 def scan_records(data: bytes) -> Tuple[List[WalRecord], int]:
@@ -152,23 +137,13 @@ def scan_records(data: bytes) -> Tuple[List[WalRecord], int]:
     """
     records: List[WalRecord] = []
     offset = 0
-    size = len(data)
-    while True:
-        if offset + _HEADER.size > size:
-            break
-        length, crc = _HEADER.unpack_from(data, offset)
-        start = offset + _HEADER.size
-        end = start + length
-        if length == 0 or end > size:
-            break
-        payload = data[start:end]
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            break
+    while offset < len(data):
         try:
-            seq, kind, txn, record_data = pickle.loads(payload)
-        except Exception:
+            payload, end = diskfile.unframe(data, offset, "WAL")
+            record = WalRecord(*diskfile.loads(payload, "WAL record"))
+        except (errors.DataError, TypeError):
             break
-        records.append(WalRecord(seq, kind, txn, record_data))
+        records.append(record)
         offset = end
     return records, offset
 
@@ -278,10 +253,6 @@ class WriteAheadLog:
         if batch:
             _WAL_BATCH.observe(batch)
 
-    def flush(self) -> None:
-        """Force an fsync of everything appended so far."""
-        self._fsync()
-
     # ------------------------------------------------------------------
     # truncation / lifecycle
     # ------------------------------------------------------------------
@@ -296,15 +267,6 @@ class WriteAheadLog:
             self._tail = 0
             self._durable = 0
             self._pending_commits = 0
-
-    @property
-    def tail(self) -> int:
-        with self._cond:
-            return self._tail
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def close(self) -> None:
         with self._cond:

@@ -277,18 +277,6 @@ class TestCheckpoint:
         assert table_state(db2) == {1: 10}
         db2.close()
 
-    def test_checkpoint_skipped_while_txn_active(self, tmp_path):
-        db = open_database(str(tmp_path), checkpoint_interval=0)
-        s = db.create_session(autocommit=True)
-        s.execute("CREATE TABLE t (k INT, v INT)")
-        s.autocommit = False
-        s.execute("INSERT INTO t VALUES (1, 10)")
-        assert db.checkpoint() is False  # quiesce requirement
-        s.commit()
-        assert db.checkpoint() is True
-        s.close()
-        db.close()
-
     def test_automatic_checkpoint_interval(self, tmp_path):
         before = _metrics.snapshot()["counters"].get("wal.checkpoints", 0)
         db = open_database(str(tmp_path), checkpoint_interval=2)
