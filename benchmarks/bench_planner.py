@@ -7,19 +7,19 @@ the join written in the worst possible FROM order::
     WHERE fact.d1 = dim1.id AND fact.d2 = dim2.id
       AND fact.id < <selective bound>
 
-The rule-based planner folds strictly in FROM order, so its first step
-is ``dim1 x dim2`` — a cross product of |dim1| * |dim2| pairs that no
-join predicate constrains — before the fact table finally joins both
+Without statistics the planner folds strictly in FROM order, so its
+first step is ``dim1 x dim2`` — a cross product of |dim1| * |dim2|
+pairs that no join predicate constrains — before the fact table joins both
 dimensions away.  The cost-based planner (after ``ANALYZE``) starts
 from a dimension, hash-joins the fact table next, and never crosses;
 it also picks the smaller input as each hash join's build side.
 
 Two arms run the identical query stream over identical data:
 
-* **rule_based** — ``PlannerOptions.cost_based=False`` (the pre-ANALYZE
-  planner, plan cache cleared so the arm really plans its own way);
-* **cost_based** — statistics collected via ``ANALYZE``, default
-  options.
+* **rule_based** — before ``ANALYZE``: no statistics, so the planner
+  keeps FROM order;
+* **cost_based** — after ``ANALYZE`` (which invalidates the cached
+  plan), on the same database.
 
 ``speedup`` is rule-based wall time over cost-based wall time.  The
 run also asserts the introspection contract: ``EXPLAIN (FORMAT JSON)``
@@ -35,7 +35,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -126,21 +125,13 @@ def bench_planner(
     )
     _load(session, dims, facts)
 
-    # Arm 1: rule-based (FROM-order fold, cross product first).
-    database = session.database
-    default_options = database.planner_options
-    database.planner_options = dataclasses.replace(
-        default_options, cost_based=False
-    )
-    database.plan_cache.clear()
+    # Arm 1: no statistics yet (FROM-order fold, cross product first).
     rule_seconds = _run(session, sql, repeats)
     rule_rows = sorted(
         tuple(r) for r in session.execute(sql).rows
     )
 
     # Arm 2: cost-based, with fresh statistics.
-    database.planner_options = default_options
-    database.plan_cache.clear()
     session.execute("analyze")
     cost_seconds = _run(session, sql, repeats)
     cost_rows = sorted(

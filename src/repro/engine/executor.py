@@ -21,7 +21,7 @@ from repro.engine.expressions import Env, RowShape
 from repro.observability import metrics as _metrics
 from repro.observability import stats as _stats
 from repro.sqltypes import compare_values
-from repro.sqltypes.values import sort_key
+from repro.sqltypes.values import key_image, sort_key
 
 _ROWS_SCANNED = _metrics.registry.counter("rows.scanned")
 _INDEX_LOOKUPS = _metrics.registry.counter("index.lookups")
@@ -503,12 +503,6 @@ class _RowSet:
         self._buckets: Dict[tuple, List[tuple]] = {}
 
     @staticmethod
-    def _normalise(value: Any) -> Any:
-        if isinstance(value, str):
-            return value.rstrip(" ")  # CHAR padding is insignificant
-        return value
-
-    @staticmethod
     def _values_equal(left: Any, right: Any) -> bool:
         """NULL-as-a-value equality used for DISTINCT/GROUP BY."""
         if left is None or right is None:
@@ -517,7 +511,7 @@ class _RowSet:
 
     def add(self, row: Sequence[Any]) -> bool:
         """Add the row; returns True if it was new."""
-        key = tuple(self._normalise(v) for v in row)
+        key = tuple(key_image(v) for v in row)
         try:
             if key in self._hashed:
                 return False
@@ -716,10 +710,7 @@ class GroupAggregate(Operator):
         for row in self.child.rows(ctx):
             env = ctx.env(row)
             key_values = [key(env) for key in self.keys]
-            key = tuple(
-                v.rstrip(" ") if isinstance(v, str) else v
-                for v in key_values
-            )
+            key = tuple(key_image(v) for v in key_values)
             try:
                 state = groups.get(key)
                 if state is None:
@@ -787,9 +778,7 @@ class UnionOp(Operator):
 
     @staticmethod
     def _key(row: Sequence[Any]) -> tuple:
-        return tuple(
-            v.rstrip(" ") if isinstance(v, str) else v for v in row
-        )
+        return tuple(key_image(v) for v in row)
 
     def rows(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
         if self.op == "UNION":

@@ -5,8 +5,7 @@ star expansion), aggregate rewriting (GROUP BY keys and aggregate calls
 become columns of an intermediate shape), ORDER BY alias/position
 substitution, and privilege checks on referenced relations.
 
-The planner is rule-based (no cost model), but no longer "scans feed
-nested-loop joins" only.  Three rewrites build the fast path:
+Three rewrites build the fast path:
 
 * **predicate pushdown** — WHERE conjuncts are routed to the deepest
   operator that can evaluate them: onto individual scans, through the
@@ -21,10 +20,13 @@ nested-loop joins" only.  Three rewrites build the fast path:
   :class:`HashJoin` keys; non-equi joins and type-incompatible keys
   fall back to :class:`NestedLoopJoin`.
 
-All three are gated by :class:`PlannerOptions`
-(``database.planner_options``) so benchmarks can A/B them; with every
-option off the planner reproduces the original scans-feed-nested-loops
-plans.  Plans remain deterministic for the benchmark harness.
+Costing is driven by ``ANALYZE`` statistics (see ``_table_stats``):
+with them the planner costs seqscan-vs-IndexScan, the HashJoin build
+side and the join order; without them it makes fixed choices — an index
+probe always wins, the hash table is built on the right, FROM order is
+kept.  The plan depends only on what the planner observes (statistics,
+usable indexes, hash-compatible equi-join keys); there are no switches.
+Plans are deterministic for the benchmark harness.
 """
 
 from __future__ import annotations
@@ -71,8 +73,6 @@ from repro.sqltypes import typecodes
 __all__ = [
     "plan_query",
     "table_shape",
-    "PlannerOptions",
-    "DEFAULT_PLANNER_OPTIONS",
     "COST_SEQ_IO",
     "COST_RANDOM_IO",
 ]
@@ -91,32 +91,6 @@ _GUESS_SELECTIVITY = 1.0 / 3.0
 #: Building a hash-table entry costs about twice probing one; this is
 #: the asymmetry that makes the smaller input the better build side.
 _HASH_BUILD_FACTOR = 2.0
-
-
-@dataclasses.dataclass(frozen=True)
-class PlannerOptions:
-    """Feature switches for the planner's fast-path rewrites.
-
-    ``cost_based`` gates the ANALYZE-statistics cost model: the
-    seqscan-vs-IndexScan crossover, HashJoin build-side selection, and
-    greedy join reordering.  Tables that have never been ANALYZEd have
-    no statistics, so with ``cost_based`` on but no stats the planner
-    makes exactly the rule-based choices it always made.
-    """
-
-    predicate_pushdown: bool = True
-    index_scans: bool = True
-    hash_joins: bool = True
-    cost_based: bool = True
-
-
-DEFAULT_PLANNER_OPTIONS = PlannerOptions()
-
-
-def _options(session: Any) -> PlannerOptions:
-    database = getattr(session, "database", None)
-    options = getattr(database, "planner_options", None)
-    return options if options is not None else DEFAULT_PLANNER_OPTIONS
 
 
 def _predicate_summary(expression: ast.Expression) -> Optional[str]:
@@ -696,7 +670,6 @@ def _apply_conjuncts(
     conjuncts: List[ast.Expression],
     session: Any,
     outer: Optional[ExpressionCompiler],
-    options: PlannerOptions,
 ) -> Operator:
     """Enforce ``conjuncts`` on top of ``operator``.
 
@@ -709,14 +682,10 @@ def _apply_conjuncts(
     remaining = list(conjuncts)
     stats = None
     table = None
-    if options.cost_based and isinstance(operator, SeqScan):
+    if isinstance(operator, SeqScan):
         table = operator.table
         stats = _table_stats(session, table)
-    if (
-        options.index_scans
-        and isinstance(operator, SeqScan)
-        and operator.table.indexes
-    ):
+    if table is not None and table.indexes:
         scan = operator
         candidate, candidate_remaining = _try_index_scan(
             scan, shape, remaining, session, outer
@@ -724,7 +693,7 @@ def _apply_conjuncts(
         if candidate is scan:
             pass  # no usable index; nothing to decide
         elif stats is None:
-            # Rule-based behaviour: an index probe always wins.
+            # No statistics to cost with: an index probe always wins.
             operator, remaining = candidate, candidate_remaining
         else:
             # Cost the seqscan-vs-IndexScan crossover.  The probe
@@ -862,21 +831,17 @@ def _plan_table_ref(
 ) -> Tuple[Operator, RowShape]:
     """Plan one FROM item, enforcing any pushed-down WHERE conjuncts."""
     pushed = list(pushed or [])
-    options = _options(session)
     if isinstance(ref, ast.TableName):
         operator, shape = _plan_named_relation(ref, session)
-        operator = _apply_conjuncts(
-            operator, shape, pushed, session, outer, options
-        )
-        return operator, shape
+        return _apply_conjuncts(operator, shape, pushed, session, outer), shape
     if isinstance(ref, ast.SubqueryRef):
         query, remaining = ref.query, pushed
-        if pushed and options.predicate_pushdown:
+        if pushed:
             query, remaining = _push_into_query(query, pushed, ref.alias)
         plan, shape = plan_query(query, session, outer=outer)
         shape = shape.with_alias(ref.alias)
         operator = _apply_conjuncts(
-            plan.root, shape, remaining, session, outer, options
+            plan.root, shape, remaining, session, outer
         )
         return operator, shape
     if isinstance(ref, ast.Join):
@@ -917,14 +882,10 @@ def _plan_named_relation(
         # land in a Filter above the scan (no indexes to exploit).
         return VirtualScan(relation), table_shape(relation, ref.alias)
     scan = SeqScan(relation)
-    if _options(session).cost_based:
-        stats = _table_stats(session, relation)
-        if stats is not None:
-            _annotate(
-                scan,
-                float(stats.row_count),
-                float(stats.row_count) * COST_SEQ_IO,
-            )
+    stats = _table_stats(session, relation)
+    if stats is not None:
+        row_count = float(stats.row_count)
+        _annotate(scan, row_count, row_count * COST_SEQ_IO)
     return scan, table_shape(relation, ref.alias)
 
 
@@ -938,7 +899,6 @@ def _fold_join(
     side_of: Callable[[ast.Expression], Optional[str]],
     session: Any,
     outer: Optional[ExpressionCompiler],
-    options: PlannerOptions,
 ) -> Tuple[Operator, RowShape]:
     """Build the join operator enforcing ``conjuncts``.
 
@@ -952,24 +912,23 @@ def _fold_join(
     compiler = ExpressionCompiler(merged, session, outer)
     left_keys: List[Callable] = []
     right_keys: List[Callable] = []
-    if options.hash_joins:
-        for conjunct in conjuncts:
-            if not isinstance(conjunct, ast.Binary) or conjunct.op != "=":
-                continue
-            for a, b in (
-                (conjunct.left, conjunct.right),
-                (conjunct.right, conjunct.left),
-            ):
-                if side_of(a) == "left" and side_of(b) == "right":
-                    try:
-                        ca = compiler.compile(a)
-                        cb = compiler.compile(b)
-                    except errors.SQLException:
-                        break
-                    if _compatible_families(ca.descriptor, cb.descriptor):
-                        left_keys.append(ca.fn)
-                        right_keys.append(cb.fn)
+    for conjunct in conjuncts:
+        if not isinstance(conjunct, ast.Binary) or conjunct.op != "=":
+            continue
+        for a, b in (
+            (conjunct.left, conjunct.right),
+            (conjunct.right, conjunct.left),
+        ):
+            if side_of(a) == "left" and side_of(b) == "right":
+                try:
+                    ca = compiler.compile(a)
+                    cb = compiler.compile(b)
+                except errors.SQLException:
                     break
+                if _compatible_families(ca.descriptor, cb.descriptor):
+                    left_keys.append(ca.fn)
+                    right_keys.append(cb.fn)
+                break
     predicate = (
         compiler.compile_predicate(_and_all(conjuncts))
         if conjuncts
@@ -977,17 +936,13 @@ def _fold_join(
     )
     left_rows, left_cost = _estimated(left_op)
     right_rows, right_cost = _estimated(right_op)
-    costed = (
-        options.cost_based
-        and left_rows is not None
-        and right_rows is not None
-    )
+    costed = left_rows is not None and right_rows is not None
     if left_keys:
         join_kind = "INNER" if kind == "CROSS" else kind
         build = "right"
         if costed and join_kind == "INNER" and left_rows < right_rows:
             # The smaller input should be materialised into the hash
-            # table; the historical rule always built on the right.
+            # table; without estimates it is always the right.
             build = "left"
         operator: Operator = HashJoin(
             join_kind,
@@ -1081,28 +1036,7 @@ def _plan_join(
     outer: Optional[ExpressionCompiler],
     pushed: Optional[List[ast.Expression]] = None,
 ) -> Tuple[Operator, RowShape]:
-    options = _options(session)
     pushed = list(pushed or [])
-    if not options.predicate_pushdown:
-        left_op, left_shape = _plan_table_ref(ref.left, session, outer)
-        right_op, right_shape = _plan_table_ref(ref.right, session, outer)
-        merged = left_shape.merge(right_shape)
-        predicate = None
-        if ref.condition is not None:
-            compiler = ExpressionCompiler(merged, session, outer)
-            predicate = compiler.compile_predicate(ref.condition)
-        operator: Operator = NestedLoopJoin(
-            ref.kind,
-            left_op,
-            right_op,
-            predicate,
-            len(left_shape),
-            len(right_shape),
-        )
-        return _apply_conjuncts(
-            operator, merged, pushed, session, outer, options
-        ), merged
-
     scopes = [
         _ref_scope(ref.left, session),
         _ref_scope(ref.right, session),
@@ -1176,11 +1110,8 @@ def _plan_join(
         side_of,
         session,
         outer,
-        options,
     )
-    return _apply_conjuncts(
-        operator, merged, above, session, outer, options
-    ), merged
+    return _apply_conjuncts(operator, merged, above, session, outer), merged
 
 
 # ---------------------------------------------------------------------------
@@ -1261,7 +1192,6 @@ def _plan_select(
     session: Any,
     outer: Optional[ExpressionCompiler],
 ) -> Tuple[QueryPlan, RowShape]:
-    options = _options(session)
     where = select.where
     if where is not None and _contains_aggregate(where):
         raise errors.SQLSyntaxError(
@@ -1270,10 +1200,8 @@ def _plan_select(
 
     # 1. FROM (+ WHERE, when pushdown routes its conjuncts itself)
     if select.from_clause:
-        if options.predicate_pushdown and where is not None:
-            operator, shape = _plan_from_pushdown(
-                select, session, outer, options
-            )
+        if where is not None:
+            operator, shape = _plan_from_pushdown(select, session, outer)
             where = None  # fully consumed, residual Filters included
         else:
             operator, shape = _plan_table_ref(
@@ -1547,7 +1475,6 @@ def _plan_from_pushdown(
     select: ast.Select,
     session: Any,
     outer: Optional[ExpressionCompiler],
-    options: PlannerOptions,
 ) -> Tuple[Operator, RowShape]:
     """Plan FROM and WHERE together, routing conjuncts to their sources.
 
@@ -1577,11 +1504,11 @@ def _plan_from_pushdown(
     # every FROM item, fold the relations smallest-intermediate-first
     # instead of in FROM order.  Output columns are restored to FROM
     # order by a permutation Project so results are indistinguishable
-    # from the rule-based plan.
+    # from the FROM-order plan.
     order = list(range(len(from_clause)))
     estimates: Optional[List[Tuple[float, float]]] = None
     join_sources = [set(s) for s, _ in join_conjuncts]
-    if options.cost_based and len(from_clause) >= 3:
+    if len(from_clause) >= 3:
         estimates = _from_item_estimates(
             from_clause, routed, session
         )
@@ -1640,7 +1567,6 @@ def _plan_from_pushdown(
             side_of,
             session,
             outer,
-            options,
         )
         planned = merged_now
 

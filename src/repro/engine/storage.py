@@ -7,10 +7,11 @@ Tables keep their rows as append-only lists of
 the session's MVCC transaction so concurrent snapshots never observe
 uncommitted state.
 
-An INSERT appends a provisional version (``begin`` unstamped until
-commit); DELETE/UPDATE never remove anything — they *claim* the target
-version by writing the transaction id into ``xmax``, and an UPDATE
-additionally appends the replacement as a new version.  Claiming a
+An INSERT appends provisional versions (``begin`` unstamped until
+commit) — all of a statement's rows in one :meth:`RowStore.insert`;
+DELETE/UPDATE never remove anything — they *claim* the target version
+by writing the transaction id into ``xmax``, and an UPDATE additionally
+appends its replacements through the same append.  Claiming a
 version another live transaction already claimed raises
 :class:`repro.engine.mvcc.WriteConflict` (the session layer waits and
 retries); claiming one a *committed* transaction already ended raises
@@ -192,89 +193,56 @@ class RowStore:
         for index in self.table.indexes:
             index.remove(version)
 
-    def insert(self, row: List[Any],
-               faultpoint: str = "storage.insert",
-               precondition: Optional[Callable[[], None]] = None
-               ) -> RowVersion:
-        """Append a provisional version of ``row`` to the heap.
-
-        ``precondition`` runs under the table's mutation lock
-        immediately before the append.  The statement layer passes its
-        unique/PRIMARY KEY check here so check-and-insert is one atomic
-        step: without the shared lock span, two concurrent INSERTs of
-        the same key could each scan the heap before either appends its
-        provisional version, and both would pass.  Whatever the
-        precondition raises (UniqueViolationError, WriteConflict)
-        propagates with the heap untouched.
-        """
-        faultpoints.trigger(faultpoint)
-        version = RowVersion(row, xmin=self.txn.id, begin=None)
-        with self.table.mutation_lock:
-            if precondition is not None:
-                precondition()
-            self.table.versions.append(version)
-            self._index_add(version)
-        self.txn.created.add(version)
-        _ROWS_MUTATED.increment()
-
-        def undo(v=version, store=self) -> None:
-            with store.table.mutation_lock:
-                versions = store.table.versions
-                # Remove by identity, newest-first: the version was
-                # appended, so it is near the tail.
-                for at in range(len(versions) - 1, -1, -1):
-                    if versions[at] is v:
-                        del versions[at]
-                        break
-                store._index_remove(v)
-            store.txn.created.discard(v)
-
-        self.log.record(undo)
-        return version
-
-    def insert_many(
+    def insert(
         self,
         rows: List[List[Any]],
         precondition: Optional[Callable[[], None]] = None,
+        faultpoint: str = "storage.insert",
     ) -> List[RowVersion]:
-        """Append provisional versions of every row in one lock span.
+        """Append a provisional version of every row in ``rows``.
 
-        The batch counterpart of :meth:`insert`: the table's mutation
-        lock is taken once for the whole batch, ``precondition`` (the
-        batch-amortized unique check) runs before *any* append so a
-        violation leaves the heap untouched, and secondary-index
-        maintenance is one deferred pass over the new versions instead
-        of an interleaved per-row update.  A single undo action backs
-        out the entire batch, so statement-level rollback is one
-        closure regardless of batch size.
+        The fault site fires once per row, before anything is appended;
+        then the table's mutation lock is taken once, ``precondition``
+        runs under it, and every version lands in the heap and its
+        indexes.  The statement layer passes its unique/PRIMARY KEY
+        check as the precondition, so check-and-append is one atomic
+        step: without the shared lock span, two concurrent INSERTs of
+        the same key could each scan the heap before either appends,
+        and both would pass.  Whatever the precondition raises
+        (UniqueViolationError, WriteConflict) propagates with the heap
+        untouched.  One undo action backs out the whole append; an
+        empty ``rows`` does nothing at all.
         """
-        faultpoints.trigger("storage.insert")
+        if not rows:
+            return []
+        for _row in rows:
+            faultpoints.trigger(faultpoint)
         txn = self.txn
-        versions = [
-            RowVersion(row, xmin=txn.id, begin=None) for row in rows
-        ]
+        versions = [RowVersion(row, xmin=txn.id, begin=None) for row in rows]
         with self.table.mutation_lock:
             if precondition is not None:
                 precondition()
             self.table.versions.extend(versions)
             for version in versions:
                 self._index_add(version)
-        created = txn.created
-        for version in versions:
-            created.add(version)
+        txn.created.update(versions)
         _ROWS_MUTATED.increment(len(versions))
 
         def undo(batch=versions, store=self) -> None:
             with store.table.mutation_lock:
+                heap = store.table.versions
                 doomed = {id(v) for v in batch}
-                store.table.versions[:] = [
-                    v for v in store.table.versions
-                    if id(v) not in doomed
-                ]
+                # Remove by identity, newest-first: the batch was
+                # appended, so it sits near the tail.
+                at = len(heap) - 1
+                while doomed and at >= 0:
+                    if id(heap[at]) in doomed:
+                        doomed.discard(id(heap[at]))
+                        del heap[at]
+                    at -= 1
                 for v in batch:
                     store._index_remove(v)
-            for v in batch:
-                store.txn.created.discard(v)
+            store.txn.created.difference_update(batch)
 
         self.log.record(undo)
         return versions
@@ -337,16 +305,16 @@ class RowStore:
         _ROWS_MUTATED.increment(len(versions))
         return len(versions)
 
-    def replace(self, new_row: List[Any],
-                precondition: Optional[Callable[[], None]] = None
-                ) -> RowVersion:
-        """Insert the replacement version of an UPDATE.
+    def replace(
+        self,
+        rows: List[List[Any]],
+        precondition: Optional[Callable[[], None]] = None,
+    ) -> List[RowVersion]:
+        """Append the replacement versions of an UPDATE.
 
-        The old version must already be claimed (see :meth:`claim`);
-        the statement layer claims every target first so unique checks
-        can recognise rows being replaced.  ``precondition`` is the
-        atomic check-before-append hook, as in :meth:`insert`.
+        The old versions must already be claimed (see :meth:`claim`);
+        the statement layer claims every target first so the unique
+        check can recognise rows being replaced.  Otherwise exactly
+        :meth:`insert`, under the ``storage.update`` fault site.
         """
-        return self.insert(
-            new_row, faultpoint="storage.update", precondition=precondition
-        )
+        return self.insert(rows, precondition, faultpoint="storage.update")

@@ -17,9 +17,13 @@ Well-known sites:
 site                        fired
 ==========================  ===============================================
 ``executor.run``            before a compiled query plan materialises rows
-``storage.insert``          before a row is appended to a table heap
-``storage.delete``          before rows are deleted from a table heap
-``storage.update``          before a row is replaced in a table heap
+``storage.insert``          once per row an INSERT appends, all before
+                            the statement's one heap append (so a fault
+                            leaves the heap untouched)
+``storage.delete``          once per DELETE that matched rows, before
+                            they are claimed
+``storage.update``          once per replacement row an UPDATE appends,
+                            all before its one heap append
 ``storage.vacuum``          once per table in a vacuum pass, before
                             that table's dead versions are reclaimed
 ``mvcc.commit``             between commit-stamp allocation and the WAL

@@ -3,8 +3,8 @@
 One parse, one plan, one WAL record, one round trip per batch:
 
 * engine — ``Session.execute_batch`` runs every parameter row in one
-  transaction through the bulk-insert path (all row versions under one
-  ``mutation_lock`` acquisition, unique checks amortised per batch);
+  transaction through the one INSERT body (all row versions under one
+  ``mutation_lock`` acquisition, one unique-check pass per column);
 * durability — a batch costs exactly one logical WAL record plus the
   commit marker and one fsync barrier, and recovers all-or-nothing;
 * dbapi — ``Cursor.executemany`` and the JDBC batch forms

@@ -369,6 +369,82 @@ class TestConstraints:
             keyed.execute("insert into users select * from staging")
 
 
+class TestNaN:
+    """NaN equals NaN and sorts above every number (PostgreSQL's rule) —
+    on every path, instead of escaping as ``decimal.InvalidOperation``
+    (XX000) on some and committing duplicate keys on others."""
+
+    NAN = float("nan")
+
+    @pytest.fixture
+    def floats(self, session):
+        session.execute("create table f (x double primary key, tag int)")
+        session.execute_batch(
+            "insert into f values (?, ?)", [[2.0, 1], [self.NAN, 2]]
+        )
+        return session
+
+    def _is_nan(self, value):
+        return isinstance(value, float) and value != value
+
+    @pytest.mark.parametrize("spelling", ["execute", "values", "batch"])
+    def test_second_nan_key_is_a_duplicate(self, floats, spelling):
+        with pytest.raises(errors.UniqueViolationError):
+            if spelling == "execute":
+                floats.execute("insert into f values (?, 3)", [self.NAN])
+            elif spelling == "values":
+                floats.execute(
+                    "insert into f values (?, 3), (?, 4)", [5.0, self.NAN]
+                )
+            else:
+                floats.execute_batch(
+                    "insert into f values (?, ?)", [[5.0, 3], [self.NAN, 4]]
+                )
+        floats.execute("insert into f values (1.0, 5)")  # NaN vs 1.0: free
+        assert floats.execute("select count(*) from f").rows == [[3]]
+
+    def test_order_by_puts_nan_above_numbers(self, floats):
+        floats.execute("insert into f values (1e300, 3), (-1.0, 4)")
+        rows = floats.execute("select x from f order by x").rows
+        assert [r[0] for r in rows[:3]] == [-1.0, 2.0, 1e300]
+        assert self._is_nan(rows[3][0])
+        desc = floats.execute("select tag from f order by x desc").rows
+        assert desc[0] == [2]
+
+    def test_where_compares_nan(self, floats):
+        assert floats.execute("select tag from f where x = 2.0").rows \
+            == [[1]]
+        assert floats.execute(
+            "select tag from f where x = ?", [self.NAN]
+        ).rows == [[2]]
+        assert floats.execute("select tag from f where x > 1e308").rows \
+            == [[2]]
+
+    def test_distinct_and_group_by_fold_nans(self, session):
+        session.execute("create table g (x double)")
+        session.execute_batch(
+            "insert into g values (?)",
+            [[self.NAN], [float("nan")], [1.0], [self.NAN]],
+        )
+        rows = session.execute("select distinct x from g").rows
+        assert len(rows) == 2
+        counts = sorted(
+            r[0] for r in session.execute(
+                "select count(*) from g group by x"
+            ).rows
+        )
+        assert counts == [1, 3]
+
+    def test_create_index_over_nan(self, floats):
+        floats.execute("create index f_x on f (x)")
+        point = "select tag from f where x = ?"
+        assert floats.explain(point, [self.NAN]).find("IndexScan") is not None
+        assert floats.execute(point, [self.NAN]).rows == [[2]]
+        assert sorted(
+            floats.execute("select tag from f where x >= 2.0").rows
+        ) == [[1], [2]]
+
+
 class TestAlterTable:
     def test_add_column_backfills_null(self, emps):
         emps.execute("alter table emps add column bonus decimal(6,2)")

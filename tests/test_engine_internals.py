@@ -17,6 +17,7 @@ from repro.engine.mvcc import TransactionManager, WriteConflict
 from repro.engine.privileges import PrivilegeManager
 from repro.engine.storage import RowStore, TransactionLog
 from repro.sqltypes import IntegerType, VarCharType
+from repro.testing import FaultPlan
 
 
 def make_table(name="t"):
@@ -104,9 +105,9 @@ class TestStorageAndTransactions:
         table = make_table()
         session = _StoreSession()
         store = RowStore(table, session)
-        store.insert([1, "x"])
-        store.insert([2, "y"])
-        assert len(table.versions) == 2
+        store.insert([[1, "x"]])
+        store.insert([[2, "y"], [3, "z"]])
+        assert len(table.versions) == 3
         # Uncommitted inserts are invisible to the committed-rows view
         # but visible to their own transaction.
         assert table.rows == []
@@ -115,6 +116,41 @@ class TestStorageAndTransactions:
         assert table.versions == []
         assert session.mvcc_txn.created == set()
 
+    def test_one_append_faults_per_row_before_touching_the_heap(self):
+        table = make_table()
+        session = _StoreSession()
+        store = RowStore(table, session)
+        checked = []
+        plan = FaultPlan(seed=1).inject(
+            "storage.insert", error=errors.OperatorExecutionError,
+            after=2, times=1,
+        )
+        with plan.armed():
+            with pytest.raises(errors.OperatorExecutionError):
+                store.insert(
+                    [[1, "a"], [2, "b"], [3, "c"]],
+                    precondition=lambda: checked.append(True),
+                )
+        # the third row's fault fired before the lock and the check
+        assert plan.fired["storage.insert"] == 1
+        assert checked == [] and table.versions == []
+        assert not session.transaction_log.active
+
+    def test_failed_precondition_leaves_heap_untouched(self):
+        table = make_table()
+        session = _StoreSession()
+
+        def reject():
+            raise errors.UniqueViolationError("duplicate")
+
+        with pytest.raises(errors.UniqueViolationError):
+            RowStore(table, session).insert(
+                [[1, "a"], [2, "b"]], precondition=reject
+            )
+        assert table.versions == [] and session.mvcc_txn.created == set()
+        assert RowStore(table, session).insert([]) == []
+        assert not session.transaction_log.active
+
     def test_commit_stamps_versions(self):
         table = make_table()
         table.rows = [[1, "a"]]
@@ -122,7 +158,7 @@ class TestStorageAndTransactions:
         store = RowStore(table, session)
         old = table.versions[0]
         store.claim(old)
-        new = store.replace([9, "z"])
+        [new] = store.replace([[9, "z"]])
         stamp = session.manager.commit(session.mvcc_txn)
         assert old.end == stamp
         assert new.begin == stamp
@@ -147,7 +183,7 @@ class TestStorageAndTransactions:
     def test_commit_clears_log(self):
         table = make_table()
         session = _StoreSession()
-        RowStore(table, session).insert([1, "a"])
+        RowStore(table, session).insert([[1, "a"], [2, "b"]])
         log = session.transaction_log
         assert log.active
         assert log.commit() == 1
@@ -161,8 +197,8 @@ class TestStorageAndTransactions:
         store = RowStore(table, session)
         seeded = list(table.versions)
         store.claim(seeded[0])
-        store.replace([10, "a"])
-        store.insert([3, "c"])
+        store.replace([[10, "a"]])
+        store.insert([[3, "c"]])
         store.delete([seeded[1]])
         session.transaction_log.rollback()
         assert table.rows == [[1, "a"], [2, "b"]]

@@ -9,13 +9,13 @@ the typed ``PlanNode`` tree returned by ``Session.explain`` /
 ``EXPLAIN (FORMAT JSON)`` wire format, the ``repro_stats.statistics``
 view, and durability of statistics across checkpoint restore and WAL
 crash recovery.  A differential battery asserts the cost-based planner
-returns row-identical results to the rule-based one on a generated
-workload corpus.
+returns row-identical results to an identically seeded database that is
+never ANALYZEd (the plans the planner makes without statistics) on a
+generated workload corpus.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -36,7 +36,7 @@ def session():
     return Database(name="costdb").create_session(autocommit=True)
 
 
-def _seed(session, *, rows=1000, groups=10):
+def _seed(session, *, rows=1000, groups=10, analyze=True):
     session.execute(
         "create table emps (id int, dept int, sal int)"
     )
@@ -45,10 +45,11 @@ def _seed(session, *, rows=1000, groups=10):
         "insert into emps values (?, ?, ?)",
         [(i, i % groups, i * 3) for i in range(rows)],
     )
-    session.execute("analyze emps")
+    if analyze:
+        session.execute("analyze emps")
 
 
-def _star(session, *, dim1=600, dim2=500, fact=4000):
+def _star(session, *, dim1=600, dim2=500, fact=4000, analyze=True):
     session.execute("create table dim1 (id int, name varchar(16))")
     session.execute("create table dim2 (id int, name varchar(16))")
     session.execute("create table fact (id int, d1 int, d2 int)")
@@ -64,7 +65,8 @@ def _star(session, *, dim1=600, dim2=500, fact=4000):
         "insert into fact values (?, ?, ?)",
         [(i, i % dim1, i % dim2) for i in range(fact)],
     )
-    session.execute("analyze")
+    if analyze:
+        session.execute("analyze")
 
 
 STAR_SQL = (
@@ -74,12 +76,12 @@ STAR_SQL = (
 )
 
 
-def _rule_based(session):
-    database = session.database
-    database.planner_options = dataclasses.replace(
-        database.planner_options, cost_based=False
-    )
-    database.plan_cache.clear()
+def _without_stats(build, **sizes):
+    """A twin seeded by ``build`` but never ANALYZEd: no statistics, so
+    its planner takes any index, builds on the right, keeps FROM order."""
+    twin = Database(name="nostats").create_session(autocommit=True)
+    build(twin, analyze=False, **sizes)
+    return twin
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +181,8 @@ class TestScanChoice:
         assert alt.estimated_cost > 1000.0
 
     def test_without_stats_rule_based_choice(self, session):
-        # No ANALYZE: the planner falls back to the rule-based
-        # always-take-the-index behavior and annotates nothing.
+        # No ANALYZE: nothing to cost with, so the planner takes the
+        # index and annotates nothing.
         session.execute("create table t (a int)")
         session.execute("create index t_a on t (a)")
         session.execute("insert into t values (1)")
@@ -193,9 +195,10 @@ class TestScanChoice:
         _seed(session, groups=2)
         sql = "select id from emps where dept = 1"
         cost = sorted(tuple(r) for r in session.execute(sql).rows)
-        _rule_based(session)
-        rule = sorted(tuple(r) for r in session.execute(sql).rows)
-        assert cost == rule and len(cost) == 500
+        twin = _without_stats(_seed, groups=2)
+        assert twin.explain(sql).find("IndexScan") is not None
+        plain = sorted(tuple(r) for r in twin.execute(sql).rows)
+        assert cost == plain and len(cost) == 500
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +225,11 @@ class TestJoinChoice:
             "join fact on dim1.id = fact.d1"
         )
         cost = sorted(tuple(r) for r in session.execute(sql).rows)
-        _rule_based(session)
-        rule = sorted(tuple(r) for r in session.execute(sql).rows)
-        assert cost == rule and len(cost) == 500
+        twin = _without_stats(_star, dim1=50, dim2=40, fact=500)
+        assert "build=left" not in twin.explain(sql).find(
+            "HashJoin").description
+        plain = sorted(tuple(r) for r in twin.execute(sql).rows)
+        assert cost == plain and len(cost) == 500
 
     def test_star_join_reordered_with_rejected_from_order(self, session):
         # FROM order (dim1, dim2, fact) folds dim1 x dim2 as a
@@ -264,9 +269,13 @@ class TestJoinChoice:
     def test_reordered_join_results_identical(self, session):
         _star(session, dim1=60, dim2=50, fact=3000)
         cost = sorted(tuple(r) for r in session.execute(STAR_SQL).rows)
-        _rule_based(session)
-        rule = sorted(tuple(r) for r in session.execute(STAR_SQL).rows)
-        assert cost == rule and len(cost) == 3000
+        twin = _without_stats(_star, dim1=60, dim2=50, fact=3000)
+        assert any(
+            "CROSS" in node.description
+            for node in twin.explain(STAR_SQL).walk()
+        )
+        plain = sorted(tuple(r) for r in twin.execute(STAR_SQL).rows)
+        assert cost == plain and len(cost) == 3000
 
     def test_reorder_preserves_column_order_and_names(self, session):
         _star(session, dim1=60, dim2=50, fact=300)
@@ -539,20 +548,21 @@ class TestStatisticsSurface:
 
 
 # ---------------------------------------------------------------------------
-# differential: cost-based vs rule-based on a generated corpus
+# differential: with vs without statistics on a generated corpus
 # ---------------------------------------------------------------------------
 
 
 class TestDifferential:
     @pytest.mark.parametrize("seed", (11, 23))
     def test_cost_based_matches_rule_based(self, seed):
+        """The ``rule`` arm is never ANALYZEd, so it plans without
+        statistics throughout."""
         gen = WorkloadGenerator(seed=seed)
         statements = (
             [gen.ddl()] + gen.seed_statements(40) + gen.statements(50)
         )
         cost = Database(name=f"c{seed}").create_session(autocommit=True)
         rule = Database(name=f"r{seed}").create_session(autocommit=True)
-        _rule_based(rule)
         analyze_every = 10
         for index, statement in enumerate(statements):
             outcomes = []

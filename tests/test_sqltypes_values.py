@@ -21,7 +21,7 @@ from repro.sqltypes import (
     compare_values,
     is_null,
 )
-from repro.sqltypes.values import sort_key
+from repro.sqltypes.values import key_image, sort_key
 
 D = decimal.Decimal
 
@@ -89,6 +89,57 @@ class TestSortKey:
 
     def test_char_padding_in_sort(self):
         assert sort_key("CA  ") == sort_key("CA")
+
+
+class TestNaN:
+    """NaN equals NaN and sorts above every number (PostgreSQL's rule)."""
+
+    NAN = float("nan")
+
+    def test_nan_equals_nan(self):
+        assert compare_values(self.NAN, float("nan")) == 0
+
+    def test_nan_above_every_number(self):
+        assert compare_values(self.NAN, 1.0) == 1
+        assert compare_values(1e308, self.NAN) == -1
+        assert compare_values(D("-5"), self.NAN) == -1
+        assert compare_values(self.NAN, float("inf")) == 1
+
+    def test_nan_against_text_is_a_cast_error(self):
+        with pytest.raises(errors.InvalidCastError):
+            compare_values(self.NAN, "x")
+
+    def test_nan_sorts_last_before_nulls(self):
+        values = [self.NAN, None, 2.0, float("-inf"), 1]
+        ordered = sorted(values, key=sort_key)
+        assert ordered[:3] == [float("-inf"), 1, 2.0]
+        assert ordered[3] != ordered[3] and ordered[4] is None
+        assert sort_key(self.NAN) == sort_key(float("nan"))
+        assert hash(sort_key(self.NAN)) == hash(sort_key(float("nan")))
+
+
+class TestKeyImage:
+    def test_pad_space_and_numbers(self):
+        assert key_image("CA  ") == key_image("CA") == "CA"
+        assert key_image(" CA") != key_image("CA")
+        assert {key_image(1), key_image(1.0), key_image(D("1"))} == {1}
+        assert key_image(None) is None
+
+    def test_every_nan_is_one_key(self):
+        keys = {key_image(float("nan")), key_image(float("nan"))}
+        assert len(keys) == 1
+
+    def test_agrees_with_compare_values_within_a_type(self):
+        values = ["a", "a ", "b", "", " ", 0.0, -0.0, 2.5, float("nan"),
+                  D("1.10"), D("1.1"), True, False]
+        for left in values:
+            for right in values:
+                if type(left) is not type(right):
+                    continue
+                # compared as container keys are (identity first)
+                same_key = (key_image(left),) == (key_image(right),)
+                assert same_key == (compare_values(left, right) == 0), \
+                    (left, right)
 
 
 class TestCommonSupertype:
