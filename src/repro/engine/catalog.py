@@ -92,6 +92,10 @@ class Table:
 
         with self.mutation_lock:
             self.versions = [RowVersion(row) for row in value]
+            # Indexes mirror the heap; IndexScans and the unique check
+            # read them in its place.
+            for index in self.indexes:
+                index.rebuild()
 
     def add_column(self, column: Column, fill_value: Any = None) -> None:
         """Append a column, extending every stored row with ``fill``."""

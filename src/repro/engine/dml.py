@@ -24,10 +24,17 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple
 from repro import errors
 from repro.engine import ast
 from repro.engine.catalog import Column, Table
+from repro.engine.executor import RuntimeContext
 from repro.engine.expressions import Env, ExpressionCompiler, RowShape
 from repro.engine.functions import lookup_builtin
 from repro.engine.mvcc import MvccTransaction, RowVersion, WriteConflict
-from repro.engine.planner import plan_query, table_shape
+from repro.engine.planner import (
+    COST_RANDOM_IO,
+    COST_SEQ_IO,
+    plan_query,
+    plan_target,
+    table_shape,
+)
 from repro.engine.storage import RowStore, store_value
 from repro.engine.virtual import VirtualTable
 from repro.sqltypes import ObjectType, compare_values
@@ -85,16 +92,31 @@ def _check_unique(
       and re-runs the statement;
     * committed live → :class:`~repro.errors.UniqueViolationError`.
 
-    Cost is one heap pass per unique column: live keys (their
-    :func:`~repro.sqltypes.values.key_image`) fold into a dict and each
-    new row is a hash probe; only values that cannot be hashed are
-    probed linearly with ``compare_values``.
+    Cost is one pass per unique column over the candidate versions: the
+    whole heap, or — when a single-column index covers the key and
+    probing it once per new row (random I/O) costs no more than that
+    pass, by the planner's cost constants — what the probes return.
+    Live keys (their :func:`~repro.sqltypes.values.key_image`) fold into
+    a dict and each new row is a hash probe; only values that cannot be
+    hashed (Part 2 objects, never indexed) are probed linearly with
+    ``compare_values``.  Indexes mirror every heap version under the
+    same lock, and their ``sort_key`` equates what ``key_image`` does
+    within one column.
     """
-    # Under the mutation lock, so the heap cannot change meanwhile.
-    heap = table.versions
     for position, column in enumerate(table.columns):
         if not column.unique:
             continue
+        # Under the mutation lock, so heap and indexes cannot change.
+        heap = table.versions
+        index = next((i for i in table.indexes
+                      if i.column_names == [column.name]), None)
+        if index is not None and COST_RANDOM_IO * len(rows) \
+                <= COST_SEQ_IO * len(heap):
+            # Only versions holding one of the new keys can collide.
+            heap = [
+                version for row in rows if row[position] is not None
+                for version in index.lookup((row[position],))
+            ]
         # key image -> live version (None: a row of this statement);
         # unhashable images go to ``loose`` as (image, owner) pairs.
         known: dict = {}
@@ -308,24 +330,23 @@ def _check_udt_usage(session: Any, column: Column) -> None:
             session.check_usage_privilege(udt)
 
 
-def _matching_versions(
+def _targets(
     table: Table,
     where: Optional[ast.Expression],
     session: Any,
     params: Sequence[Any],
 ) -> List[RowVersion]:
-    """Heap versions visible to the session's snapshot matching WHERE."""
-    txn = session.mvcc_txn
-    visible = [v for v in list(table.versions) if txn.sees(v)]
-    if where is None:
-        return visible
-    shape = table_shape(table)
-    compiler = ExpressionCompiler(shape, session)
-    predicate = compiler.compile_predicate(where)
+    """The visible versions WHERE selects, read through the planner's
+    access path and materialised before anything is claimed — so an
+    UPDATE moving a row's key (``set k = k + 10 where k >= ?``) never
+    meets its own replacements."""
+    access, residual = plan_target(table, where, session)
+    versions = access.versions(RuntimeContext(session, params))
+    if residual is None:
+        return versions
     return [
-        version
-        for version in visible
-        if predicate(Env(version.row, params, None, session))
+        version for version in versions
+        if residual(Env(version.row, params, None, session))
     ]
 
 
@@ -335,7 +356,7 @@ def execute_delete(
     table = session.catalog.get_table(stmt.table)
     session.check_table_privilege("DELETE", stmt.table)
     _reject_virtual(table)
-    versions = _matching_versions(table, stmt.where, session, params)
+    versions = _targets(table, stmt.where, session, params)
     if versions:
         RowStore(table, session).delete(versions)
     return len(versions)
@@ -353,13 +374,15 @@ def execute_update(
     # Compile and validate assignments up front, independent of row
     # matches: target columns must exist and value types must be
     # assignable (strong typing at plan time, not first-match time).
-    compiled: List[Tuple[ast.Assignment, Any]] = []
+    compiled: List[Tuple[Any, int, Any]] = []
     for assignment in stmt.assignments:
         value = compiler.compile(assignment.value)
         target = assignment.target
+        position = table.column_position(
+            target if isinstance(target, str) else target.column
+        )
+        column = table.columns[position]
         if isinstance(target, str):
-            position = table.column_position(target)
-            column = table.columns[position]
             if isinstance(assignment.value, ast.Literal):
                 column.descriptor.coerce(assignment.value.value)
             elif value.descriptor is not None and not \
@@ -369,17 +392,14 @@ def execute_update(
                     f"into column {column.name!r} "
                     f"({column.descriptor.sql_spelling()})"
                 )
-        else:
-            position = table.column_position(target.column)
-            descriptor = table.columns[position].descriptor
-            if not isinstance(descriptor, ObjectType):
-                raise errors.SQLSyntaxError(
-                    f"column {target.column!r} is not of an object type; "
-                    ">> assignment is not applicable"
-                )
-        compiled.append((assignment, value.fn))
+        elif not isinstance(column.descriptor, ObjectType):
+            raise errors.SQLSyntaxError(
+                f"column {target.column!r} is not of an object type; "
+                ">> assignment is not applicable"
+            )
+        compiled.append((target, position, value.fn))
 
-    targets = _matching_versions(table, stmt.where, session, params)
+    targets = _targets(table, stmt.where, session, params)
     store = RowStore(table, session)
 
     # Claim every target first (first-updater-wins conflict detection),
@@ -393,9 +413,11 @@ def execute_update(
         old_row = version.row
         env = Env(old_row, params, None, session)
         new_row = list(old_row)
-        for assignment, value_fn in compiled:
-            value = value_fn(env)
-            _apply_assignment(table, new_row, assignment, value, session)
+        for target, position, value_fn in compiled:
+            _apply_assignment(
+                table.columns[position], new_row, position, target,
+                value_fn(env), session,
+            )
         for column, cell in zip(table.columns, new_row):
             _check_not_null(column, cell, table)
         new_rows.append(new_row)
@@ -410,16 +432,16 @@ def execute_update(
 
 
 def _apply_assignment(
-    table: Table,
+    column: Column,
     row: List[Any],
-    assignment: ast.Assignment,
+    position: int,
+    target: Any,
     value: Any,
     session: Any,
 ) -> None:
-    target = assignment.target
+    """Store ``value`` into ``row[position]``, or into one attribute of
+    its object when ``target`` is a (validated) attribute path."""
     if isinstance(target, str):
-        position = table.column_position(target)
-        column = table.columns[position]
         _check_udt_usage(session, column)
         row[position] = store_value(
             column.descriptor.coerce(value), column.descriptor
@@ -427,14 +449,6 @@ def _apply_assignment(
         return
 
     # Part 2 attribute path: copy object, set the mapped field, store back.
-    position = table.column_position(target.column)
-    column = table.columns[position]
-    descriptor = column.descriptor
-    if not isinstance(descriptor, ObjectType):
-        raise errors.SQLSyntaxError(
-            f"column {target.column!r} is not of an object type; "
-            ">> assignment is not applicable"
-        )
     current = row[position]
     if current is None:
         raise errors.NullValueError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import time
+from operator import attrgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, \
     Sequence, Tuple
 
@@ -86,27 +87,46 @@ class SingleRow(Operator):
         yield []
 
 
+def _visible(txn: Any, candidates: Sequence[Any]) -> List[Any]:
+    """The ``candidates`` versions ``txn``'s snapshot sees, charged to
+    the statement as rows scanned.
+
+    Callers take the snapshot (``session.mvcc_txn`` begins the
+    transaction on first use) *before* collecting candidates: a commit
+    landing between the two would otherwise end versions the snapshot
+    must not see while its replacements are missing from the copy.
+    """
+    visible = [version for version in candidates if txn.sees(version)]
+    _ROWS_SCANNED.increment(len(visible))
+    _stats.note_scan(len(visible))
+    return visible
+
+
+_ROW = attrgetter("row")
+
+
 class SeqScan(Operator):
-    """Full scan over a base table's heap."""
+    """Full scan over a base table's heap.
+
+    :meth:`versions` is the scan itself — the visible
+    :class:`~repro.engine.mvcc.RowVersion` objects, which an UPDATE or
+    DELETE claims — and :meth:`rows` their value lists.
+    """
 
     def __init__(self, table: Table) -> None:
         self.table = table
 
-    def rows(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
+    def versions(self, ctx: RuntimeContext) -> List[Any]:
         # Iterate over a list() copy so DML statements reading their own
         # target table (e.g. INSERT INTO t SELECT ... FROM t) terminate,
         # and so concurrent appends by other transactions cannot disturb
         # the iteration (the heap is append-only; claimed/dead versions
         # are filtered by the snapshot, never removed mid-scan).
         txn = ctx.session.mvcc_txn
-        visible = [
-            version.row
-            for version in list(self.table.versions)
-            if txn.sees(version)
-        ]
-        _ROWS_SCANNED.increment(len(visible))
-        _stats.note_scan(len(visible))
-        return iter(visible)
+        return _visible(txn, list(self.table.versions))
+
+    def rows(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
+        return map(_ROW, self.versions(ctx))
 
 
 class IndexScan(Operator):
@@ -141,37 +161,38 @@ class IndexScan(Operator):
         #: SQL rendering of the probe predicate, for EXPLAIN output.
         self.description = description
 
-    def rows(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
+    def versions(self, ctx: RuntimeContext) -> List[Any]:
+        """The probed versions the reading snapshot sees (see SeqScan)."""
         _INDEX_LOOKUPS.increment()
+        txn = ctx.session.mvcc_txn
         env = ctx.env([])
         if self.equal is not None:
             values = tuple(fn(env) for fn in self.equal)
-            candidates = list(self.index.lookup(values))
+            probe = functools.partial(self.index.lookup, values)
         else:
             lower = upper = None
             if self.lower is not None:
                 lower = self.lower(env)
                 if lower is None:
-                    return iter(())
+                    return []
             if self.upper is not None:
                 upper = self.upper(env)
                 if upper is None:
-                    return iter(())
-            candidates = list(
-                self.index.range(
-                    lower, upper,
-                    self.lower_inclusive, self.upper_inclusive,
-                )
+                    return []
+            probe = functools.partial(
+                self.index.range, lower, upper,
+                self.lower_inclusive, self.upper_inclusive,
             )
+        # Writers change the index under the mutation lock (a rolled
+        # back insert empties a bucket), so the probe holds it too.
+        with self.table.mutation_lock:
+            candidates = list(probe())
         # Index buckets hold every version regardless of visibility;
         # apply the reading snapshot exactly as SeqScan does.
-        txn = ctx.session.mvcc_txn
-        matches = [
-            version.row for version in candidates if txn.sees(version)
-        ]
-        _ROWS_SCANNED.increment(len(matches))
-        _stats.note_scan(len(matches))
-        return iter(matches)
+        return _visible(txn, candidates)
+
+    def rows(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
+        return map(_ROW, self.versions(ctx))
 
 
 class Filter(Operator):

@@ -14,7 +14,9 @@ Three rewrites build the fast path:
   side of an outer join may be filtered early);
 * **index selection** — a pushed-down sargable conjunct (``col = v``,
   ``col < v``, ``col BETWEEN a AND b`` …) over an indexed column turns
-  its SeqScan into an :class:`IndexScan` point/range probe;
+  its SeqScan into an :class:`IndexScan` point/range probe — the one
+  access-path choice, which UPDATE/DELETE targets share
+  (:func:`plan_target`);
 * **hash joins** — equality join conjuncts whose two sides come from
   the two join inputs (from ON or from pushed WHERE conjuncts) become
   :class:`HashJoin` keys; non-equi joins and type-incompatible keys
@@ -57,6 +59,7 @@ from repro.engine.executor import (
 from repro.engine.expressions import (
     ColumnInfo,
     Compiled,
+    Env,
     ExpressionCompiler,
     RowShape,
 )
@@ -72,6 +75,7 @@ from repro.sqltypes import typecodes
 
 __all__ = [
     "plan_query",
+    "plan_target",
     "table_shape",
     "COST_SEQ_IO",
     "COST_RANDOM_IO",
@@ -93,31 +97,26 @@ _GUESS_SELECTIVITY = 1.0 / 3.0
 _HASH_BUILD_FACTOR = 2.0
 
 
-def _predicate_summary(expression: ast.Expression) -> Optional[str]:
-    """Short SQL rendering of a predicate for EXPLAIN's Filter lines."""
-    from repro.engine.render import render_expression
-
-    try:
-        text = render_expression(expression)
-    except errors.SQLException:
-        return None
-    if len(text) > 60:
-        text = text[:57] + "..."
-    return text
-
-
 def _conjuncts_summary(
     conjuncts: Sequence[ast.Expression],
 ) -> Optional[str]:
-    """EXPLAIN text for exactly the conjuncts an operator enforces.
+    """EXPLAIN text for exactly the conjuncts an operator enforces, each
+    rendered as SQL cut to 60 characters (None: nothing renders).
 
     Built per-operator so a pushed-down predicate is summarised on the
     operator it actually landed on, not on the WHERE clause's original
     position.
     """
-    parts = [_predicate_summary(c) for c in conjuncts]
-    kept = [p for p in parts if p]
-    return " AND ".join(kept) if kept else None
+    from repro.engine.render import render_expression
+
+    parts = []
+    for conjunct in conjuncts:
+        try:
+            text = render_expression(conjunct)
+        except errors.SQLException:
+            continue
+        parts.append(text if len(text) <= 60 else text[:57] + "...")
+    return " AND ".join(parts) or None
 
 
 def table_shape(table: Table, alias: Optional[str] = None) -> RowShape:
@@ -318,6 +317,14 @@ def _attribute_column(
     return matches[0]
 
 
+def _reads_only(
+    expr: ast.Expression, scopes: Sequence[_Scope], items: Set[int]
+) -> bool:
+    """True when ``expr`` reads some of the FROM ``items`` and no other."""
+    sources, routable = _conjunct_sources(expr, scopes)
+    return routable and bool(sources) and sources <= items
+
+
 def _conjunct_sources(
     conjunct: ast.Expression, scopes: Sequence[_Scope]
 ) -> Tuple[Set[int], bool]:
@@ -467,11 +474,7 @@ def _probe_type_ok(
 
 def _table_stats(session: Any, table: Table) -> Any:
     """``TableStatistics`` for ``table`` or None if never ANALYZEd."""
-    catalog = getattr(session, "catalog", None)
-    getter = getattr(catalog, "get_statistics", None)
-    if getter is None:
-        return None
-    return getter(table.name)
+    return session.catalog.get_statistics(table.name)
 
 
 def _annotate(
@@ -664,6 +667,76 @@ def _try_index_scan(
     return scan, conjuncts
 
 
+def _access_path(
+    scan: SeqScan,
+    shape: RowShape,
+    conjuncts: List[ast.Expression],
+    session: Any,
+    outer: Optional[ExpressionCompiler],
+) -> Tuple[Operator, List[ast.Expression]]:
+    """The one access-path choice, for a SELECT's base-table scans and
+    UPDATE/DELETE targets alike: ``scan`` itself or an IndexScan probe,
+    and the conjuncts the chosen path leaves unenforced."""
+    table = scan.table
+    if not table.indexes:
+        return scan, conjuncts
+    candidate, remaining = _try_index_scan(
+        scan, shape, conjuncts, session, outer
+    )
+    stats = _table_stats(session, table)
+    if candidate is scan or stats is None:
+        # No usable index, or no statistics to cost with: an index
+        # probe always wins.
+        return candidate, remaining
+    # Cost the seqscan-vs-IndexScan crossover.  The probe touches
+    # est_match rows at random-I/O cost; the seqscan touches every row
+    # at sequential cost.
+    consumed = [c for c in conjuncts if not any(c is r for r in remaining)]
+    row_count = float(stats.row_count)
+    est_match = row_count * _conjuncts_selectivity(
+        stats, table, shape, consumed
+    )
+    seq_cost = row_count * COST_SEQ_IO
+    index_cost = COST_RANDOM_IO * est_match + 1.0
+    if index_cost <= seq_cost:
+        _annotate(candidate, est_match, index_cost)
+        _rejected_alternative(
+            candidate, f"SeqScan on {table.name}", seq_cost, row_count
+        )
+        return candidate, remaining
+    _annotate(scan, row_count, seq_cost)
+    _rejected_alternative(
+        scan,
+        f"IndexScan using {candidate.index.name} on {table.name}",
+        index_cost,
+        est_match,
+    )
+    return scan, conjuncts
+
+
+def plan_target(
+    table: Table, where: Optional[ast.Expression], session: Any
+) -> Tuple[Operator, Optional[Callable[[Env], Any]]]:
+    """Access path for an UPDATE/DELETE target.
+
+    Plans ``table`` under WHERE exactly as a SELECT's FROM item
+    (:func:`_apply_conjuncts`) and returns the SeqScan or IndexScan it
+    reads through plus the compiled predicate of whatever that path
+    leaves unenforced (None: nothing).  No SELECT privilege is checked —
+    the statement's own privilege covers reading the rows it changes.
+    """
+    access = _apply_conjuncts(
+        _seq_scan(table, session),
+        table_shape(table),
+        _split_conjuncts(where) if where is not None else [],
+        session,
+        None,
+    )
+    if isinstance(access, Filter):
+        return access.child, access.predicate
+    return access, None
+
+
 def _apply_conjuncts(
     operator: Operator,
     shape: RowShape,
@@ -673,7 +746,7 @@ def _apply_conjuncts(
 ) -> Operator:
     """Enforce ``conjuncts`` on top of ``operator``.
 
-    A SeqScan over an indexed table may become an IndexScan; whatever
+    A SeqScan may become an IndexScan (:func:`_access_path`); whatever
     the probe cannot guarantee stays in a Filter whose EXPLAIN text
     lists exactly the conjuncts it enforces.
     """
@@ -681,56 +754,11 @@ def _apply_conjuncts(
         return operator
     remaining = list(conjuncts)
     stats = None
-    table = None
     if isinstance(operator, SeqScan):
-        table = operator.table
-        stats = _table_stats(session, table)
-    if table is not None and table.indexes:
-        scan = operator
-        candidate, candidate_remaining = _try_index_scan(
-            scan, shape, remaining, session, outer
+        stats = _table_stats(session, operator.table)
+        operator, remaining = _access_path(
+            operator, shape, remaining, session, outer
         )
-        if candidate is scan:
-            pass  # no usable index; nothing to decide
-        elif stats is None:
-            # No statistics to cost with: an index probe always wins.
-            operator, remaining = candidate, candidate_remaining
-        else:
-            # Cost the seqscan-vs-IndexScan crossover.  The probe
-            # touches est_match rows at random-I/O cost; the seqscan
-            # touches every row at sequential cost.
-            consumed = [
-                c
-                for c in remaining
-                if not any(c is r for r in candidate_remaining)
-            ]
-            row_count = float(stats.row_count)
-            est_match = row_count * _conjuncts_selectivity(
-                stats, table, shape, consumed
-            )
-            seq_cost = row_count * COST_SEQ_IO
-            index_cost = COST_RANDOM_IO * est_match + 1.0
-            index_desc = (
-                f"IndexScan using {candidate.index.name} "
-                f"on {table.name}"
-            )
-            if index_cost <= seq_cost:
-                operator, remaining = candidate, candidate_remaining
-                _annotate(operator, est_match, index_cost)
-                _rejected_alternative(
-                    operator,
-                    f"SeqScan on {table.name}",
-                    seq_cost,
-                    row_count,
-                )
-            else:
-                _annotate(scan, row_count, seq_cost)
-                _rejected_alternative(
-                    scan, index_desc, index_cost, est_match
-                )
-    if stats is not None and _estimated(operator)[0] is None:
-        row_count = float(stats.row_count)
-        _annotate(operator, row_count, row_count * COST_SEQ_IO)
     if not remaining:
         return operator
     compiler = ExpressionCompiler(shape, session, outer)
@@ -740,14 +768,12 @@ def _apply_conjuncts(
         description=_conjuncts_summary(remaining),
     )
     if stats is not None:
+        # A scan of an ANALYZEd table always carries its estimates.
         in_rows, in_cost = _estimated(operator)
         est_out = float(stats.row_count) * _conjuncts_selectivity(
-            stats, table, shape, list(conjuncts)
+            stats, operator.table, shape, list(conjuncts)
         )
-        if in_rows is not None and in_cost is not None:
-            _annotate(filtered, est_out, in_cost + in_rows)
-        else:
-            _annotate(filtered, est_out, None)
+        _annotate(filtered, est_out, in_cost + in_rows)
     return filtered
 
 
@@ -881,12 +907,16 @@ def _plan_named_relation(
         # so even a plan-cache hit reads live numbers.  Pushed conjuncts
         # land in a Filter above the scan (no indexes to exploit).
         return VirtualScan(relation), table_shape(relation, ref.alias)
-    scan = SeqScan(relation)
-    stats = _table_stats(session, relation)
+    return _seq_scan(relation, session), table_shape(relation, ref.alias)
+
+
+def _seq_scan(table: Table, session: Any) -> SeqScan:
+    scan = SeqScan(table)
+    stats = _table_stats(session, table)
     if stats is not None:
         row_count = float(stats.row_count)
         _annotate(scan, row_count, row_count * COST_SEQ_IO)
-    return scan, table_shape(relation, ref.alias)
+    return scan
 
 
 def _fold_join(
@@ -896,15 +926,17 @@ def _fold_join(
     right_op: Operator,
     right_shape: RowShape,
     conjuncts: List[ast.Expression],
-    side_of: Callable[[ast.Expression], Optional[str]],
+    scopes: Sequence[_Scope],
+    left_items: Set[int],
+    right_items: Set[int],
     session: Any,
     outer: Optional[ExpressionCompiler],
 ) -> Tuple[Operator, RowShape]:
     """Build the join operator enforcing ``conjuncts``.
 
-    ``side_of(expr)`` classifies an expression as ``"left"``,
-    ``"right"`` or neither; equality conjuncts with one pure side each
-    (and hash-compatible types on both) become HashJoin keys.  The
+    ``left_items``/``right_items`` are the ``scopes`` each input reads;
+    equality conjuncts with one side reading only each (and
+    hash-compatible types on both) become HashJoin keys.  The
     join predicate is always the AND of *all* conjuncts — the hash
     table only pre-filters candidates, it never decides matches.
     """
@@ -919,7 +951,8 @@ def _fold_join(
             (conjunct.left, conjunct.right),
             (conjunct.right, conjunct.left),
         ):
-            if side_of(a) == "left" and side_of(b) == "right":
+            if _reads_only(a, scopes, left_items) \
+                    and _reads_only(b, scopes, right_items):
                 try:
                     ca = compiler.compile(a)
                     cb = compiler.compile(b)
@@ -1089,17 +1122,6 @@ def _plan_join(
     right_op, right_shape = _plan_table_ref(
         ref.right, session, outer, right_pushed
     )
-
-    def side_of(expr: ast.Expression) -> Optional[str]:
-        sources, routable = _conjunct_sources(expr, scopes)
-        if not routable or not sources:
-            return None
-        if sources == {0}:
-            return "left"
-        if sources == {1}:
-            return "right"
-        return None
-
     operator, merged = _fold_join(
         kind,
         left_op,
@@ -1107,7 +1129,9 @@ def _plan_join(
         right_op,
         right_shape,
         join_list,
-        side_of,
+        scopes,
+        {0},
+        {1},
         session,
         outer,
     )
@@ -1226,7 +1250,7 @@ def _plan_select(
         operator = Filter(
             operator,
             compiler.compile_predicate(where),
-            description=_predicate_summary(where),
+            description=_conjuncts_summary([where]),
         )
 
     # 3. Aggregation
@@ -1249,8 +1273,7 @@ def _plan_select(
         operator = Filter(
             operator,
             compiler.compile_predicate(having),
-            description=_predicate_summary(select.having)
-            if select.having is not None else None,
+            description=_conjuncts_summary([select.having]),
         )
 
     # 5. Projection
@@ -1275,16 +1298,9 @@ def _plan_select(
         operator = Project(operator, [c.fn for c in compiled_items])
         operator = Distinct(operator)
         if order_items:
-            rewritten = _substitute_order_targets(
-                order_items, items, output_shape
+            operator = _sort_output(
+                operator, order_items, output_shape, session, outer
             )
-            out_compiler = ExpressionCompiler(output_shape, session, outer)
-            keys = [
-                (out_compiler.compile_sort_key(o.expression),
-                 o.ascending)
-                for o in rewritten
-            ]
-            operator = Sort(operator, keys)
     else:
         if order_items:
             keys = []
@@ -1372,21 +1388,13 @@ def _greedy_join_order(
     rows = estimates[start][0]
     remaining.discard(start)
     while remaining:
-        def score(j: int) -> Tuple[int, float, int]:
-            connected = _joinable(j, placed, join_sources)
-            out = (
-                max(rows, estimates[j][0], 1.0)
-                if connected
-                else rows * estimates[j][0]
-            )
-            return (0 if connected else 1, out, j)
-
-        best = min(remaining, key=score)
-        connected = _joinable(best, placed, join_sources)
-        rows = (
-            max(rows, estimates[best][0], 1.0)
-            if connected
-            else rows * estimates[best][0]
+        # Score (unconnected?, intermediate rows, position); the winner's
+        # intermediate is where the next step starts.
+        _, rows, best = min(
+            (0, max(rows, estimates[j][0], 1.0), j)
+            if _joinable(j, placed, join_sources)
+            else (1, rows * estimates[j][0], j)
+            for j in remaining
         )
         order.append(best)
         placed.add(best)
@@ -1541,22 +1549,6 @@ def _plan_from_pushdown(
         join_conjuncts = [
             (s, c) for s, c in join_conjuncts if not s <= merged_now
         ]
-        previous = set(planned)
-
-        def side_of(
-            expr: ast.Expression,
-            previous: Set[int] = previous,
-            position: int = position,
-        ) -> Optional[str]:
-            sources, routable = _conjunct_sources(expr, scopes)
-            if not routable or not sources:
-                return None
-            if sources <= previous:
-                return "left"
-            if sources == {position}:
-                return "right"
-            return None
-
         operator, shape = _fold_join(
             "INNER" if here else "CROSS",
             operator,
@@ -1564,7 +1556,9 @@ def _plan_from_pushdown(
             right_op,
             right_shape,
             here,
-            side_of,
+            scopes,
+            planned,
+            {position},
             session,
             outer,
         )
@@ -1648,26 +1642,30 @@ def _order_source_expression(
     return expr
 
 
-def _substitute_order_targets(
-    order_items: List[ast.OrderItem],
-    items: List[Tuple[ast.Expression, Optional[str]]],
-    output_shape: RowShape,
-) -> List[ast.OrderItem]:
-    """For the DISTINCT path, rewrite positions to output column refs."""
-    rewritten: List[ast.OrderItem] = []
+def _sort_output(
+    operator: Operator,
+    order_items: Sequence[ast.OrderItem],
+    shape: RowShape,
+    session: Any,
+    outer: Optional[ExpressionCompiler],
+) -> Sort:
+    """Sort rows already projected to ``shape`` (DISTINCT, set
+    operations): ORDER BY names output columns, a position picks one."""
+    targets = []
     for order in order_items:
         expr = order.expression
         if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-            position = expr.value
-            if not 1 <= position <= len(output_shape):
+            if not 1 <= expr.value <= len(shape):
                 raise errors.SQLSyntaxError(
-                    f"ORDER BY position {position} is out of range"
+                    f"ORDER BY position {expr.value} is out of range"
                 )
-            expr = ast.ColumnRef(output_shape.columns[position - 1].name)
-            rewritten.append(ast.OrderItem(expr, order.ascending))
-        else:
-            rewritten.append(order)
-    return rewritten
+            expr = ast.ColumnRef(shape.columns[expr.value - 1].name)
+        targets.append((expr, order.ascending))
+    compiler = ExpressionCompiler(shape, session, outer)
+    return Sort(operator, [
+        (compiler.compile_sort_key(expr), ascending)
+        for expr, ascending in targets
+    ])
 
 
 def _plan_aggregation(
@@ -1821,19 +1819,5 @@ def _plan_set_operation(
         left_plan.root, right_plan.root, op.all, op.op
     )
     if op.order_by:
-        out_compiler = ExpressionCompiler(shape, session, outer)
-        keys = []
-        for order in op.order_by:
-            expr = order.expression
-            if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-                position = expr.value
-                if not 1 <= position <= len(shape):
-                    raise errors.SQLSyntaxError(
-                        f"ORDER BY position {position} is out of range"
-                    )
-                expr = ast.ColumnRef(shape.columns[position - 1].name)
-            keys.append(
-                (out_compiler.compile_sort_key(expr), order.ascending)
-            )
-        operator = Sort(operator, keys)
+        operator = _sort_output(operator, op.order_by, shape, session, outer)
     return QueryPlan(operator, shape), shape

@@ -15,6 +15,7 @@ import pytest
 from repro import errors
 from repro.dbapi.driver import DriverManager
 from repro.dbapi.pool import ConnectionPool
+from repro.engine.indexes import Index
 from repro import Database
 from repro.observability import metrics as _metrics
 from repro.testing import (
@@ -134,10 +135,34 @@ class TestUniqueUnderConcurrency:
         both commit a duplicate.  Exactly one row per key must land,
         every loser getting SQLSTATE 23505.
         """
-        db, admin = pooled_db
+        self._race(*pooled_db, indexed=False)
+
+    def test_duplicate_key_race_on_the_key_index(self, pooled_db,
+                                                 monkeypatch):
+        """The same race when the unique check probes the key's index
+        instead of scanning the heap."""
+        probes = []
+        lookup = Index.lookup
+        monkeypatch.setattr(
+            Index, "lookup",
+            lambda index, values: probes.append(values)
+            or lookup(index, values),
+        )
+        self._race(*pooled_db, indexed=True)
+        assert probes
+
+    def _race(self, db, admin, indexed):
         admin.execute(
             "CREATE TABLE reg (id INTEGER PRIMARY KEY, who INTEGER)"
         )
+        if indexed:
+            admin.execute("CREATE INDEX reg_id ON reg (id)")
+            # Filler rows make each one-row INSERT a small batch into
+            # a large heap: the side of the choice that probes.
+            admin.execute_batch(
+                "INSERT INTO reg VALUES (?, 0)",
+                [[-1 - n] for n in range(N_THREADS)],
+            )
         rounds = 10
         wins = []
         wins_lock = threading.Lock()
@@ -159,7 +184,9 @@ class TestUniqueUnderConcurrency:
 
         run_concurrent(N_THREADS, contender).raise_first()
         assert sorted(wins) == list(range(rounds))
-        assert admin.execute("SELECT COUNT(*) FROM reg").rows == [[rounds]]
+        assert admin.execute(
+            "SELECT COUNT(*) FROM reg WHERE id >= 0"
+        ).rows == [[rounds]]
 
     def test_check_and_append_atomic_under_injected_delay(self, pooled_db):
         """Deterministic replay of the unique-check TOCTOU window.

@@ -1,10 +1,12 @@
 """Tests for INSERT / UPDATE / DELETE and transaction semantics."""
 
 import decimal
+import sqlite3
 
 import pytest
 
-from repro import errors
+from repro import Database, errors
+from repro.observability import snapshot
 
 D = decimal.Decimal
 
@@ -175,6 +177,160 @@ class TestDelete:
         # Frank's NULL sales comparison is unknown -> not deleted.
         assert [r[0] for r in emps.execute(
             "select name from emps").rows] == ["Frank"]
+
+
+class Pt:
+    """Part 2 value for the ``>>`` predicates of :class:`TestDmlTargets`."""
+
+    def __init__(self, x):
+        self.x = x
+
+
+#: name: (WHERE or None, its parameters, whether an index on k serves
+#: it as a probe).  ``pos>>x`` reads sqlite's ``pos_x`` column.
+TARGET_WHERES = {
+    "eq": ("k = ?", [7], True),
+    "eq_null": ("k = ?", [None], True),
+    "between": ("k between ? and ?", [5, 12], True),
+    "probe_and_residual": ("k > ? and owner = ?", [10, "o1"], True),
+    "eq_fraction": ("k = 1.5", [], True),
+    "eq_subquery": ("k = (select max(k) from acct)", [], False),
+    "attribute": ("pos>>x = ?", [3], False),
+    "none": (None, [], False),
+}
+
+#: name: (statement without its WHERE, extra leading parameters)
+TARGET_STATEMENTS = {
+    "update": ("update acct set bal = bal + ?", [1]),
+    "delete": ("delete from acct", []),
+}
+
+#: every UPDATE/DELETE × WHERE shape, plus an UPDATE moving its own key
+#: into the range it selects
+TARGET_CASES = {
+    f"{kind}-{shape}": (
+        statement + (f" where {where}" if where else ""),
+        extra + params,
+        probes,
+    )
+    for kind, (statement, extra) in TARGET_STATEMENTS.items()
+    for shape, (where, params, probes) in TARGET_WHERES.items()
+}
+TARGET_CASES["update-key_shift"] = (
+    "update acct set k = k + 100 where k >= ?", [20], True
+)
+
+
+class TestDmlTargets:
+    """UPDATE and DELETE read their target rows through the planner's
+    access path: an indexed table, its unindexed twin and sqlite3 agree
+    row for row, before and after ANALYZE."""
+
+    ROWS = [
+        [i % 30 if i != 39 else None, f"o{i % 3}", i * 10, i % 5]
+        for i in range(40)
+    ]
+
+    def repro_twin(self, indexed, analyzed):
+        session = Database(name="targets").create_session(autocommit=True)
+        session.execute(
+            f"create type pt external name '{Pt.__module__}.Pt' "
+            "language python (x integer external name x, "
+            "method pt (x integer) returns pt external name Pt)"
+        )
+        session.execute(
+            "create table acct (k integer, owner varchar(10), bal integer, "
+            "pos pt)"
+        )
+        if indexed:
+            session.execute("create index acct_k on acct (k)")
+        session.execute_batch(
+            "insert into acct values (?, ?, ?, ?)",
+            [[k, owner, bal, Pt(x)] for k, owner, bal, x in self.ROWS],
+        )
+        if analyzed:
+            session.execute("analyze acct")
+        return session
+
+    def run_repro(self, session, sql, params):
+        count = session.execute(sql, params).update_count
+        rows = session.execute("select k, owner, bal, pos>>x from acct").rows
+        return count, sorted(rows, key=repr)
+
+    def run_sqlite(self, sql, params):
+        db = sqlite3.connect(":memory:")
+        db.execute(
+            "create table acct (k integer, owner text, bal integer, "
+            "pos_x integer)"
+        )
+        db.executemany("insert into acct values (?, ?, ?, ?)", self.ROWS)
+        count = db.execute(sql.replace("pos>>x", "pos_x"), params).rowcount
+        rows = db.execute("select k, owner, bal, pos_x from acct").fetchall()
+        db.close()
+        return count, sorted((list(row) for row in rows), key=repr)
+
+    @pytest.mark.parametrize("analyzed", [False, True],
+                             ids=["no_stats", "analyzed"])
+    @pytest.mark.parametrize("case", list(TARGET_CASES))
+    def test_indexed_plain_and_sqlite_agree(self, case, analyzed):
+        sql, params, probes = TARGET_CASES[case]
+        want = self.run_sqlite(sql, params)
+        plain = self.run_repro(self.repro_twin(False, analyzed), sql, params)
+        indexed = self.repro_twin(True, analyzed)
+        before = snapshot()["counters"].get("index.lookups", 0)
+        assert self.run_repro(indexed, sql, params) == plain == want
+        if probes and not analyzed:
+            # Without statistics an index probe always wins.
+            assert snapshot()["counters"]["index.lookups"] > before
+
+    @pytest.mark.parametrize("indexed", [False, True],
+                             ids=["plain", "indexed"])
+    def test_same_key_twice_in_one_transaction(self, indexed):
+        """The second UPDATE's probe meets the version the first one
+        claimed and the one it inserted; only the latter is a target,
+        and the unique check counts neither against the new key."""
+        db = Database(name="twice")
+        admin = db.create_session(autocommit=True)
+        admin.execute("create table uk (k integer primary key, v integer)")
+        if indexed:
+            admin.execute("create index uk_k on uk (k)")
+        admin.execute_batch(
+            "insert into uk values (?, ?)", [[k, 0] for k in range(20)]
+        )
+        session = db.create_session(autocommit=False)
+        for _ in range(2):
+            assert session.execute(
+                "update uk set v = v + 1, k = k where k = ?", [7]
+            ).update_count == 1
+        assert session.execute(
+            "select k, v from uk where k = ?", [7]
+        ).rows == [[7, 2]]
+        session.commit()
+        assert admin.execute("select v from uk where k = 7").rows == [[2]]
+        assert admin.execute("select count(*) from uk").rows == [[20]]
+
+    def test_dml_needs_no_select_privilege(self):
+        db = Database(name="targets_grants")
+        admin = db.create_session(autocommit=True)
+        admin.execute("create table acct (k integer, bal integer)")
+        admin.execute("create index acct_k on acct (k)")
+        admin.execute_batch(
+            "insert into acct values (?, ?)", [[k, 0] for k in range(10)]
+        )
+        admin.execute("grant update on acct to clerk")
+        admin.execute("grant delete on acct to clerk")
+        clerk = db.create_session("clerk", autocommit=True)
+        assert clerk.execute(
+            "update acct set bal = 5 where k = ?", [3]
+        ).update_count == 1
+        assert clerk.execute(
+            "delete from acct where k = ?", [4]
+        ).update_count == 1
+        with pytest.raises(errors.PrivilegeError):
+            clerk.execute("select bal from acct where k = ?", [3])
+        assert admin.execute(
+            "select k, bal from acct where k between 3 and 4"
+        ).rows == [[3, 5]]
 
 
 class TestTransactions:

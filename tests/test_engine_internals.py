@@ -61,6 +61,22 @@ class TestCatalog:
         with pytest.raises(errors.UndefinedColumnError):
             table.column_position("z")
 
+    def test_assigning_rows_rebuilds_indexes(self, session):
+        """``table.rows = [...]`` replaces the heap under the table's
+        indexes, so IndexScans and the unique check see the new rows."""
+        session.execute("create table keyed (k int primary key, v int)")
+        session.execute("create index keyed_k on keyed (k)")
+        session.execute("insert into keyed values (1, 10)")
+        session.catalog.get_table("keyed").rows = [[2, 20]]
+        select = "select k, v from keyed where k = ?"
+        plan = session.execute("explain " + select).rows
+        assert any("IndexScan" in line for [line] in plan)
+        assert session.execute(select, [2]).rows == [[2, 20]]
+        assert session.execute(select, [1]).rows == []
+        with pytest.raises(errors.UniqueViolationError):
+            session.execute("insert into keyed values (2, 21)")
+        session.execute("insert into keyed values (1, 11)")
+
     def test_par_lifecycle(self):
         catalog = Catalog()
         par = InstalledPar(name="p", url="u", modules={"m": "x = 1"})

@@ -13,7 +13,9 @@ small harness facade, proving the guarantees survive both the wire
 protocol and either storage engine unchanged (the paper's location
 transparency, applied to transaction semantics).  The durable modes
 use a tiny checkpoint interval so snapshot checkpoints / LSM flushes
-actually interleave with the battery.
+actually interleave with the battery.  Each way runs twice more with
+``accounts_id`` indexed (the ``-indexed`` ids), so the keyed UPDATEs
+find their rows by index probe instead of a heap scan.
 """
 
 from __future__ import annotations
@@ -97,9 +99,10 @@ class Harness:
 
     def __init__(
         self, mode, server=None, name="iso",
-        directory=None, storage="snapshot",
+        directory=None, storage="snapshot", indexed=False,
     ):
         self.mode = mode
+        self.indexed = indexed
         self.server = server
         self.name = name
         if mode == "engine":
@@ -120,37 +123,45 @@ class Harness:
             session = self.database.create_session(
                 "dba", autocommit=autocommit
             )
-            return EngineHandle(session)
-        url = f"repro://127.0.0.1:{self.server.port}/{self.name}"
-        connection = repro.connect(url)
-        connection.set_auto_commit(autocommit)
-        return RemoteHandle(connection)
+            handle = EngineHandle(session)
+        else:
+            url = f"repro://127.0.0.1:{self.server.port}/{self.name}"
+            connection = repro.connect(url)
+            connection.set_auto_commit(autocommit)
+            handle = RemoteHandle(connection)
+        handle.indexed = self.indexed
+        return handle
 
     def close(self):
         if self.database is not None:
             self.database.close()
 
 
-@pytest.fixture(
-    params=["engine", "engine-snapshot", "engine-lsm", "remote"]
-)
+@pytest.fixture(params=[
+    pytest.param((way, indexed), id=way + ("-indexed" if indexed else ""))
+    for indexed in (False, True)
+    for way in ("engine", "engine-snapshot", "engine-lsm", "remote")
+])
 def iso(request, tmp_path):
-    if request.param == "engine":
-        harness = Harness("engine")
+    way, indexed = request.param
+    if way == "engine":
+        harness = Harness("engine", indexed=indexed)
         yield harness
         harness.close()
-    elif request.param.startswith("engine-"):
+    elif way.startswith("engine-"):
         harness = Harness(
             "durable",
             directory=str(tmp_path / "iso"),
-            storage=request.param.split("-", 1)[1],
+            storage=way.split("-", 1)[1],
+            indexed=indexed,
         )
         yield harness
         harness.close()
     else:
         server = ReproServer().start_background()
         harness = Harness(
-            "remote", server=server, name=f"iso_{request.node.name}"
+            "remote", server=server, name=f"iso_{request.node.name}",
+            indexed=indexed,
         )
         try:
             yield harness
@@ -162,6 +173,8 @@ def seed_accounts(handle):
     handle.execute(
         "create table accounts (id int primary key, balance int)"
     )
+    if handle.indexed:
+        handle.execute("create index accounts_id on accounts (id)")
     handle.execute("insert into accounts values (1, 100), (2, 200)")
     handle.commit()
 

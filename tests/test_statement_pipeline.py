@@ -28,6 +28,7 @@ import os
 import sys
 import threading
 import time
+from decimal import Decimal
 
 import pytest
 
@@ -35,6 +36,7 @@ import repro
 from repro import ConnectionContext, Database, errors, open_database
 from repro.engine.dialects import STANDARD
 from repro.engine.durability import WAL_FILENAME
+from repro.engine.indexes import Index
 from repro.engine.parser import parse_statement
 from repro.engine.render import render_statement
 from repro.engine.wal import KIND_BATCH, KIND_STATEMENT, scan_records
@@ -552,9 +554,12 @@ class Tag:
 
 
 KEY_INSERT = "insert into u (k) values (?)"
+NAN = float("nan")
 
 #: name: (column type, committed keys, the keys ONE statement inserts,
-#: "23505" or the keys committed afterwards)
+#: "23505" or the keys committed afterwards).  The pad, NaN, 1 / 1.0 and
+#: scale cases pin that an index key (``sort_key``) and the heap pass's
+#: ``key_image`` equate the same coerced values.
 UNIQUE_INSERTS = {
     "varchar_pad": ("varchar(5)", ["a"], ["a "], "23505"),
     "varchar_pad_of_many": ("varchar(5)", ["a"], ["b", "a "], "23505"),
@@ -567,13 +572,66 @@ UNIQUE_INSERTS = {
     "udt_duplicate": ("tag", [Tag(1)], [Tag(2), Tag(1)], "23505"),
     "udt_fresh": ("tag", [Tag(1)], [Tag(3), Tag(2)],
                   [Tag(1), Tag(2), Tag(3)]),
+    "double_nan": ("double", [NAN], [NAN], "23505"),
+    "double_nan_intra": ("double", [1.5], [NAN, NAN], "23505"),
+    "double_int_float": ("double", [1.0], [1], "23505"),
+    "double_fresh": ("double", [1.0], [1.5, 2], [1.0, 1.5, 2.0]),
+    "decimal_scale": ("decimal(5,2)", [Decimal("1.0")], [Decimal("1.00")],
+                      "23505"),
 }
 
 #: name: (committed integer keys, UPDATE, its parameters, outcome)
 UNIQUE_UPDATES = {
     "shift": ([1, 2, 3], "update u set k = k + ?", [1], [2, 3, 4]),
     "collapse": ([1, 2], "update u set k = ?", [5], "23505"),
+    "shift_range": ([1, 2, 3], "update u set k = k + ? where k < 100", [1],
+                    [2, 3, 4]),
+    "collide_one": ([1, 2, 3], "update u set k = ? where k between 3 and 3",
+                    [2], "23505"),
+    "keep_own_key": ([1, 2, 3],
+                     "update u set k = ? where k between 2 and 2", [2],
+                     [1, 2, 3]),
 }
+
+#: layout: (``create index u_k on u (k)``?, where FILLERS keys go).  The
+#: unique check probes the index for a small batch into a large heap
+#: ("big_heap": FILLERS committed first) and makes one heap pass for a
+#: large batch into a small heap ("big_batch": FILLERS ride in a
+#: statement that takes many keys; for an UPDATE, no FILLERS, so its
+#: rows are much of the heap).  "" is the table the cells began with.
+UNIQUE_LAYOUTS = {
+    "": (False, None),
+    "plain-big_heap": (False, "heap"),
+    "plain-big_batch": (False, "batch"),
+    "indexed-big_heap": (True, "heap"),
+    "indexed-big_batch": (True, "batch"),
+}
+FILLERS = 32
+
+
+def _fillers(column_type):
+    """FILLERS keys of ``column_type`` no case's own key collides with."""
+    if column_type.startswith(("varchar", "char")):
+        return [f"z{i:04d}" for i in range(FILLERS)]
+    if column_type == "tag":
+        return [Tag(1000 + i) for i in range(FILLERS)]
+    if column_type == "decimal(5,2)":
+        return [Decimal(f"{500 + i}.25") for i in range(FILLERS)]
+    return [1000 + i for i in range(FILLERS)]  # integer, double
+
+
+@pytest.fixture
+def index_probes(monkeypatch):
+    """Every ``Index.lookup`` call while the test runs."""
+    calls = []
+    lookup = Index.lookup
+
+    def counted(self, values):
+        calls.append(values)
+        return lookup(self, values)
+
+    monkeypatch.setattr(Index, "lookup", counted)
+    return calls
 
 #: #sql loops the translator compiles to one execute_batch call
 SQLJ_LOOPS = '''
@@ -602,9 +660,10 @@ class UniqueHarness:
     in process and over ``repro://``; ``env`` is the module's server,
     translation directory and translated-module cache."""
 
-    def __init__(self, env, name, column_type):
+    def __init__(self, env, name, column_type, indexed=False):
         self.server, self.sqlj_dir, self.translated = env
         self.name, self.column_type = name, column_type
+        self.indexed = indexed
         self.database = repro.registry.get_or_create(name, "standard")
         admin = self.database.create_session(autocommit=True)
         self.define(admin)
@@ -620,6 +679,8 @@ class UniqueHarness:
             )
         session.execute(f"create table u (k {self.column_type} unique)")
         session.execute(f"create table stage (k {self.column_type})")
+        if self.indexed:
+            session.execute("create index u_k on u (k)")
 
     def session(self):
         return self.database.create_session(autocommit=True)
@@ -732,11 +793,11 @@ def unique_env(tmp_path_factory):
 
 @pytest.fixture
 def unique_db(unique_env, request):
-    def make(column_type):
+    def make(column_type, indexed=False):
         name = "uniq_" + "".join(
             c if c.isalnum() else "_" for c in request.node.name
         )
-        return UniqueHarness(unique_env, name, column_type)
+        return UniqueHarness(unique_env, name, column_type, indexed)
 
     return make
 
@@ -749,45 +810,84 @@ def _outcome(run):
     return None
 
 
+def _cell_id(*parts):
+    return "-".join(part for part in parts if part)
+
+
 UNIQUE_INSERT_COMBINATIONS = [
-    pytest.param(case, entry, id=f"{case}-{entry}")
+    pytest.param(case, entry, layout, id=_cell_id(case, entry, layout))
+    for layout, (indexed, _fill) in UNIQUE_LAYOUTS.items()
     for case, (column_type, _before, keys, _want) in UNIQUE_INSERTS.items()
     for entry, (multi, _run) in INSERT_ENTRIES.items()
     if (multi or len(keys) == 1)
-    # Part 2 objects do not cross the data-only wire codec
-    and not (column_type == "tag" and entry == "remote")
+    # Part 2 objects do not cross the data-only wire codec, and an
+    # object column cannot be indexed
+    and not (column_type == "tag" and (entry == "remote" or indexed))
 ]
 
 
-@pytest.mark.parametrize("case, entry", UNIQUE_INSERT_COMBINATIONS)
-def test_unique_insert_one_answer(unique_db, case, entry):
+@pytest.mark.parametrize("case, entry, layout", UNIQUE_INSERT_COMBINATIONS)
+def test_unique_insert_one_answer(unique_db, index_probes, case, entry,
+                                  layout):
     column_type, before, keys, want = UNIQUE_INSERTS[case]
-    harness = unique_db(column_type)
+    indexed, fill = UNIQUE_LAYOUTS[layout]
+    multi, run = INSERT_ENTRIES[entry]
+    fillers = _fillers(column_type) if fill == "heap" or (
+        fill == "batch" and multi
+    ) else []
+    harness = unique_db(column_type, indexed)
     session = harness.session()
     session.execute_batch(KEY_INSERT, [[k] for k in before])
+    if fill == "heap":
+        session.execute_batch(KEY_INSERT, [[k] for k in fillers])
+    elif fillers:
+        keys = fillers + keys
     committed = _keys(session)
-    _multi, run = INSERT_ENTRIES[entry]
+    del index_probes[:]
     state = _outcome(lambda: run(harness, session, keys))
+    assert bool(index_probes) == (
+        indexed and fill == "heap" and any(k is not None for k in keys)
+    )
     if want == "23505":
         assert (state, _keys(session)) == ("23505", committed)
     else:
-        assert (state, _keys(session)) == (None, sorted(want, key=repr))
+        assert (state, _keys(session)) == (
+            None, sorted(want + fillers, key=repr)
+        )
 
 
-@pytest.mark.parametrize("entry", list(UPDATE_ENTRIES))
-@pytest.mark.parametrize("case", list(UNIQUE_UPDATES))
-def test_unique_update_one_answer(unique_db, case, entry):
+UNIQUE_UPDATE_COMBINATIONS = [
+    pytest.param(case, entry, layout, id=_cell_id(case, entry, layout))
+    for layout, (indexed, fill) in UNIQUE_LAYOUTS.items()
+    for case, (_before, sql, _params, _want) in UNIQUE_UPDATES.items()
+    for entry in UPDATE_ENTRIES
+    # FILLERS stay out of the statement: it must not reach them
+    if layout != "plain-big_batch" and (fill != "heap" or "where" in sql)
+]
+
+
+@pytest.mark.parametrize("case, entry, layout", UNIQUE_UPDATE_COMBINATIONS)
+def test_unique_update_one_answer(unique_db, index_probes, case, entry,
+                                  layout):
     before, sql, params, want = UNIQUE_UPDATES[case]
-    harness = unique_db("integer")
+    indexed, fill = UNIQUE_LAYOUTS[layout]
+    fillers = _fillers("integer") if fill == "heap" else []
+    harness = unique_db("integer", indexed)
     session = harness.session()
-    session.execute_batch(KEY_INSERT, [[k] for k in before])
+    session.execute_batch(KEY_INSERT, [[k] for k in before + fillers])
+    del index_probes[:]
     state = _outcome(
         lambda: UPDATE_ENTRIES[entry](harness, session, sql, params)
     )
+    assert bool(index_probes) == (indexed and fill == "heap")
     if want == "23505":
-        assert (state, _keys(session)) == ("23505", before)
+        assert (state, _keys(session)) == (
+            "23505", sorted(before + fillers, key=repr)
+        )
     else:
-        assert (state, _keys(session)) == (None, want)
+        assert (state, _keys(session)) == (
+            None, sorted(want + fillers, key=repr)
+        )
 
 
 #: name: (committed keys, an INSERT whose source reads ``u`` — every
@@ -844,17 +944,26 @@ def test_batched_insert_sees_earlier_rows(unique_db, case, entry):
     assert (state, _keys(session)) == (None, want)
 
 
-@pytest.mark.parametrize("blocker_ends", ["commit", "rollback"])
-@pytest.mark.parametrize("entry", list(INSERT_ENTRIES))
-def test_in_flight_collider_waits(unique_db, entry, blocker_ends):
+@pytest.mark.parametrize("entry, blocker_ends, layout", [
+    pytest.param(entry, ends, layout, id=_cell_id(entry, ends, layout))
+    for layout in ("", "indexed-big_heap")
+    for entry in INSERT_ENTRIES
+    for ends in ("commit", "rollback")
+])
+def test_in_flight_collider_waits(unique_db, index_probes, entry,
+                                  blocker_ends, layout):
     """Another transaction's uncommitted insert of the same key makes
     every entry point wait for it: 23505 if it commits, success if it
-    rolls back."""
-    harness = unique_db("integer")
+    rolls back — whether the unique check scans the heap or probes the
+    key's index."""
+    indexed, fill = UNIQUE_LAYOUTS[layout]
+    fillers = _fillers("integer") if fill else []
+    harness = unique_db("integer", indexed)
     session = harness.session()
-    session.execute(KEY_INSERT, [1])
+    session.execute_batch(KEY_INSERT, [[k] for k in [1] + fillers])
     blocker = harness.database.create_session(autocommit=False)
     blocker.execute(KEY_INSERT, [7])
+    del index_probes[:]
     waits_before = snapshot()["counters"].get("mvcc.conflict_waits", 0)
     outcome = []
     _multi, run = INSERT_ENTRIES[entry]
@@ -878,4 +987,5 @@ def test_in_flight_collider_waits(unique_db, entry, blocker_ends):
         assert outcome == ["23505"]
     else:
         assert outcome == [None]
-    assert _keys(session) == [1, 7]
+    assert bool(index_probes) == indexed
+    assert _keys(session) == sorted([1, 7] + fillers, key=repr)

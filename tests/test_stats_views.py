@@ -74,6 +74,24 @@ class TestStatementsView:
         assert returned >= 1
         assert scanned >= returned
 
+    def test_keyed_dml_scans_through_the_index(self, session):
+        """A keyed UPDATE/DELETE reads its target through an index
+        probe: one row scanned of 10k, not the heap."""
+        session.execute("create table big (k int primary key, v int)")
+        session.execute("create index big_k on big (k)")
+        session.execute_batch(
+            "insert into big values (?, 0)", [[k] for k in range(10_000)]
+        )
+        session.execute("update big set v = v + 1 where k = ?", [4321])
+        session.execute("delete from big where k = ?", [1234])
+        result = session.execute(
+            "select statement, calls, rows_scanned "
+            "from repro_stats.statements "
+            "where statement like 'UPDATE big%' "
+            "or statement like 'DELETE FROM big%' order by statement"
+        )
+        assert [row[1:] for row in result.rows] == [[1, 1], [1, 1]]
+
     def test_timings_accumulate(self, emps):
         for _ in range(5):
             emps.execute("select state from emps where sales > 100")
