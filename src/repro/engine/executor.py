@@ -989,13 +989,11 @@ class QueryPlan:
             raise _wrap_operator_error(exc) from exc
 
     def run_correlated(
-        self,
-        session: Any,
-        outer_env: Env,
-        limit: Optional[int] = None,
+        self, outer_env: Env, limit: Optional[int] = None
     ) -> List[List[Any]]:
-        """Execute as a correlated subquery of ``outer_env``'s row."""
-        ctx = RuntimeContext(session, outer_env.params, outer_env)
+        """Execute as a correlated subquery of ``outer_env``'s row, on
+        the session running that row."""
+        ctx = RuntimeContext(outer_env.session, outer_env.params, outer_env)
         rows: List[List[Any]] = []
         try:
             for row in self.root.rows(ctx):

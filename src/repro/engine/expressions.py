@@ -202,8 +202,11 @@ class ExpressionCompiler:
     shape:
         Columns visible to unqualified references at this query level.
     session:
-        The executing :class:`repro.engine.database.Session` (for catalog
-        lookups, external function invocation and subquery planning).
+        The compiling :class:`repro.engine.database.Session` (catalog
+        lookups, privilege checks, subquery planning).  Compiled closures
+        never keep it: they reach the *executing* session through
+        ``env.session``, because one cached plan serves every session of
+        its user.
     outer:
         Enclosing compiler for correlated subqueries, or None.
     allow_aggregates:
@@ -611,9 +614,7 @@ class ExpressionCompiler:
         name = expr.name.lower()
 
         if name == "current_user":
-            return Compiled(
-                lambda env: self.session.user, VarCharType(None)
-            )
+            return Compiled(lambda env: env.session.user, VarCharType(None))
 
         builtin = lookup_builtin(name)
         if builtin is not None:
@@ -639,11 +640,10 @@ class ExpressionCompiler:
                 f"arguments, got {len(arg_fns)}"
             )
         self.session.check_execute_privilege(routine)
-        session = self.session
 
         def call_function(env: Env) -> Any:
             values = [fn(env) for fn in arg_fns]
-            return session.invoke_function(routine, values)
+            return env.session.invoke_function(routine, values)
 
         return Compiled(call_function, routine.returns)
 
@@ -707,13 +707,12 @@ class ExpressionCompiler:
         static_descriptor = self._attribute_descriptor(
             target.descriptor, attribute
         )
-        session = self.session
 
         def read(env: Env) -> Any:
             obj = target.fn(env)
             if obj is None:
                 return None
-            binding = _find_instance_attribute(session, obj, attribute)
+            binding = _find_instance_attribute(env.session, obj, attribute)
             return getattr(obj, binding.field_name)
 
         return Compiled(read, static_descriptor)
@@ -736,7 +735,6 @@ class ExpressionCompiler:
     def _compile_MethodCall(self, expr: ast.MethodCall) -> Compiled:
         args = [self.compile(a) for a in expr.args]
         arg_fns = [a.fn for a in args]
-        session = self.session
 
         static_udt = self._static_udt_target(expr.target)
         if static_udt is not None:
@@ -763,7 +761,7 @@ class ExpressionCompiler:
             obj = target_fn(env)
             if obj is None:
                 return None
-            binding = _find_instance_method(session, obj, method_name)
+            binding = _find_instance_method(env.session, obj, method_name)
             values = [
                 d.coerce(fn(env)) if d is not None else fn(env)
                 for fn, d in zip(arg_fns, binding.param_descriptors)
@@ -813,10 +811,9 @@ class ExpressionCompiler:
             raise errors.SQLSyntaxError(
                 "scalar subquery must return exactly one column"
             )
-        session = self.session
 
         def scalar(env: Env) -> Any:
-            rows = plan.run_correlated(session, env)
+            rows = plan.run_correlated(env)
             if not rows:
                 return None
             if len(rows) > 1:
@@ -830,10 +827,9 @@ class ExpressionCompiler:
     def _compile_Exists(self, expr: ast.Exists) -> Compiled:
         plan, _shape = self._plan_subquery(expr.query)
         negated = expr.negated
-        session = self.session
 
         def exists(env: Env) -> bool:
-            found = bool(plan.run_correlated(session, env, limit=1))
+            found = bool(plan.run_correlated(env, limit=1))
             return (not found) if negated else found
 
         return Compiled(exists, BooleanType())
@@ -846,14 +842,13 @@ class ExpressionCompiler:
                 "IN subquery must return exactly one column"
             )
         negated = expr.negated
-        session = self.session
 
         def in_subquery(env: Env) -> Optional[bool]:
             value = operand(env)
             if value is None:
                 return None
             saw_null = False
-            for row in plan.run_correlated(session, env):
+            for row in plan.run_correlated(env):
                 comparison = compare_values(value, row[0])
                 if comparison is None:
                     saw_null = True

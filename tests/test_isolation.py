@@ -21,6 +21,7 @@ find their rows by index probe instead of a heap scan.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -28,6 +29,7 @@ import repro
 from repro import errors
 from repro.engine.database import Database
 from repro.engine.durability import open_database
+from repro.procedures import build_par
 from repro.server import ReproServer
 from repro.testing import retry_serialization, run_concurrent
 
@@ -415,3 +417,134 @@ class TestReadersAndWritersDontBlock:
         assert balances(reader) == [[1, 100], [2, 500]]
         for handle in (setup, reader):
             handle.close()
+
+
+# ---------------------------------------------------------------------------
+# a shared plan runs on the session executing it
+# ---------------------------------------------------------------------------
+#
+# The plan cache shares one compiled plan among every session of a user
+# (two repro:// connections included), so nothing compiled into it may
+# keep the session that planned it: a subquery or an external function
+# must read through the executing session's snapshot.
+
+U_COUNT = '''
+from repro import DriverManager
+
+
+def u_count():
+    conn = DriverManager.get_connection("DBAPI:DEFAULT:CONNECTION")
+    result = conn.create_statement().execute_query("SELECT COUNT(*) FROM u")
+    result.next()
+    return result.get_int(1)
+'''
+
+#: name: a query whose second column counts the rows of ``u`` it sees
+SHARED_PLAN_QUERIES = {
+    "scalar": "select k, (select count(*) from u) from t",
+    "exists": "select k, case when exists (select 1 from u) "
+              "then 1 else 0 end from t",
+    "in": "select k, case when k in (select k from u) "
+          "then 1 else 0 end from t",
+    "function": "select k, u_count() from t",
+}
+
+
+@pytest.fixture(params=["engine", "remote"])
+def shared(request, tmp_path):
+    """A harness over one database with ``t`` = {1}, an empty ``u`` and
+    the ``u_count()`` function, in process or behind ``repro://``."""
+    par = build_par(str(tmp_path / "count.par"), {"count_routines": U_COUNT})
+    server = None
+    if request.param == "engine":
+        harness = Harness("engine")
+        harness.served = harness.database
+    else:
+        server = ReproServer().start_background()
+        harness = Harness(
+            "remote", server=server, name=f"shared_{request.node.name}"
+        )
+        harness.served = repro.registry.get_or_create(
+            harness.name, "standard"
+        )
+    admin = harness.open(autocommit=True)
+    for sql in (
+        f"call sqlj.install_par('{par}', 'cnt')",
+        "create table t (k int)",
+        "create table u (k int)",
+        "insert into t values (1)",
+        "create function u_count() returns integer reads sql data "
+        "external name 'cnt:count_routines.u_count' "
+        "language python parameter style python",
+    ):
+        admin.execute(sql)
+    admin.close()
+    try:
+        yield harness
+    finally:
+        if server is not None:
+            server.stop_background()
+
+
+def _open(harness, autocommit=False):
+    """A handle, the engine session serving it and its database."""
+    database = harness.served
+    before = set(database.sessions)
+    handle = harness.open(autocommit=autocommit)
+    handle.execute("select 1")  # a remote session exists once it ran
+    [session] = set(database.sessions) - before
+    return handle, session, database
+
+
+@pytest.mark.parametrize("query", list(SHARED_PLAN_QUERIES))
+def test_planned_by_writer_runs_on_reader(shared, query):
+    """The uncommitted writer plans the text; a reader's cache hit must
+    not read through the writer's transaction (a dirty read)."""
+    sql = SHARED_PLAN_QUERIES[query]
+    writer, _session, _db = _open(shared)
+    reader, _session, _db = _open(shared, autocommit=True)
+    writer.execute("insert into u values (1)")
+    assert writer.execute(sql) == [[1, 1]]
+    assert reader.execute(sql) == [[1, 0]]
+    writer.rollback()
+    for handle in (writer, reader):
+        handle.close()
+
+
+@pytest.mark.parametrize("query", list(SHARED_PLAN_QUERIES))
+def test_planned_by_reader_runs_on_writer(shared, query):
+    """The other order: a writer whose text another session planned
+    still sees its own uncommitted row."""
+    sql = SHARED_PLAN_QUERIES[query]
+    writer, _session, _db = _open(shared)
+    reader, _session, _db = _open(shared, autocommit=True)
+    assert reader.execute(sql) == [[1, 0]]
+    writer.execute("insert into u values (1)")
+    assert writer.execute(sql) == [[1, 1]]
+    writer.rollback()
+    for handle in (writer, reader):
+        handle.close()
+
+
+@pytest.mark.parametrize("query", list(SHARED_PLAN_QUERIES))
+def test_closed_planning_session_stays_closed(shared, query):
+    """A cache hit after the planning session closed neither reads
+    through it nor begins a snapshot on it that would pin the vacuum
+    horizon for good."""
+    sql = SHARED_PLAN_QUERIES[query]
+    planner, planning_session, database = _open(shared, autocommit=True)
+    assert planner.execute(sql) == [[1, 0]]
+    planner.close()
+    deadline = time.monotonic() + 10.0
+    while not planning_session.closed and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert planning_session.closed
+    writer, _session, _db = _open(shared, autocommit=True)
+    writer.execute("insert into u values (1)")
+    reader, _session, _db = _open(shared, autocommit=True)
+    assert reader.execute(sql) == [[1, 1]]
+    assert planning_session._mvcc_txn is None
+    assert database.transactions.oldest_visible_seq() \
+        == database.transactions.commit_seq
+    for handle in (writer, reader):
+        handle.close()
