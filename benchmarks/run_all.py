@@ -8,8 +8,9 @@ writes ``BENCH_<date>.json`` next to this file:
 * **index_lookup** — repeated point lookups on an N-row table, with and
   without a secondary index (plan cache ON in both arms, fixed literal
   SQL, so the delta is purely scan vs probe);
-* **plan_cache** — the same small statement executed repeatedly against
-  a cache-enabled and a cache-disabled engine;
+* **plan_cache** — the same small statement executed repeatedly, as one
+  byte-identical text (every call a cache hit) vs never-seen spellings
+  of it (every call parses and plans);
 * **durability** — group commit: serial fsync-per-commit vs concurrent
   committers sharing fsyncs through the group-commit window (floor:
   >= 2 commits per fsync at batch size 16);
@@ -72,6 +73,7 @@ sys.path.insert(
 
 from repro import observability  # noqa: E402
 from repro import Database  # noqa: E402
+from repro.engine.plancache import CAPACITY  # noqa: E402
 
 
 def _hit_rate(before: Dict[str, int]) -> Dict[str, Any]:
@@ -192,44 +194,40 @@ def bench_index_lookup(rows: int, lookups: int) -> Dict[str, Any]:
 
 
 def bench_plan_cache(iterations: int) -> Dict[str, Any]:
-    """The same statement, repeated: plan cache on vs off.
+    """The same statement, repeated: cache hits vs misses.
 
     Small table, non-trivial statement text: the repeated-statement
     workload the cache targets, where parse + plan dominate the per-row
-    work (an OLTP point query, not an analytical scan).
+    work (an OLTP point query, not an analytical scan).  The cache keys
+    on the byte-exact text, so the uncached arm appends trailing spaces,
+    cycling through twice as many spellings as the cache holds: every
+    call is a miss that parses and plans.
     """
     sql = (
         "select state, count(*) as n, sum(sales) as total from emps "
         "where sales > 100 and state <> 'XX' "
         "group by state having count(*) > 0 order by total desc limit 5"
     )
+    database = Database(name="bench_pc")
+    session = database.create_session(autocommit=True)
+    session.execute(
+        "create table emps (name varchar(50), state char(20), "
+        "sales decimal(8,2))"
+    )
+    table = database.catalog.get_table("emps")
+    table.rows = [
+        [f"Emp{i}", f"S{i % 10}".ljust(20), Decimal(i * 10)]
+        for i in range(50)
+    ]
+    spellings = [sql + " " * n for n in range(1, 2 * CAPACITY + 1)]
 
-    def build(cache_size: int) -> Any:
-        database = Database(
-            name=f"bench_pc_{cache_size}", plan_cache_size=cache_size
-        )
-        session = database.create_session(autocommit=True)
-        session.execute(
-            "create table emps (name varchar(50), state char(20), "
-            "sales decimal(8,2))"
-        )
-        table = database.catalog.get_table("emps")
-        table.rows = [
-            [f"Emp{i}", f"S{i % 10}".ljust(20), Decimal(i * 10)]
-            for i in range(50)
-        ]
-        return session
+    def run(texts) -> None:
+        for index in range(iterations):
+            session.execute(texts[index % len(texts)])
 
-    cached_session = build(128)
-    uncached_session = build(0)
-
-    def run(session) -> None:
-        for _ in range(iterations):
-            session.execute(sql)
-
-    uncached_seconds = _timed(lambda: run(uncached_session))
+    uncached_seconds = _timed(lambda: run(spellings))
     before = observability.snapshot()["counters"]
-    cached_seconds = _timed(lambda: run(cached_session))
+    cached_seconds = _timed(lambda: run([sql]))
     stats = _hit_rate(before)
 
     result = {

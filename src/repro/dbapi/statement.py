@@ -243,7 +243,8 @@ class Statement:
 
 
 class PreparedStatement(Statement):
-    """Pre-parsed (and for queries pre-planned) parameterised statement."""
+    """Parameterised statement parsed and (queries and DML) compiled
+    once, when it is prepared."""
 
     def __init__(self, connection: Any, sql: str) -> None:
         super().__init__(connection)

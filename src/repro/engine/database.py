@@ -14,6 +14,7 @@ package free of upward dependencies.
 from __future__ import annotations
 
 import contextlib
+import functools
 import threading
 from time import perf_counter as _perf_counter
 import weakref
@@ -82,6 +83,14 @@ _SHARED_STATEMENTS = (
     ast.RollbackTo,
     ast.ReleaseSavepoint,
 )
+
+#: Statements compiled once into a :class:`CachedPlan` and run through
+#: it (``Session._run_plan``); every other statement is a command,
+#: dispatched per execution.
+_PLANNABLE = (
+    ast.Select, ast.SetOperation, ast.Insert, ast.Update, ast.Delete,
+)
+_DML = (ast.Insert, ast.Update, ast.Delete)
 
 #: Statements that are redo-logged as their own immediately-committed
 #: transaction when durability is on.  DDL in this engine is
@@ -179,59 +188,37 @@ class StatementResult:
 class PreparedStatementPlan:
     """A statement prepared once and executable many times.
 
-    Queries keep their compiled plan as a :class:`CachedPlan`,
-    revalidated against the catalog on every execution like a
-    plan-cache entry; other statements keep the parsed AST (re-binding
-    names per execution, which is what lets prepared DML observe later
-    catalog changes).
+    A query or an INSERT/UPDATE/DELETE is compiled here — preparing
+    fails as executing would — and keeps its plan as a
+    :class:`CachedPlan`, revalidated against the catalog on every
+    execution like a plan-cache entry.  A command keeps the parsed AST
+    and is dispatched per execution.  ``statement`` is ``sql`` parsed
+    ahead of time, when the caller has it (a profile customization
+    parses at deployment time).
     """
 
-    def __init__(self, session: "Session", sql: str) -> None:
-        self._bind(
-            session,
-            sql,
-            Parser(sql, session.database.dialect).parse_statement(),
-        )
-
-    @classmethod
-    def _precompiled(
-        cls, session: "Session", sql: str, statement: ast.Statement
-    ) -> "PreparedStatementPlan":
-        """A prepared plan for a statement parsed ahead of time (a
-        profile customization parses at deployment time)."""
-        prepared = cls.__new__(cls)
-        prepared._bind(session, sql, statement)
-        return prepared
-
-    def _bind(
-        self, session: "Session", sql: str, statement: ast.Statement
+    def __init__(
+        self,
+        session: "Session",
+        sql: str,
+        statement: Optional[ast.Statement] = None,
     ) -> None:
+        if statement is None:
+            statement = Parser(sql, session.dialect).parse_statement()
         self.session = session
         self.sql = sql
         self.statement = statement
-        self._cached: Optional[CachedPlan] = None
-        if isinstance(statement, (ast.Select, ast.SetOperation)):
-            # Planning reads the catalog, so it must not race a DDL
-            # statement rewriting it.
-            with session.database.lock.read():
-                self._cached = session._plan_query(statement)
+        self._cached = session.compile(statement)
 
     def _store(self, entry: CachedPlan) -> None:
         self._cached = entry
 
     def execute(self, params: Sequence[Any] = ()) -> StatementResult:
-        session, statement = self.session, self.statement
-        if self._cached is None:
-            return session.execute_statement(statement, params, sql=self.sql)
         # The reused plan is recorded as a plan-cache hit: preparing IS
         # this path's plan cache.
-        return session._run_statement(
-            statement, self.sql, [params],
-            lambda: session._run_query(
-                statement, params, self._cached, self._store
-            ),
-            span=_PREPARED_SPAN,
-            cache_hit=True,
+        return self.session._execute_parsed(
+            self.statement, self.sql, [params], self._cached, self._store,
+            span=_PREPARED_SPAN, cache_hit=self._cached is not None,
         )
 
 
@@ -243,7 +230,6 @@ class Database:
         name: str = "db",
         dialect: Union[str, Dialect] = STANDARD,
         admin_user: str = "dba",
-        plan_cache_size: int = 128,
     ) -> None:
         if isinstance(dialect, str):
             try:
@@ -261,11 +247,9 @@ class Database:
         #: transaction control share it; only DDL and CALL hold it
         #: exclusively (see engine/locks.py).
         self.lock = ReadWriteLock()
-        #: Compiled SELECT plans keyed by (sql, dialect, user), invalidated
-        #: by catalog-version bumps.  ``plan_cache_size=0`` disables it.
-        self.plan_cache: Optional[PlanCache] = (
-            PlanCache(plan_cache_size) if plan_cache_size > 0 else None
-        )
+        #: Compiled plans of queries and DML keyed by (sql, dialect,
+        #: user), invalidated by catalog and statistics version bumps.
+        self.plan_cache = PlanCache()
         #: Durability manager (WAL + checkpointing), attached by
         #: ``repro.open_database``; ``None`` for an in-memory database.
         #: Duck-typed to avoid an import cycle with engine.durability.
@@ -785,49 +769,62 @@ class Session:
     def _execute_text(
         self, sql: str, params: Sequence[Any], span: Any = None
     ) -> StatementResult:
-        """Route one text: a cached query plan runs unparsed, a query
-        parsed here is planned into the cache, the rest is dispatched.
+        """Route one text: a plan-cache hit runs unparsed, a query or DML
+        parsed here is compiled into the cache, a command is dispatched.
         ``span`` is the caller's statement span when tracing is on."""
+        statement, entry, store = self._lookup(sql, span)
+        return self._execute_parsed(
+            statement, sql, [params], entry, store,
+            cache_hit=entry is not None,
+        )
+
+    def _lookup(self, sql: str, span: Any = None) -> tuple:
+        """``(statement, entry, store)`` for one text: the plan cache's
+        fresh entry and its statement, or the text parsed here and no
+        entry; ``store`` files a plan compiled for it."""
         cache = self.database.plan_cache
-        entry = None
-        if cache is not None:
-            # Optimistic peek before parsing: a hit skips the parser and
-            # planner entirely.  _run_query re-validates the catalog
-            # version under the shared lock, so a DDL statement racing
-            # this peek can at worst force a replan, never a stale
-            # execution.  peek (not get): the statement may turn out to
-            # be uncacheable DML, which must not count as a miss.
-            key = (sql, self.dialect.name, self.user)
-            entry = cache.peek(
-                key, self.catalog.version, self.catalog.stats_version
-            )
+        key = (sql, self.dialect.name, self.user)
+        store = functools.partial(cache.put, key)
+        # Optimistic peek before parsing: a hit skips the parser and the
+        # compile step entirely.  _run_plan re-validates the catalog
+        # version under the shared lock, so a DDL statement racing this
+        # peek can at worst force a recompile, never a stale execution.
+        # peek (not get): a command is never cached, so its absence
+        # must not count as a miss.
+        entry = cache.peek(
+            key, self.catalog.version, self.catalog.stats_version
+        )
         if entry is not None:
-            statement = entry.statement
             if span is not None:
                 span.annotate(cached=True)
-        elif span is not None:
+            return entry.statement, entry, store
+        if span is not None:
             with _tracing.current.span("parse"):
                 statement = Parser(sql, self.dialect).parse_statement()
         else:
             statement = Parser(sql, self.dialect).parse_statement()
-        if cache is None or not isinstance(
-            statement, (ast.Select, ast.SetOperation)
-        ):
-            return self.execute_statement(statement, params, sql=sql)
-        if entry is None:
+        if isinstance(statement, _PLANNABLE):
             cache.miss()
-        return self._run_statement(
-            statement, sql, [params],
-            lambda: self._run_query(
-                statement, params, entry, lambda plan: cache.put(key, plan)
-            ),
-            cache_hit=entry is not None,
-        )
+        return statement, None, store
 
     def prepare(self, sql: str) -> PreparedStatementPlan:
-        """Parse (and for queries, plan) once for repeated execution."""
+        """Parse and compile once for repeated execution."""
         self._check_open()
         return PreparedStatementPlan(self, sql)
+
+    def compile(self, statement: ast.Statement) -> Optional[CachedPlan]:
+        """The one compile step: a query or an INSERT/UPDATE/DELETE
+        planned against the current catalog, privileges and statistics,
+        as the :class:`CachedPlan` every execution route holds; None for
+        a command, which is dispatched per execution instead.  Raises
+        every error that does not depend on rows or parameter values;
+        the translator's ``OnlineChecker`` is this, on an exemplar."""
+        if not isinstance(statement, _PLANNABLE):
+            return None
+        # Compiling reads the catalog, so it must not race a DDL
+        # statement rewriting it.
+        with self.database.lock.read():
+            return self._compile(statement)
 
     def execute_statement(
         self,
@@ -835,17 +832,13 @@ class Session:
         params: Sequence[Any] = (),
         sql: Optional[str] = None,
     ) -> StatementResult:
-        """Execute a pre-parsed statement.
+        """Execute a pre-parsed statement, compiling it afresh.
 
-        ``sql`` is the statement's original text when the caller has it
-        (``execute``, prepared statements); statistics then key on it,
-        and redo logging falls back to rendering the AST when it is
-        absent.
+        ``sql`` is the statement's original text when the caller has it;
+        statistics then key on it, and redo logging falls back to
+        rendering the AST when it is absent.
         """
-        return self._run_statement(
-            statement, sql, [params],
-            lambda: self._dispatch(statement, params),
-        )
+        return self._execute_parsed(statement, sql, [params])
 
     def execute_batch(
         self,
@@ -856,11 +849,12 @@ class Session:
         single atomic unit.
 
         This is the engine end of ``executemany`` / JDBC
-        ``executeBatch``: the statement is parsed once, an INSERT runs
-        the same body a single INSERT runs (a plain VALUES batch is one
-        ``mutation_lock`` span and one unique-check pass), and
-        durability writes ONE logical WAL record for the whole batch,
-        so group commit fsyncs once per batch.
+        ``executeBatch``: the text goes through the plan cache like
+        ``execute``'s, the compiled plan runs once per parameter row (a
+        plain VALUES INSERT appends them all in one ``mutation_lock``
+        span with one unique-check pass), and durability writes ONE
+        logical WAL record for the whole batch, so group commit fsyncs
+        once per batch.
 
         The batch is one statement — one trip through the statement
         envelope — so any failure rolls back every row (in autocommit
@@ -876,104 +870,110 @@ class Session:
         rows = [list(row) for row in param_rows]
         if not rows:
             return []
-        statement = Parser(sql, self.dialect).parse_statement()
-        if not isinstance(statement, (ast.Insert, ast.Update, ast.Delete)):
+        statement, entry, store = self._lookup(sql)
+        if not isinstance(statement, _DML):
             raise errors.FeatureNotSupportedError(
                 "execute_batch supports only INSERT, UPDATE and DELETE "
                 "statements"
             )
         _BATCH_EXECUTED.increment()
         _BATCH_ROWS.increment(len(rows))
-        return self._run_statement(
-            statement, sql, rows,
-            lambda: self._apply_dml(statement, rows),
-            span={"batch": len(rows)},
+        return self._execute_parsed(
+            statement, sql, rows, entry, store,
+            span={"batch": len(rows)}, cache_hit=entry is not None,
             batch=True,
+        )
+
+    def _execute_parsed(
+        self,
+        statement: ast.Statement,
+        sql: Optional[str],
+        param_rows: Sequence[Sequence[Any]],
+        entry: Optional[CachedPlan] = None,
+        store: Optional[Callable[[CachedPlan], Any]] = None,
+        span: Optional[dict] = None,
+        cache_hit: bool = False,
+        batch: bool = False,
+    ) -> Any:
+        """Every entry point's one route into the envelope: a query or
+        DML runs through its compiled plan (:meth:`_run_plan`), a
+        command is dispatched (:meth:`_dispatch`)."""
+        if isinstance(statement, _PLANNABLE):
+            def body() -> Any:
+                return self._run_plan(
+                    statement, param_rows, entry, store, batch
+                )
+        else:
+            def body() -> Any:
+                with _tracing.current.span(
+                    "execute", statement=type(statement).__name__
+                ):
+                    return self._dispatch(statement, param_rows[0])
+        return self._run_statement(
+            statement, sql, param_rows, body, span, cache_hit, batch
         )
 
     # ------------------------------------------------------------------
     # statement bodies (run inside the envelope, engine lock held)
     # ------------------------------------------------------------------
-    def _plan_query(self, statement: ast.Statement) -> CachedPlan:
-        """Plan a query under the current catalog and statistics
-        versions; the shared lock keeps DDL (which takes it
-        exclusively) from changing the catalog meanwhile."""
+    def _compile(self, statement: ast.Statement) -> CachedPlan:
+        """Compile a query or DML statement under the current catalog
+        and statistics versions; the caller holds the shared lock, which
+        keeps DDL (it takes the lock exclusively) from changing the
+        catalog meanwhile."""
         catalog = self.catalog
         version, stats_version = catalog.version, catalog.stats_version
-        tracer = _tracing.current
-        if tracer.enabled:
-            with tracer.span("plan"):
+        with _tracing.current.span("plan"):
+            if isinstance(statement, _DML):
+                plan, shape = dml.plan_dml(statement, self), None
+            else:
                 plan, shape = plan_query(statement, self)
-        else:
-            plan, shape = plan_query(statement, self)
         return CachedPlan(statement, plan, shape, version, stats_version)
 
-    def _run_query(
+    def _run_plan(
         self,
         statement: ast.Statement,
-        params: Sequence[Any],
-        entry: Optional[CachedPlan] = None,
-        store: Optional[Callable[[CachedPlan], Any]] = None,
-    ) -> StatementResult:
-        """Body: run a query through ``entry``, the plan its caller
-        holds (a plan-cache entry, a prepared or precompiled statement's
-        own) — replanned, and handed to ``store``, when absent or when
-        DDL or ANALYZE moved the catalog since it was built (new
-        indexes, dropped columns, revoked privileges, fresh statistics
-        that cost a different plan)."""
+        param_rows: Sequence[Sequence[Any]],
+        entry: Optional[CachedPlan],
+        store: Optional[Callable[[CachedPlan], Any]],
+        batch: bool,
+    ) -> Any:
+        """Body: run a query or DML statement through ``entry``, the
+        plan its caller holds (a plan-cache entry, a prepared or
+        precompiled statement's own) — recompiled, and handed to
+        ``store``, when absent or when DDL or ANALYZE moved the catalog
+        since it was built (new indexes, dropped columns, revoked
+        privileges, fresh statistics that cost a different plan).  DML
+        returns its per-row counts for a batch, else a result."""
         catalog = self.catalog
         if (
             entry is None
             or entry.catalog_version != catalog.version
             or entry.stats_version != catalog.stats_version
         ):
-            entry = self._plan_query(statement)
+            entry = self._compile(statement)
             if store is not None:
                 store(entry)
+        plan, shape = entry.plan, entry.shape
         tracer = _tracing.current
+        if shape is None:  # INSERT / UPDATE / DELETE
+            with tracer.span("execute", statement=type(statement).__name__):
+                counts = plan.run(self, param_rows)
+            if batch:
+                return counts
+            return StatementResult("update", update_count=counts[0])
+        [params] = param_rows
         if not tracer.enabled:
-            return self.finish_rowset(
-                entry.plan.run(self, params), entry.shape
-            )
+            return self.finish_rowset(plan.run(self, params), shape)
         with tracer.span("execute"):
-            rows = entry.plan.run(self, params)
+            rows = plan.run(self, params)
         with tracer.span("fetch"):
-            return self.finish_rowset(rows, entry.shape)
-
-    def _apply_dml(
-        self, statement: ast.Statement, param_rows: Sequence[Sequence[Any]]
-    ) -> List[int]:
-        """Body: apply one INSERT / UPDATE / DELETE to each parameter
-        row; returns the per-row affected counts.  A single statement is
-        the one-row case: every INSERT runs
-        :func:`repro.engine.dml.insert_rows`, and UPDATE / DELETE run
-        once per row inside the same envelope."""
-        if isinstance(statement, ast.Insert):
-            return dml.insert_rows(statement, self, param_rows)
-        if isinstance(statement, ast.Update):
-            run = dml.execute_update
-        else:
-            run = dml.execute_delete
-        return [run(statement, self, params) for params in param_rows]
+            return self.finish_rowset(rows, shape)
 
     def _dispatch(
         self, statement: ast.Statement, params: Sequence[Any]
     ) -> StatementResult:
-        """Body: run one parsed statement of any kind."""
-        if isinstance(statement, (ast.Select, ast.SetOperation)):
-            return self._run_query(statement, params)
-        tracer = _tracing.current
-        if not tracer.enabled:
-            return self._dispatch_command(statement, params)
-        with tracer.span("execute", statement=type(statement).__name__):
-            return self._dispatch_command(statement, params)
-
-    def _dispatch_command(
-        self, statement: ast.Statement, params: Sequence[Any]
-    ) -> StatementResult:
-        if isinstance(statement, (ast.Insert, ast.Update, ast.Delete)):
-            [count] = self._apply_dml(statement, [params])
-            return StatementResult("update", update_count=count)
+        """Body: run one command."""
         if isinstance(statement, ast.CreateTable):
             ddl.execute_create_table(statement, self)
             return StatementResult("ddl")

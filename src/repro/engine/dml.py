@@ -1,12 +1,19 @@
-"""INSERT / UPDATE / DELETE execution.
+"""INSERT / UPDATE / DELETE: one compile step and one run step.
 
-Each function takes the parsed statement, the executing session and the
-dynamic parameter values (:func:`insert_rows`: one set per parameter
-row), performs privilege and constraint checks, and mutates the target
-table through the transactional :class:`~repro.engine.storage.RowStore`.
+:func:`plan_dml` does everything that does not touch rows — table
+lookup, privilege and read-only checks, column positions and arity, the
+compiled VALUES rows or source query, compiled column defaults,
+assignment typing, ``>>`` attribute-path validation and the planner's
+access path for the target rows — and returns a :class:`DmlPlan`.
+:meth:`DmlPlan.run` is the row work, once per parameter row.  The plan
+keeps nothing of the session that compiled it (compiled expressions read
+the executing session from their ``Env``), so the session layer caches
+it like a query plan and a prepared statement holds it; the translator's
+``OnlineChecker`` runs the same compile step against an exemplar schema.
+
 Every INSERT and UPDATE ends in heap appends guarded by the one
 uniqueness decision, :func:`_check_unique`: one per UPDATE, and one per
-INSERT unless its source reads the database (see :func:`insert_rows`).
+INSERT unless its source reads the database (see :func:`_plan_insert`).
 
 UPDATE supports the SQLJ Part 2 attribute-path targets from the paper::
 
@@ -19,13 +26,18 @@ the result back (value semantics).
 from __future__ import annotations
 
 import copy
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro import errors
 from repro.engine import ast
 from repro.engine.catalog import Column, Table
 from repro.engine.executor import RuntimeContext
-from repro.engine.expressions import Env, ExpressionCompiler, RowShape
+from repro.engine.expressions import (
+    Env,
+    ExpressionCompiler,
+    RowShape,
+    _find_instance_attribute,
+)
 from repro.engine.functions import lookup_builtin
 from repro.engine.mvcc import MvccTransaction, RowVersion, WriteConflict
 from repro.engine.planner import (
@@ -37,15 +49,55 @@ from repro.engine.planner import (
 )
 from repro.engine.storage import RowStore, store_value
 from repro.engine.virtual import VirtualTable
-from repro.sqltypes import ObjectType, compare_values
+from repro.sqltypes import ObjectType, TypeDescriptor, compare_values
 from repro.sqltypes.values import key_image
 
 __all__ = [
+    "DmlPlan",
+    "plan_dml",
     "execute_insert",
-    "insert_rows",
     "execute_update",
     "execute_delete",
 ]
+
+
+class DmlPlan:
+    """A compiled INSERT, UPDATE or DELETE.
+
+    ``run(session, param_rows)`` applies the statement once per
+    parameter row on ``session`` and returns the per-row affected counts
+    (JDBC ``updateCounts``).  A failure — constraint violation, coercion
+    error, injected fault — leaves the failing append untouched; the
+    caller's statement rollback undoes earlier ones.
+    """
+
+    __slots__ = ("run",)
+
+    def __init__(
+        self, run: Callable[[Any, Sequence[Sequence[Any]]], List[int]]
+    ) -> None:
+        self.run = run
+
+
+def plan_dml(statement: ast.Statement, session: Any) -> DmlPlan:
+    """Compile an INSERT, UPDATE or DELETE against ``session``'s catalog
+    and privileges.  Raises every error that does not depend on the
+    rows or the parameter values."""
+    if isinstance(statement, ast.Insert):
+        return _plan_insert(statement, session)
+    if isinstance(statement, ast.Update):
+        return _plan_update(statement, session)
+    return _plan_delete(statement, session)
+
+
+def _execute(stmt: ast.Statement, session: Any, params: Sequence[Any]) -> int:
+    """Compile and run one statement for one parameter row."""
+    [count] = plan_dml(stmt, session).run(session, [params])
+    return count
+
+
+#: Compile+run for callers holding a parsed statement.
+execute_insert = execute_update = execute_delete = _execute
 
 
 def _check_not_null(column: Column, value: Any, table: Table) -> None:
@@ -169,117 +221,41 @@ def _check_unique(
             )
 
 
-def _default_value(
-    column: Column, session: Any, params: Sequence[Any]
-) -> Any:
-    if column.default is None:
-        return None
-    compiler = ExpressionCompiler(RowShape([]), session)
-    return compiler.compile(column.default).fn(Env([], params, None, session))
-
-
-def _reject_virtual(table: Table) -> None:
+def _target_table(name: str, privilege: str, session: Any) -> Table:
+    table = session.catalog.get_table(name)
+    session.check_table_privilege(privilege, name)
     if isinstance(table, VirtualTable):
         raise table.readonly_error("modify")
+    return table
 
 
-def execute_insert(
-    stmt: ast.Insert, session: Any, params: Sequence[Any]
-) -> int:
-    """Run one INSERT for one parameter row; returns rows inserted."""
-    [count] = insert_rows(stmt, session, [params])
-    return count
+def _check_udt_usage(session: Any, column: Column) -> None:
+    descriptor = column.descriptor
+    if isinstance(descriptor, ObjectType):
+        udt = session.catalog.types.get(descriptor.udt_name)
+        if udt is not None:
+            session.check_usage_privilege(udt)
 
 
-def insert_rows(
-    stmt: ast.Insert,
-    session: Any,
-    param_rows: Sequence[Sequence[Any]],
-) -> List[int]:
-    """Run one INSERT once per parameter row.
-
-    The one INSERT body: ``VALUES`` and ``INSERT ... SELECT``, a plain
-    execute (one parameter row) and ``executemany`` (N) all compile the
-    source once, build and coerce every row one parameter row produces,
-    and append them with :meth:`RowStore.insert`, whose precondition is
-    :func:`_check_unique`.  Each parameter row is its own append when
-    the source reads the database (a query, a subquery, an external
-    function), so it sees the rows earlier ones inserted; a plain
-    VALUES source appends every parameter row at once.  Returns the
-    per-parameter-row counts (JDBC ``updateCounts``).  A failure —
-    constraint violation, coercion error, injected fault — leaves the
-    failing append untouched; the caller's statement rollback undoes
-    the earlier ones.
-    """
-    table = session.catalog.get_table(stmt.table)
-    session.check_table_privilege("INSERT", stmt.table)
-    _reject_virtual(table)
-
-    if stmt.columns is None:
-        target_positions = list(range(len(table.columns)))
-    else:
-        target_positions = [
-            table.column_position(name) for name in stmt.columns
-        ]
-        if len(set(target_positions)) != len(target_positions):
-            raise errors.SQLSyntaxError(
-                "duplicate column in INSERT column list"
-            )
-
-    source = stmt.source
-    if isinstance(source, ast.ValuesSource):
-        compiler = ExpressionCompiler(RowShape([]), session)
-        value_rows = []
-        for value_row in source.rows:
-            if len(value_row) != len(target_positions):
-                raise errors.SQLSyntaxError(
-                    f"INSERT expects {len(target_positions)} values, "
-                    f"got {len(value_row)}"
-                )
-            value_rows.append([compiler.compile(e).fn for e in value_row])
-
-        def produce(params: Sequence[Any]) -> List[List[Any]]:
-            env = Env([], params, None, session)
-            return [[fn(env) for fn in fns] for fns in value_rows]
-    else:
-        plan, shape = plan_query(source, session)
-        if len(shape) != len(target_positions):
-            raise errors.SQLSyntaxError(
-                f"INSERT expects {len(target_positions)} columns, the "
-                f"query supplies {len(shape)}"
-            )
-
-        def produce(params: Sequence[Any]) -> Iterable[List[Any]]:
-            return plan.run(session, params)
-
-    defaulted = [
-        position for position in range(len(table.columns))
-        if position not in target_positions
-    ]
-    # A source that reads the database must see what earlier parameter
-    # rows inserted, as N separate statements would; a plain VALUES list
-    # cannot tell, so all its parameter rows are one append.
-    if isinstance(source, ast.ValuesSource) \
-            and not _reads_database(source.rows):
-        appends = [param_rows]
-    else:
-        appends = [[params] for params in param_rows]
-    store = RowStore(table, session)
-    counts: List[int] = []
-    for append in appends:
-        rows: List[List[Any]] = []
-        for params in append:
-            before = len(rows)
-            for values in produce(params):
-                rows.append(_build_row(
-                    table, target_positions, defaulted, values, session,
-                    params,
-                ))
-            counts.append(len(rows) - before)
-        store.insert(rows, precondition=lambda rows=rows: _check_unique(
-            table, rows, store.txn
-        ))
-    return counts
+def _typed_value(
+    compiler: ExpressionCompiler,
+    expr: ast.Expression,
+    descriptor: TypeDescriptor,
+    target: str,
+) -> Callable[[Env], Any]:
+    """Compile a value stored into ``target`` (of type ``descriptor``),
+    typed now rather than at the first row: a literal must coerce, any
+    other typed expression must be assignable."""
+    value = compiler.compile(expr)
+    if isinstance(expr, ast.Literal):
+        descriptor.coerce(expr.value)
+    elif value.descriptor is not None \
+            and not descriptor.assignable_from(value.descriptor):
+        raise errors.InvalidCastError(
+            f"cannot store {value.descriptor.sql_spelling()} into "
+            f"{target} ({descriptor.sql_spelling()})"
+        )
+    return value.fn
 
 
 def _reads_database(node: Any) -> bool:
@@ -297,141 +273,223 @@ def _reads_database(node: Any) -> bool:
     return False
 
 
-def _build_row(
-    table: Table,
-    target_positions: List[int],
-    defaulted: List[int],
-    values: Sequence[Any],
-    session: Any,
-    params: Sequence[Any],
-) -> List[Any]:
-    row: List[Any] = [None] * len(table.columns)
-    for position, value in zip(target_positions, values):
-        column = table.columns[position]
-        coerced = column.descriptor.coerce(value)
-        _check_udt_usage(session, column)
-        row[position] = store_value(coerced, column.descriptor)
-    for position in defaulted:
-        column = table.columns[position]
-        default = _default_value(column, session, params)
-        row[position] = store_value(
-            column.descriptor.coerce(default), column.descriptor
-        )
-    for position, column in enumerate(table.columns):
-        _check_not_null(column, row[position], table)
-    return row
-
-
-def _check_udt_usage(session: Any, column: Column) -> None:
-    descriptor = column.descriptor
-    if isinstance(descriptor, ObjectType):
-        udt = session.catalog.types.get(descriptor.udt_name)
-        if udt is not None:
-            session.check_usage_privilege(udt)
-
-
-def _targets(
-    table: Table,
-    where: Optional[ast.Expression],
-    session: Any,
-    params: Sequence[Any],
-) -> List[RowVersion]:
-    """The visible versions WHERE selects, read through the planner's
-    access path and materialised before anything is claimed — so an
-    UPDATE moving a row's key (``set k = k + 10 where k >= ?``) never
-    meets its own replacements."""
-    access, residual = plan_target(table, where, session)
-    versions = access.versions(RuntimeContext(session, params))
-    if residual is None:
-        return versions
-    return [
-        version for version in versions
-        if residual(Env(version.row, params, None, session))
+def _plan_insert(stmt: ast.Insert, session: Any) -> DmlPlan:
+    """INSERT: ``VALUES`` and ``INSERT ... SELECT``, a plain execute (one
+    parameter row) and ``executemany`` (N) all build and coerce every
+    row a parameter row produces and append them with
+    :meth:`RowStore.insert`, whose precondition is :func:`_check_unique`.
+    Each parameter row is its own append when the source reads the
+    database (a query, a subquery, an external function), so it sees the
+    rows earlier ones inserted; a plain VALUES source appends every
+    parameter row at once."""
+    table = _target_table(stmt.table, "INSERT", session)
+    columns = table.columns
+    if stmt.columns is None:
+        positions = list(range(len(columns)))
+    else:
+        positions = [table.column_position(name) for name in stmt.columns]
+        if len(set(positions)) != len(positions):
+            raise errors.SQLSyntaxError(
+                "duplicate column in INSERT column list"
+            )
+    for position in positions:
+        _check_udt_usage(session, columns[position])
+    compiler = ExpressionCompiler(RowShape([]), session)
+    defaults = [
+        (position, None if column.default is None
+         else compiler.compile(column.default).fn)
+        for position, column in enumerate(columns)
+        if position not in positions
     ]
 
+    source = stmt.source
+    if isinstance(source, ast.ValuesSource):
+        value_rows = []
+        for value_row in source.rows:
+            if len(value_row) != len(positions):
+                raise errors.SQLSyntaxError(
+                    f"INSERT expects {len(positions)} values, "
+                    f"got {len(value_row)}"
+                )
+            value_rows.append([
+                _typed_value(
+                    compiler, expr, columns[position].descriptor,
+                    f"column {columns[position].name!r}",
+                )
+                for position, expr in zip(positions, value_row)
+            ])
 
-def execute_delete(
-    stmt: ast.Delete, session: Any, params: Sequence[Any]
-) -> int:
-    table = session.catalog.get_table(stmt.table)
-    session.check_table_privilege("DELETE", stmt.table)
-    _reject_virtual(table)
-    versions = _targets(table, stmt.where, session, params)
-    if versions:
-        RowStore(table, session).delete(versions)
-    return len(versions)
+        def produce(env: Env) -> List[List[Any]]:
+            return [[fn(env) for fn in fns] for fns in value_rows]
+
+        # A plain VALUES list cannot tell whether earlier parameter
+        # rows were appended yet, so all of them are one append.
+        per_row = _reads_database(source.rows)
+    else:
+        query, shape = plan_query(source, session)
+        if len(shape) != len(positions):
+            raise errors.SQLSyntaxError(
+                f"INSERT expects {len(positions)} columns, the query "
+                f"supplies {len(shape)}"
+            )
+
+        def produce(env: Env) -> List[List[Any]]:
+            return query.run(env.session, env.params)
+
+        per_row = True
+
+    def build(values: Sequence[Any], env: Env) -> List[Any]:
+        row: List[Any] = [None] * len(columns)
+        for position, value in zip(positions, values):
+            descriptor = columns[position].descriptor
+            row[position] = store_value(descriptor.coerce(value), descriptor)
+        for position, default in defaults:
+            descriptor = columns[position].descriptor
+            value = None if default is None else default(env)
+            row[position] = store_value(descriptor.coerce(value), descriptor)
+        for column, value in zip(columns, row):
+            _check_not_null(column, value, table)
+        return row
+
+    def run(session: Any, param_rows: Sequence[Sequence[Any]]) -> List[int]:
+        store = RowStore(table, session)
+        appends = [[params] for params in param_rows] if per_row \
+            else [param_rows]
+        counts: List[int] = []
+        for append in appends:
+            rows: List[List[Any]] = []
+            for params in append:
+                env = Env([], params, None, session)
+                before = len(rows)
+                rows.extend(build(values, env) for values in produce(env))
+                counts.append(len(rows) - before)
+            store.insert(rows, precondition=lambda rows=rows: _check_unique(
+                table, rows, store.txn
+            ))
+        return counts
+
+    return DmlPlan(run)
 
 
-def execute_update(
-    stmt: ast.Update, session: Any, params: Sequence[Any]
-) -> int:
-    table = session.catalog.get_table(stmt.table)
-    session.check_table_privilege("UPDATE", stmt.table)
-    _reject_virtual(table)
-    shape = table_shape(table)
-    compiler = ExpressionCompiler(shape, session)
+def _target_rows(
+    table: Table, where: Optional[ast.Expression], session: Any
+) -> Callable[[Any, Sequence[Any]], List[RowVersion]]:
+    """The planner's access path for the rows WHERE selects, as a
+    function of (session, params) returning the visible versions —
+    materialised before anything is claimed, so an UPDATE moving a row's
+    key (``set k = k + 10 where k >= ?``) never meets its own
+    replacements."""
+    access, residual = plan_target(table, where, session)
 
-    # Compile and validate assignments up front, independent of row
-    # matches: target columns must exist and value types must be
-    # assignable (strong typing at plan time, not first-match time).
-    compiled: List[Tuple[Any, int, Any]] = []
+    def targets(session: Any, params: Sequence[Any]) -> List[RowVersion]:
+        versions = access.versions(RuntimeContext(session, params))
+        if residual is None:
+            return versions
+        return [
+            version for version in versions
+            if residual(Env(version.row, params, None, session))
+        ]
+
+    return targets
+
+
+def _plan_delete(stmt: ast.Delete, session: Any) -> DmlPlan:
+    table = _target_table(stmt.table, "DELETE", session)
+    targets = _target_rows(table, stmt.where, session)
+
+    def run(session: Any, param_rows: Sequence[Sequence[Any]]) -> List[int]:
+        store = RowStore(table, session)
+        counts = []
+        for params in param_rows:
+            versions = targets(session, params)
+            if versions:
+                store.delete(versions)
+            counts.append(len(versions))
+        return counts
+
+    return DmlPlan(run)
+
+
+def _attribute_path(
+    session: Any, column: Column, target: ast.AttributePath
+) -> Tuple[TypeDescriptor, str]:
+    """Validate a Part 2 ``column>>a>>b`` target against the declared
+    types; returns the last attribute's type and a name for messages."""
+    descriptor: Any = column.descriptor
+    name = f"column {column.name!r}"
+    for attribute in target.attributes:
+        if not isinstance(descriptor, ObjectType):
+            raise errors.SQLSyntaxError(
+                f"{name} is not of an object type; >> assignment is not "
+                "applicable"
+            )
+        udt = session.catalog.get_type(descriptor.udt_name)
+        binding = udt.find_attribute(attribute)
+        if binding is None:
+            raise errors.UndefinedColumnError(
+                f"type {udt.name!r} has no attribute {attribute!r}"
+            )
+        descriptor, name = binding.descriptor, f"attribute {attribute!r}"
+    return descriptor, name
+
+
+def _plan_update(stmt: ast.Update, session: Any) -> DmlPlan:
+    table = _target_table(stmt.table, "UPDATE", session)
+    columns = table.columns
+    compiler = ExpressionCompiler(table_shape(table), session)
+    assignments: List[Tuple[Any, int, Callable[[Env], Any]]] = []
     for assignment in stmt.assignments:
-        value = compiler.compile(assignment.value)
         target = assignment.target
         position = table.column_position(
             target if isinstance(target, str) else target.column
         )
-        column = table.columns[position]
+        column = columns[position]
         if isinstance(target, str):
-            if isinstance(assignment.value, ast.Literal):
-                column.descriptor.coerce(assignment.value.value)
-            elif value.descriptor is not None and not \
-                    column.descriptor.assignable_from(value.descriptor):
-                raise errors.InvalidCastError(
-                    f"cannot store {value.descriptor.sql_spelling()} "
-                    f"into column {column.name!r} "
-                    f"({column.descriptor.sql_spelling()})"
-                )
-        elif not isinstance(column.descriptor, ObjectType):
-            raise errors.SQLSyntaxError(
-                f"column {target.column!r} is not of an object type; "
-                ">> assignment is not applicable"
-            )
-        compiled.append((target, position, value.fn))
+            _check_udt_usage(session, column)
+            descriptor, name = column.descriptor, f"column {column.name!r}"
+        else:
+            descriptor, name = _attribute_path(session, column, target)
+        assignments.append((target, position, _typed_value(
+            compiler, assignment.value, descriptor, name
+        )))
+    targets = _target_rows(table, stmt.where, session)
 
-    targets = _targets(table, stmt.where, session, params)
-    store = RowStore(table, session)
+    def run(session: Any, param_rows: Sequence[Sequence[Any]]) -> List[int]:
+        store = RowStore(table, session)
+        counts = []
+        for params in param_rows:
+            versions = targets(session, params)
+            # Claim every target first (first-updater-wins conflict
+            # detection), then evaluate all replacement rows against
+            # pre-update state — old versions are immutable, so the
+            # images cannot shift under us.
+            for version in versions:
+                store.claim(version)
+            new_rows: List[List[Any]] = []
+            for version in versions:
+                env = Env(version.row, params, None, session)
+                new_row = list(version.row)
+                for target, position, value_fn in assignments:
+                    _assign(
+                        columns[position], new_row, position, target,
+                        value_fn(env), session,
+                    )
+                for column, cell in zip(columns, new_row):
+                    _check_not_null(column, cell, table)
+                new_rows.append(new_row)
+            # The claimed old versions no longer count (their xmax is
+            # ours), so the unique check sees exactly the table as it
+            # will be.
+            store.replace(new_rows, precondition=lambda: _check_unique(
+                table, new_rows, store.txn
+            ))
+            counts.append(len(new_rows))
+        return counts
 
-    # Claim every target first (first-updater-wins conflict detection),
-    # then evaluate all replacement rows against pre-update state —
-    # old versions are immutable, so the images cannot shift under us.
-    for version in targets:
-        store.claim(version)
-
-    new_rows: List[List[Any]] = []
-    for version in targets:
-        old_row = version.row
-        env = Env(old_row, params, None, session)
-        new_row = list(old_row)
-        for target, position, value_fn in compiled:
-            _apply_assignment(
-                table.columns[position], new_row, position, target,
-                value_fn(env), session,
-            )
-        for column, cell in zip(table.columns, new_row):
-            _check_not_null(column, cell, table)
-        new_rows.append(new_row)
-
-    # The claimed old versions no longer count (their xmax is ours), so
-    # the unique check sees exactly the table as it will be.
-    store.replace(
-        new_rows,
-        precondition=lambda: _check_unique(table, new_rows, store.txn),
-    )
-    return len(new_rows)
+    return DmlPlan(run)
 
 
-def _apply_assignment(
+def _assign(
     column: Column,
     row: List[Any],
     position: int,
@@ -442,13 +500,14 @@ def _apply_assignment(
     """Store ``value`` into ``row[position]``, or into one attribute of
     its object when ``target`` is a (validated) attribute path."""
     if isinstance(target, str):
-        _check_udt_usage(session, column)
         row[position] = store_value(
             column.descriptor.coerce(value), column.descriptor
         )
         return
 
     # Part 2 attribute path: copy object, set the mapped field, store back.
+    # Bindings are looked up on the runtime class: a stored value may be
+    # of a subtype of the column's type.
     current = row[position]
     if current is None:
         raise errors.NullValueError(
@@ -459,35 +518,12 @@ def _apply_assignment(
     node = updated
     path = target.attributes
     for attr_name in path[:-1]:
-        node = _read_attribute(session, node, attr_name)
+        binding = _find_instance_attribute(session, node, attr_name)
+        node = getattr(node, binding.field_name)
         if node is None:
             raise errors.NullValueError(
                 f"intermediate attribute {attr_name!r} is NULL"
             )
-    _write_attribute(session, node, path[-1], value)
+    binding = _find_instance_attribute(session, node, path[-1])
+    setattr(node, binding.field_name, binding.descriptor.coerce(value))
     row[position] = updated
-
-
-def _binding_for(session: Any, obj: Any, attr_name: str):
-    udt = session.catalog.type_for_class(type(obj))
-    if udt is None:
-        raise errors.UndefinedTypeError(
-            f"class {type(obj).__name__!r} is not registered as a SQL type"
-        )
-    binding = udt.find_attribute(attr_name)
-    if binding is None:
-        raise errors.UndefinedColumnError(
-            f"type {udt.name!r} has no attribute {attr_name!r}"
-        )
-    return binding
-
-
-def _read_attribute(session: Any, obj: Any, attr_name: str) -> Any:
-    return getattr(obj, _binding_for(session, obj, attr_name).field_name)
-
-
-def _write_attribute(
-    session: Any, obj: Any, attr_name: str, value: Any
-) -> None:
-    binding = _binding_for(session, obj, attr_name)
-    setattr(obj, binding.field_name, binding.descriptor.coerce(value))

@@ -385,7 +385,6 @@ def open_database(
     name: str = "db",
     dialect: Union[str, Dialect] = STANDARD,
     admin_user: str = "dba",
-    plan_cache_size: int = 128,
     sync: bool = True,
     group_window: float = 0.0,
     group_size: int = 16,
@@ -434,7 +433,6 @@ def open_database(
         name=name,
         dialect=dialect,
         admin_user=admin_user,
-        plan_cache_size=plan_cache_size,
     )
     # Resume the MVCC commit counter above everything in the store so
     # replayed (and future) stamps stay monotonic.

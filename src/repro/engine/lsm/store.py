@@ -182,9 +182,7 @@ class LsmStore:
                 _unlink_quietly([os.path.join(directory, filename)])
         return store
 
-    def build_database(
-        self, *, plan_cache_size: int, **identity: Any
-    ) -> Database:
+    def build_database(self, **identity: Any) -> Database:
         """Reconstruct the database the manifest + runs describe.
 
         The catalog comes from the manifest's schema image; every
@@ -206,9 +204,7 @@ class LsmStore:
         ``last_seq`` 0: the WAL replays everything.
         """
         if self._image_blob is None:
-            database = Database(
-                plan_cache_size=plan_cache_size, **identity
-            )
+            database = Database(**identity)
             database.lsm_store = self
             with self._lock:
                 self._install_manifest(
@@ -217,8 +213,7 @@ class LsmStore:
                 )
             return database
         database = restore_database(
-            diskfile.loads(self._image_blob, "LSM manifest schema"),
-            plan_cache_size=plan_cache_size,
+            diskfile.loads(self._image_blob, "LSM manifest schema")
         )
         database.lsm_store = self
         for table in database.catalog.tables.values():

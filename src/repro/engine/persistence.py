@@ -329,9 +329,7 @@ def load_database(path: str) -> Database:
     return restore_database(image)
 
 
-def restore_database(
-    image: DatabaseImage, *, plan_cache_size: int = 128
-) -> Database:
+def restore_database(image: DatabaseImage) -> Database:
     """Reconstruct a live :class:`Database` from a
     :class:`DatabaseImage` (the inverse of :func:`image_of`)."""
     if image.version != FORMAT_VERSION:
@@ -343,7 +341,6 @@ def restore_database(
         name=image.name,
         dialect=image.dialect,
         admin_user=image.admin_user,
-        plan_cache_size=plan_cache_size,
     )
     catalog = database.catalog
     session = database.create_session()
@@ -505,7 +502,7 @@ class SnapshotStore:
     * ``open(directory)`` reads the watermarks ``last_seq`` (replay
       skips WAL records at or below it) and ``flushed_stamp`` (the MVCC
       commit counter resumes above it);
-    * ``build_database(plan_cache_size=, **identity)`` reconstructs the
+    * ``build_database(**identity)`` reconstructs the
       database as of them (``identity`` — name, dialect, admin user —
       only applies to an empty directory);
     * ``flush(database, last_seq=)`` makes the committed state durable,
@@ -556,13 +553,11 @@ class SnapshotStore:
         store.flushed_stamp = int(payload.get("commit_seq", 0))
         return store
 
-    def build_database(
-        self, *, plan_cache_size: int, **identity: Any
-    ) -> Database:
+    def build_database(self, **identity: Any) -> Database:
         image, self._image = self._image, None
         if image is None:
-            return Database(plan_cache_size=plan_cache_size, **identity)
-        return restore_database(image, plan_cache_size=plan_cache_size)
+            return Database(**identity)
+        return restore_database(image)
 
     def flush(self, database: Database, *, last_seq: int) -> None:
         """Install ``{version, image, last_seq, commit_seq}`` around an

@@ -1,28 +1,29 @@
 """Engine-level LRU plan cache.
 
-Parsing and planning dominate the cost of small queries (the per-row
-work of a point lookup is a couple of dict probes, the plan for it is a
-few thousand lines of Python), so repeated statements pay for the same
-plan over and over.  This cache keys compiled query plans by
-``(sql, dialect, user)`` and tags each entry with the catalog version
-*and statistics version* it was planned under:
+Parsing and compiling dominate the cost of small statements (the
+per-row work of a point lookup or a keyed UPDATE is a couple of dict
+probes), so this cache keys compiled plans — queries and
+INSERT/UPDATE/DELETE alike — by ``(sql, dialect, user)`` and tags each
+entry with the catalog version *and statistics version* it was compiled
+under:
 
 * **sql** — byte-exact statement text (no normalisation; two spellings
-  of the same query are two entries);
+  of the same statement are two entries);
 * **dialect** — dialect name, since it changes how the text parses;
-* **user** — privilege checks run at plan time, so a plan is only valid
-  for the user it was planned for;
+* **user** — privilege checks run at compile time, so a plan is only
+  valid for the user it was compiled for;
 * **catalog version** — :class:`repro.engine.catalog.Catalog` bumps a
   monotonic counter on every DDL/GRANT/REVOKE mutation; an entry whose
-  version is stale is evicted on lookup and the statement replans.
+  version is stale is evicted on lookup and the statement recompiles.
 * **stats version** — ANALYZE bumps the catalog's separate
-  ``stats_version`` counter; a cached plan chosen under old statistics
-  may be the wrong plan now (seqscan-vs-index crossover, join order),
-  so stale-stats entries are evicted and re-costed the same way.
+  ``stats_version`` counter; a plan chosen under old statistics may be
+  the wrong plan now (seqscan-vs-index crossover, join order), so
+  stale-stats entries are evicted and re-costed the same way.
 
-Only SELECT and set-operation statements are cached (by the session
-layer): DML re-binds names per execution, EXPLAIN must plan freshly so
-EXPLAIN ANALYZE can instrument the tree in place.
+A plan keeps nothing of the session that compiled it (compiled
+expressions read the executing one from their ``Env``), so one entry
+serves every session of its user.  Commands — DDL, CALL, EXPLAIN,
+transaction control — are never cached.
 
 Thread safety: lookups and inserts take a private lock; the *plans*
 themselves are only executed under the database's reader-writer lock,
@@ -50,9 +51,14 @@ _EVICTIONS = _metrics.registry.counter("plan_cache.evictions")
 #: (sql text, dialect name, user)
 CacheKey = Tuple[str, str, str]
 
+#: Entries a database's cache holds (``benchmarks/e2e``'s
+#: ``analytic_scan`` sizes its distinct texts against it).
+CAPACITY = 128
+
 
 class CachedPlan:
-    """One cached statement: parsed AST, compiled plan, output shape."""
+    """One compiled statement: parsed AST, plan, output shape (None for
+    DML, whose plan is a :class:`~repro.engine.dml.DmlPlan`)."""
 
     __slots__ = (
         "statement", "plan", "shape", "catalog_version", "stats_version"
@@ -76,7 +82,7 @@ class CachedPlan:
 class PlanCache:
     """LRU cache of :class:`CachedPlan` entries."""
 
-    def __init__(self, capacity: int = 128) -> None:
+    def __init__(self, capacity: int = CAPACITY) -> None:
         self.capacity = capacity
         self._entries: "OrderedDict[CacheKey, CachedPlan]" = OrderedDict()
         self._lock = threading.Lock()
@@ -93,22 +99,10 @@ class PlanCache:
         (schema, index set, or privileges changed since it was built),
         as is one planned under older ANALYZE statistics.
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                _MISSES.increment()
-                return None
-            if (
-                entry.catalog_version != catalog_version
-                or entry.stats_version != stats_version
-            ):
-                del self._entries[key]
-                _EVICTIONS.increment()
-                _MISSES.increment()
-                return None
-            self._entries.move_to_end(key)
-            _HITS.increment()
-            return entry
+        entry = self.peek(key, catalog_version, stats_version)
+        if entry is None:
+            _MISSES.increment()
+        return entry
 
     def peek(
         self,
@@ -119,10 +113,10 @@ class PlanCache:
         """Like :meth:`get`, but absence is not counted as a miss.
 
         The session layer probes the cache *before parsing*, when the
-        statement may turn out not to be cacheable at all (DML, DDL);
+        statement may turn out to be a command, which is never cached;
         counting those probes as misses would make the hit rate
         meaningless.  The caller reports the miss through :meth:`miss`
-        once it knows the statement was a cacheable query.
+        once it knows the statement was plannable.
         """
         with self._lock:
             entry = self._entries.get(key)

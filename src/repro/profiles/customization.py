@@ -177,7 +177,7 @@ class DialectCustomization(Customization):
         return _PreparedRTStatement(
             entry,
             session,
-            PreparedStatementPlan._precompiled(
+            PreparedStatementPlan(
                 session,
                 self.sql_texts[entry.index],
                 self.statements[entry.index],

@@ -12,10 +12,16 @@ Two checkers ship with the translator:
   standard grammar.  No connection needed; catches syntax errors.
 * :class:`OnlineChecker` — connects to an *exemplar schema* (any engine
   :class:`~repro.engine.database.Database` or session whose catalog
-  matches the deployment target) and performs full semantic analysis:
-  unknown tables/columns/routines/types, type mismatches in predicates
-  and assignments, arity errors — and *describes* query entries, feeding
-  result-shape information back for typed-iterator checking.
+  matches the deployment target) and runs the engine's own compile step
+  (:meth:`Session.compile <repro.engine.database.Session.compile>`) on
+  every query and INSERT/UPDATE/DELETE entry: unknown
+  tables/columns/routines/types, privileges, read-only targets, type
+  mismatches in predicates and assignments, arity errors — exactly what
+  ``prepare`` would raise against that schema, because it is the same
+  code.  Query entries are *described* from the compiled shape, feeding
+  result-shape information back for typed-iterator checking.  Only
+  errors that depend on rows or parameter values (constraint
+  violations, coercion of a bound value) are left to run time.
 
 Vendors (tests, applications) can subclass :class:`SQLChecker` and
 register additional analyzers per connection-context type.
@@ -29,9 +35,7 @@ from typing import Any, List, Optional
 from repro import errors
 from repro.engine import ast
 from repro.engine.database import Database, Session
-from repro.engine.expressions import ExpressionCompiler, RowShape
 from repro.engine.parser import Parser
-from repro.engine.planner import plan_query, table_shape
 from repro.profiles.model import EntryInfo, TypeInfo
 from repro.sqltypes import ObjectType, TypeDescriptor
 
@@ -137,15 +141,13 @@ class OnlineChecker(SQLChecker):
 
     def describe(self, entry: EntryInfo) -> Optional[List[TypeInfo]]:
         try:
-            statement = Parser(entry.sql).parse_statement()
+            compiled = self.session.compile(
+                Parser(entry.sql).parse_statement()
+            )
         except errors.SQLException:
             return None
-        if not isinstance(statement, (ast.Select, ast.SetOperation)):
-            return None
-        try:
-            _plan, shape = plan_query(statement, self.session)
-        except errors.SQLException:
-            return None
+        if compiled is None or compiled.shape is None:
+            return None  # a command, or DML: no result columns
         return [
             TypeInfo(
                 name=column.name,
@@ -156,116 +158,19 @@ class OnlineChecker(SQLChecker):
                 ),
                 python_type_name=_python_type_name(column.descriptor),
             )
-            for column in shape.columns
+            for column in compiled.shape.columns
         ]
 
     # ------------------------------------------------------------------
     def _analyse(
         self, statement: ast.Statement, entry: Optional[EntryInfo] = None
     ) -> None:
-        if isinstance(statement, (ast.Select, ast.SetOperation)):
-            plan_query(statement, self.session)
-        elif isinstance(statement, ast.Insert):
-            self._analyse_insert(statement)
-        elif isinstance(statement, ast.Update):
-            self._analyse_update(statement)
-        elif isinstance(statement, ast.Delete):
-            self._analyse_delete(statement)
-        elif isinstance(statement, ast.Call):
+        if isinstance(statement, ast.Call):
             self._analyse_call(statement, entry)
-        # DDL / GRANT / transaction statements: parse-checked only.
-
-    def _analyse_insert(self, statement: ast.Insert) -> None:
-        table = self.session.catalog.get_table(statement.table)
-        if statement.columns is None:
-            positions = list(range(len(table.columns)))
         else:
-            positions = [
-                table.column_position(name) for name in statement.columns
-            ]
-        compiler = ExpressionCompiler(RowShape([]), self.session)
-        if isinstance(statement.source, ast.ValuesSource):
-            for row in statement.source.rows:
-                if len(row) != len(positions):
-                    raise errors.SQLSyntaxError(
-                        f"INSERT expects {len(positions)} values, got "
-                        f"{len(row)}"
-                    )
-                for position, expr in zip(positions, row):
-                    column = table.columns[position]
-                    compiled = compiler.compile(expr)
-                    if isinstance(expr, ast.Literal):
-                        column.descriptor.coerce(expr.value)
-                    elif compiled.descriptor is not None and not \
-                            column.descriptor.assignable_from(
-                                compiled.descriptor
-                            ):
-                        raise errors.InvalidCastError(
-                            f"cannot store "
-                            f"{compiled.descriptor.sql_spelling()} into "
-                            f"column {column.name!r} "
-                            f"({column.descriptor.sql_spelling()})"
-                        )
-        else:
-            _plan, shape = plan_query(statement.source, self.session)
-            if len(shape) != len(positions):
-                raise errors.SQLSyntaxError(
-                    f"INSERT expects {len(positions)} columns, the query "
-                    f"supplies {len(shape)}"
-                )
-
-    def _analyse_update(self, statement: ast.Update) -> None:
-        table = self.session.catalog.get_table(statement.table)
-        shape = table_shape(table)
-        compiler = ExpressionCompiler(shape, self.session)
-        for assignment in statement.assignments:
-            compiled = compiler.compile(assignment.value)
-            if isinstance(assignment.target, str):
-                position = table.column_position(assignment.target)
-                column = table.columns[position]
-                if isinstance(assignment.value, ast.Literal):
-                    column.descriptor.coerce(assignment.value.value)
-                elif compiled.descriptor is not None and not \
-                        column.descriptor.assignable_from(
-                            compiled.descriptor
-                        ):
-                    raise errors.InvalidCastError(
-                        f"cannot store "
-                        f"{compiled.descriptor.sql_spelling()} into column "
-                        f"{column.name!r} "
-                        f"({column.descriptor.sql_spelling()})"
-                    )
-            else:
-                self._analyse_attribute_path(table, assignment.target)
-        if statement.where is not None:
-            compiler.compile(statement.where)
-
-    def _analyse_attribute_path(
-        self, table: Any, target: ast.AttributePath
-    ) -> None:
-        position = table.column_position(target.column)
-        descriptor = table.columns[position].descriptor
-        if not isinstance(descriptor, ObjectType):
-            raise errors.SQLSyntaxError(
-                f"column {target.column!r} is not of an object type"
-            )
-        udt = self.session.catalog.get_type(descriptor.udt_name)
-        for attribute in target.attributes:
-            binding = udt.find_attribute(attribute)
-            if binding is None:
-                raise errors.UndefinedColumnError(
-                    f"type {udt.name!r} has no attribute {attribute!r}"
-                )
-            if isinstance(binding.descriptor, ObjectType):
-                udt = self.session.catalog.get_type(
-                    binding.descriptor.udt_name
-                )
-
-    def _analyse_delete(self, statement: ast.Delete) -> None:
-        table = self.session.catalog.get_table(statement.table)
-        if statement.where is not None:
-            compiler = ExpressionCompiler(table_shape(table), self.session)
-            compiler.compile(statement.where)
+            # Queries and DML: the engine's compile step.  DDL / GRANT /
+            # transaction statements compile to nothing: parse-checked.
+            self.session.compile(statement)
 
     def _analyse_call(
         self, statement: ast.Call, entry: Optional[EntryInfo] = None

@@ -78,7 +78,7 @@ class TestStoreContract:
         store = store_class.open(d)
         assert (store.last_seq, store.flushed_stamp) == (0, 0)
         assert store.directory == d
-        db = store.build_database(plan_cache_size=16, **IDENTITY)
+        db = store.build_database(**IDENTITY)
         assert db.name == "contract" and db.durability is None
         s = db.create_session(autocommit=True)
         s.execute("CREATE TABLE t (k INT PRIMARY KEY, v VARCHAR(10))")
@@ -101,8 +101,7 @@ class TestStoreContract:
         assert reopened.flushed_stamp == store.flushed_stamp
         # A stored database keeps its own identity.
         db2 = reopened.build_database(
-            plan_cache_size=16, name="other", dialect="standard",
-            admin_user="dba",
+            name="other", dialect="standard", admin_user="dba"
         )
         assert db2.name == "contract"
         # flushed_stamp is where the MVCC commit counter resumes: rows

@@ -1,12 +1,13 @@
 """Engine-level plan cache: hits, invalidation, and concurrency.
 
-``Session.execute`` caches compiled plans for SELECT / set-operation
-statements keyed by ``(sql, dialect, user)``; every catalog mutation
-(DDL, GRANT/REVOKE) bumps ``Catalog.version`` and invalidates stale
-entries.  These tests pin the cache's observable contract: repeated
-statements hit, schema changes replan, revoked users cannot ride a
-cached plan past a privilege check, and concurrent DDL never produces
-wrong answers.
+``Session.execute`` and ``execute_batch`` cache compiled plans for
+queries, set operations and INSERT/UPDATE/DELETE keyed by ``(sql,
+dialect, user)``; every catalog mutation (DDL, GRANT/REVOKE) bumps
+``Catalog.version`` and ANALYZE bumps ``stats_version``, invalidating
+stale entries.  These tests pin the cache's observable contract:
+repeated statements hit, schema changes and fresh statistics replan,
+revoked users cannot ride a cached plan past a privilege check, and
+concurrent DDL never produces wrong answers.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro import errors, observability
-from repro import Database
 from repro.engine.plancache import CachedPlan, PlanCache
 from repro.testing import run_concurrent
 
@@ -96,22 +96,13 @@ class TestPlanCacheHits:
         # Different user: no hit on dba's entry.
         assert _counter("plan_cache.hits") == before
 
-    def test_non_queries_not_cached(self, session):
-        session.execute("create table nq (k integer)")
+    def test_commands_not_cached(self, session):
         before = _counter("plan_cache.misses")
-        session.execute("insert into nq values (1)")
-        session.execute("insert into nq values (1)")
+        session.execute("create table nq (k integer)")
+        session.execute("commit")
+        session.execute("commit")
         assert _counter("plan_cache.misses") == before
-
-    def test_cache_disabled(self, emps):
-        db = Database(name="nocache", plan_cache_size=0)
-        assert db.plan_cache is None
-        session = db.create_session(autocommit=True)
-        session.execute("create table t (k integer)")
-        before = _counter("plan_cache.hits")
-        session.execute("select * from t")
-        session.execute("select * from t")
-        assert _counter("plan_cache.hits") == before
+        assert len(session.database.plan_cache) == 0
 
 
 class TestInvalidation:
@@ -167,6 +158,96 @@ class TestInvalidation:
         assert prepared.execute().rows == [[1]]
         session.execute("alter table t add column v varchar(5)")
         assert prepared.execute().rows == [[1, None]]
+
+
+def _statement_stats(session, prefix):
+    """(calls, plan_cache_hits, rows_scanned) of the one statement whose
+    normalized text starts with ``prefix``."""
+    [row] = session.execute(
+        "select calls, plan_cache_hits, rows_scanned "
+        "from repro_stats.statements "
+        f"where statement like '{prefix}%'"
+    ).rows
+    return tuple(row)
+
+
+class TestDmlPlans:
+    """DML texts are compiled once and cached like queries, and the
+    same envelope revalidates them."""
+
+    UPDATE = "update big set v = v + 1 where k = ?"
+
+    @pytest.fixture
+    def big(self, session):
+        session.execute("create table big (k integer primary key, v integer)")
+        session.execute_batch(
+            "insert into big values (?, 0)", [[k] for k in range(10_000)]
+        )
+        return session
+
+    def test_repeated_dml_hits(self, big):
+        for k in range(5):
+            assert big.execute(self.UPDATE, [k]).update_count == 1
+        calls, hits, _scanned = _statement_stats(big, "UPDATE big")
+        assert (calls, hits) == (5, 4)
+
+    def test_batch_of_a_cached_text_hits(self, big):
+        big.execute(self.UPDATE, [1])
+        before = _counter("plan_cache.hits")
+        assert big.execute_batch(self.UPDATE, [[2], [3]]) == [1, 1]
+        assert _counter("plan_cache.hits") == before + 1
+        assert big.execute("select v from big where k < 4").rows == [
+            [0], [1], [1], [1]
+        ]
+
+    def test_create_index_switches_access_path(self, big):
+        big.execute(self.UPDATE, [1])
+        assert _statement_stats(big, "UPDATE big")[2] == 10_000
+        big.execute("create index big_k on big (k)")
+        big.execute(self.UPDATE, [2])
+        calls, hits, scanned = _statement_stats(big, "UPDATE big")
+        assert (calls, hits, scanned) == (2, 0, 10_001)
+
+    def test_analyze_recosts(self, big):
+        """Without statistics an index probe always wins; once ANALYZE
+        shows every row matching, the recompiled plan scans instead."""
+        sql = "update big set v = v + 1 where v = ?"
+        big.execute("create index big_v on big (v)")
+        lookups = _counter("index.lookups")
+        assert big.execute(sql, [0]).update_count == 10_000
+        assert _counter("index.lookups") == lookups + 1
+        big.execute("analyze big")
+        lookups = _counter("index.lookups")
+        assert big.execute(sql, [1]).update_count == 10_000
+        assert _counter("index.lookups") == lookups
+        assert _statement_stats(big, "UPDATE big")[:2] == (2, 0)
+
+    def test_revoke_reaches_cached_dml(self, db, session):
+        session.execute("create table t (k integer)")
+        session.execute("insert into t values (1)")
+        session.execute("grant update on t to smith")
+        smith = db.create_session(user="smith", autocommit=True)
+        sql = "update t set k = k + 1"
+        assert smith.execute(sql).update_count == 1
+        assert smith.execute(sql).update_count == 1  # a cache hit
+        session.execute("revoke update on t from smith")
+        with pytest.raises(errors.PrivilegeError) as info:
+            smith.execute(sql)
+        assert info.value.sqlstate == "42501"
+
+    def test_add_column_changes_cached_insert(self, session):
+        session.execute("create table t (k integer)")
+        sql = "insert into t values (?, ?)"
+        with pytest.raises(errors.SQLSyntaxError):
+            session.execute(sql, [1, "a"])
+        session.execute("insert into t values (?)", [1])
+        session.execute("alter table t add column v varchar(5)")
+        assert session.execute(sql, [2, "b"]).update_count == 1
+        with pytest.raises(errors.SQLSyntaxError):
+            session.execute("insert into t values (?)", [3])
+        assert session.execute("select k, v from t order by k").rows == [
+            [1, None], [2, "b"]
+        ]
 
 
 class TestConcurrency:

@@ -117,6 +117,25 @@ class TestStatementsView:
         assert calls == 4
         assert hits >= 2  # first call plans; later calls hit the cache
 
+    def test_dml_plan_cache_hits_counted(self, session):
+        session.execute("create table t (k int primary key, v int)")
+        session.execute_batch(
+            "insert into t values (?, 0)", [[k] for k in range(10)]
+        )
+        for k in range(6):
+            session.execute("update t set v = v + 1 where k = ?", [k])
+        plan = session.prepare("delete from t where k = ?")
+        for k in range(3):
+            plan.execute([k])
+        result = session.execute(
+            "select statement, calls, plan_cache_hits "
+            "from repro_stats.statements "
+            "where statement like 'UPDATE t%' "
+            "or statement like 'DELETE FROM t%' order by statement"
+        )
+        # execute: the first call compiles; prepared: every call reuses
+        assert [row[1:] for row in result.rows] == [[3, 3], [6, 5]]
+
     def test_errors_by_sqlstate(self, session):
         for _ in range(2):
             with pytest.raises(errors.SQLException) as info:

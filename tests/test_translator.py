@@ -399,6 +399,122 @@ class TestChecking:
             translate_source("x = 1\n", "not-valid!")
 
 
+# ---------------------------------------------------------------------------
+# the checker IS the engine's compile step
+# ---------------------------------------------------------------------------
+
+
+class Pos:
+    """Part 2 value for the ``pos`` column of the checker schema."""
+
+    def __init__(self, x, y):
+        self.x = x
+        self.y = y
+
+
+CHECKER_SCHEMA = [
+    f"create type pos external name '{Pos.__module__}.Pos' "
+    "language python (x integer external name x, "
+    "y integer external name y, "
+    "method pos (x integer, y integer) returns pos external name Pos)",
+    "create table acct (k integer primary key, name varchar(10), pos pos)",
+    "create view acct_v as select k, name from acct",
+    "create table src (a integer, b integer)",
+]
+#: The one row ``acct`` matches ``k = 1`` with.
+CHECKER_ROW = "insert into acct values (1, 'a', new pos(1, 2))"
+
+#: name: (sql, params, SQLSTATE raised at compile time — by the checker,
+#: ``prepare`` and every execution alike —, else the run-time SQLSTATE
+#: on the empty table and on the one-matching-row table).
+CHECKER_CASES = {
+    # the checker and the engine used to disagree on these
+    "insert_duplicate_column": (
+        "insert into acct (k, k) values (1, 2)", [], "42000"),
+    "update_virtual_table": (
+        "update repro_stats.metrics set value = 1", [], "0A000"),
+    "update_unknown_attribute": (
+        "update acct set pos>>nosuch = 1 where k = 1", [], "42703"),
+    "update_attribute_type": (
+        "update acct set pos>>x = 'abc' where k = 1", [], "22018"),
+    # compile-time errors
+    "update_unknown_column": (
+        "update acct set nosuch = 1 where k = 1", [], "42703"),
+    "where_unknown_column": (
+        "delete from acct where nosuch = 1", [], "42703"),
+    "insert_select_arity": (
+        "insert into acct (k, name) select a from src", [], "42000"),
+    "insert_values_arity": ("insert into acct values (1)", [], "42000"),
+    "insert_read_only_view": (
+        "insert into acct_v values (1, 'x')", [], "42P01"),
+    "update_read_only_view": ("update acct_v set name = 'x'", [], "42P01"),
+    "delete_virtual_table": ("delete from repro_stats.metrics", [], "0A000"),
+    "insert_literal_type": ("insert into acct (k) values ('abc')", [],
+                            "22018"),
+    "update_value_type": ("update acct set name = 5 where k = 1", [],
+                          "22018"),
+    "update_unknown_table": ("update nosuch set k = 1", [], "42P01"),
+    "select_unknown_column": ("select nosuch from acct", [], "42703"),
+    "select_type_mismatch": ("select k from acct where name = 1", [],
+                             "22018"),
+    # clean at compile time
+    "insert": ("insert into acct (k, name) values (?, ?)", [5, "e"],
+               None, None, None),
+    "update_attribute": ("update acct set pos>>x = ? where k = ?", [3, 1],
+                         None, None, None),
+    "delete": ("delete from acct where k = ?", [1], None, None, None),
+    "select": ("select k, pos>>x from acct", [], None, None, None),
+    # data-dependent: constraint violations and bound values stay
+    # run-time errors
+    "duplicate_key": ("insert into acct (k, name) values (1, 'dup')", [],
+                      None, None, "23505"),
+    "null_key": ("insert into acct (name) values ('x')", [],
+                 None, "23502", "23502"),
+    "bound_value_type": ("insert into acct (k) values (?)", ["abc"],
+                         None, "22018", "22018"),
+    "bound_attribute_type": ("update acct set pos>>x = ? where k = 1",
+                             ["abc"], None, None, "22018"),
+}
+
+
+def _sqlstate(run):
+    try:
+        run()
+    except errors.SQLException as exc:
+        return exc.sqlstate, exc.message
+    return None, None
+
+
+@pytest.mark.parametrize("case", list(CHECKER_CASES))
+def test_checker_verdict_is_the_engines(case):
+    """The OnlineChecker, ``prepare``, and execution on an empty and on
+    a one-matching-row table give one outcome with one SQLSTATE; only
+    constraint violations and bound values surface at run time."""
+    from repro.profiles.model import EntryInfo
+    from repro.translator.checker import OnlineChecker
+
+    sql, params, compiled, *at_run = CHECKER_CASES[case]
+    if compiled is not None:
+        at_run = [compiled, compiled]
+    sessions = []
+    for with_row in (False, True):
+        session = Database(name=f"checked_{with_row}").create_session(
+            autocommit=True
+        )
+        for statement in CHECKER_SCHEMA + [CHECKER_ROW] * with_row:
+            session.execute(statement)
+        sessions.append(session)
+
+    messages = OnlineChecker(sessions[0]).check(
+        EntryInfo(index=0, sql=sql, role="STATEMENT")
+    )
+    state, message = _sqlstate(lambda: sessions[0].prepare(sql))
+    assert state == compiled
+    assert [m.message for m in messages] == [message] * bool(message)
+    for session, want in zip(sessions, at_run):
+        assert _sqlstate(lambda: session.execute(sql, params))[0] == want
+
+
 class TestProfileConstruction:
     def test_entries_in_clause_order(self):
         result = translate_source(
