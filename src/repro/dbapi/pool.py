@@ -287,8 +287,10 @@ class ConnectionPool:
         probe = getattr(session, "ping", None)
         if probe is not None and not probe():
             return False
-        if session.transaction_log.active:
-            # Never hand uncommitted work to the next client.
+        if session.in_transaction:
+            # Never hand uncommitted work — or a read snapshot, which
+            # would show the next client stale rows and pin the vacuum
+            # horizon — to the next client.
             try:
                 session.rollback()
             except errors.SQLException:

@@ -5,7 +5,7 @@ This is the client half of the network boundary in
 duck-typed session surface the dbapi layer already consumes from the
 engine's :class:`~repro.engine.database.Session` — ``execute`` /
 ``prepare`` / ``commit`` / ``rollback`` / ``close`` / ``autocommit`` /
-``transaction_log.active`` — so :class:`~repro.dbapi.connection.Connection`,
+``in_transaction`` — so :class:`~repro.dbapi.connection.Connection`,
 :class:`~repro.dbapi.pool.ConnectionPool` and the SQLJ runtime's
 :class:`~repro.runtime.context.ConnectionContext` all work over the
 wire unchanged.  That is the paper's portability promise made literal:
@@ -107,18 +107,6 @@ def parse_remote_url(url: str) -> Dict[str, Any]:
         "dialect": query.get("dialect"),
         "auth": query.get("auth"),
     }
-
-
-class _RemoteTransactionLog:
-    """Client-side mirror of the server session's transaction state.
-
-    Only ``active`` is meaningful: it tracks the ``in_txn`` flag the
-    server reports on every response, which is all the dbapi layer
-    reads from a session's transaction log.
-    """
-
-    def __init__(self) -> None:
-        self.active = False
 
 
 class RemoteRows:
@@ -250,7 +238,9 @@ class RemoteSession:
         #: ``repro.connect(slow_query_ms=...)``, None defers to the
         #: process-wide ``REPRO_SLOW_QUERY_MS`` setting.
         self.slow_query_ms: Optional[float] = None
-        self.transaction_log = _RemoteTransactionLog()
+        #: The server session's ``in_transaction``, as reported by its
+        #: latest reply (every reply after the handshake carries it).
+        self.in_transaction = False
         self._autocommit = bool(autocommit)
         self._connect_timeout = connect_timeout
         self._request_lock = threading.RLock()
@@ -348,7 +338,7 @@ class RemoteSession:
                     + str((reply or {}).get("reason", "goodbye"))
                 )
             if isinstance(reply, dict) and "in_txn" in reply:
-                self.transaction_log.active = bool(reply["in_txn"])
+                self.in_transaction = bool(reply["in_txn"])
             if reply_type == MSG_ERROR:
                 raise protocol.rebuild_error(reply)
             return reply_type, reply

@@ -400,11 +400,6 @@ class PreparedStatement(Statement):
                 result = self._plan.execute(self._param_list())
         else:
             result = self._plan.execute(self._param_list())
-        if (
-            self.connection.autocommit
-            and self.connection.session.transaction_log.active
-        ):
-            self.connection.session.commit()
         self._result = result
         self._result_set_index = 0
         return result

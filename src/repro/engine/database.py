@@ -32,13 +32,13 @@ from repro.engine.catalog import Catalog, InstalledPar, Routine, \
 from repro.engine.dialects import DIALECTS, STANDARD, Dialect
 from repro.engine.expressions import RowShape
 from repro.engine.locks import ReadWriteLock
-from repro.engine.mvcc import TransactionManager, WriteConflict
+from repro.engine.mvcc import Transaction, TransactionManager, \
+    WriteConflict
 from repro.engine.parser import Parser
 from repro.engine.plancache import CachedPlan, PlanCache
 from repro.engine.planner import plan_query
 from repro.engine.privileges import PrivilegeManager
 from repro.engine.render import render_statement
-from repro.engine.storage import TransactionLog
 from repro.sqltypes import ObjectType
 
 __all__ = ["Database", "Session", "StatementResult", "PreparedStatementPlan"]
@@ -420,23 +420,17 @@ class Session:
         self.database = database
         self.user = user
         self.autocommit = autocommit
-        self.transaction_log = TransactionLog()
         self._routine_depth = 0
-        #: Open MVCC transaction, begun lazily by the first statement
-        #: that needs a snapshot (see :attr:`mvcc_txn`).
-        self._mvcc_txn: Optional[Any] = None
-        #: Crash-recovery replay overrides: pin the next transaction's
-        #: snapshot / the next commit's stamp to the values recorded in
-        #: the WAL, reproducing the original execution's visibility.
-        self._forced_snapshot: Optional[int] = None
-        self._forced_commit_stamp: Optional[int] = None
+        #: The open transaction — snapshot, write list, savepoints and
+        #: WAL transaction id in one object — or None.  Opened by the
+        #: first statement that needs any of them (the snapshot itself
+        #: waits for the first one that reads or writes rows, see
+        #: :attr:`mvcc_txn`); ended, all of it at once, by commit,
+        #: rollback, an autocommit statement's end, or close.
+        self.transaction: Optional[Transaction] = None
         #: How long a statement waits for a conflicting transaction
         #: before giving up with SQLSTATE 40001 (suspected deadlock).
         self.lock_timeout = 10.0
-        #: Open durable (WAL) transaction id, or None.  Allocated
-        #: lazily by the first redo-logged statement, resolved by the
-        #: next commit/rollback.
-        self._durable_txn: Optional[int] = None
         #: Statements recorded by the statistics collector for this
         #: session (``repro_stats.sessions``).
         self.statements_executed = 0
@@ -497,56 +491,58 @@ class Session:
             self.user = previous
 
     # ------------------------------------------------------------------
-    # MVCC transaction lifecycle
+    # the session's transaction
     # ------------------------------------------------------------------
     @property
-    def mvcc_txn(self) -> Any:
-        """The session's open MVCC transaction, begun on first use.
+    def in_transaction(self) -> bool:
+        """True while a transaction is open: a snapshot, a write, a
+        savepoint or a WAL transaction.  The one answer the pool, the
+        ``repro://`` server and ``repro_stats.sessions`` rely on — a
+        session handed to another client must not hold any of them."""
+        return self.transaction is not None
 
-        The snapshot is captured here — at the transaction's first
-        statement, not at BEGIN — under the commit mutex so it can
-        never land between a concurrent commit's stamp allocation and
-        its WAL marker append.
-        """
-        txn = self._mvcc_txn
+    def _open_transaction(self) -> Transaction:
+        """The open transaction, opened (without a snapshot) if none."""
+        txn = self.transaction
         if txn is None:
-            with self.database.commit_mutex:
-                txn = self.database.transactions.begin(
-                    self._forced_snapshot
-                )
-            self._mvcc_txn = txn
+            txn = self.transaction = Transaction()
         return txn
 
-    def _end_mvcc(self, commit: bool) -> None:
-        """Finish the open MVCC transaction without stamping (read-only
-        commit, or abort after undo has run)."""
-        txn = self._mvcc_txn
-        if txn is None:
-            return
-        self._mvcc_txn = None
-        if commit:
-            self.database.transactions.commit(txn)
-        else:
-            self.database.transactions.abort(txn)
+    @property
+    def mvcc_txn(self) -> Transaction:
+        """The open transaction with its snapshot taken, both begun on
+        first use.
+
+        The snapshot is captured here — at the transaction's first
+        statement that reads or writes rows, not at BEGIN — under the
+        commit mutex so it can never land between a concurrent commit's
+        stamp allocation and its WAL marker append.
+        """
+        txn = self.transaction
+        if txn is None or txn.id is None:
+            txn = self._open_transaction()
+            with self.database.commit_mutex:
+                self.database.transactions.begin(txn)
+        return txn
 
     def _end_statement(self, failed: bool = False) -> Optional[int]:
         """Close out one statement's transaction state under the engine
         lock; returns the WAL position to wait on after releasing it.
 
-        An autocommit statement commits the session's open work (or, if
-        it failed, ends the implicit transaction: no work survived, so
-        its snapshot must stop pinning the vacuum horizon and conflict
-        waiters move on).  In an explicit transaction — or a routine
-        body, whose enclosing statement decides — a completed statement
-        pins the snapshot (``pristine`` off) so later statements repeat
-        exactly the same reads."""
+        An autocommit statement commits the session's transaction (or,
+        if it failed, rolls it back: its snapshot must stop pinning the
+        vacuum horizon and conflict waiters move on).  In an explicit
+        transaction — or a routine body, whose enclosing statement
+        decides — a completed statement pins the snapshot, if one was
+        taken (``pristine`` off), so later statements repeat exactly
+        the same reads."""
         if self.autocommit and self._routine_depth == 0:
             if not failed:
                 return self._commit_all()
-            self._end_mvcc(commit=False)
+            self._rollback_all()
         elif not failed:
-            txn = self._mvcc_txn
-            if txn is not None:
+            txn = self.transaction
+            if txn is not None and txn.id is not None:
                 txn.pristine = False
         return None
 
@@ -566,7 +562,7 @@ class Session:
                 "(suspected deadlock); roll back and retry the "
                 "transaction"
             )
-        txn = self._mvcc_txn
+        txn = self.transaction
         if txn is not None and txn.pristine:
             with self.database.commit_mutex:
                 tm.refresh_snapshot(txn)
@@ -664,7 +660,6 @@ class Session:
             acquire, release = lock.acquire_read, lock.release_read
         else:
             acquire, release = lock.acquire_write, lock.release_write
-        undo = self.transaction_log
         returned, error = 0, None
         try:
             # A write-write conflict retries the whole statement: the
@@ -675,7 +670,8 @@ class Session:
                 try:
                     acquire()
                     try:
-                        mark = undo.position()
+                        marked = self.transaction
+                        mark = 0 if marked is None else len(marked.writes)
                         try:
                             result = body()
                             # Redo-log only statements that succeeded; a
@@ -689,9 +685,11 @@ class Session:
                             # Statement-level atomicity: a failing
                             # statement (one killed by an injected fault,
                             # a query whose function ran DML) backs out
-                            # its own partial mutations first.
-                            if undo.position() > mark:
-                                undo.rollback_to_position(mark)
+                            # its own partial writes first — all of a
+                            # transaction it opened itself.
+                            txn = self.transaction
+                            if txn is not None:
+                                txn.undo(mark if txn is marked else 0)
                             self._end_statement(failed=True)
                             raise
                         committed = self._end_statement()
@@ -1014,13 +1012,13 @@ class Session:
             self.rollback()
             return StatementResult("ddl")
         if isinstance(statement, ast.Savepoint):
-            self.transaction_log.set_savepoint(statement.name)
+            self._open_transaction().savepoint(statement.name)
             return StatementResult("ddl")
         if isinstance(statement, ast.RollbackTo):
-            self.transaction_log.rollback_to(statement.name)
+            self._open_transaction().rollback_to(statement.name)
             return StatementResult("ddl")
         if isinstance(statement, ast.ReleaseSavepoint):
-            self.transaction_log.release(statement.name)
+            self._open_transaction().release(statement.name)
             return StatementResult("ddl")
         raise errors.FeatureNotSupportedError(
             f"cannot execute {type(statement).__name__}"
@@ -1243,40 +1241,30 @@ class Session:
         # Record the snapshot the statement actually executed with, so
         # crash-recovery replay reproduces its visibility even when the
         # original history interleaved with concurrent commits.
-        open_txn = self._mvcc_txn
-        snapshot = (
-            open_txn.snapshot_seq
-            if open_txn is not None
-            else self.database.transactions.commit_seq
-        )
+        open_txn = self.transaction
+        snapshot = open_txn.snapshot_seq if open_txn is not None else None
+        if snapshot is None:
+            snapshot = self.database.transactions.commit_seq
         text = (
             sql if sql is not None
             else render_statement(statement, self.dialect)
         )
         if immediate:
-            txn = durability.begin()
+            wal_txn = durability.begin()
         else:
-            if self._durable_txn is None:
-                self._durable_txn = durability.begin()
-            txn = self._durable_txn
-        durability.log_statement(txn, self.user, text, param_rows, snapshot)
-        return durability.log_commit(txn) if immediate else None
+            txn = self._open_transaction()
+            if txn.wal_txn is None:
+                txn.wal_txn = durability.begin()
+            wal_txn = txn.wal_txn
+        durability.log_statement(
+            wal_txn, self.user, text, param_rows, snapshot
+        )
+        return durability.log_commit(wal_txn) if immediate else None
 
-    def _commit_durable(self, stamp: Optional[int] = None) -> Optional[int]:
-        """Write the COMMIT marker (carrying the MVCC commit stamp) for
-        the session's open durable transaction; returns its WAL
-        position, or None."""
-        if self._durable_txn is None:
-            return None
-        txn, self._durable_txn = self._durable_txn, None
-        durability = self.database.durability
-        if durability is None:
-            return None
-        return durability.log_commit(txn, stamp)
-
-    def _commit_all(self) -> Optional[int]:
-        """Commit the session's open work: undo log, MVCC stamps, WAL
-        COMMIT marker.
+    def _commit_all(self, stamp: Optional[int] = None) -> Optional[int]:
+        """Commit the session's transaction: stamp its writes, append
+        the WAL COMMIT marker, retire it.  ``stamp`` forces the commit
+        stamp (crash-recovery replay reproduces the logged one).
 
         Stamp allocation and marker append happen together under the
         database's commit mutex, so the WAL's marker order equals
@@ -1287,42 +1275,39 @@ class Session:
         behind this commit in the WAL.  The fsync wait stays with the
         caller, outside every lock.
         """
-        txn = self._mvcc_txn
-        forced = self._forced_commit_stamp
-        self._forced_commit_stamp = None
-        has_writes = (
-            (txn is not None and txn.has_writes())
-            or forced is not None
-            or self._durable_txn is not None
-        )
-        if not has_writes:
-            # Read-only: nothing to stamp, log or order.  Committing
-            # the (empty) undo log still clears any savepoints.
-            self.transaction_log.commit()
-            self._end_mvcc(commit=True)
+        txn = self.transaction
+        if txn is None:
             return None
+        self.transaction = None
         tm = self.database.transactions
-        self._mvcc_txn = None
+        if not txn.writes and txn.wal_txn is None and stamp is None:
+            tm.finish(txn)  # read-only: nothing to stamp, log or order
+            return None
         pending: Optional[int] = None
         with self.database.commit_mutex:
-            self.transaction_log.commit()
             try:
-                stamp = tm.stamp(txn, forced) if txn is not None else forced
+                stamp = tm.stamp(txn, stamp)
                 faultpoints.trigger("mvcc.commit")
-                pending = self._commit_durable(stamp)
+                if txn.wal_txn is not None:
+                    pending = self.database.durability.log_commit(
+                        txn.wal_txn, stamp
+                    )
             finally:
-                if txn is not None:
-                    tm.finish(txn)
+                tm.finish(txn)
         self.database._maybe_vacuum()
         return pending
 
-    def _abort_durable(self) -> None:
-        if self._durable_txn is None:
+    def _rollback_all(self) -> None:
+        """Roll the session's transaction back: undo its writes, retire
+        it, append the WAL ABORT marker."""
+        txn = self.transaction
+        if txn is None:
             return
-        txn, self._durable_txn = self._durable_txn, None
-        durability = self.database.durability
-        if durability is not None:
-            durability.log_abort(txn)
+        self.transaction = None
+        txn.undo()
+        self.database.transactions.finish(txn, committed=False)
+        if txn.wal_txn is not None:
+            self.database.durability.log_abort(txn.wal_txn)
 
     def _after_commit(self, pending: Optional[int]) -> None:
         """Durability barrier, called with no engine lock held: wait
@@ -1349,24 +1334,18 @@ class Session:
         self._after_commit(pending)
 
     def rollback(self) -> None:
-        # Undo replays against table heaps, but every action touches
+        # Undo replays against table heaps, but every entry touches
         # only versions this transaction created or claimed — invisible
         # or irrelevant to everyone else — and takes the per-table
         # mutation lock for structural changes, so the shared engine
         # lock is enough.
         self._check_open()
         with self.database.lock.read():
-            self.transaction_log.rollback()
-            self._end_mvcc(commit=False)
-            self._abort_durable()
+            self._rollback_all()
 
     def close(self) -> None:
         if not self.closed:
-            if (
-                self.transaction_log.active
-                or self._durable_txn is not None
-                or self._mvcc_txn is not None
-            ):
+            if self.in_transaction:
                 self.rollback()
             self.closed = True
 

@@ -39,7 +39,7 @@ from repro.engine.expressions import (
     _find_instance_attribute,
 )
 from repro.engine.functions import lookup_builtin
-from repro.engine.mvcc import MvccTransaction, RowVersion, WriteConflict
+from repro.engine.mvcc import RowVersion, Transaction, WriteConflict
 from repro.engine.planner import (
     COST_RANDOM_IO,
     COST_SEQ_IO,
@@ -119,7 +119,7 @@ def _values_collide(left: Any, right: Any) -> bool:
 
 
 def _check_unique(
-    table: Table, rows: Sequence[List[Any]], txn: MvccTransaction
+    table: Table, rows: Sequence[List[Any]], txn: Transaction
 ) -> None:
     """Raise if any of ``rows`` collides on a UNIQUE/PRIMARY KEY column.
 

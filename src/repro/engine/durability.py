@@ -343,8 +343,11 @@ def _replay(database: Database, records, last_seq: int) -> int:
                         user, autocommit=False
                     )
                     sessions[record.txn] = session
-                if session._mvcc_txn is None:
-                    session._forced_snapshot = snapshot
+                txn = session._open_transaction()
+                if txn.id is None:
+                    # The snapshot this statement takes, if it is the
+                    # transaction's first, is the one it logged.
+                    txn.snapshot_seq = snapshot
                 with session.impersonate(user):
                     if record.kind == KIND_BATCH:
                         # One logical record for a whole batch: replay
@@ -359,9 +362,12 @@ def _replay(database: Database, records, last_seq: int) -> int:
             elif record.kind == KIND_COMMIT:
                 session = sessions.pop(record.txn, None)
                 if session is not None:
-                    if isinstance(record.data, int):
-                        session._forced_commit_stamp = record.data
-                    session.commit()
+                    # Commit with the logged stamp, reproducing the
+                    # original commit order and visibility.
+                    stamp = record.data if isinstance(record.data, int) \
+                        else None
+                    with database.lock.read():
+                        session._commit_all(stamp)
                     session.close()
                 replayed += 1
     finally:
@@ -373,10 +379,16 @@ def _replay(database: Database, records, last_seq: int) -> int:
 
 
 def _verify_indexes(database: Database) -> None:
-    """Cross-check every secondary index against its heap after replay."""
-    for table in database.catalog.tables.values():
-        for index in table.indexes:
-            index.verify_against_heap()
+    """Cross-check every secondary index against its heap after replay.
+
+    Under the shared engine lock: replay's commits may have started the
+    background vacuum, which rewrites heaps and indexes under the
+    exclusive lock, and must not do so halfway through a check.
+    """
+    with database.lock.read():
+        for table in database.catalog.tables.values():
+            for index in table.indexes:
+                index.verify_against_heap()
 
 
 def open_database(

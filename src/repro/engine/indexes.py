@@ -14,9 +14,9 @@ removal.  The index mirrors the heap *including* provisional and dead
 versions — probes return candidates, and the executor filters them
 through the reading transaction's snapshot exactly as a sequential
 scan would.  :class:`repro.engine.storage.RowStore` DML keeps indexes
-synchronised and registers symmetric undo actions, so a rolled-back
-statement leaves its indexes exactly as they were; vacuum removes the
-entries of reclaimed versions.
+synchronised, and undoing its write-list entries takes the versions
+out again, so a rolled-back statement leaves its indexes exactly as
+they were; vacuum removes the entries of reclaimed versions.
 """
 
 from __future__ import annotations

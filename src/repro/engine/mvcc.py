@@ -15,7 +15,10 @@ visible iff it was committed with ``begin <= snapshot`` and not deleted
 with ``end <= snapshot`` (own uncommitted writes are always visible,
 own deletions never).  Commit is atomic with respect to snapshots: the
 counter is advanced and every version stamped *inside* the manager's
-lock, so no snapshot can observe a half-committed transaction.
+lock, so no snapshot can observe a half-committed transaction.  What
+commit stamps and rollback reverses is one list: a
+:class:`Transaction` records every append and every claim in order, so
+undo is data, not one closure per write.
 
 Write-write conflicts are detected eagerly, first-updater-wins: an
 UPDATE/DELETE *claims* the target version by writing its transaction id
@@ -38,11 +41,12 @@ import threading
 import time as _time
 from typing import Any, Dict, List, Optional
 
+from repro import errors
 from repro.observability import metrics as _metrics
 
 __all__ = [
     "RowVersion",
-    "MvccTransaction",
+    "Transaction",
     "TransactionManager",
     "WriteConflict",
 ]
@@ -50,6 +54,10 @@ __all__ = [
 #: Pseudo transaction id for bootstrap rows (bulk loads, snapshot
 #: restore): committed "since forever" with commit stamp 0.
 TXN_BOOTSTRAP = 0
+
+#: Write-list entry kinds (see :attr:`Transaction.writes`).
+INSERT = "insert"
+CLAIM = "claim"
 
 _TXN_COMMITS = _metrics.registry.counter("mvcc.commits")
 _TXN_ABORTS = _metrics.registry.counter("mvcc.aborts")
@@ -113,33 +121,86 @@ class RowVersion:
         )
 
 
-class MvccTransaction:
-    """Per-transaction MVCC state: snapshot plus write sets.
+class Transaction:
+    """One session's open transaction: snapshot, writes, savepoints and
+    WAL transaction id, ended as one.
 
-    ``created``/``claimed`` are identity sets of the versions this
-    transaction inserted / write-claimed; commit stamps them, rollback
-    undo actions remove them again (the storage layer keeps the sets in
-    step with the undo log, so a partial statement rollback or a
-    ROLLBACK TO SAVEPOINT never leaves a stale entry to be stamped).
+    ``id`` and ``snapshot_seq`` stay None until the first statement
+    that reads or writes rows begins the transaction with the
+    :class:`TransactionManager` (a leading SAVEPOINT does not).
+    ``writes`` is the ordered write list — ``(INSERT, table,
+    versions)`` per append, ``(CLAIM, table, version)`` per write
+    claim — which is the undo log (:meth:`undo` reverses it newest
+    first) and what :meth:`TransactionManager.stamp` walks at commit;
+    savepoints are positions in it.  ``wal_txn`` is the durable
+    transaction id, allocated by the first redo-logged statement.
+
+    A session owns its transaction, but pooled connections migrate
+    sessions across threads, so the write list and savepoints are
+    guarded by a reentrant lock (cheap insurance next to the engine's
+    statement lock).
     """
 
     __slots__ = (
-        "id", "snapshot_seq", "created", "claimed", "pristine", "started",
+        "id", "snapshot_seq", "writes", "savepoints", "pristine",
+        "wal_txn", "_lock",
     )
 
-    def __init__(self, txn_id: int, snapshot_seq: int) -> None:
-        self.id = txn_id
-        self.snapshot_seq = snapshot_seq
-        self.created: set = set()
-        self.claimed: set = set()
+    def __init__(self) -> None:
+        self.id: Optional[int] = None
+        self.snapshot_seq: Optional[int] = None
+        self.writes: List[tuple] = []
+        self.savepoints: Dict[str, int] = {}
         #: True until the first statement completes: while pristine the
         #: snapshot may still be replaced (used to transparently retry
         #: a conflicting first statement on a fresh snapshot).
         self.pristine = True
-        self.started = True
+        self.wal_txn: Optional[int] = None
+        self._lock = threading.RLock()
 
-    def has_writes(self) -> bool:
-        return bool(self.created or self.claimed)
+    def record(self, kind: str, table: Any, payload: Any) -> None:
+        """Append a write just performed to the write list."""
+        with self._lock:
+            self.writes.append((kind, table, payload))
+
+    def undo(self, mark: int = 0) -> None:
+        """Reverse every write after position ``mark``, newest first,
+        and forget the savepoints taken after it (standard SQL
+        savepoint semantics).  Backs out a failed statement, a ROLLBACK
+        TO SAVEPOINT, or (``mark`` 0) the whole transaction."""
+        with self._lock:
+            writes = self.writes
+            while len(writes) > mark:
+                _undo(*writes.pop())
+            self.savepoints = {
+                name: position
+                for name, position in self.savepoints.items()
+                if position <= mark
+            }
+
+    def savepoint(self, name: str) -> None:
+        """Create (or move) the named savepoint at the current position."""
+        with self._lock:
+            self.savepoints[name] = len(self.writes)
+
+    def rollback_to(self, name: str) -> None:
+        """Undo every write after the named savepoint, which stays."""
+        with self._lock:
+            self.undo(self._savepoint(name))
+
+    def release(self, name: str) -> None:
+        """Forget the named savepoint (its writes remain pending)."""
+        with self._lock:
+            self._savepoint(name)
+            del self.savepoints[name]
+
+    def _savepoint(self, name: str) -> int:
+        position = self.savepoints.get(name)
+        if position is None:
+            raise errors.TransactionError(
+                f"savepoint {name!r} does not exist"
+            )
+        return position
 
     # ------------------------------------------------------------------
     # visibility
@@ -168,6 +229,30 @@ class MvccTransaction:
         return end is None or end > self.snapshot_seq
 
 
+def _undo(kind: str, table: Any, payload: Any) -> None:
+    """Reverse one write-list entry under its table's mutation lock."""
+    with table.mutation_lock:
+        if kind == CLAIM:
+            # The mutation lock serializes every xmax check-then-set
+            # (RowStore.claim); unclaiming holds it too so a concurrent
+            # claimant never reads a half-released stamp.
+            payload.xmax = None
+            return
+        heap = table.versions
+        doomed = {id(version) for version in payload}
+        # Remove by identity, newest-first: the versions were appended,
+        # so they sit near the tail.
+        at = len(heap) - 1
+        while doomed and at >= 0:
+            if id(heap[at]) in doomed:
+                doomed.discard(id(heap[at]))
+                del heap[at]
+            at -= 1
+        for index in table.indexes:
+            for version in payload:
+                index.remove(version)
+
+
 class TransactionManager:
     """Owns the commit-sequence counter and the live-transaction table.
 
@@ -181,7 +266,7 @@ class TransactionManager:
         self._cond = threading.Condition(threading.Lock())
         self._next_txn = 1
         self._commit_seq = 0
-        self._active: Dict[int, MvccTransaction] = {}
+        self._active: Dict[int, Transaction] = {}
         #: Committed-dead versions since the last vacuum (advisory; the
         #: database layer uses it to decide when to trigger vacuum).
         self.dead_versions = 0
@@ -189,25 +274,19 @@ class TransactionManager:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def begin(
-        self, snapshot_seq: Optional[int] = None
-    ) -> MvccTransaction:
-        """Start a transaction with a consistent snapshot.
-
-        ``snapshot_seq`` forces the snapshot (crash-recovery replay
-        reproduces the original execution's visibility); normally the
-        snapshot is simply the current commit counter.
-        """
+    def begin(self, txn: Transaction) -> None:
+        """Begin ``txn``: allocate its id and take its consistent
+        snapshot — the current commit counter, unless
+        ``txn.snapshot_seq`` was pinned beforehand (crash-recovery
+        replay reproduces the original execution's visibility)."""
         with self._cond:
-            txn_id = self._next_txn
+            txn.id = self._next_txn
             self._next_txn += 1
-            if snapshot_seq is None:
-                snapshot_seq = self._commit_seq
-            txn = MvccTransaction(txn_id, snapshot_seq)
-            self._active[txn_id] = txn
-            return txn
+            if txn.snapshot_seq is None:
+                txn.snapshot_seq = self._commit_seq
+            self._active[txn.id] = txn
 
-    def refresh_snapshot(self, txn: MvccTransaction) -> None:
+    def refresh_snapshot(self, txn: Transaction) -> None:
         """Re-take the snapshot (only valid while no statement has
         completed in the transaction — the session layer guards this
         with ``txn.pristine``)."""
@@ -215,61 +294,51 @@ class TransactionManager:
             txn.snapshot_seq = self._commit_seq
 
     def stamp(
-        self, txn: MvccTransaction, stamp: Optional[int] = None
+        self, txn: Transaction, stamp: Optional[int] = None
     ) -> Optional[int]:
         """Allocate the commit stamp and make the writes visible.
 
-        Advances the commit counter and stamps every created version's
-        ``begin`` and every claimed version's ``end`` while holding the
-        manager lock, so a concurrent :meth:`begin` observes either
-        none or all of the transaction's writes.  ``stamp`` forces the
-        commit stamp (recovery replay); it must be greater than any
-        stamp issued so far.  Returns the stamp, or None for a
-        read-only transaction.  The transaction stays *active* until
-        :meth:`finish` — the session layer appends the WAL commit
-        marker in between, keeping marker order equal to stamp order
-        even for transactions currently blocked on this one.
+        Advances the commit counter and walks the write list — every
+        appended version's ``begin`` and every claimed version's
+        ``end`` get the stamp — while holding the manager lock, so a
+        concurrent :meth:`begin` observes either none or all of the
+        transaction's writes.  ``stamp`` forces the commit stamp
+        (recovery replay); it must be greater than any stamp issued so
+        far.  Returns the stamp, or None for a read-only transaction.
+        The transaction stays *active* until :meth:`finish` — the
+        session layer appends the WAL commit marker in between, keeping
+        marker order equal to stamp order even for transactions
+        currently blocked on this one.
         """
         with self._cond:
-            if not txn.has_writes() and stamp is None:
+            if not txn.writes and stamp is None:
                 return None  # read-only: nothing to stamp
             if stamp is None:
                 stamp = self._commit_seq + 1
             self._commit_seq = max(self._commit_seq, stamp)
-            for version in txn.created:
-                version.begin = stamp
-            for version in txn.claimed:
-                version.end = stamp
-            self.dead_versions += len(txn.claimed)
+            for kind, _table, payload in txn.writes:
+                if kind == INSERT:
+                    for version in payload:
+                        version.begin = stamp
+                else:
+                    payload.end = stamp
+                    self.dead_versions += 1
             return stamp
 
-    def finish(self, txn: MvccTransaction) -> None:
-        """Retire a stamped transaction and wake conflict waiters."""
-        with self._cond:
-            self._active.pop(txn.id, None)
-            self._cond.notify_all()
-        _TXN_COMMITS.increment()
+    def finish(self, txn: Transaction, committed: bool = True) -> None:
+        """Retire a transaction and wake conflict waiters.
 
-    def commit(
-        self, txn: MvccTransaction, stamp: Optional[int] = None
-    ) -> Optional[int]:
-        """Stamp and finish in one step (non-durable commit path)."""
-        result = self.stamp(txn, stamp)
-        self.finish(txn)
-        return result
-
-    def abort(self, txn: MvccTransaction) -> None:
-        """Finish an aborted transaction.
-
-        The caller must have run the undo log *first*: undo physically
-        removes created versions and releases claims, so by the time
-        waiters wake up here the heap carries no trace of the
-        transaction.
+        A committed one was stamped first; an aborted one must have
+        been undone first, so by the time waiters wake up here the heap
+        carries no trace of it.  A transaction that never took a
+        snapshot was never registered: there is nothing to retire.
         """
+        if txn.id is None:
+            return
         with self._cond:
             self._active.pop(txn.id, None)
             self._cond.notify_all()
-        _TXN_ABORTS.increment()
+        (_TXN_COMMITS if committed else _TXN_ABORTS).increment()
 
     # ------------------------------------------------------------------
     # conflict waits
@@ -320,6 +389,6 @@ class TransactionManager:
                 self._commit_seq,
             )
 
-    def active_transactions(self) -> List[MvccTransaction]:
+    def active_transactions(self) -> List[Transaction]:
         with self._cond:
             return list(self._active.values())

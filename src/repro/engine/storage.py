@@ -1,11 +1,11 @@
-"""Row storage and undo logging.
+"""Row storage: the forward path of every write.
 
 Tables keep their rows as append-only lists of
 :class:`repro.engine.mvcc.RowVersion` objects; what this module adds is
-*transactional mutation*: every insert/delete/update goes through a
-:class:`TransactionLog` that can undo the work on ROLLBACK, and through
-the session's MVCC transaction so concurrent snapshots never observe
-uncommitted state.
+*transactional mutation*: every insert/delete/update goes through the
+session's :class:`repro.engine.mvcc.Transaction`, which records it in
+its write list — undone on ROLLBACK, stamped at COMMIT — so concurrent
+snapshots never observe uncommitted state.
 
 An INSERT appends provisional versions (``begin`` unstamped until
 commit) — all of a statement's rows in one :meth:`RowStore.insert`;
@@ -27,16 +27,15 @@ JDBC semantics.
 from __future__ import annotations
 
 import copy
-import threading
 from typing import Any, Callable, List, Optional
 
 from repro import errors, faultpoints
 from repro.engine.catalog import Table
-from repro.engine.mvcc import RowVersion, WriteConflict
+from repro.engine.mvcc import CLAIM, INSERT, RowVersion, WriteConflict
 from repro.observability import metrics as _metrics
 from repro.sqltypes import ObjectType
 
-__all__ = ["TransactionLog", "store_value", "fetch_value", "RowStore"]
+__all__ = ["store_value", "fetch_value", "RowStore"]
 
 #: Heap mutations (rows inserted + deleted + replaced) across every
 #: table; pairs with the ``wal.*`` counters to show write amplification.
@@ -61,137 +60,19 @@ def fetch_value(value: Any, descriptor: Any) -> Any:
     return value
 
 
-class TransactionLog:
-    """Undo log for one session's open transaction, with savepoints.
-
-    A savepoint records the current undo-log length; rolling back to it
-    unwinds only the mutations performed since, and discards any later
-    savepoints (standard SQL savepoint semantics).
-
-    The log is owned by one session, but pooled connections migrate
-    sessions across threads, so its mutations are guarded by a reentrant
-    lock (cheap insurance next to the engine's statement lock).
-    """
-
-    def __init__(self) -> None:
-        self._undo: List[Callable[[], None]] = []
-        self._savepoints: dict = {}
-        self._lock = threading.RLock()
-        self.active = False
-
-    def record(self, undo: Callable[[], None]) -> None:
-        """Register an undo action for a mutation just performed."""
-        with self._lock:
-            self.active = True
-            self._undo.append(undo)
-
-    def commit(self) -> int:
-        """Discard undo actions; returns how many mutations were kept."""
-        with self._lock:
-            count = len(self._undo)
-            self._undo.clear()
-            self._savepoints.clear()
-            self.active = False
-            return count
-
-    def rollback(self) -> int:
-        """Apply undo actions in reverse order; returns how many ran."""
-        with self._lock:
-            count = len(self._undo)
-            for undo in reversed(self._undo):
-                undo()
-            self._undo.clear()
-            self._savepoints.clear()
-            self.active = False
-            return count
-
-    # -- statement-level atomicity ---------------------------------------
-    def position(self) -> int:
-        """Current undo-log position (a mark for partial rollback)."""
-        return len(self._undo)
-
-    def rollback_to_position(self, mark: int) -> int:
-        """Undo every mutation recorded after ``mark``.
-
-        Backs out the work of a statement that failed midway, so errors
-        (including injected faults) never leave half a statement behind.
-        """
-        with self._lock:
-            count = len(self._undo) - mark
-            while len(self._undo) > mark:
-                self._undo.pop()()
-            self._savepoints = {
-                name: position
-                for name, position in self._savepoints.items()
-                if position <= mark
-            }
-            self.active = bool(self._undo)
-            return count
-
-    # -- savepoints ------------------------------------------------------
-    def set_savepoint(self, name: str) -> None:
-        """Create (or move) the named savepoint at the current position."""
-        with self._lock:
-            self._savepoints[name] = len(self._undo)
-
-    def rollback_to(self, name: str) -> int:
-        """Undo every mutation after the named savepoint."""
-        from repro import errors
-
-        with self._lock:
-            if name not in self._savepoints:
-                raise errors.TransactionError(
-                    f"savepoint {name!r} does not exist"
-                )
-            mark = self._savepoints[name]
-            count = len(self._undo) - mark
-            while len(self._undo) > mark:
-                self._undo.pop()()
-            # Savepoints created after this one are gone.
-            self._savepoints = {
-                n: position
-                for n, position in self._savepoints.items()
-                if position <= mark
-            }
-            return count
-
-    def release(self, name: str) -> None:
-        """Forget the named savepoint (its changes remain pending)."""
-        from repro import errors
-
-        with self._lock:
-            if name not in self._savepoints:
-                raise errors.TransactionError(
-                    f"savepoint {name!r} does not exist"
-                )
-            del self._savepoints[name]
-
-
 class RowStore:
     """Transactional mutation interface over a table's version heap.
 
     Secondary indexes on the table are maintained in step with the
-    heap: an insert adds the new version to every index on the forward
-    path, and the recorded undo action reverses both the heap change
-    *and* the index change, so a rollback leaves indexes consistent
-    without a rebuild.  Undo actions also unwind the owning MVCC
-    transaction's ``created``/``claimed`` sets — a version backed out
-    by ROLLBACK TO SAVEPOINT must never be stamped at commit.
+    heap: an insert adds the new version to every index, and undoing
+    the write-list entry it records (:meth:`Transaction.undo
+    <repro.engine.mvcc.Transaction.undo>`) takes the version out of
+    both, so a rollback leaves indexes consistent without a rebuild.
     """
 
     def __init__(self, table: Table, session: Any) -> None:
         self.table = table
-        self.session = session
-        self.log: TransactionLog = session.transaction_log
         self.txn = session.mvcc_txn
-
-    def _index_add(self, version: RowVersion) -> None:
-        for index in self.table.indexes:
-            index.add(version)
-
-    def _index_remove(self, version: RowVersion) -> None:
-        for index in self.table.indexes:
-            index.remove(version)
 
     def insert(
         self,
@@ -210,7 +91,7 @@ class RowStore:
         the same key could each scan the heap before either appends,
         and both would pass.  Whatever the precondition raises
         (UniqueViolationError, WriteConflict) propagates with the heap
-        untouched.  One undo action backs out the whole append; an
+        untouched.  One write-list entry covers the whole append; an
         empty ``rows`` does nothing at all.
         """
         if not rows:
@@ -218,33 +99,17 @@ class RowStore:
         for _row in rows:
             faultpoints.trigger(faultpoint)
         txn = self.txn
+        table = self.table
         versions = [RowVersion(row, xmin=txn.id, begin=None) for row in rows]
-        with self.table.mutation_lock:
+        with table.mutation_lock:
             if precondition is not None:
                 precondition()
-            self.table.versions.extend(versions)
-            for version in versions:
-                self._index_add(version)
-        txn.created.update(versions)
+            table.versions.extend(versions)
+            for index in table.indexes:
+                for version in versions:
+                    index.add(version)
+        txn.record(INSERT, table, versions)
         _ROWS_MUTATED.increment(len(versions))
-
-        def undo(batch=versions, store=self) -> None:
-            with store.table.mutation_lock:
-                heap = store.table.versions
-                doomed = {id(v) for v in batch}
-                # Remove by identity, newest-first: the batch was
-                # appended, so it sits near the tail.
-                at = len(heap) - 1
-                while doomed and at >= 0:
-                    if id(heap[at]) in doomed:
-                        doomed.discard(id(heap[at]))
-                        del heap[at]
-                    at -= 1
-                for v in batch:
-                    store._index_remove(v)
-            store.txn.created.difference_update(batch)
-
-        self.log.record(undo)
         return versions
 
     def claim(self, version: RowVersion) -> None:
@@ -280,17 +145,7 @@ class RowStore:
                 # refreshed, and the statement transparently retries.
                 raise WriteConflict(xmax)
             version.xmax = txn.id
-        txn.claimed.add(version)
-
-        def undo(v=version, owner=txn, store=self) -> None:
-            # The mutation lock serializes every xmax check-then-set
-            # (see claim above); unclaiming must hold it too so a
-            # concurrent claimant never reads a half-released stamp.
-            with store.table.mutation_lock:
-                v.xmax = None
-                owner.claimed.discard(v)
-
-        self.log.record(undo)
+        txn.record(CLAIM, self.table, version)
 
     def delete(self, versions: List[RowVersion]) -> int:
         """Mark the given visible versions deleted (claim them all).

@@ -16,8 +16,8 @@ Registered views (see ``docs/OBSERVABILITY.md`` for column meanings):
 * ``repro_stats.statements`` — per-normalized-statement profile
   (calls, errors by SQLSTATE, total/mean/p99 time, rows, plan-cache
   hits, wait breakdown),
-* ``repro_stats.sessions`` — live sessions of this database (with
-  their MVCC transaction id and snapshot, when one is open),
+* ``repro_stats.sessions`` — live sessions of this database (whether
+  a transaction is open, with its MVCC id and snapshot once taken),
 * ``repro_stats.transactions`` — live MVCC transactions: snapshot,
   write-set sizes, pristine flag,
 * ``repro_stats.locks`` — reader-writer-lock and WAL wait attribution,
@@ -42,6 +42,7 @@ from typing import Any, Callable, Iterator, List
 from repro import errors
 from repro.engine.catalog import Column, Table
 from repro.engine.executor import Operator, RuntimeContext
+from repro.engine.mvcc import CLAIM, INSERT
 from repro.observability import metrics as _metrics
 from repro.sqltypes import parse_type
 
@@ -110,14 +111,11 @@ def _sessions_rows(session: Any) -> List[List[Any]]:
     for other in list(session.database.sessions):
         if other.closed:
             continue
-        txn = other._mvcc_txn
+        txn = other.transaction
         rows.append([
             other.user,
             bool(other.autocommit),
-            bool(
-                other.transaction_log.active
-                or other._durable_txn is not None
-            ),
+            other.in_transaction,
             other.statements_executed,
             txn.id if txn is not None else None,
             txn.snapshot_seq if txn is not None else None,
@@ -129,11 +127,13 @@ def _transactions_rows(session: Any) -> List[List[Any]]:
     manager = session.database.transactions
     rows: List[List[Any]] = []
     for txn in manager.active_transactions():
+        writes = list(txn.writes)
         rows.append([
             txn.id,
             txn.snapshot_seq,
-            len(txn.created),
-            len(txn.claimed),
+            sum(len(versions) for kind, _table, versions in writes
+                if kind == INSERT),
+            sum(kind == CLAIM for kind, _table, _version in writes),
             bool(txn.pristine),
         ])
     rows.sort(key=lambda row: row[0])

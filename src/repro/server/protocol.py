@@ -52,8 +52,14 @@ PING            c->s    --
 OK              s->c    in_txn
 CANCEL          c->s    seq of the EXECUTE it targets (out of band)
 GOODBYE         both    reason
-ERROR           s->c    error (class name), sqlstate, message, vendor_code
+ERROR           s->c    error (class name), sqlstate, message, vendor_code,
+                        in_txn (except during the handshake)
 ==============  ======  ====================================================
+
+``in_txn`` is the server session's ``Session.in_transaction`` after the
+request: true while any transaction state is open, a read snapshot
+included, so the client (and a pool over it) knows when a session must
+be rolled back before it changes hands.
 
 Security note: frames carry data only, so a malicious peer cannot run
 code through the wire format — but the transport itself is cleartext

@@ -423,6 +423,7 @@ class ReproServer:
                 ):
                     _CANCELLED.increment()
                 reply_type, reply = MSG_ERROR, protocol.error_payload(exc)
+                reply["in_txn"] = conn.session.in_transaction
             _REQUEST_SECONDS.observe(time.perf_counter() - start)
             if not self._send(conn, reply_type, reply):
                 return  # peer is gone; _serve cleans up
@@ -451,7 +452,7 @@ class ReproServer:
                 f"unexpected message type "
                 f"{protocol.MESSAGE_NAMES.get(msg_type, msg_type)}"
             )
-        return MSG_OK, {"in_txn": self._in_txn(session)}
+        return MSG_OK, {"in_txn": session.in_transaction}
 
     @staticmethod
     def _consume_cancel(conn: _ClientConnection, seq: Optional[int]) -> bool:
@@ -573,23 +574,12 @@ class ReproServer:
             "rows": first_page,
             "row_count": len(rows),
             "cursor": cursor_id,
-            "in_txn": self._in_txn(conn.session),
+            "in_txn": conn.session.in_transaction,
         }
 
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _in_txn(session: Any) -> bool:
-        return bool(
-            session is not None
-            and not session.closed
-            and (
-                session.transaction_log.active
-                or getattr(session, "_durable_txn", None) is not None
-            )
-        )
 
     def _send(
         self, conn: _ClientConnection, msg_type: int, payload: Any

@@ -322,6 +322,29 @@ class TestPoolLimits:
         reused.close()
         pool.close()
 
+    def test_returned_read_snapshot_is_released(self, pooled_db):
+        """A manual-commit client that only read still holds a
+        snapshot; checkin ends it, so the next client sees later
+        commits and the vacuum horizon moves on."""
+        db, admin = pooled_db
+        admin.execute("CREATE TABLE t (a INTEGER)")
+        admin.execute("INSERT INTO t VALUES (1)")
+        pool = ConnectionPool(db, max_size=1, autocommit=False)
+        first = pool.checkout()
+        session = first.session
+        assert session.execute("SELECT COUNT(*) FROM t").rows == [[1]]
+        assert session.in_transaction
+        first.close()
+        assert not session.in_transaction
+        admin.execute("INSERT INTO t VALUES (2)")
+        second = pool.checkout()
+        assert second.session is session
+        assert session.execute("SELECT COUNT(*) FROM t").rows == [[2]]
+        second.close()
+        tm = db.transactions
+        assert tm.oldest_visible_seq() == tm.commit_seq
+        pool.close()
+
 
 class TestPoolFaults:
     def test_checkout_fault_does_not_leak_slot(self, pooled_db):

@@ -18,12 +18,14 @@ import threading
 import pytest
 
 from repro import errors
+from repro.engine import durability
 from repro.engine.durability import (
     SNAPSHOT_FILENAME,
     WAL_FILENAME,
     DurabilityManager,
     open_database,
 )
+from repro.engine.indexes import Index
 from repro.engine.wal import (
     KIND_ABORT,
     KIND_COMMIT,
@@ -233,6 +235,58 @@ class TestRecovery:
             " ".join(str(c) for c in row) for row in plan.rows
         )
         s2.close()
+        db2.close()
+
+    def test_index_check_holds_off_vacuum(
+        self, tmp_path, storage, monkeypatch
+    ):
+        """Replay's commits can start the background vacuum, which
+        rewrites heaps and indexes; recovery's index check must not see
+        it happen halfway.  The vacuum is started mid-check here, and
+        the check gives it half a second to finish before reading on."""
+        d = str(tmp_path)
+        db = open_database(d, storage=storage, checkpoint_interval=0)
+        s = db.create_session(autocommit=True)
+        s.execute("CREATE TABLE t (k INT, v INT)")
+        s.execute("CREATE INDEX t_k ON t (k)")
+        s.execute_batch(
+            "INSERT INTO t VALUES (?, ?)", [(i, i) for i in range(50)]
+        )
+        db.checkpoint()
+        for i in range(20):
+            s.execute("UPDATE t SET v = v + 1 WHERE k = ?", [i])
+        crash(db)
+        del s, db  # 20 dead versions wait in the replayed tail
+
+        replayed, vacuums = [], []
+        replay, length = durability._replay, Index.__len__
+
+        def replay_then_mark(database, records, last_seq):
+            count = replay(database, records, last_seq)
+            replayed.append(database)
+            return count
+
+        def length_then_vacuum(index):
+            entries = length(index)
+            if replayed and not vacuums:
+                vacuum = threading.Thread(target=replayed[0].vacuum)
+                vacuums.append(vacuum)
+                vacuum.start()
+                vacuum.join(timeout=0.5)
+            return entries
+
+        monkeypatch.setattr(durability, "_replay", replay_then_mark)
+        monkeypatch.setattr(Index, "__len__", length_then_vacuum)
+        db2 = open_database(d)
+        [vacuum] = vacuums
+        vacuum.join(timeout=10.0)
+        assert not vacuum.is_alive()
+        assert table_state(db2) == {
+            i: i + (1 if i < 20 else 0) for i in range(50)
+        }
+        [index] = db2.catalog.tables["t"].indexes
+        index.verify_against_heap()
+        assert len(db2.catalog.tables["t"].versions) == 50
         db2.close()
 
     def test_recovery_metrics_flow(self, tmp_path):

@@ -13,9 +13,10 @@ from repro.engine.catalog import (
 )
 from repro.engine.dialects import ACME, DIALECTS, STANDARD, ZENITH
 from repro.engine.functions import BUILTINS, NULL_TOLERANT, lookup_builtin
-from repro.engine.mvcc import TransactionManager, WriteConflict
+from repro.engine.mvcc import Transaction, TransactionManager, \
+    WriteConflict
 from repro.engine.privileges import PrivilegeManager
-from repro.engine.storage import RowStore, TransactionLog
+from repro.engine.storage import RowStore
 from repro.sqltypes import IntegerType, VarCharType
 from repro.testing import FaultPlan
 
@@ -108,12 +109,17 @@ class TestCatalog:
 
 class _StoreSession:
     """Bare-bones stand-in for :class:`repro.engine.database.Session`:
-    just the two attributes :class:`RowStore` needs."""
+    just the begun transaction :class:`RowStore` writes through."""
 
     def __init__(self, manager=None):
         self.manager = manager or TransactionManager()
-        self.transaction_log = TransactionLog()
-        self.mvcc_txn = self.manager.begin()
+        self.mvcc_txn = Transaction()
+        self.manager.begin(self.mvcc_txn)
+
+    def commit(self):
+        stamp = self.manager.stamp(self.mvcc_txn)
+        self.manager.finish(self.mvcc_txn)
+        return stamp
 
 
 class TestStorageAndTransactions:
@@ -128,9 +134,9 @@ class TestStorageAndTransactions:
         # but visible to their own transaction.
         assert table.rows == []
         assert all(session.mvcc_txn.sees(v) for v in table.versions)
-        session.transaction_log.rollback()
+        session.mvcc_txn.undo()
         assert table.versions == []
-        assert session.mvcc_txn.created == set()
+        assert session.mvcc_txn.writes == []
 
     def test_one_append_faults_per_row_before_touching_the_heap(self):
         table = make_table()
@@ -150,7 +156,7 @@ class TestStorageAndTransactions:
         # the third row's fault fired before the lock and the check
         assert plan.fired["storage.insert"] == 1
         assert checked == [] and table.versions == []
-        assert not session.transaction_log.active
+        assert session.mvcc_txn.writes == []
 
     def test_failed_precondition_leaves_heap_untouched(self):
         table = make_table()
@@ -163,9 +169,9 @@ class TestStorageAndTransactions:
             RowStore(table, session).insert(
                 [[1, "a"], [2, "b"]], precondition=reject
             )
-        assert table.versions == [] and session.mvcc_txn.created == set()
+        assert table.versions == []
         assert RowStore(table, session).insert([]) == []
-        assert not session.transaction_log.active
+        assert session.mvcc_txn.writes == []
 
     def test_commit_stamps_versions(self):
         table = make_table()
@@ -175,7 +181,7 @@ class TestStorageAndTransactions:
         old = table.versions[0]
         store.claim(old)
         [new] = store.replace([[9, "z"]])
-        stamp = session.manager.commit(session.mvcc_txn)
+        stamp = session.commit()
         assert old.end == stamp
         assert new.begin == stamp
         assert table.rows == [[9, "z"]]
@@ -191,20 +197,36 @@ class TestStorageAndTransactions:
         assert not session.mvcc_txn.sees(target)
         # Claimed but uncommitted: still committed-live for others.
         assert table.rows == [[1, "a"], [2, "b"]]
-        session.transaction_log.rollback()
+        session.mvcc_txn.undo()
         assert target.xmax is None
         assert session.mvcc_txn.sees(target)
-        assert session.mvcc_txn.claimed == set()
+        assert session.mvcc_txn.writes == []
 
-    def test_commit_clears_log(self):
-        table = make_table()
-        session = _StoreSession()
-        RowStore(table, session).insert([[1, "a"], [2, "b"]])
-        log = session.transaction_log
-        assert log.active
-        assert log.commit() == 1
-        assert not log.active
-        assert log.rollback() == 0
+    def test_commit_clears_log(self, db):
+        session = db.create_session()
+        session.execute("create table t (a int, b varchar(10))")
+        session.execute("insert into t values (1, 'a'), (2, 'b')")
+        assert len(session.transaction.writes) == 1  # one append
+        session.commit()
+        assert session.transaction is None
+        session.rollback()  # nothing left to undo
+        assert session.execute("select count(*) from t").rows == [[2]]
+
+    def test_leading_savepoint_takes_no_snapshot(self, db):
+        """SAVEPOINT opens the transaction, not its snapshot: the first
+        statement that reads rows takes it, and sees what committed in
+        between."""
+        admin = db.create_session(autocommit=True)
+        admin.execute("create table t (a int)")
+        session = db.create_session()
+        session.execute("savepoint sp")
+        assert session.in_transaction and session.transaction.id is None
+        admin.execute("insert into t values (1)")
+        assert session.execute("select count(*) from t").rows == [[1]]
+        assert session.transaction.id is not None
+        session.execute("rollback to savepoint sp")
+        session.rollback()
+        assert not session.in_transaction
 
     def test_interleaved_operations_roll_back_in_order(self):
         table = make_table()
@@ -216,7 +238,7 @@ class TestStorageAndTransactions:
         store.replace([[10, "a"]])
         store.insert([[3, "c"]])
         store.delete([seeded[1]])
-        session.transaction_log.rollback()
+        session.mvcc_txn.undo()
         assert table.rows == [[1, "a"], [2, "b"]]
         assert all(v.xmax is None for v in seeded)
         assert len(table.versions) == 2
@@ -242,7 +264,7 @@ class TestStorageAndTransactions:
         second.mvcc_txn.pristine = False  # a completed statement pins it
         version = table.versions[0]
         RowStore(table, first).claim(version)
-        manager.commit(first.mvcc_txn)
+        first.commit()
         with pytest.raises(errors.SerializationFailureError) as info:
             RowStore(table, second).claim(version)
         assert info.value.sqlstate == "40001"
@@ -258,7 +280,7 @@ class TestStorageAndTransactions:
         second = _StoreSession(manager)  # snapshot before first commits
         version = table.versions[0]
         RowStore(table, first).claim(version)
-        manager.commit(first.mvcc_txn)
+        first.commit()
         assert second.mvcc_txn.pristine
         with pytest.raises(WriteConflict) as conflict:
             RowStore(table, second).claim(version)

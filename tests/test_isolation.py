@@ -543,7 +543,7 @@ def test_closed_planning_session_stays_closed(shared, query):
     writer.execute("insert into u values (1)")
     reader, _session, _db = _open(shared, autocommit=True)
     assert reader.execute(sql) == [[1, 1]]
-    assert planning_session._mvcc_txn is None
+    assert not planning_session.in_transaction
     assert database.transactions.oldest_visible_seq() \
         == database.transactions.commit_seq
     for handle in (writer, reader):

@@ -154,9 +154,9 @@ class TestRemoteBasics:
             st.execute_update("create table t (n int)")
             conn.set_auto_commit(False)
             st.execute_update("insert into t values (1)")
-            assert conn.session.transaction_log.active
+            assert conn.session.in_transaction
             conn.rollback()
-            assert not conn.session.transaction_log.active
+            assert not conn.session.in_transaction
             rs = st.execute_query("select count(*) from t")
             rs.next()
             assert rs.get_int(1) == 0
@@ -165,6 +165,27 @@ class TestRemoteBasics:
             rs = st.execute_query("select count(*) from t")
             rs.next()
             assert rs.get_int(1) == 1
+
+    def test_in_txn_reports_a_read_snapshot(self, server):
+        """A manual-commit SELECT leaves a snapshot open server-side:
+        its reply says so (an error reply too), and COMMIT / ROLLBACK
+        say the transaction ended."""
+        with repro.connect(url_of(server, "readtxn")) as conn:
+            st = conn.create_statement()
+            st.execute_update("create table t (n int)")
+            st.execute_update("insert into t values (1)")
+            assert not conn.session.in_transaction
+            conn.set_auto_commit(False)
+            for end in (conn.commit, conn.rollback):
+                st.execute_query("select count(*) from t").close()
+                assert conn.session.in_transaction
+                end()
+                assert not conn.session.in_transaction
+            with pytest.raises(errors.DivisionByZeroError):
+                st.execute_query("select 1 / (n - n) from t")
+            assert conn.session.in_transaction
+            conn.rollback()
+            assert not conn.session.in_transaction
 
     def test_sqlstate_error_roundtrip(self, server):
         with repro.connect(url_of(server, "errs")) as conn:
@@ -682,6 +703,45 @@ class TestRemotePoolHealth:
             conn2.close()
         finally:
             srv.stop_background()
+
+    def test_checkin_releases_a_read_snapshot(self, server):
+        """A manual-commit pool over repro://: the first client only
+        reads, yet its server-side snapshot must not reach the next
+        client (stale rows) or outlive the checkin (vacuum horizon)."""
+        url = url_of(server, "poolsnap")
+        with repro.connect(url) as conn:
+            st = conn.create_statement()
+            st.execute_update("create table t (n int)")
+            st.execute_update("insert into t values (1)")
+        database = repro.registry.lookup("poolsnap")
+        pool = repro.DriverManager.get_pool(
+            url, max_size=1, autocommit=False
+        )
+
+        def count(conn):
+            rs = conn.create_statement().execute_query(
+                "select count(*) from t"
+            )
+            rs.next()
+            return rs.get_int(1)
+
+        try:
+            first = pool.checkout()
+            session = first.session
+            assert count(first) == 1
+            first.close()
+            with repro.connect(url) as writer:
+                writer.create_statement().execute_update(
+                    "insert into t values (2)"
+                )
+            second = pool.checkout()
+            assert second.session is session
+            assert count(second) == 2
+            second.close()
+            tm = database.transactions
+            assert tm.oldest_visible_seq() == tm.commit_seq
+        finally:
+            pool.close()
 
     def test_handshake_timeout_is_bounded(self):
         # A server that accepts the TCP dial but never answers HELLO

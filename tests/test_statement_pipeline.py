@@ -25,6 +25,7 @@ import importlib
 import io
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -217,13 +218,20 @@ def _calls(database):
     return sum(row[1] for row in database.statement_stats.statement_rows())
 
 
+def _position(session):
+    """The session's write-list length: an undo mark."""
+    txn = session.transaction
+    return 0 if txn is None else len(txn.writes)
+
+
 def _state(session, mark):
-    txn = session._mvcc_txn
+    txn = session.transaction
+    snapshot = txn is not None and txn.id is not None
     return {
-        "mvcc_open": txn is not None,
-        "pristine": None if txn is None else txn.pristine,
-        "undo_growth": session.transaction_log.position() - mark,
-        "durable_open": session._durable_txn is not None,
+        "mvcc_open": snapshot,
+        "pristine": txn.pristine if snapshot else None,
+        "undo_growth": _position(session) - mark,
+        "durable_open": txn is not None and txn.wal_txn is not None,
     }
 
 
@@ -240,7 +248,7 @@ def observe(database, entry, case, autocommit):
     wal_before = _wal(database, None)
     counters_before = _counters()
     calls_before = _calls(database)
-    mark = session.transaction_log.position()
+    mark = _position(session)
     try:
         result = run(session, sql, params)
     except errors.SQLException as exc:
@@ -307,11 +315,9 @@ def test_entry_point_matches_execute(
             f"errors.{actual['outcome'][2]}"
         ) == 1
         assert actual["wal"] == []
-    if not autocommit:
-        # (On an autocommit connection the dbapi layer commits the
-        # function's INSERT from inside the routine body, before the
-        # SELECT fails — on every path alike.)
-        assert actual["audit"] == [[0]]
+    # A routine body's INSERT commits or rolls back with the statement
+    # that called it, autocommit or not.
+    assert actual["audit"] == [[0]]
 
 
 @pytest.mark.parametrize("autocommit", [True, False], ids=["auto", "txn"])
@@ -340,7 +346,7 @@ def test_batch_of_many_is_the_n_row_case(make_database, traced, autocommit):
     assert counters_after["statements.update"] \
         - counters_before.get("statements.update", 0) == 1
     assert _calls(database) - calls_before == 1
-    state = _state(session, session.transaction_log.position())
+    state = _state(session, _position(session))
     if autocommit:
         assert not state["mvcc_open"] and not state["durable_open"]
     else:
@@ -399,7 +405,7 @@ def test_write_conflict_retries_whole_statement(
         - counters_before.get("statements.update", 0) == 1
     # the retried update plus the verification select above
     assert _calls(database) - calls_before == 2
-    assert session._mvcc_txn is None
+    assert not session.in_transaction
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +464,7 @@ def test_customized_query_entry_runs_the_statement_pipeline(db):
     connected = context.connected_profile(profile)
     assert isinstance(connected.customization(), DialectCustomization)
     # no snapshot is held between statements ...
-    assert reader._mvcc_txn is None
+    assert not reader.in_transaction
     admin.execute("update t set v = 3 where k = 1")
     assert db.transactions.oldest_visible_seq() \
         == db.transactions.commit_seq
@@ -493,15 +499,92 @@ def test_failed_held_query_rolls_back_to_its_mark(
     database = make_database("sut")
     session = database.create_session(autocommit=False)
     session.execute("insert into audit values (0)")
-    mark = session.transaction_log.position()
+    mark = _position(session)
     with pytest.raises(errors.DivisionByZeroError):
         ENTRY_POINTS[entry](
             session, "select 1 / log_it(k) from t where k = ?", [1]
         )
-    assert session.transaction_log.position() == mark
+    assert _position(session) == mark
     assert session.execute("select k from audit").rows == [[0]]
     session.commit()
     assert session.execute("select k from audit").rows == [[0]]
+
+
+#: Run in a child process against ``<data_dir>/wart`` (in process, or
+#: through a ``repro://`` server in the child when argv[2] is "remote"):
+#: the failing SELECT, then ``call bump(1, 7)`` on an autocommit
+#: connection; print what the connection reads, then die without a
+#: clean shutdown.
+CRASHING_CLIENT = '''
+import json, os, sys
+import repro
+from repro.server import ReproServer
+
+data_dir, where = sys.argv[1:]
+conn = repro.connect("pydbc:standard:wart", data_dir=data_dir)
+if where == "remote":
+    server = ReproServer(data_dir=data_dir).start_background()
+    conn = repro.connect(
+        f"repro://127.0.0.1:{server.port}/wart", user="dba"
+    )
+cursor = conn.cursor()
+try:
+    cursor.execute("select 1 / log_it(k) from t where k = 1")
+except repro.errors.DivisionByZeroError:
+    pass
+else:
+    raise AssertionError("the SELECT did not fail")
+cursor.execute("call bump(1, 7)")
+cursor.execute("select count(*) from audit")
+audit = [list(row) for row in cursor.fetchall()]
+cursor.execute("select k, v from t order by k")
+table = [list(row) for row in cursor.fetchall()]
+print(json.dumps({"audit": audit, "table": table}), flush=True)
+os._exit(0)
+'''
+
+
+@pytest.mark.parametrize("where", ["engine", "remote"])
+def test_routine_body_commits_with_its_caller_across_a_crash(
+    tmp_path, where
+):
+    """A routine body's DML through a prepared statement on the default
+    connection is part of the calling statement on an autocommit
+    connection too: the failing SELECT leaves no audit row, before or
+    after a crash, and a successful CALL's update is durable with it."""
+    par = build_par(
+        os.path.join(str(tmp_path), "p.par"),
+        {"pipeline_routines": ROUTINES},
+    )
+    directory = os.path.join(str(tmp_path), "wart")
+    database = open_database(directory)
+    admin = database.create_session(autocommit=True)
+    admin.execute(f"call sqlj.install_par('{par}', 'p')")
+    for statement in SETUP:
+        admin.execute(statement)
+    admin.close()
+    database.close()
+
+    source = os.path.dirname(os.path.dirname(repro.__file__))
+    child = subprocess.run(
+        [sys.executable, "-c", CRASHING_CLIENT, str(tmp_path), where],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": source},
+    )
+    assert child.returncode == 0, child.stderr
+    before = json.loads(child.stdout)
+    assert before == {
+        "audit": [[0]], "table": [[1, 17], [2, 20], [3, 30]],
+    }
+    recovered = open_database(directory)
+    session = recovered.create_session(autocommit=True)
+    after = {
+        "audit": session.execute("select count(*) from audit").rows,
+        "table": session.execute("select k, v from t order by k").rows,
+    }
+    session.close()
+    recovered.close()
+    assert after == before
 
 
 def test_traced_prepared_query_takes_the_lock_once(session):

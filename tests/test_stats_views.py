@@ -356,6 +356,25 @@ class TestOtherViews:
         assert {"dba", "alice"} <= users
         del second
 
+    def test_sessions_view_shows_a_read_only_transaction(self, db):
+        """A manual-commit session that only read holds a snapshot: it
+        is in a transaction, with the MVCC id and snapshot to show."""
+        admin = db.create_session(autocommit=True)
+        admin.execute("create table t (k int)")
+        admin.execute("grant select on t to alice")
+        reader = db.create_session(user="alice")
+        reader.execute("select count(*) from t")
+        view = (
+            "select in_txn, txn_id, snapshot_seq "
+            "from repro_stats.sessions where user_name = 'alice'"
+        )
+        txn = reader.transaction
+        assert admin.execute(view).rows == [
+            [True, txn.id, txn.snapshot_seq]
+        ]
+        reader.commit()
+        assert admin.execute(view).rows == [[False, None, None]]
+
     def test_metrics_view(self, emps):
         emps.execute("select * from emps")
         result = emps.execute(
