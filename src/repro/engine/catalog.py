@@ -260,6 +260,24 @@ class UserDefinedType:
             udt = udt.supertype
         return None
 
+    def attribute(self, sql_name: str) -> AttributeBinding:
+        """:meth:`find_attribute`, raising when the type has none."""
+        binding = self.find_attribute(sql_name)
+        if binding is None:
+            raise errors.UndefinedColumnError(
+                f"type {self.name!r} has no attribute {sql_name!r}"
+            )
+        return binding
+
+    def method(self, sql_name: str) -> MethodBinding:
+        """:meth:`find_method`, raising when the type has none."""
+        binding = self.find_method(sql_name)
+        if binding is None:
+            raise errors.UndefinedRoutineError(
+                f"type {self.name!r} has no method {sql_name!r}"
+            )
+        return binding
+
     def find_ordering(self) -> Optional[Tuple[str, str]]:
         """Nearest ordering spec up the supertype chain, if any."""
         udt: Optional[UserDefinedType] = self
@@ -569,6 +587,17 @@ class Catalog:
                 ):
                     best = udt
         return best
+
+    def type_of(self, value: Any) -> UserDefinedType:
+        """The UDT of a stored object: its runtime class decides, so a
+        subtype's members resolve (substitutability)."""
+        udt = self.type_for_class(type(value))
+        if udt is None:
+            raise errors.UndefinedTypeError(
+                f"class {type(value).__name__!r} is not registered as a "
+                "SQL type"
+            )
+        return udt
 
     # -- archives ------------------------------------------------------------
     def install_par(self, par: InstalledPar) -> None:

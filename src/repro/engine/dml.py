@@ -7,7 +7,7 @@ assignment typing, ``>>`` attribute-path validation and the planner's
 access path for the target rows — and returns a :class:`DmlPlan`.
 :meth:`DmlPlan.run` is the row work, once per parameter row.  The plan
 keeps nothing of the session that compiled it (compiled expressions read
-the executing session from their ``Env``), so the session layer caches
+the executing session from the run's ``Env``), so the session layer caches
 it like a query plan and a prepared statement holds it; the translator's
 ``OnlineChecker`` runs the same compile step against an exemplar schema.
 
@@ -31,12 +31,11 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from repro import errors
 from repro.engine import ast
 from repro.engine.catalog import Column, Table
-from repro.engine.executor import RuntimeContext
 from repro.engine.expressions import (
+    Compiled,
     Env,
     ExpressionCompiler,
     RowShape,
-    _find_instance_attribute,
 )
 from repro.engine.functions import lookup_builtin
 from repro.engine.mvcc import RowVersion, Transaction, WriteConflict
@@ -242,7 +241,7 @@ def _typed_value(
     expr: ast.Expression,
     descriptor: TypeDescriptor,
     target: str,
-) -> Callable[[Env], Any]:
+) -> Compiled:
     """Compile a value stored into ``target`` (of type ``descriptor``),
     typed now rather than at the first row: a literal must coerce, any
     other typed expression must be assignable."""
@@ -255,7 +254,7 @@ def _typed_value(
             f"cannot store {value.descriptor.sql_spelling()} into "
             f"{target} ({descriptor.sql_spelling()})"
         )
-    return value.fn
+    return value
 
 
 def _reads_database(node: Any) -> bool:
@@ -311,16 +310,16 @@ def _plan_insert(stmt: ast.Insert, session: Any) -> DmlPlan:
                     f"INSERT expects {len(positions)} values, "
                     f"got {len(value_row)}"
                 )
-            value_rows.append([
+            value_rows.append(Compiled.row([
                 _typed_value(
                     compiler, expr, columns[position].descriptor,
                     f"column {columns[position].name!r}",
                 )
                 for position, expr in zip(positions, value_row)
-            ])
+            ]).fn)
 
         def produce(env: Env) -> List[List[Any]]:
-            return [[fn(env) for fn in fns] for fns in value_rows]
+            return [fn(env) for fn in value_rows]
 
         # A plain VALUES list cannot tell whether earlier parameter
         # rows were appended yet, so all of them are one append.
@@ -382,7 +381,7 @@ def _target_rows(
     access, residual = plan_target(table, where, session)
 
     def targets(session: Any, params: Sequence[Any]) -> List[RowVersion]:
-        versions = access.versions(RuntimeContext(session, params))
+        versions = access.versions(Env((), params, None, session))
         if residual is None:
             return versions
         return [
@@ -423,12 +422,9 @@ def _attribute_path(
                 f"{name} is not of an object type; >> assignment is not "
                 "applicable"
             )
-        udt = session.catalog.get_type(descriptor.udt_name)
-        binding = udt.find_attribute(attribute)
-        if binding is None:
-            raise errors.UndefinedColumnError(
-                f"type {udt.name!r} has no attribute {attribute!r}"
-            )
+        binding = session.catalog.get_type(descriptor.udt_name).attribute(
+            attribute
+        )
         descriptor, name = binding.descriptor, f"attribute {attribute!r}"
     return descriptor, name
 
@@ -451,7 +447,7 @@ def _plan_update(stmt: ast.Update, session: Any) -> DmlPlan:
             descriptor, name = _attribute_path(session, column, target)
         assignments.append((target, position, _typed_value(
             compiler, assignment.value, descriptor, name
-        )))
+        ).fn))
     targets = _target_rows(table, stmt.where, session)
 
     def run(session: Any, param_rows: Sequence[Sequence[Any]]) -> List[int]:
@@ -518,12 +514,12 @@ def _assign(
     node = updated
     path = target.attributes
     for attr_name in path[:-1]:
-        binding = _find_instance_attribute(session, node, attr_name)
+        binding = session.catalog.type_of(node).attribute(attr_name)
         node = getattr(node, binding.field_name)
         if node is None:
             raise errors.NullValueError(
                 f"intermediate attribute {attr_name!r} is NULL"
             )
-    binding = _find_instance_attribute(session, node, path[-1])
+    binding = session.catalog.type_of(node).attribute(path[-1])
     setattr(node, binding.field_name, binding.descriptor.coerce(value))
     row[position] = updated

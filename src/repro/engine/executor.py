@@ -1,76 +1,54 @@
-"""Iterator-model query operators.
+"""Iterator-model query operators with generated per-row loops.
 
 Each operator exposes ``rows(ctx)`` returning an iterator of value lists.
 ``ctx`` carries the executing session, the statement's dynamic parameters
-and (for correlated subqueries) the enclosing row environment.  Plans are
-fully compiled — operators hold closures produced by
-:class:`repro.engine.expressions.ExpressionCompiler`, so per-row work is
-plain Python calls.
+and (for correlated subqueries) the enclosing row environment.
+
+The operators that evaluate expressions per row — Filter, Project, the
+two joins, GroupAggregate and Sort — have their loop emitted as Python
+source with the expressions' fragments inlined (see
+:mod:`repro.engine.expressions`).  :func:`generate_plan` compiles every
+loop of a plan, and the callables IndexScan and Limit evaluate, in one
+``compile()`` when the :class:`QueryPlan` is built, so a plan-cache hit
+never recompiles.  A loop pulls its input through ``child.rows(ctx)``,
+which keeps early exit (LIMIT, EXISTS) and :func:`instrument_plan`
+working per node.
 """
 
 from __future__ import annotations
 
+import collections
+import decimal
 import functools
+import heapq
 import time
 from operator import attrgetter
-from typing import Any, Callable, Dict, Iterator, List, Optional, \
-    Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, \
+    Tuple
 
 from repro import errors, faultpoints
 from repro.engine.catalog import Table
-from repro.engine.expressions import Env, RowShape
+from repro.engine.expressions import RUNTIME, Compiled, Env, RowShape, \
+    fresh, generate, prologue
 from repro.observability import metrics as _metrics
 from repro.observability import stats as _stats
-from repro.sqltypes import compare_values
+from repro.sqltypes import TypeDescriptor, compare_values
 from repro.sqltypes.values import key_image, sort_key
 
 _ROWS_SCANNED = _metrics.registry.counter("rows.scanned")
 _INDEX_LOOKUPS = _metrics.registry.counter("index.lookups")
 
-#: sort_key() image of SQL NULL (see HashJoin key handling).
-_NULL_SORT_KEY = sort_key(None)
-
 __all__ = [
-    "RuntimeContext",
-    "Operator",
-    "SingleRow",
-    "SeqScan",
-    "IndexScan",
-    "Filter",
-    "Project",
-    "NestedLoopJoin",
-    "HashJoin",
-    "Sort",
-    "Limit",
-    "Distinct",
-    "GroupAggregate",
-    "UnionOp",
-    "QueryPlan",
-    "AGGREGATE_FACTORIES",
-    "OperatorStats",
-    "PlanInstrumentation",
-    "instrument_plan",
-    "operator_children",
+    "RuntimeContext", "Operator", "SingleRow", "SeqScan", "IndexScan",
+    "Filter", "Project", "NestedLoopJoin", "HashJoin", "Sort", "Limit",
+    "Distinct", "GroupAggregate", "AggregateSpec", "UnionOp", "QueryPlan",
+    "OperatorStats", "PlanInstrumentation", "generate_plan",
+    "instrument_plan", "operator_children",
 ]
 
-
-class RuntimeContext:
-    """Execution-time state shared by all operators of one run."""
-
-    __slots__ = ("session", "params", "outer_env")
-
-    def __init__(
-        self,
-        session: Any,
-        params: Sequence[Any],
-        outer_env: Optional[Env] = None,
-    ) -> None:
-        self.session = session
-        self.params = params
-        self.outer_env = outer_env
-
-    def env(self, row: Sequence[Any]) -> Env:
-        return Env(row, self.params, self.outer_env, self.session)
+#: Execution-time state shared by all operators of one run: an
+#: :class:`Env` with no row (its session, parameters and outer row).
+RuntimeContext = Env
 
 
 class Operator:
@@ -78,6 +56,141 @@ class Operator:
 
     def rows(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
         raise NotImplementedError
+
+    def expressions(self) -> List[Compiled]:
+        """Compiled expressions this operator calls through ``fn``."""
+        return []
+
+
+class _Generated(Operator):
+    """An operator whose ``rows`` is a generated function of (operator,
+    context), built from :meth:`source` by :func:`generate_plan`."""
+
+    loop: Any = None
+
+    def source(self, name: str) -> Tuple[str, Dict[str, Any]]:
+        """``def name(self, c)`` and the bindings it names."""
+        raise NotImplementedError
+
+    def rows(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
+        if self.loop is None:
+            generate_plan(self)
+        return self.loop(self, ctx)
+
+
+def _function(name: str, body: str, fragments: Sequence[Compiled],
+              bindings: Optional[Dict[str, Any]] = None
+              ) -> Tuple[str, Dict[str, Any]]:
+    """A generated operator function: ``body`` (indented four spaces,
+    reading ``self``, the context ``c`` and parameters ``p``) and the
+    bindings of the ``fragments`` it inlines."""
+    names = dict(bindings or {})
+    for fragment in fragments:
+        names.update(fragment.bindings)
+    return f"def {name}(self, c):\n{prologue(body)}{body}", names
+
+
+def _join_image(value: Any) -> Any:
+    """Hash-join key image of one value: None for NULL, else its
+    :func:`sort_key` image (``1 = 1.0 = DECIMAL '1'``, CHAR pad spaces
+    insignificant), matching SQL ``=``."""
+    return None if value is None else sort_key(value)[1]
+
+
+#: Skeleton placeholder for a value whose sort_key cannot be hashed.
+_UNKEYABLE = object()
+
+
+def _canonical(buckets: Dict[tuple, list], key: tuple) -> tuple:
+    """A hashable stand-in for ``key`` — a tuple of key images one of
+    which cannot be hashed — shared by every key equal to it.
+
+    ``key`` buckets by its skeleton: each value's :func:`sort_key` image
+    (normalising ``1``/``1.0``/``Decimal('1')``), or a sentinel where
+    that cannot be hashed either (exotic Part 2 objects); only those
+    positions are compared, linearly, within the bucket.
+    """
+    skeleton, loose = [], []
+    for position, value in enumerate(key):
+        try:
+            image = sort_key(value)
+            hash(image)
+        except Exception:
+            image = _UNKEYABLE
+            loose.append(position)
+        skeleton.append(image)
+    bucket = buckets.setdefault(tuple(skeleton), [])
+    for seen, token in bucket:
+        if all(compare_values(seen[p], key[p]) == 0 for p in loose):
+            return token
+    token = (_UNKEYABLE, tuple(skeleton), len(bucket))
+    bucket.append((key, token))
+    return token
+
+
+def _pick(best: Any, value: Any, want_max: bool) -> Any:
+    """One MIN/MAX step: ``value`` replaces ``best`` if strictly better."""
+    if best is None:
+        return value
+    comparison = compare_values(value, best)
+    return value if comparison and (comparison > 0) == want_max else best
+
+
+def _aggregate(name: str, distinct: bool, values: List[Any]) -> Any:
+    """AVG or a DISTINCT aggregate over the group's non-NULL argument
+    values, in arrival order."""
+    if distinct:
+        seen = _RowSet()
+        values = [value for value in values if seen.add([value])]
+    if name == "COUNT":
+        return len(values)
+    if not values:
+        return None
+    result = values[0]
+    for value in values[1:]:
+        if name == "MIN" or name == "MAX":
+            result = _pick(result, value, name == "MAX")
+        else:
+            result = result + value
+    if name != "AVG":
+        return result
+    if isinstance(result, float):
+        return result / len(values)
+    return decimal.Decimal(result) / decimal.Decimal(len(values))
+
+
+_RUNTIME = {**RUNTIME, "heapq": heapq, "sort_key": sort_key,
+            "key_image": key_image, "_canonical": _canonical,
+            "_join_image": _join_image, "_pick": _pick}
+
+
+def generate_plan(root: Operator) -> None:
+    """Compile, with one ``compile()``, the loops of every operator under
+    ``root`` that has none yet, and the callables their expressions
+    need; a plan's operators and expressions hold the results."""
+    parts: List[str] = []
+    bindings: Dict[str, Any] = {}
+    targets: List[Tuple[Any, str, str]] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        stack.extend(operator_children(node))
+        if isinstance(node, _Generated) and node.loop is None:
+            name = fresh()
+            text, names = node.source(name)
+            parts.append(text)
+            bindings.update(names)
+            targets.append((node, "loop", name))
+        for compiled in node.expressions():
+            if compiled._fn is None:
+                name = fresh()
+                parts.append(compiled.function(name))
+                bindings.update(compiled.bindings)
+                targets.append((compiled, "_fn", name))
+    if parts:
+        values = generate("\n".join(parts), bindings, _RUNTIME)
+        for target, attribute, name in targets:
+            setattr(target, attribute, values[name])
 
 
 class SingleRow(Operator):
@@ -133,20 +246,20 @@ class IndexScan(Operator):
     """Probe a secondary index instead of scanning the heap.
 
     Either an equality probe over the index's full key (``equal`` holds
-    one compiled closure per key column, evaluated against the empty
+    one compiled expression per key column, evaluated against the empty
     row — they may reference parameters but no columns) or a range
-    probe on a single-column index (``lower``/``upper`` bound closures,
-    either may be absent).  A bound or probe value evaluating to NULL
-    yields no rows: no SQL comparison against NULL is TRUE.
+    probe on a single-column index (``lower``/``upper`` bounds, either
+    may be absent).  A bound or probe value evaluating to NULL yields no
+    rows: no SQL comparison against NULL is TRUE.
     """
 
     def __init__(
         self,
         index: Any,
         table: Table,
-        equal: Optional[List[Callable[[Env], Any]]] = None,
-        lower: Optional[Callable[[Env], Any]] = None,
-        upper: Optional[Callable[[Env], Any]] = None,
+        equal: Optional[List[Compiled]] = None,
+        lower: Optional[Compiled] = None,
+        upper: Optional[Compiled] = None,
         lower_inclusive: bool = True,
         upper_inclusive: bool = True,
         description: Optional[str] = None,
@@ -161,22 +274,26 @@ class IndexScan(Operator):
         #: SQL rendering of the probe predicate, for EXPLAIN output.
         self.description = description
 
+    def expressions(self) -> List[Compiled]:
+        return [e for e in (self.equal or []) + [self.lower, self.upper]
+                if e is not None]
+
     def versions(self, ctx: RuntimeContext) -> List[Any]:
         """The probed versions the reading snapshot sees (see SeqScan)."""
         _INDEX_LOOKUPS.increment()
         txn = ctx.session.mvcc_txn
         env = ctx.env([])
         if self.equal is not None:
-            values = tuple(fn(env) for fn in self.equal)
+            values = tuple(compiled.fn(env) for compiled in self.equal)
             probe = functools.partial(self.index.lookup, values)
         else:
             lower = upper = None
             if self.lower is not None:
-                lower = self.lower(env)
+                lower = self.lower.fn(env)
                 if lower is None:
                     return []
             if self.upper is not None:
-                upper = self.upper(env)
+                upper = self.upper.fn(env)
                 if upper is None:
                     return []
             probe = functools.partial(
@@ -195,286 +312,247 @@ class IndexScan(Operator):
         return map(_ROW, self.versions(ctx))
 
 
-class Filter(Operator):
-    def __init__(
-        self,
-        child: Operator,
-        predicate: Callable[[Env], bool],
-        description: Optional[str] = None,
-    ) -> None:
+class Filter(_Generated):
+    """Rows of ``child`` for which ``predicate`` is TRUE.
+
+    ``predicate`` is a compiled predicate, or any callable of the row's
+    :class:`~repro.engine.expressions.Env`."""
+
+    def __init__(self, child: Operator, predicate: Any,
+                 description: Optional[str] = None) -> None:
         self.child = child
-        self.predicate = predicate
+        self.predicate = predicate if isinstance(predicate, Compiled) \
+            else Compiled.call(predicate)
         #: Optional SQL rendering of the predicate, for EXPLAIN output.
         self.description = description
 
-    def rows(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
-        predicate = self.predicate
-        for row in self.child.rows(ctx):
-            if predicate(ctx.env(row)):
-                yield row
+    def source(self, name: str) -> Tuple[str, Dict[str, Any]]:
+        return _function(name, (
+            "    for r in self.child.rows(c):\n"
+            f"        if {self.predicate.test}:\n"
+            "            yield r\n"
+        ), [self.predicate])
 
 
-class Project(Operator):
-    def __init__(
-        self, child: Operator, items: List[Callable[[Env], Any]]
-    ) -> None:
+class Project(_Generated):
+    def __init__(self, child: Operator, items: List[Compiled]) -> None:
         self.child = child
         self.items = items
 
-    def rows(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
-        items = self.items
-        for row in self.child.rows(ctx):
-            env = ctx.env(row)
-            yield [item(env) for item in items]
+    def source(self, name: str) -> Tuple[str, Dict[str, Any]]:
+        values = ", ".join(item.source for item in self.items)
+        return _function(name, (
+            "    for r in self.child.rows(c):\n"
+            f"        yield [{values}]\n"
+        ), self.items)
 
 
-class NestedLoopJoin(Operator):
-    """Nested-loop join supporting INNER/LEFT/RIGHT/FULL/CROSS."""
-
-    def __init__(
-        self,
-        kind: str,
-        left: Operator,
-        right: Operator,
-        predicate: Optional[Callable[[Env], bool]],
-        left_width: int,
-        right_width: int,
-    ) -> None:
-        self.kind = kind
-        self.left = left
-        self.right = right
-        self.predicate = predicate
-        self.left_width = left_width
-        self.right_width = right_width
-
-    def rows(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
-        right_rows = list(self.right.rows(ctx))
-        right_matched = [False] * len(right_rows)
-        null_right = [None] * self.right_width
-        null_left = [None] * self.left_width
-        predicate = self.predicate
-        kind = self.kind
-
-        for left_row in self.left.rows(ctx):
-            matched = False
-            for index, right_row in enumerate(right_rows):
-                combined = list(left_row) + list(right_row)
-                if predicate is None or predicate(ctx.env(combined)):
-                    matched = True
-                    right_matched[index] = True
-                    yield combined
-            if not matched and kind in ("LEFT", "FULL"):
-                yield list(left_row) + null_right
-
-        if kind in ("RIGHT", "FULL"):
-            for index, right_row in enumerate(right_rows):
-                if not right_matched[index]:
-                    yield null_left + list(right_row)
-
-
-class HashJoin(Operator):
-    """Hash join on equality keys, for INNER/LEFT/RIGHT/FULL joins.
-
-    ``left_keys`` / ``right_keys`` are compiled against the *merged*
-    row shape but reference only their own side's columns, so each side
-    is evaluated with the other side padded with NULLs.  Keys are
-    normalised with :func:`sort_key` (``1 = 1.0 = DECIMAL '1'``, CHAR
-    pad spaces insignificant), matching SQL ``=``.
-
-    The hash table is strictly a *candidate* filter: every candidate
-    pair is re-checked with ``predicate`` — the full compiled ON
-    condition (equalities plus any residual conjuncts) — so semantics
-    are identical to :class:`NestedLoopJoin` with the same predicate.
-    That also gives graceful degradation: a build row whose key cannot
-    be hashed (exotic Part 2 object, normally rejected at plan time)
-    joins the ``loose`` list and is linearly probed; a probe row whose
-    key cannot be hashed falls back to scanning all build rows.
-
-    ``build`` selects which child is materialised into the hash table:
-    ``"right"`` (the historical default) buckets the right child and
-    streams the left; ``"left"`` buckets the left child and streams the
-    right.  The cost-based planner picks the side with the smaller
-    estimated cardinality.  Output columns are always ``left + right``
-    regardless of build side; only row order differs.
-    """
+class _Join(_Generated):
+    """One loop template for both joins and both build sides: the build
+    input is materialised (and, given keys, hashed), the probe input
+    streams, and every candidate pair is checked with the full
+    predicate."""
 
     def __init__(
         self,
         kind: str,
         left: Operator,
         right: Operator,
-        left_keys: List[Callable[[Env], Any]],
-        right_keys: List[Callable[[Env], Any]],
-        predicate: Optional[Callable[[Env], bool]],
+        predicate: Optional[Compiled],
         left_width: int,
         right_width: int,
+        left_keys: Sequence[Compiled] = (),
+        right_keys: Sequence[Compiled] = (),
         description: Optional[str] = None,
         build: str = "right",
     ) -> None:
         self.kind = kind
         self.left = left
         self.right = right
-        self.left_keys = left_keys
-        self.right_keys = right_keys
         self.predicate = predicate
         self.left_width = left_width
         self.right_width = right_width
+        self.left_keys = list(left_keys)
+        self.right_keys = list(right_keys)
         #: SQL rendering of the join keys, for EXPLAIN output.
         self.description = description
-        #: which child is hashed: ``"right"`` or ``"left"``.
+        #: which input is materialised (and hashed): "right" or "left".
         self.build = build
 
-    def rows(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
-        if self.build == "left":
-            yield from self._rows_build_left(ctx)
-            return
-        yield from self._rows_build_right(ctx)
+    def source(self, name: str) -> Tuple[str, Dict[str, Any]]:
+        build, probe = ("left", "right") if self.build == "left" \
+            else ("right", "left")
+        pad = {"left": f"[None] * {self.left_width}",
+               "right": f"[None] * {self.right_width}"}
 
-    def _rows_build_left(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
-        """Mirror image of the default path: hash left, stream right."""
-        left_rows = list(self.left.rows(ctx))
-        left_matched = [False] * len(left_rows)
-        null_right = [None] * self.right_width
-        null_left = [None] * self.left_width
-        predicate = self.predicate
-        kind = self.kind
+        def row(build_part: str, probe_part: str) -> str:
+            parts = {build: build_part, probe: probe_part}
+            return f"{parts['left']} + {parts['right']}"
 
-        buckets: Dict[tuple, List[Tuple[int, List[Any]]]] = {}
-        loose: List[Tuple[int, List[Any]]] = []
-        for index, left_row in enumerate(left_rows):
-            env = ctx.env(list(left_row) + null_right)
-            try:
-                key = tuple(
-                    sort_key(fn(env)) for fn in self.left_keys
-                )
-                if _NULL_SORT_KEY in key:
-                    continue
-                buckets.setdefault(key, []).append((index, left_row))
-            except TypeError:
-                loose.append((index, left_row))
-
-        for right_row in self.right.rows(ctx):
-            env = ctx.env(null_left + list(right_row))
-            try:
-                key = tuple(sort_key(fn(env)) for fn in self.right_keys)
-                if _NULL_SORT_KEY in key:
-                    candidates = loose
-                else:
-                    candidates = buckets.get(key, [])
-                    if loose:
-                        candidates = candidates + loose
-            except TypeError:
-                candidates = list(enumerate(left_rows))
-            matched = False
-            for index, left_row in candidates:
-                combined = list(left_row) + list(right_row)
-                if predicate is None or predicate(ctx.env(combined)):
-                    matched = True
-                    left_matched[index] = True
-                    yield combined
-            if not matched and kind in ("RIGHT", "FULL"):
-                yield null_left + list(right_row)
-
-        if kind in ("LEFT", "FULL"):
-            for index, left_row in enumerate(left_rows):
-                if not left_matched[index]:
-                    yield list(left_row) + null_right
-
-    def _rows_build_right(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
-        right_rows = list(self.right.rows(ctx))
-        right_matched = [False] * len(right_rows)
-        null_right = [None] * self.right_width
-        null_left = [None] * self.left_width
-        predicate = self.predicate
-        kind = self.kind
-
-        # Build: bucket right rows by normalised key.  NULL keys can
-        # never satisfy an equality, so those rows are left unbucketed
-        # (they surface only through RIGHT/FULL null extension).
-        buckets: Dict[tuple, List[Tuple[int, List[Any]]]] = {}
-        loose: List[Tuple[int, List[Any]]] = []
-        for index, right_row in enumerate(right_rows):
-            env = ctx.env(null_left + list(right_row))
-            try:
-                key = tuple(
-                    sort_key(fn(env)) for fn in self.right_keys
-                )
-                if _NULL_SORT_KEY in key:
-                    continue
-                buckets.setdefault(key, []).append((index, right_row))
-            except TypeError:
-                loose.append((index, right_row))
-
-        # Probe with left rows.
-        for left_row in self.left.rows(ctx):
-            env = ctx.env(list(left_row) + null_right)
-            try:
-                key = tuple(sort_key(fn(env)) for fn in self.left_keys)
-                if _NULL_SORT_KEY in key:
-                    candidates = loose
-                else:
-                    candidates = buckets.get(key, [])
-                    if loose:
-                        candidates = candidates + loose
-            except TypeError:
-                candidates = list(enumerate(right_rows))
-            matched = False
-            for index, right_row in candidates:
-                combined = list(left_row) + list(right_row)
-                if predicate is None or predicate(ctx.env(combined)):
-                    matched = True
-                    right_matched[index] = True
-                    yield combined
-            if not matched and kind in ("LEFT", "FULL"):
-                yield list(left_row) + null_right
-
-        if kind in ("RIGHT", "FULL"):
-            for index, right_row in enumerate(right_rows):
-                if not right_matched[index]:
-                    yield null_left + list(right_row)
+        keys = {"left": self.left_keys, "right": self.right_keys}
+        test = self.predicate.test if self.predicate is not None else "True"
+        body = (f"    build = list(self.{build}.rows(c))\n"
+                "    matched = [False] * len(build)\n"
+                "    everything = range(len(build))\n")
+        if self.left_keys:
+            build_key, build_null = _hash_key(keys[build], keys[probe])
+            probe_key, probe_null = _hash_key(keys[probe], keys[build])
+            body += (
+                "    buckets = {}\n    loose = []\n"
+                "    for i, r in enumerate(build):\n"
+                f"        try:\n            k = {build_key}\n"
+                f"            if {build_null}:\n                continue\n"
+                "            buckets.setdefault(k, []).append(i)\n"
+                "        except TypeError:\n            loose.append(i)\n"
+                f"    for q in self.{probe}.rows(c):\n        r = q\n"
+                f"        try:\n            k = {probe_key}\n"
+                f"            hits = loose if {probe_null} else "
+                "[*buckets.get(k, ()), *loose] if loose "
+                "else buckets.get(k, ())\n"
+                "        except TypeError:\n            hits = everything\n"
+            )
+        else:
+            body += (f"    for q in self.{probe}.rows(c):\n"
+                     "        hits = everything\n")
+        body += (
+            "        hit = False\n        for i in hits:\n"
+            f"            b = build[i]\n            r = {row('b', 'q')}\n"
+            f"            if {test}:\n"
+            "                hit = matched[i] = True\n"
+            "                yield r\n"
+        )
+        if self.kind in ("FULL", probe.upper()):
+            body += ("        if not hit:\n"
+                     f"            yield {row(pad[build], 'q')}\n")
+        if self.kind in ("FULL", build.upper()):
+            body += ("    for i, b in enumerate(build):\n"
+                     "        if not matched[i]:\n"
+                     f"            yield {row('b', pad[probe])}\n")
+        fragments = self.left_keys + self.right_keys + (
+            [self.predicate] if self.predicate is not None else [])
+        return _function(name, body, fragments)
 
 
-class Sort(Operator):
-    def __init__(
-        self,
-        child: Operator,
-        keys: List[Tuple[Callable[[Env], Any], bool]],
-    ) -> None:
+class NestedLoopJoin(_Join):
+    """Nested-loop join supporting INNER/LEFT/RIGHT/FULL/CROSS."""
+
+
+def _key_image(key: Compiled, kind: Optional[str],
+               untyped: str) -> Tuple[str, str]:
+    """(temporary, hash image) of a key read into the temporary: a
+    provable int itself, a provable str without pad spaces, else
+    ``untyped(value)``; the image is None exactly for NULL."""
+    temp = fresh()
+    read = f"({temp} := {key.source})"
+    if kind == "int":
+        return temp, read
+    if kind == "str":
+        return temp, f"({temp}.rstrip(' ') if {read} is not None else None)"
+    return temp, f"{untyped}({read})"
+
+
+def _hash_key(keys: Sequence[Compiled],
+              others: Sequence[Compiled]) -> Tuple[str, str]:
+    """Hash key of one join input's row ``r``, typed per key when both
+    inputs' keys share a kind, and the test that a value of it is NULL."""
+    temps, images = zip(*(
+        _key_image(key, key.kind if key.kind == other.kind else None,
+                   "_join_image")
+        for key, other in zip(keys, others)
+    ))
+    if len(images) == 1:
+        return images[0], "k is None"
+    return (f"({', '.join(images)})",
+            " or ".join(f"{temp} is None" for temp in temps))
+
+
+class HashJoin(_Join):
+    """Hash join on equality keys, for INNER/LEFT/RIGHT/FULL joins.
+
+    ``left_keys`` / ``right_keys`` read their own input's row; a key is
+    hashed natively when both its sides are provably int (or str, pad
+    spaces stripped), else by its :func:`sort_key` image, as SQL ``=``
+    compares.  The hash table only picks *candidates*: each pair is
+    checked with the full ON ``predicate``, so results equal a
+    :class:`NestedLoopJoin`'s; a key that cannot be hashed (an exotic
+    Part 2 object) is probed linearly.  ``build`` names the hashed input
+    (``"right"``, or ``"left"`` when the cost-based planner finds it
+    smaller); output columns are ``left + right`` either way.
+    """
+
+
+class Sort(_Generated):
+    """ORDER BY: ``keys`` are (compiled key, ascending) pairs.
+
+    Keys that compose into one tuple — ascending, or DESC over provable
+    ints — sort in one stable pass; under a LIMIT (``limit`` and
+    ``offset`` set by the planner) only the first offset + limit + 1
+    rows are kept, which is all the Limit above ever pulls.  Any other
+    key list sorts once per key, right to left, stably.
+    """
+
+    def __init__(self, child: Operator,
+                 keys: List[Tuple[Compiled, bool]]) -> None:
         self.child = child
         self.keys = keys
+        self.limit: Optional[Compiled] = None
+        self.offset: Optional[Compiled] = None
 
-    def rows(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
-        materialised = list(self.child.rows(ctx))
-        # Stable multi-key sort: apply keys right-to-left.
-        for key_fn, ascending in reversed(self.keys):
-            materialised.sort(
-                key=lambda row, fn=key_fn: sort_key(fn(ctx.env(row))),
-                reverse=not ascending,
-            )
-        return iter(materialised)
+    def source(self, name: str) -> Tuple[str, Dict[str, Any]]:
+        fragments = [key for key, _ in self.keys]
+        body = "    rows = list(self.child.rows(c))\n"
+        if not all(ascending or key.kind == "int"
+                   for key, ascending in self.keys):
+            for key, ascending in reversed(self.keys):
+                body += (f"    rows.sort(key=lambda r: sort_key({key.source}"
+                         f"), reverse={not ascending})\n")
+            return _function(name, body + "    yield from rows\n", fragments)
+        parts = []
+        for key, ascending in self.keys:
+            temp = fresh()
+            read = f"({temp} := {key.source})"
+            if key.kind == "int" and not ascending:  # NULLs first
+                parts.append(f"{read} is not None, "
+                             f"-{temp} if {temp} is not None else 0")
+            elif key.kind == "int":
+                parts.append(f"{read} is None, {temp}")
+            elif key.kind == "str":
+                parts.append(f"{read} is None, "
+                             f"{temp}.rstrip(' ') if {temp} is not None "
+                             "else ''")
+            else:
+                parts.append(f"sort_key({key.source})")
+        composed = f"lambda r: ({', '.join(parts)},)"
+        if self.limit is None:
+            body += f"    rows.sort(key={composed})\n    yield from rows\n"
+            return _function(name, body, fragments)
+        offset = f"int({self.offset.source})" if self.offset else "0"
+        body += (f"    yield from heapq.nsmallest(int({self.limit.source}) + "
+                 f"{offset} + 1, rows, key={composed})\n")
+        fragments += [e for e in (self.limit, self.offset) if e is not None]
+        return _function(name, body, fragments)
 
 
 class Limit(Operator):
-    def __init__(
-        self,
-        child: Operator,
-        limit: Optional[Callable[[Env], Any]],
-        offset: Optional[Callable[[Env], Any]],
-    ) -> None:
+    def __init__(self, child: Operator, limit: Optional[Compiled],
+                 offset: Optional[Compiled]) -> None:
         self.child = child
         self.limit = limit
         self.offset = offset
+
+    def expressions(self) -> List[Compiled]:
+        return [e for e in (self.limit, self.offset) if e is not None]
 
     def rows(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
         empty_env = ctx.env([])
         remaining = None
         if self.limit is not None:
-            remaining = int(self.limit(empty_env))
+            remaining = int(self.limit.fn(empty_env))
             if remaining < 0:
                 raise errors.DataError("LIMIT must be non-negative")
         to_skip = 0
         if self.offset is not None:
-            to_skip = int(self.offset(empty_env))
+            to_skip = int(self.offset.fn(empty_env))
             if to_skip < 0:
                 raise errors.DataError("OFFSET must be non-negative")
         for row in self.child.rows(ctx):
@@ -488,66 +566,25 @@ class Limit(Operator):
             yield row
 
 
-#: Skeleton placeholder for a value whose sort_key cannot be hashed.
-_UNKEYABLE = object()
-
-
-def _row_skeleton(key: tuple) -> Tuple[tuple, Tuple[int, ...]]:
-    """Hashable skeleton of a row key that itself failed to hash.
-
-    Each element becomes its :func:`sort_key` image (hashable for every
-    scalar, and normalising ``1``/``1.0``/``Decimal('1')`` to one key);
-    elements whose sort_key is unhashable too (exotic Part 2 objects)
-    become a sentinel, and their positions are returned so callers
-    linear-probe *only those positions* within a skeleton bucket —
-    turning the old O(n²) whole-row fallback into a hash lookup plus a
-    comparison over the truly incomparable values.
-    """
-    skeleton: List[Any] = []
-    loose: List[int] = []
-    for position, value in enumerate(key):
-        try:
-            image = sort_key(value)
-            hash(image)
-        except Exception:
-            image = _UNKEYABLE
-            loose.append(position)
-        skeleton.append(image)
-    return tuple(skeleton), tuple(loose)
-
-
 class _RowSet:
     """Duplicate detector tolerating unhashable (Part 2 object) values."""
 
     def __init__(self) -> None:
-        self._hashed: set = set()
-        self._buckets: Dict[tuple, List[tuple]] = {}
-
-    @staticmethod
-    def _values_equal(left: Any, right: Any) -> bool:
-        """NULL-as-a-value equality used for DISTINCT/GROUP BY."""
-        if left is None or right is None:
-            return left is None and right is None
-        return compare_values(left, right) == 0
+        self._seen: set = set()
+        self._buckets: Dict[tuple, list] = {}
 
     def add(self, row: Sequence[Any]) -> bool:
         """Add the row; returns True if it was new."""
         key = tuple(key_image(v) for v in row)
         try:
-            if key in self._hashed:
+            if key in self._seen:
                 return False
-            self._hashed.add(key)
-            return True
         except TypeError:
-            skeleton, loose = _row_skeleton(key)
-            bucket = self._buckets.setdefault(skeleton, [])
-            for seen in bucket:
-                if all(
-                    self._values_equal(seen[p], key[p]) for p in loose
-                ):
-                    return False
-            bucket.append(key)
-            return True
+            key = _canonical(self._buckets, key)
+            if key in self._seen:
+                return False
+        self._seen.add(key)
+        return True
 
 
 class Distinct(Operator):
@@ -566,215 +603,89 @@ class Distinct(Operator):
 # ---------------------------------------------------------------------------
 
 
-class _Accumulator:
-    """Base aggregate accumulator."""
-
-    def add(self, value: Any) -> None:
-        raise NotImplementedError
-
-    def result(self) -> Any:
-        raise NotImplementedError
+#: One aggregate to compute: its name, compiled argument (None for
+#: COUNT(*)) and DISTINCT flag.
+AggregateSpec = collections.namedtuple(
+    "AggregateSpec", ["name", "argument", "distinct"]
+)
 
 
-class _CountStar(_Accumulator):
-    def __init__(self) -> None:
-        self.count = 0
+class GroupAggregate(_Generated):
+    """Hash aggregation: one output row of ``group-key values ++
+    aggregate results`` per group.  With no GROUP BY keys an empty input
+    still forms one group (COUNT = 0, SUM = NULL), per SQL.
 
-    def add(self, value: Any) -> None:
-        self.count += 1
-
-    def result(self) -> int:
-        return self.count
-
-
-class _Count(_Accumulator):
-    def __init__(self) -> None:
-        self.count = 0
-
-    def add(self, value: Any) -> None:
-        if value is not None:
-            self.count += 1
-
-    def result(self) -> int:
-        return self.count
-
-
-class _Sum(_Accumulator):
-    def __init__(self) -> None:
-        self.total: Any = None
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        self.total = value if self.total is None else self.total + value
-
-    def result(self) -> Any:
-        return self.total
-
-
-class _Avg(_Accumulator):
-    def __init__(self) -> None:
-        self.total: Any = None
-        self.count = 0
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        self.total = value if self.total is None else self.total + value
-        self.count += 1
-
-    def result(self) -> Any:
-        if self.count == 0:
-            return None
-        if isinstance(self.total, float):
-            return self.total / self.count
-        import decimal
-
-        return decimal.Decimal(self.total) / decimal.Decimal(self.count)
-
-
-class _MinMax(_Accumulator):
-    def __init__(self, want_max: bool) -> None:
-        self.want_max = want_max
-        self.best: Any = None
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        if self.best is None:
-            self.best = value
-            return
-        comparison = compare_values(value, self.best)
-        if comparison is None:
-            return
-        if (comparison > 0) == self.want_max and comparison != 0:
-            self.best = value
-
-    def result(self) -> Any:
-        return self.best
-
-
-class _DistinctWrapper(_Accumulator):
-    """Feeds only first occurrences of each value into ``inner``."""
-
-    def __init__(self, inner: _Accumulator) -> None:
-        self.inner = inner
-        self.seen = _RowSet()
-
-    def add(self, value: Any) -> None:
-        if value is None or self.seen.add([value]):
-            self.inner.add(value)
-
-    def result(self) -> Any:
-        return self.inner.result()
-
-
-AGGREGATE_FACTORIES = {
-    "COUNT*": _CountStar,
-    "COUNT": _Count,
-    "SUM": _Sum,
-    "AVG": _Avg,
-    "MIN": functools.partial(_MinMax, want_max=False),
-    "MAX": functools.partial(_MinMax, want_max=True),
-}
-
-
-class AggregateSpec:
-    """One aggregate to compute: factory + optional argument closure."""
-
-    def __init__(
-        self,
-        name: str,
-        argument: Optional[Callable[[Env], Any]],
-        distinct: bool,
-    ) -> None:
-        self.name = name
-        self.argument = argument
-        self.distinct = distinct
-        key = "COUNT*" if name == "COUNT" and argument is None else name
-        self.factory = AGGREGATE_FACTORIES[key]
-
-    def new_accumulator(self) -> _Accumulator:
-        accumulator = self.factory()
-        if self.distinct:
-            accumulator = _DistinctWrapper(accumulator)
-        return accumulator
-
-
-class GroupAggregate(Operator):
-    """Hash aggregation.
-
-    Output rows are ``group-key values ++ aggregate results``.  With no
-    GROUP BY keys the whole input forms one group, and an empty input
-    still yields that single group (COUNT = 0, SUM = NULL) per SQL.
+    A group's state is a list: its key values, then a slot per aggregate.
+    COUNT, SUM, MIN and MAX update their slot inline (MIN/MAX natively
+    over provable ints or strings); AVG and DISTINCT aggregates collect
+    values for :func:`_aggregate`.
     """
 
-    def __init__(
-        self,
-        child: Operator,
-        keys: List[Callable[[Env], Any]],
-        aggregates: List[AggregateSpec],
-    ) -> None:
+    def __init__(self, child: Operator, keys: List[Compiled],
+                 aggregates: List[AggregateSpec]) -> None:
         self.child = child
         self.keys = keys
         self.aggregates = aggregates
 
-    def rows(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
-        groups: dict = {}
-        order: List[Any] = []
-        # Unhashable keys bucket by their _row_skeleton; within a
-        # bucket only the truly incomparable positions are probed
-        # linearly (see _row_skeleton).
-        unhashable_buckets: Dict[tuple, List[Tuple[tuple, tuple]]] = {}
-        unhashable_order: List[Tuple[list, list]] = []
-
-        for row in self.child.rows(ctx):
-            env = ctx.env(row)
-            key_values = [key(env) for key in self.keys]
-            key = tuple(key_image(v) for v in key_values)
-            try:
-                state = groups.get(key)
-                if state is None:
-                    state = (
-                        key_values,
-                        [spec.new_accumulator() for spec in self.aggregates],
-                    )
-                    groups[key] = state
-                    order.append(key)
-            except TypeError:
-                skeleton, loose = _row_skeleton(key)
-                bucket = unhashable_buckets.setdefault(skeleton, [])
-                state = None
-                for existing_key, existing_state in bucket:
-                    if all(
-                        _RowSet._values_equal(existing_key[p], key[p])
-                        for p in loose
-                    ):
-                        state = existing_state
-                        break
-                if state is None:
-                    state = (
-                        key_values,
-                        [spec.new_accumulator() for spec in self.aggregates],
-                    )
-                    bucket.append((key, state))
-                    unhashable_order.append(state)
-            for spec, accumulator in zip(self.aggregates, state[1]):
-                accumulator.add(
-                    spec.argument(env) if spec.argument is not None else 0
+    def source(self, name: str) -> Tuple[str, Dict[str, Any]]:
+        temps, images = [], []
+        for key in self.keys:
+            temp, image = _key_image(key, key.kind, "key_image")
+            temps.append(temp)
+            images.append(image)
+        state, updates, finals = list(temps), [], []
+        bindings: Dict[str, Any] = {}
+        for spec in self.aggregates:
+            slot, arg, temp = f"s[{len(state)}]", spec.argument, fresh()
+            read = f"({temp} := {arg.source}) is not None" if arg else "True"
+            finals.append(slot)
+            if spec.distinct or spec.name == "AVG":
+                state.append("[]")
+                updates.append(f"if {read}: {slot}.append({temp})")
+                finish = fresh()
+                bindings[finish] = functools.partial(
+                    _aggregate, spec.name, spec.distinct
                 )
-
-        if not groups and not unhashable_order and not self.keys:
-            yield [acc.result() for acc in (
-                spec.new_accumulator() for spec in self.aggregates
-            )]
-            return
-
-        for key in order:
-            key_values, accumulators = groups[key]
-            yield list(key_values) + [a.result() for a in accumulators]
-        for key_values, accumulators in unhashable_order:
-            yield list(key_values) + [a.result() for a in accumulators]
+                finals[-1] = f"{finish}({slot})"
+            elif spec.name == "COUNT":
+                state.append("0")
+                updates.append(f"if {read}: {slot} += 1")
+            elif spec.name == "SUM":
+                state.append("None")
+                updates.append(f"if {read}: {slot} = {temp} if {slot} is None"
+                               f" else {slot} + {temp}")
+            elif arg.kind in ("int", "str"):  # typed MIN/MAX
+                state.append("None")
+                op = "<" if spec.name == "MIN" else ">"
+                strip = ".rstrip(' ')" if arg.kind == "str" else ""
+                updates.append(f"if {read} and ({slot} is None or {temp}"
+                               f"{strip} {op} {slot}{strip}): {slot} = {temp}")
+            else:
+                state.append("None")
+                updates.append(f"if {read}: {slot} = _pick({slot}, {temp}, "
+                               f"{spec.name == 'MAX'})")
+        init = f"[{', '.join(state)}]"
+        single = len(images) == 1
+        key = images[0] if single \
+            else f"({''.join(i + ', ' for i in images)})"
+        body = (
+            "    groups = {}\n    loose = {}\n"
+            f"    for r in self.child.rows(c):\n        k = {key}\n"
+            "        try:\n            s = groups.get(k)\n"
+            "        except TypeError:\n"
+            f"            k = _canonical(loose, {'(k,)' if single else 'k'})\n"
+            "            s = groups.get(k)\n"
+            f"        if s is None:\n            s = groups[k] = {init}\n"
+            + "".join(f"        {update}\n" for update in updates)
+        )
+        if not self.keys:
+            body += f"    if not groups:\n        groups[()] = {init}\n"
+        plain = finals == [f"s[{i}]" for i in range(len(temps), len(state))]
+        output = "s" if plain else f"s[:{len(temps)}] + [{', '.join(finals)}]"
+        body += f"    for s in groups.values():\n        yield {output}\n"
+        fragments = self.keys + [spec.argument for spec in self.aggregates
+                                 if spec.argument is not None]
+        return _function(name, body, fragments, bindings)
 
 
 class UnionOp(Operator):
@@ -782,7 +693,9 @@ class UnionOp(Operator):
 
     Bag semantics for the ALL variants follow the SQL standard:
     INTERSECT ALL keeps min(m, n) duplicates, EXCEPT ALL keeps
-    max(m - n, 0).
+    max(m - n, 0).  ``casts`` holds, per branch, the descriptor each
+    column's values are cast to (None: already of the result type), so
+    rows of both branches compare, group and deduplicate alike.
     """
 
     def __init__(
@@ -791,68 +704,53 @@ class UnionOp(Operator):
         right: Operator,
         all_rows: bool,
         op: str = "UNION",
+        casts: Sequence[Optional[List[Optional[TypeDescriptor]]]]
+        = (None, None),
     ):
         self.left = left
         self.right = right
         self.all_rows = all_rows
         self.op = op
+        self.casts = casts
 
     @staticmethod
     def _key(row: Sequence[Any]) -> tuple:
         return tuple(key_image(v) for v in row)
 
+    def _branch(self, index: int, ctx: RuntimeContext) -> Iterator[List[Any]]:
+        rows = (self.left, self.right)[index].rows(ctx)
+        casts = self.casts[index]
+        if not casts:
+            return rows
+        return (
+            [v if d is None else d.coerce(v) for v, d in zip(row, casts)]
+            for row in rows
+        )
+
     def rows(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
         if self.op == "UNION":
-            yield from self._union(ctx)
-        elif self.op == "INTERSECT":
-            yield from self._intersect(ctx)
-        else:
-            yield from self._except(ctx)
-
-    def _union(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
-        if self.all_rows:
-            yield from self.left.rows(ctx)
-            yield from self.right.rows(ctx)
+            seen = _RowSet()
+            for index in (0, 1):
+                for row in self._branch(index, ctx):
+                    if self.all_rows or seen.add(row):
+                        yield row
             return
-        seen = _RowSet()
-        for source in (self.left, self.right):
-            for row in source.rows(ctx):
-                if seen.add(row):
-                    yield row
-
-    def _intersect(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
-        counts: dict = {}
-        for row in self.right.rows(ctx):
-            key = self._key(row)
-            counts[key] = counts.get(key, 0) + 1
+        counts = collections.Counter(
+            self._key(row) for row in self._branch(1, ctx)
+        )
+        keep = self.op == "INTERSECT"  # else EXCEPT
         emitted = set()
-        for row in self.left.rows(ctx):
+        for row in self._branch(0, ctx):
             key = self._key(row)
-            if counts.get(key, 0) > 0:
-                if self.all_rows:
-                    counts[key] -= 1
-                    yield row
-                elif key not in emitted:
-                    emitted.add(key)
-                    yield row
-
-    def _except(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
-        counts: dict = {}
-        for row in self.right.rows(ctx):
-            key = self._key(row)
-            counts[key] = counts.get(key, 0) + 1
-        emitted = set()
-        for row in self.left.rows(ctx):
-            key = self._key(row)
+            present = counts[key] > 0
             if self.all_rows:
-                if counts.get(key, 0) > 0:
+                if present:
                     counts[key] -= 1
-                else:
+                if present == keep:
                     yield row
-            else:
-                if counts.get(key, 0) == 0 and key not in emitted:
-                    emitted.add(key)
-                    yield row
+            elif present == keep and key not in emitted:
+                emitted.add(key)
+                yield row
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +760,7 @@ class UnionOp(Operator):
 
 def operator_children(operator: Operator) -> List[Operator]:
     """The operator's input operators, in plan order."""
-    if isinstance(operator, (UnionOp, NestedLoopJoin, HashJoin)):
+    if isinstance(operator, (UnionOp, _Join)):
         return [operator.left, operator.right]
     child = getattr(operator, "child", None)
     return [child] if child is not None else []
@@ -969,18 +867,20 @@ def _wrap_operator_error(exc: Exception) -> errors.OperatorExecutionError:
 
 
 class QueryPlan:
-    """A compiled query: root operator plus output shape."""
+    """A compiled query: root operator plus output shape.  Building one
+    generates its operators' loops (:func:`generate_plan`)."""
 
     def __init__(self, root: Operator, shape: RowShape) -> None:
         self.root = root
         self.shape = shape
+        generate_plan(root)
 
     def run(
         self, session: Any, params: Sequence[Any] = ()
     ) -> List[List[Any]]:
         """Execute and materialise all rows."""
         faultpoints.trigger("executor.run")
-        ctx = RuntimeContext(session, params)
+        ctx = Env((), params, None, session)
         try:
             return [list(row) for row in self.root.rows(ctx)]
         except errors.SQLException:
@@ -993,7 +893,7 @@ class QueryPlan:
     ) -> List[List[Any]]:
         """Execute as a correlated subquery of ``outer_env``'s row, on
         the session running that row."""
-        ctx = RuntimeContext(outer_env.session, outer_env.params, outer_env)
+        ctx = Env((), outer_env.params, outer_env, outer_env.session)
         rows: List[List[Any]] = []
         try:
             for row in self.root.rows(ctx):

@@ -11,11 +11,13 @@ from __future__ import annotations
 import datetime
 import decimal
 import math
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro import errors
+from repro.sqltypes import DoubleType, IntegerType, TypeDescriptor, \
+    VarCharType
 
-__all__ = ["BUILTINS", "NULL_TOLERANT", "lookup_builtin"]
+__all__ = ["BUILTINS", "NULL_TOLERANT", "lookup_builtin", "result_type"]
 
 
 def _upper(value: str) -> str:
@@ -170,3 +172,21 @@ NULL_TOLERANT = frozenset(["coalesce", "nullif", "concat"])
 def lookup_builtin(name: str) -> Optional[Callable[..., Any]]:
     """Return the built-in implementation for ``name`` or None."""
     return BUILTINS.get(name.lower())
+
+
+def result_type(
+    name: str, arguments: List[Optional[TypeDescriptor]]
+) -> Optional[TypeDescriptor]:
+    """Best-effort result type of built-in ``name`` given its argument
+    types (None: unknown)."""
+    if name in ("upper", "lower", "substring", "substr", "trim", "ltrim",
+                "rtrim", "replace", "concat"):
+        return VarCharType(None)
+    if name in ("length", "char_length", "character_length", "position",
+                "floor", "ceiling", "ceil", "sign"):
+        return IntegerType()
+    if name in ("power", "sqrt"):
+        return DoubleType()
+    if name in ("abs", "mod", "round", "coalesce", "nullif") and arguments:
+        return arguments[0]
+    return None

@@ -20,8 +20,8 @@ under:
   the wrong plan now (seqscan-vs-index crossover, join order), so
   stale-stats entries are evicted and re-costed the same way.
 
-A plan keeps nothing of the session that compiled it (compiled
-expressions read the executing one from their ``Env``), so one entry
+A plan keeps nothing of the session that compiled it (its generated
+code reads the executing one from the run's context), so one entry
 serves every session of its user.  Commands — DDL, CALL, EXPLAIN,
 transaction control — are never cached.
 

@@ -62,6 +62,7 @@ from repro.engine.expressions import (
     Env,
     ExpressionCompiler,
     RowShape,
+    kind_of,
 )
 from repro.engine.virtual import VirtualScan, VirtualTable
 from repro.sqltypes import (
@@ -122,9 +123,12 @@ def _conjuncts_summary(
 def table_shape(table: Table, alias: Optional[str] = None) -> RowShape:
     """Row shape of a base table (optionally under an alias)."""
     qualifier = alias or table.name
+    # A virtual table's producer is not held to its declared types.
+    exact = not isinstance(table, VirtualTable)
     return RowShape(
         [
-            ColumnInfo(qualifier, column.name, column.descriptor)
+            ColumnInfo(qualifier, column.name, column.descriptor,
+                       kind_of(column.descriptor) if exact else None)
             for column in table.columns
         ]
     )
@@ -570,8 +574,8 @@ def _try_index_scan(
     """
     table = scan.table
     compiler = ExpressionCompiler(RowShape([]), session, outer)
-    equalities: dict = {}  # column position -> (probe fn, conjunct)
-    ranges: dict = {}  # column position -> [(op, probe fn, conjunct)]
+    equalities: dict = {}  # column position -> (probe value, conjunct)
+    ranges: dict = {}  # column position -> [(op, bound, conjunct)]
     for conjunct in conjuncts:
         forms = _sargable_forms(conjunct, shape)
         if not forms:
@@ -587,14 +591,14 @@ def _try_index_scan(
             if not _probe_type_ok(descriptor, value_expr, compiled):
                 prepared = None
                 break
-            prepared.append((position, op, compiled.fn))
+            prepared.append((position, op, compiled))
         if prepared is None:
             continue
-        for position, op, fn in prepared:
+        for position, op, probe in prepared:
             if op == "=":
-                equalities.setdefault(position, (fn, conjunct))
+                equalities.setdefault(position, (probe, conjunct))
             else:
-                ranges.setdefault(position, []).append((op, fn, conjunct))
+                ranges.setdefault(position, []).append((op, probe, conjunct))
 
     # Full-key equality probe: every index column pinned by `col = v`.
     for index in table.indexes:
@@ -625,7 +629,7 @@ def _try_index_scan(
         used: List[ast.Expression] = []
         for conjunct in conjuncts:
             forms = [
-                (op, fn) for op, fn, c in entries if c is conjunct
+                (op, probe) for op, probe, c in entries if c is conjunct
             ]
             if not forms:
                 continue
@@ -638,15 +642,15 @@ def _try_index_scan(
                 needs_upper and upper is not None
             ):
                 continue
-            for op, fn in forms:
+            for op, probe in forms:
                 if op == ">":
-                    lower, lower_inclusive = fn, False
+                    lower, lower_inclusive = probe, False
                 elif op == ">=":
-                    lower, lower_inclusive = fn, True
+                    lower, lower_inclusive = probe, True
                 elif op == "<":
-                    upper, upper_inclusive = fn, False
+                    upper, upper_inclusive = probe, False
                 else:
-                    upper, upper_inclusive = fn, True
+                    upper, upper_inclusive = probe, True
             used.append(conjunct)
         if lower is None and upper is None:
             continue
@@ -733,7 +737,7 @@ def plan_target(
         None,
     )
     if isinstance(access, Filter):
-        return access.child, access.predicate
+        return access.child, access.predicate.fn
     return access, None
 
 
@@ -894,7 +898,7 @@ def _plan_named_relation(
                 )
             shape = RowShape(
                 [
-                    ColumnInfo(None, name, col.descriptor)
+                    ColumnInfo(None, name, col.descriptor, col.kind)
                     for name, col in zip(
                         relation.column_names, shape.columns
                     )
@@ -942,8 +946,11 @@ def _fold_join(
     """
     merged = left_shape.merge(right_shape)
     compiler = ExpressionCompiler(merged, session, outer)
-    left_keys: List[Callable] = []
-    right_keys: List[Callable] = []
+    # Each key reads its own input's row.
+    left_compiler = ExpressionCompiler(left_shape, session, outer)
+    right_compiler = ExpressionCompiler(right_shape, session, outer)
+    left_keys: List[Compiled] = []
+    right_keys: List[Compiled] = []
     for conjunct in conjuncts:
         if not isinstance(conjunct, ast.Binary) or conjunct.op != "=":
             continue
@@ -954,13 +961,13 @@ def _fold_join(
             if _reads_only(a, scopes, left_items) \
                     and _reads_only(b, scopes, right_items):
                 try:
-                    ca = compiler.compile(a)
-                    cb = compiler.compile(b)
+                    ca = left_compiler.compile(a)
+                    cb = right_compiler.compile(b)
                 except errors.SQLException:
                     break
                 if _compatible_families(ca.descriptor, cb.descriptor):
-                    left_keys.append(ca.fn)
-                    right_keys.append(cb.fn)
+                    left_keys.append(ca)
+                    right_keys.append(cb)
                 break
     predicate = (
         compiler.compile_predicate(_and_all(conjuncts))
@@ -981,11 +988,11 @@ def _fold_join(
             join_kind,
             left_op,
             right_op,
-            left_keys,
-            right_keys,
             predicate,
             len(left_shape),
             len(right_shape),
+            left_keys,
+            right_keys,
             description=_conjuncts_summary(conjuncts),
             build=build,
         )
@@ -1211,6 +1218,19 @@ def _aggregate_result_type(
     return None
 
 
+def _aggregate_kind(
+    call: ast.AggregateCall, argument: Optional[Compiled]
+) -> Optional[str]:
+    """kind_of the aggregate's values: COUNT's are ints; SUM keeps an
+    int argument's, MIN and MAX any argument's."""
+    if call.name == "COUNT":
+        return "int"
+    kind = argument.kind if argument is not None else None
+    if call.name in ("MIN", "MAX") or (call.name == "SUM" and kind == "int"):
+        return kind
+    return None
+
+
 def _plan_select(
     select: ast.Select,
     session: Any,
@@ -1285,6 +1305,7 @@ def _plan_select(
                 None else None,
                 _output_name(expr, alias, position),
                 compiled.descriptor,
+                compiled.kind,
             )
             for position, ((expr, alias), compiled) in enumerate(
                 zip(items, compiled_items)
@@ -1292,10 +1313,10 @@ def _plan_select(
         ]
     )
 
-    limit_fn, offset_fn = _compile_limits(select, session)
+    limit, offset = _compile_limits(select, session)
 
     if select.distinct:
-        operator = Project(operator, [c.fn for c in compiled_items])
+        operator = Project(operator, compiled_items)
         operator = Distinct(operator)
         if order_items:
             operator = _sort_output(
@@ -1310,10 +1331,15 @@ def _plan_select(
                     (compiler.compile_sort_key(target), order.ascending)
                 )
             operator = Sort(operator, keys)
-        operator = Project(operator, [c.fn for c in compiled_items])
+        operator = Project(operator, compiled_items)
 
-    if limit_fn is not None or offset_fn is not None:
-        operator = Limit(operator, limit_fn, offset_fn)
+    if limit is not None or offset is not None:
+        # A Sort under the LIMIT (past a Project) keeps only the rows
+        # the Limit will pull.
+        sort = operator.child if isinstance(operator, Project) else operator
+        if isinstance(sort, Sort) and limit is not None:
+            sort.limit, sort.offset = limit, offset
+        operator = Limit(operator, limit, offset)
 
     return QueryPlan(operator, output_shape), output_shape
 
@@ -1456,12 +1482,11 @@ def _restore_from_order(
     for position in order:
         offsets[position] = offset
         offset += widths[position]
-    items: List[Callable] = []
+    items: List[Compiled] = []
     original = sorted(item_shapes)
     for position in original:
         for column in range(widths[position]):
-            source = offsets[position] + column
-            items.append(lambda env, index=source: env.row[index])
+            items.append(Compiled(f"r[{offsets[position] + column}]"))
     shape: Optional[RowShape] = None
     for position in original:
         shape = (
@@ -1608,19 +1633,15 @@ def _plan_from_pushdown(
     return operator, shape
 
 
-def _compile_limits(select: ast.Select, session: Any):
+def _compile_limits(
+    select: ast.Select, session: Any
+) -> Tuple[Optional[Compiled], Optional[Compiled]]:
     empty_compiler = ExpressionCompiler(RowShape([]), session)
-    limit_fn = (
-        empty_compiler.compile(select.limit).fn
-        if select.limit is not None
-        else None
+    limit, offset = (
+        None if expr is None else empty_compiler.compile(expr)
+        for expr in (select.limit, select.offset)
     )
-    offset_fn = (
-        empty_compiler.compile(select.offset).fn
-        if select.offset is not None
-        else None
-    )
-    return limit_fn, offset_fn
+    return limit, offset
 
 
 def _order_source_expression(
@@ -1693,17 +1714,18 @@ def _plan_aggregation(
 
     # Compile group keys and aggregate arguments against the input shape.
     key_columns: List[ColumnInfo] = []
-    key_fns = []
+    keys: List[Compiled] = []
     replacements: List[Tuple[ast.Expression, ast.Expression]] = []
     for index, key_expr in enumerate(select.group_by):
         compiled = compiler.compile(key_expr)
-        key_fns.append(compiled.fn)
+        keys.append(compiled)
         if isinstance(key_expr, ast.ColumnRef):
             info = ColumnInfo(key_expr.table, key_expr.name,
-                              compiled.descriptor)
+                              compiled.descriptor, compiled.kind)
             replacement = ast.ColumnRef(key_expr.name, table=key_expr.table)
         else:
-            info = ColumnInfo(None, f"$grp{index}", compiled.descriptor)
+            info = ColumnInfo(None, f"$grp{index}", compiled.descriptor,
+                              compiled.kind)
             replacement = ast.ColumnRef(f"$grp{index}")
         key_columns.append(info)
         replacements.append((key_expr, replacement))
@@ -1716,21 +1738,16 @@ def _plan_aggregation(
             if call.argument is not None
             else None
         )
-        agg_specs.append(
-            AggregateSpec(
-                call.name,
-                argument.fn if argument else None,
-                call.distinct,
-            )
-        )
+        agg_specs.append(AggregateSpec(call.name, argument, call.distinct))
         agg_columns.append(
             ColumnInfo(
-                None, f"$agg{index}", _aggregate_result_type(call, argument)
+                None, f"$agg{index}", _aggregate_result_type(call, argument),
+                _aggregate_kind(call, argument),
             )
         )
         replacements.append((call, ast.ColumnRef(f"$agg{index}")))
 
-    operator = GroupAggregate(operator, key_fns, agg_specs)
+    operator = GroupAggregate(operator, keys, agg_specs)
     post_shape = RowShape(key_columns + agg_columns)
 
     def replace(node: ast.Node) -> Optional[ast.Node]:
@@ -1809,14 +1826,22 @@ def _plan_set_operation(
             f"{op.op} operands must have the same number of columns"
         )
     columns: List[ColumnInfo] = []
+    casts: Tuple[list, list] = ([], [])
     for left_col, right_col in zip(left_shape.columns, right_shape.columns):
         descriptor = left_col.descriptor
         if descriptor is not None and right_col.descriptor is not None:
             descriptor = common_supertype(descriptor, right_col.descriptor)
-        columns.append(ColumnInfo(None, left_col.name, descriptor))
+        # Each branch's values are cast to the result column's type.
+        for branch, col in zip(casts, (left_col, right_col)):
+            differs = None not in (descriptor, col.descriptor) \
+                and col.descriptor != descriptor
+            branch.append(descriptor if differs else None)
+        kind = left_col.kind if left_col.kind == right_col.kind else None
+        columns.append(ColumnInfo(None, left_col.name, descriptor, kind))
     shape = RowShape(columns)
     operator: Operator = UnionOp(
-        left_plan.root, right_plan.root, op.all, op.op
+        left_plan.root, right_plan.root, op.all, op.op,
+        [branch if any(branch) else None for branch in casts],
     )
     if op.order_by:
         operator = _sort_output(operator, op.order_by, shape, session, outer)
