@@ -116,19 +116,14 @@ def connect(
     is opened through the durable storage engine — crash recovery runs
     on first open, every committed statement is redo-logged to the
     write-ahead log under ``<data_dir>/<name>/``, and checkpoints fold
-    the log into the snapshot.  Extra keyword arguments
-    (``group_window``, ``group_size``, ``checkpoint_interval``,
+    the log into LSM runs — each flush writes only the rows changed
+    since the last one (see ``docs/STORAGE.md``).  Extra keyword
+    arguments (``group_window``, ``group_size``, ``checkpoint_interval``,
     ``sync``) tune it; see
-    :func:`repro.engine.durability.open_database`.  Without a data
-    directory the database is purely in-memory and ``durable`` is
-    ignored.
-
-    Storage engine: pass ``storage="lsm"`` to create the database on
-    the LSM engine — checkpoints become O(delta) memtable flushes to
-    immutable sorted runs with background compaction, instead of
-    O(database) snapshot rewrites (see ``docs/STORAGE.md``).  The
-    default is ``storage="snapshot"``; an existing directory keeps
-    whichever engine created it.
+    :func:`repro.engine.durability.open_database`.  ``storage`` is
+    accepted and ignored (``"snapshot"`` and ``"lsm"`` open the same
+    engine).  Without a data directory the database is purely
+    in-memory and ``durable`` is ignored.
 
     ``pooled=True`` checks the connection out of the process-wide
     :class:`ConnectionPool` for ``(url, user)`` instead of opening a

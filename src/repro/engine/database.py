@@ -254,11 +254,11 @@ class Database:
         #: ``repro.open_database``; ``None`` for an in-memory database.
         #: Duck-typed to avoid an import cycle with engine.durability.
         self.durability: Optional[Any] = None
-        #: LSM run store when the database uses the LSM storage engine
-        #: (attached by ``LsmStore.build_database`` — so *before*
-        #: recovery replay: vacuum and DDL hooks fire during replay
-        #: too); ``None`` under the snapshot engine.  Duck-typed for
-        #: the same import-cycle reason as ``durability``.
+        #: LSM run store of a durable database (attached by
+        #: ``LsmStore.build_database`` — so *before* recovery replay:
+        #: vacuum and DDL hooks fire during replay too); ``None`` for
+        #: an in-memory database.  Duck-typed for the same
+        #: import-cycle reason as ``durability``.
         self.lsm_store: Optional[Any] = None
         #: MVCC transaction manager: snapshots, commit stamps,
         #: write-conflict waits (see engine/mvcc.py).
@@ -301,7 +301,7 @@ class Database:
         return Session(self, user or self.admin_user, autocommit)
 
     def checkpoint(self) -> bool:
-        """Fold the write-ahead log into the snapshot now.
+        """Fold the write-ahead log into the LSM runs now.
 
         Returns True if a checkpoint was taken, False when the database
         is not durable or a transaction is still in flight.
@@ -321,7 +321,7 @@ class Database:
         recovery-neutral: replay rebuilds the same committed state and
         simply leaves the garbage for the next pass.
 
-        Storage-aware: under the LSM engine, reclaiming a version that
+        Storage-aware: on a durable database, reclaiming a version that
         was already flushed to a run hands its tombstone to the store
         (so the deletion still reaches disk at the next flush), and the
         pass finishes by offering the store a compaction — the
@@ -368,9 +368,10 @@ class Database:
 
     def notify_rows_rewritten(self, table: Any) -> None:
         """DDL hook: every row image of ``table`` was rewritten in
-        place (column add/drop).  The LSM store must invalidate the
-        table's on-disk runs — their row images are stale; the snapshot
-        engine needs nothing (its checkpoint always rewrites)."""
+        place (column add/drop), or ``table`` was dropped.  The LSM
+        store must invalidate the runs filed under its name — their
+        row images are stale, and a table created later under the same
+        name must not inherit them."""
         if self.lsm_store is not None:
             self.lsm_store.invalidate_table(table)
 

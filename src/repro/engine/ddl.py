@@ -122,8 +122,8 @@ def execute_alter_table(stmt: ast.AlterTable, session: Any) -> None:
                     "default would duplicate the default value"
                 )
         table.add_column(column, fill)
-        # Row images changed shape in place: the LSM engine must
-        # invalidate the table's flushed runs (no-op otherwise).
+        # Row images changed shape in place: the LSM store must
+        # invalidate the table's flushed runs (no-op in memory).
         session.database.notify_rows_rewritten(table)
         _refresh_indexes(session, table)
         return
@@ -192,6 +192,9 @@ def execute_drop(stmt: ast.Drop, session: Any) -> None:
             raise table.readonly_error("drop")
         _require_ownership(session, table.owner, "TABLE", stmt.name)
         catalog.drop_table(stmt.name)
+        # The name's flushed runs die with the table, even if a new
+        # table takes the name before the next flush.
+        session.database.notify_rows_rewritten(table)
         privileges.drop_object("TABLE", stmt.name)
     elif kind == "VIEW":
         if stmt.name not in catalog.views:

@@ -27,14 +27,13 @@ original execution ran.  The documented limit (docs/DURABILITY.md) is
 determinism: a statement whose effect depends on the outside world
 (an external routine reading the clock, say) may replay differently.
 
-Checkpoint stores: ``open_database(directory, storage=...)`` picks one
-of two stores with one protocol (spelled out on
-:class:`repro.engine.persistence.SnapshotStore`) — ``"snapshot"``
-rewrites one atomic image of the whole database (O(database)),
-``"lsm"`` writes only the delta since the last flush as immutable
-SSTable runs (:mod:`repro.engine.lsm`, docs/STORAGE.md).  The WAL, the
-logical replay, the checkpoint sequence below and every contract the
-session layer sees are the same for both.
+The checkpoint store is :class:`repro.engine.lsm.LsmStore`: a flush
+writes only the delta since the last flush as immutable SSTable runs
+plus an atomically replaced manifest (docs/STORAGE.md).  A directory
+still holding a ``snapshot.db`` whole-database image from before runs
+were the only format migrates on open: its rows become the first runs,
+and the image is unlinked once the manifest and the truncated WAL
+cover them.
 
 Crash safety of the checkpoint: the store's flush installs the new
 state atomically *before* the log is truncated.  A crash between those
@@ -42,11 +41,11 @@ two steps leaves a store that already contains every WAL record —
 recovery skips records with ``seq <= store.last_seq``, so nothing is
 applied twice.
 
-Fault-injection sites: the store's ``FLUSH_SITE`` (``wal.checkpoint``
-/ ``lsm.flush``) fires before the flush writes anything, its
-``INSTALLED_SITE`` (``wal.checkpoint.install`` / ``lsm.flush.install``)
-after the flush is installed but before the log is truncated (the
-classic torn-checkpoint window).
+Fault-injection sites: ``lsm.flush`` fires before the flush writes
+anything, ``lsm.flush.install`` after the flush is installed but
+before the log is truncated (the classic torn-checkpoint window); the
+store fires ``lsm.manifest`` in between (runs written, manifest not
+yet installed).
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from repro.observability import stats as _stats
 from repro.engine.database import Database, Session
 from repro.engine.dialects import STANDARD, Dialect
 from repro.engine.lsm import LsmStore
-from repro.engine.persistence import SNAPSHOT_FILENAME, SnapshotStore
 from repro.engine.wal import (
     KIND_ABORT,
     KIND_BATCH,
@@ -76,17 +74,13 @@ from repro.engine.wal import (
 __all__ = [
     "DurabilityManager",
     "open_database",
-    "SNAPSHOT_FILENAME",
     "WAL_FILENAME",
 ]
 
 WAL_FILENAME = "wal.log"
 
-#: ``storage=`` name -> checkpoint store class.  Listed in the order an
-#: initialised directory is probed for each store's marker file.
-_STORES = {"lsm": LsmStore, "snapshot": SnapshotStore}
-
 _CHECKPOINTS = _metrics.registry.counter("wal.checkpoints")
+_CHECKPOINT_SECONDS = _metrics.registry.histogram("wal.checkpoint.seconds")
 _RECOVERIES = _metrics.registry.counter("wal.recoveries")
 _RECOVERY_SECONDS = _metrics.registry.histogram("wal.recovery.seconds")
 _RECOVERED_TXNS = _metrics.registry.counter("wal.recovered_txns")
@@ -107,18 +101,16 @@ class DurabilityManager:
         self,
         database: Database,
         wal: WriteAheadLog,
-        store: Any,
+        store: LsmStore,
         *,
         last_seq: int = 0,
         checkpoint_interval: int = 256,
     ) -> None:
         self.database = database
         self.wal = wal
-        #: The checkpoint store (SnapshotStore or LsmStore) the log is
-        #: folded into; decides what "checkpoint" writes.
+        #: The checkpoint store the log is folded into.
         self.store = store
         self.directory = store.directory
-        self.storage = store.storage
         self.checkpoint_interval = checkpoint_interval
         self._state_lock = threading.Lock()
         self._next_seq = last_seq + 1
@@ -239,26 +231,26 @@ class DurabilityManager:
         when skipped for that reason.  Safe against a crash at any
         point: the store installs its new state atomically *before*
         the log is truncated, and recovery skips already-folded
-        records.  What the flush writes is the store's business — the
-        whole database image (snapshot) or the delta since the last
-        flush (LSM); its ``after_flush`` hook runs once the engine
-        lock is released.
+        records.  The flush writes the delta since the last flush; the
+        pause it costs the engine is observed as
+        ``wal.checkpoint.seconds``, and the compaction it may offer
+        runs after the lock is released, outside that pause.
         """
-        store = self.store
         start = time.perf_counter()
         with self.database.lock.write():
             with self._state_lock:
                 if self.closed or self.active_txns:
                     return False
                 last_seq = self._next_seq - 1
-            faultpoints.trigger(store.FLUSH_SITE)
-            store.flush(self.database, last_seq=last_seq)
-            faultpoints.trigger(store.INSTALLED_SITE)
+            faultpoints.trigger("lsm.flush")
+            self.store.flush(self.database, last_seq=last_seq)
+            faultpoints.trigger("lsm.flush.install")
             self.wal.reset()
             with self._state_lock:
                 self._commits_since_checkpoint = 0
         _CHECKPOINTS.increment()
-        store.after_flush(self.database, time.perf_counter() - start)
+        _CHECKPOINT_SECONDS.observe(time.perf_counter() - start)
+        self.store.maybe_compact(self.database)
         return True
 
     # ------------------------------------------------------------------
@@ -405,20 +397,24 @@ def open_database(
 ) -> Database:
     """Open (or create) a durable database rooted at ``directory``.
 
-    Recovery runs first: the checkpoint store's state (the last
-    snapshot, or the LSM manifest and its SSTable runs) is restored,
-    the WAL's torn tail is truncated, and committed-but-uncheckpointed
-    transactions are replayed in log order.  The returned database has
-    a :class:`DurabilityManager` attached as ``database.durability``;
-    ``name``/``dialect``/``admin_user`` only apply when the directory
-    is empty (an existing snapshot's identity wins).
+    Recovery runs first: the LSM manifest and its SSTable runs are
+    restored, the WAL's torn tail is truncated, and
+    committed-but-uncheckpointed transactions are replayed in log
+    order.  The returned database has a :class:`DurabilityManager`
+    attached as ``database.durability``; ``name``/``dialect``/
+    ``admin_user`` only apply when the directory is empty (a stored
+    database's identity wins).  A checkpoint flushes only the delta
+    since the last one to immutable sorted runs, with background
+    compaction (see docs/STORAGE.md).
 
-    ``storage`` selects the checkpoint engine for a *new* directory:
-    ``"snapshot"`` (default) rewrites one atomic database image,
-    ``"lsm"`` flushes deltas to immutable sorted runs with background
-    compaction (see docs/STORAGE.md).  An existing directory's on-disk
-    format always wins — the flag is a creation-time choice, not a
-    migration.
+    A directory holding a ``snapshot.db`` image and no manifest
+    migrates here: its rows are flushed as each table's first run, the
+    manifest installed and the WAL truncated, and only then is
+    ``snapshot.db`` unlinked.
+
+    ``storage`` is accepted and ignored: ``"snapshot"`` and ``"lsm"``
+    open the same engine, any other value raises
+    :class:`repro.errors.ConnectionError_`.
 
     ``sync=False`` turns off fsync (for tests and bulk loads);
     ``group_window``/``group_size`` tune group commit (see
@@ -426,21 +422,14 @@ def open_database(
     every ``checkpoint_interval`` commits (0 disables automatic
     checkpoints — call :meth:`Database.checkpoint` yourself).
     """
-    store_class = _STORES.get(storage)
-    if store_class is None:
+    if storage not in ("snapshot", "lsm"):
         raise errors.ConnectionError_(
             f"unknown storage engine {storage!r} — "
             "expected 'snapshot' or 'lsm'"
         )
     started = time.perf_counter()
     os.makedirs(directory, exist_ok=True)
-    # An initialised directory dictates its own engine.
-    for candidate in _STORES.values():
-        if os.path.exists(os.path.join(directory, candidate.MARKER)):
-            store_class = candidate
-            break
-
-    store = store_class.open(directory)
+    store = LsmStore.open(directory)
     database = store.build_database(
         name=name,
         dialect=dialect,
@@ -471,11 +460,16 @@ def open_database(
         checkpoint_interval=checkpoint_interval,
     )
     database.durability = manager
-    if records:
-        # Fold the surviving log into the store so the WAL restarts
-        # empty; skipping already-folded records made the
-        # replay idempotent, this makes the on-disk state canonical.
-        manager.checkpoint()
+    legacy = store.legacy_path
+    if records or legacy:
+        # Fold the surviving log (and a migrating image) into the store
+        # so the WAL restarts empty; skipping already-folded records
+        # made the replay idempotent, this makes the on-disk state
+        # canonical.  The image is redundant only once the manifest is
+        # installed and the WAL truncated.
+        if manager.checkpoint() and legacy:
+            os.unlink(legacy)
+            store.legacy_path = None
     _RECOVERIES.increment()
     _RECOVERY_SECONDS.observe(time.perf_counter() - started)
     return database

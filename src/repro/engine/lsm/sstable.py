@@ -1,32 +1,40 @@
 """Immutable sorted-run (SSTable) files for the LSM storage engine.
 
-A run holds one flush (or one compaction merge) of a single table as a
-sequence of *entries* sorted by row id:
+A run holds one flush (or one compaction merge) of a single table:
 
-* ``("d", rid, begin, row)`` — a committed row image with its MVCC
-  ``begin`` stamp.  Each rid's data entry exists in exactly one live
+* **rows** — committed row images in row-id order, each with its rid
+  and MVCC ``begin`` stamp.  Each rid's row lives in exactly one live
   run.
-* ``("t", rid, end)`` — a tombstone: the row named by ``rid`` was
-  deleted (or replaced) at commit stamp ``end``.  A tombstone is always
-  written to a run at least as new as its data entry, so a newest-first
-  merge that unions tombstones *before* scanning a run's data entries
-  never resurrects a deleted row.
+* **tombstones** — ``{rid: end}``: the row named by ``rid`` was deleted
+  (or replaced) at commit stamp ``end``.  A tombstone is always written
+  to a run at least as new as its row, so a newest-first merge that
+  unions tombstones *before* scanning a run's rows never resurrects a
+  deleted row.
 
 On-disk layout (frames are :func:`repro.engine.diskfile.frame`'s,
 CRC-checked on every read)::
 
-    magic                 b"RLSM1\\0"
-    block*                [u32 len][u32 crc32][pickle([entry, ...])]
+    magic                 b"RLSM2\\0"
+    block*                [u32 len][u32 crc32][pickle([rids, begins, rows])]
     footer                [u32 len][u32 crc32][pickle(footer dict)]
     trailer               [u64 footer offset][b"LSMFOOT\\0"]
 
-The footer carries the entry counts, the tombstoned rids and a *sparse
-index* — ``(first rid, file offset)`` per block — which is what scans
-and compaction walk.  Runs are a checkpoint format, not a read path:
-queries read the in-memory heap, and nothing looks a single rid up in a
-run.  (Runs written before the point-read path was removed carry two
-extra footer keys for its membership filter; the reader never looks at
-them — docs/STORAGE.md names them.)
+A block carries up to :data:`BLOCK_ROWS` rows as three lists: ``rids``
+is the block's first rid when its rids are consecutive (every block a
+flush writes) and the rid list otherwise; ``begins`` run-length encodes
+the stamps as ``[stamp, count, stamp, count, ...]``; ``rows`` are the
+row value lists themselves.  The footer carries the table name, the row
+count, a *sparse index* — ``(first rid, file offset)`` per block, which
+is what scans and compaction walk — and the tombstones.  Runs are a
+checkpoint format, not a read path: queries read the in-memory heap,
+and nothing looks a single rid up in a run.
+
+Runs written before this layout (magic ``RLSM1``) hold 256 entry
+tuples per block — ``("d", rid, begin, row)`` and ``("t", rid, end)`` —
+and list only the tombstoned rids in the footer.  They still open;
+compaction rewrites them in the current layout.  (Some of them also
+carry two Bloom-filter footer keys; the reader never looks at them —
+docs/STORAGE.md names them.)
 
 Writes are crash-atomic the same way checkpoints are
 (:func:`repro.engine.diskfile.install`); the manifest
@@ -36,72 +44,111 @@ files, and orphaned temp files are swept at open.
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
-from typing import Any, Iterator, List, Tuple
+from typing import (
+    Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro import errors
 from repro.engine import diskfile
 
-__all__ = ["write_sstable", "SSTableReader", "Entry"]
+__all__ = ["write_sstable", "SSTableReader"]
 
-#: One entry: ("d", rid, begin, row) or ("t", rid, end).
-Entry = Tuple[Any, ...]
-
-MAGIC = b"RLSM1\x00"
+MAGIC = b"RLSM2\x00"
+#: The entry-tuple layout; read, never written.
+MAGIC_V1 = b"RLSM1\x00"
 FOOTER_MAGIC = b"LSMFOOT\x00"
 _TRAILER = struct.Struct("<Q8s")
 
-#: Entries per block: small enough that the sparse index is worth
-#: having, large enough that it stays tiny.
-BLOCK_ENTRIES = 256
+#: Rows per block: small enough that the sparse index is worth having,
+#: large enough that it stays tiny.
+BLOCK_ROWS = 256
 
 
-def _run_parts(entries: List[Entry], table: str) -> Iterator[bytes]:
+def _run_lengths(stamps: Sequence[int]) -> List[int]:
+    """``[stamp, count, ...]`` for each run of equal adjacent stamps."""
+    out: List[int] = []
+    previous = None
+    for stamp in stamps:
+        if stamp == previous:
+            out[-1] += 1
+        else:
+            out += (stamp, 1)
+            previous = stamp
+    return out
+
+
+def _run_parts(
+    rids: Sequence[int],
+    begins: Sequence[int],
+    rows: Sequence[List[Any]],
+    tombstones: Optional[Mapping[int, int]],
+    table: str,
+) -> Iterator[bytes]:
     """The run file's bytes, block by block, in file order."""
     yield MAGIC
     offset = len(MAGIC)
     index: List[Tuple[int, int]] = []
-    for start in range(0, len(entries), BLOCK_ENTRIES):
-        block = entries[start:start + BLOCK_ENTRIES]
-        index.append((block[0][1], offset))
-        framed = diskfile.frame(diskfile.dumps(block, "table rows"))
+    for start in range(0, len(rows), BLOCK_ROWS):
+        stop = start + BLOCK_ROWS
+        block_rids = rids[start:stop]
+        first = block_rids[0]
+        consecutive = block_rids[-1] - first == len(block_rids) - 1
+        index.append((first, offset))
+        framed = diskfile.frame(diskfile.dumps(
+            [first if consecutive else list(block_rids),
+             _run_lengths(begins[start:stop]), rows[start:stop]],
+            "table rows",
+        ))
         offset += len(framed)
         yield framed
     footer = {
         "table": table,
-        "count": len(entries),
-        "data_count": sum(1 for e in entries if e[0] == "d"),
+        "data_count": len(rows),
         "index": index,
-        "tombstones": [e[1] for e in entries if e[0] == "t"],
+        "tombstones": dict(tombstones or {}),
     }
     yield diskfile.frame(diskfile.dumps(footer, "run footer"))
     yield _TRAILER.pack(offset, FOOTER_MAGIC)
 
 
-def write_sstable(path: str, entries: List[Entry], *, table: str = "") -> str:
-    """Write ``entries`` (pre-sorted by rid) as a run file at ``path``.
+def write_sstable(
+    path: str,
+    rids: Sequence[int],
+    begins: Sequence[int],
+    rows: Sequence[List[Any]],
+    tombstones: Optional[Mapping[int, int]] = None,
+    *,
+    table: str = "",
+) -> str:
+    """Write a run file at ``path``: ``rows[i]`` is row ``rids[i]``,
+    born at stamp ``begins[i]`` (rids ascending), plus ``tombstones``.
 
-    Crash-atomic: ``path`` appears complete or not at all, and a write
-    that fails (an unpicklable row, a full disk) leaves no temp file
-    behind.  Returns ``path``.
+    The row lists are serialised as they are, without a copy; the
+    caller guarantees nothing mutates them meanwhile.  Crash-atomic:
+    ``path`` appears complete or not at all, and a write that fails (an
+    unpicklable row, a full disk) leaves no temp file behind.  Returns
+    ``path``.
     """
-    diskfile.install(path, _run_parts(entries, table))
+    diskfile.install(
+        path, _run_parts(rids, begins, rows, tombstones, table)
+    )
     return path
 
 
 class SSTableReader:
     """Read access to one immutable run file.
 
-    The footer (sparse index, tombstone list) is read once at
-    construction and cached.  The file stays open for the reader's
-    lifetime: block reads are positioned reads on the held descriptor,
-    so they carry no seek state (safe under concurrent scans) and POSIX
-    unlink semantics keep in-flight reads working after compaction
-    unlinks a victim run out from under them.  The
-    descriptor is released when the last reference to the reader is
-    dropped — the store never closes a reader explicitly, because a
-    concurrent scan may still hold it.
+    The footer (sparse index, tombstones) is read once at construction
+    and cached.  The file stays open for the reader's lifetime: block
+    reads are positioned reads on the held descriptor, so they carry no
+    seek state (safe under concurrent scans) and POSIX unlink semantics
+    keep in-flight reads working after compaction unlinks a victim run
+    out from under them.  The descriptor is released when the last
+    reference to the reader is dropped — the store never closes a
+    reader explicitly, because a concurrent scan may still hold it.
     """
 
     def __init__(self, path: str) -> None:
@@ -110,7 +157,8 @@ class SSTableReader:
         self._handle = open(path, "rb")
         try:
             handle = self._handle
-            if handle.read(len(MAGIC)) != MAGIC:
+            magic = handle.read(len(MAGIC))
+            if magic not in (MAGIC, MAGIC_V1):
                 raise errors.DataError(
                     f"{path!r} is not an LSM run file"
                 )
@@ -118,8 +166,8 @@ class SSTableReader:
             trailer = handle.read(_TRAILER.size)
             if len(trailer) < _TRAILER.size:
                 raise errors.DataError(f"truncated run file {path!r}")
-            footer_offset, magic = _TRAILER.unpack(trailer)
-            if magic != FOOTER_MAGIC:
+            footer_offset, footer_magic = _TRAILER.unpack(trailer)
+            if footer_magic != FOOTER_MAGIC:
                 raise errors.DataError(
                     f"run file {path!r} has no footer "
                     "(torn write?)"
@@ -133,32 +181,52 @@ class SSTableReader:
         except BaseException:
             self._handle.close()
             raise
+        self._entry_tuples = magic == MAGIC_V1
         self.table: str = footer.get("table", "")
-        self.count: int = footer["count"]
         self.data_count: int = footer["data_count"]
         self._index: List[Tuple[int, int]] = footer["index"]
         self.tombstone_rids: frozenset = frozenset(footer["tombstones"])
+        self._tombstones = footer["tombstones"]
 
     # ------------------------------------------------------------------
     # scans
     # ------------------------------------------------------------------
-    def entries(self) -> Iterator[Entry]:
-        """All entries in rid order, one CRC-checked block at a time."""
+    def _blocks(self) -> Iterator[Any]:
+        """Each block's payload in rid order, CRC-checked."""
         what = f"run file {self.path!r}"
         fd = self._handle.fileno()
         for _, offset in self._index:
-            yield from diskfile.loads(
-                diskfile.read_frame(fd, offset, what), what
-            )
+            yield diskfile.loads(diskfile.read_frame(fd, offset, what), what)
 
-    def data_entries(self) -> Iterator[Entry]:
-        """Data entries only, in rid order."""
-        for entry in self.entries():
-            if entry[0] == "d":
-                yield entry
+    def rows(self) -> Iterator[Tuple[int, int, List[Any]]]:
+        """``(rid, begin, row)`` for every row, in rid order."""
+        for block in self._blocks():
+            if self._entry_tuples:
+                yield from (
+                    (e[1], e[2], e[3]) for e in block if e[0] == "d"
+                )
+                continue
+            rids, begins, rows = block
+            if isinstance(rids, int):
+                rids = range(rids, rids + len(rows))
+            stamps = itertools.chain.from_iterable(
+                itertools.repeat(stamp, count)
+                for stamp, count in zip(begins[::2], begins[1::2])
+            )
+            yield from zip(rids, stamps, rows)
+
+    def tombstones(self) -> Dict[int, int]:
+        """``{rid: end stamp}`` of every tombstone in the run."""
+        if not self._entry_tuples:
+            return dict(self._tombstones)
+        # The entry-tuple layout keeps the end stamps in the blocks.
+        return {
+            e[1]: e[2]
+            for block in self._blocks() for e in block if e[0] == "t"
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<SSTableReader {os.path.basename(self.path)} "
-            f"table={self.table!r} entries={self.count}>"
+            f"table={self.table!r} rows={self.data_count}>"
         )

@@ -1,20 +1,18 @@
 """The LSM store: memtable flushes, run bookkeeping, compaction.
 
 One :class:`LsmStore` owns a durable database directory's run files
-and manifest, and is that directory's *checkpoint store* (the protocol
-shared with :class:`repro.engine.persistence.SnapshotStore`).  Runs are
-a checkpoint format, not a read path: queries read the in-memory heap,
-and the only readers of run files are the merged scan that rebuilds the
-heap at open, and compaction.  The *memtable* is the un-flushed portion
-of the live MVCC heap — versions whose ``rid`` is still None, made
-durable by the existing WAL exactly as under the snapshot engine.  What
-changes is the checkpoint: instead of pickling the whole database
-(O(database)), a flush writes only the delta since the previous flush
+and manifest, and is the *checkpoint store* every durable database
+folds its WAL into.  Runs are a checkpoint format, not a read path:
+queries read the in-memory heap, and the only readers of run files are
+the merged scan that rebuilds the heap at open, and compaction.  The
+*memtable* is the un-flushed portion of the live MVCC heap — versions
+whose ``rid`` is still None, made durable by the WAL until they are
+flushed.  A flush writes only the delta since the previous flush
 (O(new data)) as one immutable SSTable run per table:
 
-* a **data entry** per committed-live version not yet on disk (the
-  version's ``rid`` is staged during collection and assigned only once
-  the manifest install succeeds, so a failed flush leaves the heap
+* a **row** per committed-live version not yet on disk (the version's
+  ``rid`` is staged during collection and assigned only once the
+  manifest install succeeds, so a failed flush leaves the heap
   re-flushable);
 * a **tombstone** per flushed version whose ``end`` stamp landed since
   the last flush (plus tombstones handed over by vacuum for versions it
@@ -22,12 +20,16 @@ changes is the checkpoint: instead of pickling the whole database
 
 Versions born *and* deleted between two flushes never touch disk at
 all.  After the runs are written the manifest is atomically installed
-and the WAL truncated — same crash discipline as the snapshot
-checkpoint, same recovery contract: the manifest covers everything with
-``seq <= last_seq``; the WAL replays the rest.
+and the WAL truncated: the manifest covers everything with
+``seq <= last_seq``; the WAL replays the rest.  A directory without a
+manifest is an empty store whose WAL replays everything — unless it
+holds a ``snapshot.db`` whole-database image (the format directories
+were checkpointed in before runs were the only one): its rows are then
+loaded once, unflushed, and the first checkpoint writes them as each
+table's first run (see :func:`repro.engine.durability.open_database`).
 
 Background **size-tiered compaction** merges adjacent similarly-sized
-runs of a table once enough accumulate, annihilating (data, tombstone)
+runs of a table once enough accumulate, annihilating (row, tombstone)
 pairs whose ``end`` stamp is at or below the MVCC vacuum horizon
 (:meth:`~repro.engine.mvcc.TransactionManager.oldest_visible_seq`) —
 the same bound vacuum uses for heap versions, so no live snapshot can
@@ -35,12 +37,13 @@ lose a row it could still see.  Compaction never blocks the engine:
 run files are immutable, the merge happens off-lock, and only the
 manifest install takes the store lock.
 
-Fault-injection sites: ``lsm.flush`` (before a flush writes anything),
+Fault-injection sites: ``lsm.flush`` (before a flush writes anything)
+and ``lsm.flush.install`` (manifest installed, WAL not yet truncated)
+are fired by the durability manager around :meth:`LsmStore.flush`;
 ``lsm.manifest`` (runs written, manifest not yet installed),
-``lsm.flush.install`` (manifest installed, WAL not yet truncated),
 ``lsm.compact`` (before the merged run is written) and
 ``lsm.compact.install`` (merged manifest installed, victim runs not yet
-unlinked).  Every window is recovery-neutral by construction.
+unlinked) fire here.  Every window is recovery-neutral by construction.
 """
 
 from __future__ import annotations
@@ -53,7 +56,12 @@ from repro import errors, faultpoints
 from repro.engine import diskfile
 from repro.engine.database import Database
 from repro.engine.mvcc import TXN_BOOTSTRAP, RowVersion
-from repro.engine.persistence import image_of, restore_database
+from repro.engine.persistence import (
+    SNAPSHOT_FILENAME,
+    image_of,
+    read_snapshot,
+    restore_database,
+)
 from repro.engine.virtual import VirtualTable
 from repro.observability import metrics as _metrics
 from repro.engine.lsm.manifest import (
@@ -61,13 +69,12 @@ from repro.engine.lsm.manifest import (
     read_manifest,
     write_manifest,
 )
-from repro.engine.lsm.sstable import Entry, SSTableReader, write_sstable
+from repro.engine.lsm.sstable import SSTableReader, write_sstable
 
 __all__ = ["LsmStore", "MANIFEST_FILENAME"]
 
 _FLUSHES = _metrics.registry.counter("lsm.flushes")
 _COMPACTIONS = _metrics.registry.counter("lsm.compactions")
-_STALL_MS = _metrics.registry.histogram("lsm.stall_ms")
 _RUNS_WRITTEN = _metrics.registry.counter("lsm.runs_written")
 _TOMBSTONES_GCED = _metrics.registry.counter("lsm.tombstones_gced")
 _COMPACT_CORRUPTION = _metrics.registry.counter("lsm.compact.corruption")
@@ -94,14 +101,14 @@ class LsmStore:
     lock, and compaction touches only immutable files outside the store
     lock — so the lock is held for bookkeeping, never for I/O-sized
     work except the manifest install itself.
-    """
 
-    #: Checkpoint-store protocol constants (spelled out on
-    #: :class:`repro.engine.persistence.SnapshotStore`).
-    storage = "lsm"
-    MARKER = MANIFEST_FILENAME
-    FLUSH_SITE = "lsm.flush"
-    INSTALLED_SITE = "lsm.flush.install"
+    The durability manager drives it as ``open`` → ``build_database``
+    → ``flush`` (under the exclusive engine lock, no transaction in
+    flight) → ``maybe_compact`` (lock released) → ``close``, and reads
+    the watermarks ``last_seq`` (replay skips WAL records at or below
+    it) and ``flushed_stamp`` (the MVCC commit counter resumes above
+    it).
+    """
 
     def __init__(self, directory: str, *, compact_threshold: int = 4) -> None:
         self.directory = directory
@@ -126,6 +133,11 @@ class LsmStore:
         #: Serialised row-less schema image of the installed manifest
         #: (None on a fresh store); compaction re-installs it verbatim.
         self._image_blob: Optional[bytes] = None
+        #: ``snapshot.db`` of a directory being migrated (no manifest
+        #: yet); unlinked by ``open_database`` after the first flush.
+        self.legacy_path: Optional[str] = None
+        #: That file's image, held only from open() to build_database().
+        self._legacy_image: Any = None
         self._compact_gate = threading.Lock()
         self._compact_thread: Optional[threading.Thread] = None
         #: First DataError a background compaction hit (CRC mismatch in
@@ -142,14 +154,23 @@ class LsmStore:
         """Load the manifest (if any) and sweep orphaned files.
 
         Files the manifest does not reference — runs from a crashed
-        flush or compaction, ``.tmp`` leftovers — are deleted: the
-        atomic manifest install means they were never part of the
-        durable state.
+        flush or compaction, ``.tmp`` leftovers, a ``snapshot.db`` a
+        migration already folded into runs — are deleted: the atomic
+        manifest install means they were never (or are no longer) part
+        of the durable state.  Without a manifest, a ``snapshot.db`` is
+        the state: it is read here and migrated by the first flush.
         """
         store = cls(directory)
         payload = read_manifest(directory)
         referenced: Set[str] = set()
-        if payload is not None:
+        legacy = os.path.join(directory, SNAPSHOT_FILENAME)
+        if payload is None:
+            if os.path.exists(legacy):
+                (store._legacy_image, store.last_seq,
+                 store.flushed_stamp) = read_snapshot(legacy)
+                store.legacy_path = legacy
+                referenced.add(SNAPSHOT_FILENAME)
+        else:
             store._image_blob = payload["image_blob"]
             store.flushed_stamp = int(payload["commit_seq"])
             store.last_seq = int(payload["last_seq"])
@@ -177,8 +198,9 @@ class LsmStore:
             is_tmp = filename.endswith(".tmp") and (
                 filename.startswith(_RUN_PREFIX)
                 or filename.startswith(MANIFEST_FILENAME)
+                or filename.startswith(SNAPSHOT_FILENAME)
             )
-            if is_orphan_run or is_tmp:
+            if is_orphan_run or is_tmp or filename == SNAPSHOT_FILENAME:
                 _unlink_quietly([os.path.join(directory, filename)])
         return store
 
@@ -194,28 +216,26 @@ class LsmStore:
         afterwards — then refills the memtable.
 
         The database gets this store as ``database.lsm_store`` (its
-        vacuum and DDL hooks must fire during replay too).  On a
-        brand-new directory (``identity`` — name, dialect, admin user
-        — only applies then) the creation-time manifest is installed
-        here: the manifest is what marks a directory as LSM-format on
-        reopen, so it must exist from the moment the database does —
-        otherwise a crash before the first flush would reopen the
-        directory under the snapshot engine.  Empty run set,
-        ``last_seq`` 0: the WAL replays everything.
+        vacuum and DDL hooks must fire during replay too).  ``identity``
+        — name, dialect, admin user — only applies to an empty
+        directory.  A migrating directory's image is restored with
+        every row unflushed (``rid`` None), so the next flush writes
+        it as each table's first run.
         """
-        if self._image_blob is None:
+        image, self._legacy_image = self._legacy_image, None
+        if image is not None:
+            database = restore_database(image)
+        elif self._image_blob is None:
             database = Database(**identity)
-            database.lsm_store = self
-            with self._lock:
-                self._install_manifest(
-                    database, {},
-                    commit_seq=0, last_seq=0, next_rid=self.next_rid,
-                )
-            return database
-        database = restore_database(
-            diskfile.loads(self._image_blob, "LSM manifest schema")
-        )
+        else:
+            database = restore_database(
+                diskfile.loads(self._image_blob, "LSM manifest schema")
+            )
+            self._load_heaps(database)
         database.lsm_store = self
+        return database
+
+    def _load_heaps(self, database: Database) -> None:
         for table in database.catalog.tables.values():
             if isinstance(table, VirtualTable):
                 continue
@@ -227,7 +247,6 @@ class LsmStore:
             table.versions = versions
             for index in table.indexes:
                 index.rebuild()
-        return database
 
     # ------------------------------------------------------------------
     # flush (the LSM checkpoint)
@@ -260,12 +279,13 @@ class LsmStore:
             # data.  On failure the heap is untouched and this
             # attempt's run files are unlinked, so a retry re-emits the
             # identical delta.
-            staged_rids: List[Tuple[Any, int]] = []
+            staged: List[Tuple[List[Any], int]] = []
             staged_paths: List[str] = []
             next_rid = self.next_rid
             try:
                 for table in tables:
-                    entries: List[Entry] = []
+                    fresh: List[Any] = []
+                    tombstones = dict(self._pending.get(table.name, {}))
                     with table.mutation_lock:
                         for version in table.versions:
                             if version.rid is None:
@@ -276,30 +296,19 @@ class LsmStore:
                                     version.begin is not None
                                     and version.end is None
                                 ):
-                                    rid = next_rid
-                                    next_rid += 1
-                                    staged_rids.append((version, rid))
-                                    entries.append((
-                                        "d", rid, version.begin,
-                                        list(version.row),
-                                    ))
+                                    fresh.append(version)
                             elif (
                                 version.end is not None
                                 and version.end > self.flushed_stamp
                             ):
                                 # Flushed earlier, deleted since:
                                 # tombstone.
-                                entries.append(
-                                    ("t", version.rid, version.end)
-                                )
-                    for rid, end in self._pending.get(
-                        table.name, {}
-                    ).items():
-                        entries.append(("t", rid, end))
+                                tombstones[version.rid] = version.end
                     if table.name in self._doomed:
                         # Every row image was rewritten in place (ALTER
-                        # ADD/DROP COLUMN): the old runs hold stale
-                        # images, so they are dropped wholesale and the
+                        # ADD/DROP COLUMN) or the name now belongs to a
+                        # new table (DROP + CREATE): the old runs are
+                        # stale, so they are dropped wholesale and the
                         # loop above re-emitted the full table (rids
                         # were reset).
                         base: List[SSTableReader] = []
@@ -308,11 +317,21 @@ class LsmStore:
                         )
                     else:
                         base = list(self.runs.get(table.name, ()))
-                    if entries:
-                        entries.sort(key=lambda e: e[1])
+                    if fresh or tombstones:
+                        # The exclusive engine lock keeps every row
+                        # list still: they are written without a copy.
                         path = self._allocate_run_path()
-                        write_sstable(path, entries, table=table.name)
+                        write_sstable(
+                            path,
+                            range(next_rid, next_rid + len(fresh)),
+                            [v.begin for v in fresh],
+                            [v.row for v in fresh],
+                            tombstones,
+                            table=table.name,
+                        )
                         staged_paths.append(path)
+                        staged.append((fresh, next_rid))
+                        next_rid += len(fresh)
                         base.append(SSTableReader(path))
                     if base:
                         new_runs[table.name] = base
@@ -331,8 +350,9 @@ class LsmStore:
                 raise
             # The manifest is durable — now (and only now) mark the
             # flushed versions and advance the watermarks.
-            for version, rid in staged_rids:
-                version.rid = rid
+            for versions, first in staged:
+                for rid, version in enumerate(versions, first):
+                    version.rid = rid
             self.next_rid = next_rid
             self.runs = new_runs
             self.flushed_stamp = cutoff
@@ -394,15 +414,6 @@ class LsmStore:
             self.directory, f"{_RUN_PREFIX}{number:08d}{_RUN_SUFFIX}"
         )
 
-    def after_flush(self, database: Database, seconds: float) -> None:
-        """Post-checkpoint hook, called with no engine lock held:
-        record the write pause (``lsm.stall_ms`` covers only the delta
-        since the last flush; compare the snapshot engine's
-        ``wal.checkpoint.seconds``) and offer a compaction — which
-        therefore never contributes to the stall."""
-        _STALL_MS.observe(seconds * 1000.0)
-        self.maybe_compact(database)
-
     # ------------------------------------------------------------------
     # merged scan
     # ------------------------------------------------------------------
@@ -412,21 +423,20 @@ class LsmStore:
         """Merged scan of a table's flushed state, runs newest-first.
 
         Yields ``(rid, begin, row)`` triples.  Tombstones — from the
-        vacuum-handoff buffer and from each run — shadow older data
-        entries; a run's own tombstones are unioned *before* its data
-        entries are read, so a (data, tombstone) pair kept together by
-        compaction still annihilates at read time.
+        vacuum-handoff buffer and from each run — shadow older rows; a
+        run's own tombstones are unioned *before* its rows are read, so
+        a (row, tombstone) pair kept together by compaction still
+        annihilates at read time.  Each rid's row lives in exactly one
+        live run, so no rid is yielded twice.
         """
         with self._lock:
             runs = list(self.runs.get(name, ()))
             shadowed: Set[int] = set(self._pending.get(name, ()))
         for run in reversed(runs):
             shadowed |= run.tombstone_rids
-            for entry in run.data_entries():
-                rid = entry[1]
+            for rid, begin, row in run.rows():
                 if rid not in shadowed:
-                    shadowed.add(rid)  # never yield a rid twice
-                    yield (rid, entry[2], entry[3])
+                    yield (rid, begin, row)
 
     # ------------------------------------------------------------------
     # engine hooks (vacuum / DDL)
@@ -448,10 +458,12 @@ class LsmStore:
             self._pending.setdefault(table_name, {})[rid] = end
 
     def invalidate_table(self, table: Any) -> None:
-        """A DDL change rewrote every row image in place (column
-        add/drop): on-disk entries are stale, so reset every version's
-        rid and doom the table's runs — the next flush rewrites it
-        wholesale under the new schema."""
+        """A DDL change made the runs filed under ``table``'s name
+        stale: every row image was rewritten in place (column add/drop)
+        or the table was dropped, and a later table may take the name.
+        Reset every version's rid, forget pending tombstones and doom
+        the runs — the next flush rewrites whatever table then holds
+        the name wholesale, and retires the runs if none does."""
         with self._lock:
             with table.mutation_lock:
                 for version in table.versions:
@@ -526,41 +538,40 @@ class LsmStore:
                 return 0
             lo, hi = span
             victims = readers[lo:hi]
-        # Merge off-lock: run files are immutable.  Newer entries win
-        # (each rid's data entry exists once, so this is really a union
-        # plus tombstone resolution).
-        data: Dict[int, Entry] = {}
-        tombstones: Dict[int, Entry] = {}
+        # Merge off-lock: run files are immutable.  Each rid's row
+        # exists once, so this is a union plus tombstone resolution, and
+        # every flush allocates rids above all earlier ones, so the
+        # victims' rows, oldest run first, are already in rid order.
+        tombstones: Dict[int, int] = {}
         for reader in victims:
-            for entry in reader.entries():
-                if entry[0] == "d":
-                    data[entry[1]] = entry
-                else:
-                    tombstones[entry[1]] = entry
-        merged: List[Entry] = []
+            tombstones.update(reader.tombstones())
+        # Dead below the vacuum horizon: no live snapshot can see the
+        # row — row and tombstone annihilate.  Any other tombstone is
+        # kept: its row lives in an older (unmerged) run, or the horizon
+        # still protects a reader.
+        dead = {rid for rid, end in tombstones.items() if end <= horizon}
         annihilated: Set[int] = set()
-        for rid, entry in data.items():
-            tomb = tombstones.get(rid)
-            if tomb is not None and tomb[2] <= horizon:
-                # Dead below the vacuum horizon: no live snapshot can
-                # see the row — data and tombstone annihilate.
-                annihilated.add(rid)
-            else:
-                merged.append(entry)
-        for rid, tomb in tombstones.items():
-            if rid not in annihilated:
-                # Either its data entry lives in an older (unmerged)
-                # run, or the horizon still protects a reader — keep it.
-                merged.append(tomb)
-        merged.sort(key=lambda e: e[1])
+        rids: List[int] = []
+        begins: List[int] = []
+        rows: List[List[Any]] = []
+        for reader in victims:
+            for rid, begin, row in reader.rows():
+                if rid in dead:
+                    annihilated.add(rid)
+                else:
+                    rids.append(rid)
+                    begins.append(begin)
+                    rows.append(row)
+        for rid in annihilated:
+            del tombstones[rid]
         faultpoints.trigger("lsm.compact")
         replacement: List[SSTableReader] = []
-        if merged:
+        if rows or tombstones:
             with self._lock:
                 path = self._allocate_run_path()
-            replacement = [
-                SSTableReader(write_sstable(path, merged, table=name))
-            ]
+            replacement = [SSTableReader(write_sstable(
+                path, rids, begins, rows, tombstones, table=name
+            ))]
         with self._lock:
             current = list(self.runs.get(name, ()))
             try:

@@ -7,11 +7,11 @@ installed archives, routines, user-defined types, and grants — and
 :func:`load_database` reconstructs a fully working database from the
 file.
 
-The same image, wrapped with the durable watermarks, is what the
-snapshot storage engine checkpoints: :class:`SnapshotStore` is the
-checkpoint store :func:`repro.engine.durability.open_database` uses for
-``storage="snapshot"`` (its LSM counterpart, with the same protocol, is
-:class:`repro.engine.lsm.LsmStore`).
+The row-less image is the schema half of every LSM manifest
+(:mod:`repro.engine.lsm`).  The whole image, wrapped with the durable
+watermarks, is ``snapshot.db`` — the format durable directories were
+checkpointed in before LSM runs became the only one;
+:func:`read_snapshot` reads it once, when such a directory migrates.
 
 Host-language bindings are *not* pickled: routine callables and UDT
 classes are re-resolved on load from their EXTERNAL NAME strings and the
@@ -23,13 +23,11 @@ instances of archive-defined classes raise a clear error at save time.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import errors
 from repro.engine import diskfile
-from repro.observability import metrics as _metrics
 from repro.engine.catalog import (
     AttributeBinding,
     Column,
@@ -51,24 +49,13 @@ __all__ = [
     "image_of",
     "restore_database",
     "DatabaseImage",
-    "SnapshotStore",
+    "read_snapshot",
     "SNAPSHOT_FILENAME",
 ]
 
 FORMAT_VERSION = 1
 
 SNAPSHOT_FILENAME = "snapshot.db"
-
-#: Version of the ``{image, last_seq, commit_seq}`` checkpoint wrapper
-#: (the inner ``DatabaseImage`` carries its own FORMAT_VERSION).
-#: Version 2 added ``commit_seq`` — the MVCC commit counter at
-#: checkpoint time, restored so post-recovery stamps continue above
-#: everything durable.  Version-1 snapshots are still readable (their
-#: counter restarts at 0, which is safe: a checkpoint is quiesced, so
-#: every surviving version is a bootstrap version with stamp 0).
-CHECKPOINT_VERSION = 2
-
-_CHECKPOINT_SECONDS = _metrics.registry.histogram("wal.checkpoint.seconds")
 
 
 @dataclass
@@ -191,10 +178,8 @@ def image_of(
 ) -> DatabaseImage:
     """Capture ``database`` as a picklable :class:`DatabaseImage`.
 
-    Used by :func:`save_database` and by the snapshot checkpoint store
-    (:class:`SnapshotStore`), which folds the write-ahead log into
-    exactly this format.  ``include_rows=False`` captures
-    the catalog only (empty row lists) — the LSM manifest
+    Used by :func:`save_database`.  ``include_rows=False`` captures the
+    catalog only (empty row lists) — the LSM manifest
     (:mod:`repro.engine.lsm`) stores schema this way because row data
     lives in the SSTable runs, not the manifest.
     """
@@ -487,94 +472,33 @@ def _restore_member(member, catalog) -> MethodBinding:
 
 
 # ---------------------------------------------------------------------------
-# the snapshot checkpoint store
+# legacy checkpoint images
 # ---------------------------------------------------------------------------
 
 
-class SnapshotStore:
-    """``snapshot.db``: the whole database as one atomically replaced
-    file — O(database) per checkpoint, the smallest possible file set.
+def read_snapshot(path: str) -> Tuple[DatabaseImage, int, int]:
+    """Read a ``snapshot.db`` checkpoint: ``(image, last_seq,
+    commit_seq)``.
 
-    One of the two *checkpoint stores* the durability manager folds
-    the write-ahead log into (the other is
-    :class:`repro.engine.lsm.LsmStore`); both have this shape:
-
-    * ``open(directory)`` reads the watermarks ``last_seq`` (replay
-      skips WAL records at or below it) and ``flushed_stamp`` (the MVCC
-      commit counter resumes above it);
-    * ``build_database(**identity)`` reconstructs the
-      database as of them (``identity`` — name, dialect, admin user —
-      only applies to an empty directory);
-    * ``flush(database, last_seq=)`` makes the committed state durable,
-      atomically; called under the exclusive engine lock with no
-      transaction in flight;
-    * ``after_flush(database, seconds)`` runs once the lock is
-      released; ``close()`` stops background work;
-    * ``storage`` names the engine, ``MARKER`` is the file whose
-      presence marks a directory as its own, and ``FLUSH_SITE`` /
-      ``INSTALLED_SITE`` are the fault sites the manager fires before
-      ``flush`` and between a finished flush and the WAL truncate.
+    Wrapper version 2 is ``{version, image, last_seq, commit_seq}``;
+    version 1 has no ``commit_seq``, and its counter restarts at 0,
+    which is safe: a checkpoint is quiesced, so every surviving version
+    is a bootstrap version with stamp 0.
     """
-
-    storage = "snapshot"
-    MARKER = SNAPSHOT_FILENAME
-    FLUSH_SITE = "wal.checkpoint"
-    INSTALLED_SITE = "wal.checkpoint.install"
-
-    def __init__(self, directory: str) -> None:
-        self.directory = directory
-        self.path = os.path.join(directory, SNAPSHOT_FILENAME)
-        self.last_seq = 0
-        self.flushed_stamp = 0
-        #: The loaded image, held only from open() to build_database().
-        self._image: Optional[DatabaseImage] = None
-
-    @classmethod
-    def open(cls, directory: str) -> "SnapshotStore":
-        """Load ``snapshot.db`` if the directory has one."""
-        store = cls(directory)
-        if not os.path.exists(store.path):
-            return store
-        with open(store.path, "rb") as handle:
-            payload = diskfile.loads(
-                handle.read(), f"checkpoint snapshot {store.path!r}"
-            )
-        if (
-            not isinstance(payload, dict)
-            or not isinstance(payload.get("image"), DatabaseImage)
-            or payload.get("version") not in (1, CHECKPOINT_VERSION)
-        ):
-            raise errors.DataError(
-                f"{store.path!r} does not contain a supported "
-                "checkpoint snapshot"
-            )
-        store._image = payload["image"]
-        store.last_seq = int(payload["last_seq"])
-        store.flushed_stamp = int(payload.get("commit_seq", 0))
-        return store
-
-    def build_database(self, **identity: Any) -> Database:
-        image, self._image = self._image, None
-        if image is None:
-            return Database(**identity)
-        return restore_database(image)
-
-    def flush(self, database: Database, *, last_seq: int) -> None:
-        """Install ``{version, image, last_seq, commit_seq}`` around an
-        image of the whole database."""
-        commit_seq = database.transactions.commit_seq
-        payload = {
-            "version": CHECKPOINT_VERSION,
-            "image": image_of(database),
-            "last_seq": last_seq,
-            "commit_seq": commit_seq,
-        }
-        diskfile.install(self.path, [diskfile.dumps(payload, "database")])
-        self.last_seq = last_seq
-        self.flushed_stamp = commit_seq
-
-    def after_flush(self, database: Database, seconds: float) -> None:
-        _CHECKPOINT_SECONDS.observe(seconds)
-
-    def close(self) -> None:
-        """Nothing runs in the background."""
+    with open(path, "rb") as handle:
+        payload = diskfile.loads(
+            handle.read(), f"checkpoint snapshot {path!r}"
+        )
+    if (
+        not isinstance(payload, dict)
+        or not isinstance(payload.get("image"), DatabaseImage)
+        or payload.get("version") not in (1, 2)
+    ):
+        raise errors.DataError(
+            f"{path!r} does not contain a supported checkpoint snapshot"
+        )
+    return (
+        payload["image"],
+        int(payload["last_seq"]),
+        int(payload.get("commit_seq", 0)),
+    )

@@ -39,9 +39,14 @@ site                        fired
 ``wal.written``             after the OS write, before the record is
                             durable (the classic lost-write window)
 ``wal.fsync``               just before ``os.fsync`` of the log
-``wal.checkpoint``          before the checkpoint snapshot is written
-``wal.checkpoint.install``  after the snapshot is atomically installed,
+``lsm.flush``               before a checkpoint's flush writes anything
+``lsm.manifest``            after the flush's run files are written,
+                            before the manifest that names them
+``lsm.flush.install``       after the manifest is atomically installed,
                             before the log is truncated
+``lsm.compact``             before a compaction writes its merged run
+``lsm.compact.install``     after a compaction's manifest install,
+                            before its victim runs are unlinked
 ``net.connect``             in the remote driver, before the TCP
                             connection to a ``repro://`` server is dialed
 ``net.write``               pipe site: receives each outgoing frame's

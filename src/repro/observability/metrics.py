@@ -45,8 +45,7 @@ name                            meaning
 ``slow_query.count``            slow-query log records emitted
 ``stats.evictions``             statement-statistics entries evicted at
                                 capacity (see observability/stats.py)
-``lsm.flushes``                 LSM memtable flushes (checkpoints on an
-                                ``storage="lsm"`` database)
+``lsm.flushes``                 LSM memtable flushes (one per checkpoint)
 ``lsm.runs_written``            SSTable run files written by flushes
 ``lsm.compactions``             background run merges completed
 ``lsm.tombstones_gced``         data/tombstone pairs annihilated below
@@ -55,9 +54,6 @@ name                            meaning
                                 corrupt run frame (CRC mismatch); the
                                 store stops background passes until
                                 reopened
-``lsm.stall_ms``                histogram of the write pause each LSM
-                                flush imposed, milliseconds (compare
-                                ``wal.checkpoint.seconds``)
 ==============================  ============================================
 """
 

@@ -148,7 +148,8 @@ class ReproServer:
     durability_options:
         Passed through to ``registry.get_or_open_durable``:
         ``group_window``, ``group_size``, ``sync``,
-        ``checkpoint_interval``, ``storage``.
+        ``checkpoint_interval``; ``storage`` is accepted and ignored
+        (every durable database uses the LSM store).
     """
 
     def __init__(

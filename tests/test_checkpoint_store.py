@@ -1,12 +1,14 @@
-"""The checkpoint-store contract, run against both stores.
+"""The checkpoint-store contract, run on both kinds of directory.
 
-``SnapshotStore`` and ``LsmStore`` are what the durability manager
-folds the WAL into; it drives them through one protocol (``open`` →
-``build_database`` → ``flush`` → ``close``, the ``last_seq`` /
-``flushed_stamp`` watermarks, two fault-site names) and must not care
-which one it holds.  Everything here is parametrised over the two;
-what is unique to one layout lives in test_lsm.py, the crash matrix in
-test_durability.py.
+``LsmStore`` is what the durability manager folds the WAL into; it
+drives it through one protocol (``open`` → ``build_database`` →
+``flush`` → ``close``, the ``last_seq`` / ``flushed_stamp``
+watermarks, the ``lsm.flush`` / ``lsm.flush.install`` fault sites).
+Every test here runs twice: on an empty directory (``lsm``) and on a
+directory that was checkpointed as a whole-database ``snapshot.db``
+image (``snapshot``), which the store migrates — the contract must not
+care which one it was handed.  What is unique to the run layout lives
+in test_lsm.py, the crash matrix in test_durability.py.
 
 Also here: the atomic-install guarantees of ``save_database``, which
 goes through the same :func:`repro.engine.diskfile.install`.
@@ -21,22 +23,31 @@ import pytest
 import repro
 from repro import errors
 from repro.engine import diskfile
+from repro.engine.database import Database
 from repro.engine.durability import WAL_FILENAME, open_database
-from repro.engine.lsm import LsmStore
+from repro.engine.lsm import MANIFEST_FILENAME, LsmStore
 from repro.engine.persistence import (
-    SnapshotStore,
+    SNAPSHOT_FILENAME,
     load_database,
     save_database,
 )
 from repro.procedures import build_par
 from repro.testing.faults import FaultPlan
+from tests.legacy_formats import write_snapshot_dir
 
 IDENTITY = dict(name="contract", dialect="standard", admin_user="dba")
 
 
-@pytest.fixture(params=[SnapshotStore, LsmStore], ids=["snapshot", "lsm"])
-def store_class(request):
+@pytest.fixture(params=["snapshot", "lsm"])
+def origin(request):
+    """What the directory holds before the first open: a snapshot
+    checkpoint of an empty database, or nothing."""
     return request.param
+
+
+def prepare(directory, origin):
+    if origin == "snapshot":
+        write_snapshot_dir(directory, Database(**IDENTITY))
 
 
 def rows(database, table):
@@ -73,9 +84,10 @@ def install_tag_type(session, tmp_path):
 
 
 class TestStoreContract:
-    def test_open_empty_build_flush_reopen(self, tmp_path, store_class):
+    def test_open_empty_build_flush_reopen(self, tmp_path, origin):
         d = str(tmp_path)
-        store = store_class.open(d)
+        prepare(d, origin)
+        store = LsmStore.open(d)
         assert (store.last_seq, store.flushed_stamp) == (0, 0)
         assert store.directory == d
         db = store.build_database(**IDENTITY)
@@ -92,20 +104,23 @@ class TestStoreContract:
         store.flush(db, last_seq=41)
         assert store.last_seq == 41
         assert store.flushed_stamp == db.transactions.commit_seq > 0
-        assert os.path.exists(os.path.join(d, store_class.MARKER))
+        assert os.path.exists(os.path.join(d, MANIFEST_FILENAME))
         assert not tmp_files(d)
         store.close()
 
-        reopened = store_class.open(d)
+        reopened = LsmStore.open(d)
         assert reopened.last_seq == 41
         assert reopened.flushed_stamp == store.flushed_stamp
+        # Once a manifest exists it governs; a snapshot.db beside it is
+        # garbage the open sweeps.
+        assert not os.path.exists(os.path.join(d, SNAPSHOT_FILENAME))
         # A stored database keeps its own identity.
         db2 = reopened.build_database(
             name="other", dialect="standard", admin_user="dba"
         )
         assert db2.name == "contract"
         # flushed_stamp is where the MVCC commit counter resumes: rows
-        # keep their original stamps under the LSM store.
+        # keep their original stamps.
         db2.transactions.restore(reopened.flushed_stamp)
         assert rows(db2, "t") == [[2, "y"]]
         assert rows(db2, "u") == [[7, 8]]
@@ -113,30 +128,31 @@ class TestStoreContract:
             index.verify_against_heap()
         reopened.close()
 
-    def test_open_database_selects_the_store(self, tmp_path, store_class):
+    def test_open_database_selects_the_store(self, tmp_path, origin):
         d = str(tmp_path)
-        db = open_database(d, storage=store_class.storage, sync=False)
+        prepare(d, origin)
+        db = open_database(d, storage=origin, sync=False)
         manager = db.durability
-        assert type(manager.store) is store_class
-        assert manager.storage == store_class.storage
+        assert type(manager.store) is LsmStore
         assert manager.directory == d
-        # Only the LSM store hooks into vacuum and DDL.
-        assert db.lsm_store is (
-            manager.store if store_class is LsmStore else None
+        # The store hooks into vacuum and DDL.
+        assert db.lsm_store is manager.store
+        assert sorted(os.listdir(d)) == (
+            [MANIFEST_FILENAME, WAL_FILENAME] if origin == "snapshot"
+            else [WAL_FILENAME]
         )
         db.close()
-        # The directory now dictates its own engine.
-        other = "lsm" if store_class is SnapshotStore else "snapshot"
+        # Either storage= name reopens the same store.
+        other = "lsm" if origin == "snapshot" else "snapshot"
         db2 = open_database(d, storage=other, sync=False)
-        assert type(db2.durability.store) is store_class
+        assert type(db2.durability.store) is LsmStore
+        assert db2.name == ("contract" if origin == "snapshot" else "db")
         db2.close()
 
-    def test_checkpoint_skipped_while_txn_active(
-        self, tmp_path, store_class
-    ):
+    def test_checkpoint_skipped_while_txn_active(self, tmp_path, origin):
+        prepare(str(tmp_path), origin)
         db = open_database(
-            str(tmp_path), storage=store_class.storage,
-            checkpoint_interval=0,
+            str(tmp_path), storage=origin, checkpoint_interval=0,
         )
         s = db.create_session(autocommit=True)
         s.execute("CREATE TABLE t (k INT, v INT)")
@@ -149,19 +165,19 @@ class TestStoreContract:
         db.close()
 
     def test_failed_flush_leaves_previous_state_governing(
-        self, tmp_path, store_class
+        self, tmp_path, origin
     ):
         """A flush that raises — here because a row holds an instance
         of an archive-defined class — must leave the store's previous
         on-disk state in charge, the WAL un-truncated, the heap
         re-flushable, and no temp file behind, however often it is
-        retried.  (The historical LSM bug: every failed run write
-        leaked one more ``run-N.run.tmp`` until the next reopen.)"""
+        retried.  (The historical bug: every failed run write leaked
+        one more ``run-N.run.tmp`` until the next reopen.)"""
         d = str(tmp_path / "data")
+        prepare(d, origin)
         wal_path = os.path.join(d, WAL_FILENAME)
         db = open_database(
-            d, storage=store_class.storage, sync=False,
-            checkpoint_interval=0,
+            d, storage=origin, sync=False, checkpoint_interval=0,
         )
         s = db.create_session(autocommit=True)
         s.execute("CREATE TABLE t (k INT, v INT)")
@@ -183,7 +199,7 @@ class TestStoreContract:
         # The previous state governs: what a reopen would load is the
         # checkpoint taken before the failures (the intact WAL replays
         # the rest).
-        store = store_class.open(d)
+        store = LsmStore.open(d)
         assert store.last_seq == db.durability.store.last_seq
         store.close()
 
@@ -199,24 +215,25 @@ class TestStoreContract:
         assert rows(db2, "tags") == []
         db2.close()
 
-    def test_fault_sites_bracket_the_flush(self, tmp_path, store_class):
-        """``FLUSH_SITE`` fires before anything is written,
-        ``INSTALLED_SITE`` after the flush is durable but before the WAL
-        is truncated — for both stores."""
+    def test_fault_sites_bracket_the_flush(self, tmp_path, origin):
+        """``lsm.flush`` fires before anything is written,
+        ``lsm.flush.install`` after the flush is durable but before the
+        WAL is truncated."""
         d = str(tmp_path)
+        prepare(d, origin)
         wal_path = os.path.join(d, WAL_FILENAME)
         db = open_database(
-            d, storage=store_class.storage, sync=False,
-            checkpoint_interval=0,
+            d, storage=origin, sync=False, checkpoint_interval=0,
         )
         s = db.create_session(autocommit=True)
         s.execute("CREATE TABLE t (k INT, v INT)")
         s.execute("INSERT INTO t VALUES (1, 10)")
         store = db.durability.store
+        last_seq = store.last_seq
         wal_size = os.path.getsize(wal_path)
         for site, flushed in (
-            (store_class.FLUSH_SITE, False),
-            (store_class.INSTALLED_SITE, True),
+            ("lsm.flush", False),
+            ("lsm.flush.install", True),
         ):
             plan = FaultPlan(seed=1)
             plan.inject(site, error=errors.OperatorExecutionError, times=1)
@@ -224,7 +241,7 @@ class TestStoreContract:
                 with pytest.raises(errors.ReproError):
                     db.checkpoint()
             assert plan.fired[site] == 1
-            assert (store.last_seq > 0) is flushed
+            assert (store.last_seq > last_seq) is flushed
             assert os.path.getsize(wal_path) == wal_size
         s.close()
         db.close()

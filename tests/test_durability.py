@@ -20,12 +20,13 @@ import pytest
 from repro import errors
 from repro.engine import durability
 from repro.engine.durability import (
-    SNAPSHOT_FILENAME,
     WAL_FILENAME,
     DurabilityManager,
     open_database,
 )
 from repro.engine.indexes import Index
+from repro.engine.lsm import MANIFEST_FILENAME
+from repro.engine.persistence import SNAPSHOT_FILENAME
 from repro.engine.wal import (
     KIND_ABORT,
     KIND_COMMIT,
@@ -37,6 +38,14 @@ from repro.engine.wal import (
 )
 from repro.observability import metrics as _metrics
 from repro.testing.faults import FaultPlan
+from tests.legacy_formats import (
+    LEGACY_ROWS,
+    legacy_database,
+    snapshot_bytes,
+    wal_bytes,
+    write_file,
+    write_snapshot_dir,
+)
 
 
 def crash(database):
@@ -66,12 +75,28 @@ def table_state(database, table="t"):
 
 @pytest.fixture(params=["snapshot", "lsm"])
 def storage(request):
-    """Run recovery-sensitive tests against both storage engines.
-
-    Only the *first* open needs the flag — an initialised directory
-    dictates its own engine on every reopen, which is itself part of
-    the contract under test."""
+    """Run recovery-sensitive tests on both kinds of directory a first
+    open may meet: an empty one (``lsm``), or one checkpointed as a
+    whole-database ``snapshot.db`` image (``snapshot``), which that
+    open migrates to runs.  Either way every later crash and reopen
+    must behave the same."""
     return request.param
+
+
+def first_open(directory, storage, **kw):
+    """Open ``directory`` for the first time; under ``snapshot`` it
+    starts as a snapshot checkpoint holding the ``legacy`` table."""
+    if storage == "snapshot":
+        write_snapshot_dir(
+            directory, legacy_database(name=kw.get("name", "db"))
+        )
+    return open_database(directory, storage=storage, **kw)
+
+
+def check_origin(database, storage):
+    """A migrated directory still holds what its image held."""
+    if storage == "snapshot":
+        assert table_state(database, "legacy") == LEGACY_ROWS
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +159,7 @@ class TestWalFraming:
 class TestRecovery:
     def test_committed_work_survives_reopen(self, tmp_path, storage):
         d = str(tmp_path)
-        db = open_database(d, name="recov", storage=storage)
+        db = first_open(d, storage, name="recov")
         s = db.create_session(autocommit=True)
         s.execute("CREATE TABLE t (k INT, v INT)")
         s.execute("INSERT INTO t VALUES (1, 10)")
@@ -145,11 +170,12 @@ class TestRecovery:
         db2 = open_database(d)
         assert db2.name == "recov"
         assert table_state(db2) == {1: 10, 2: 20}
+        check_origin(db2, storage)
         db2.close()
 
     def test_uncommitted_txn_discarded_on_crash(self, tmp_path, storage):
         d = str(tmp_path)
-        db = open_database(d, storage=storage)
+        db = first_open(d, storage)
         s = db.create_session(autocommit=True)
         s.execute("CREATE TABLE t (k INT, v INT)")
         s.execute("INSERT INTO t VALUES (1, 10)")
@@ -165,7 +191,7 @@ class TestRecovery:
 
     def test_rolled_back_txn_not_replayed(self, tmp_path, storage):
         d = str(tmp_path)
-        db = open_database(d, storage=storage)
+        db = first_open(d, storage)
         s = db.create_session(autocommit=True)
         s.execute("CREATE TABLE t (k INT, v INT)")
         s.autocommit = False
@@ -184,7 +210,7 @@ class TestRecovery:
         self, tmp_path, storage
     ):
         d = str(tmp_path)
-        db = open_database(d, storage=storage)
+        db = first_open(d, storage)
         s = db.create_session(autocommit=False)  # even in a txn session
         s.execute("CREATE TABLE t (k INT, v INT)")
         crash(db)
@@ -196,7 +222,7 @@ class TestRecovery:
 
     def test_savepoints_replay(self, tmp_path, storage):
         d = str(tmp_path)
-        db = open_database(d, storage=storage)
+        db = first_open(d, storage)
         s = db.create_session(autocommit=True)
         s.execute("CREATE TABLE t (k INT, v INT)")
         s.autocommit = False
@@ -215,7 +241,7 @@ class TestRecovery:
 
     def test_indexes_rebuilt_consistently(self, tmp_path, storage):
         d = str(tmp_path)
-        db = open_database(d, storage=storage)
+        db = first_open(d, storage)
         s = db.create_session(autocommit=True)
         s.execute("CREATE TABLE t (k INT, v INT)")
         s.execute("CREATE INDEX t_k ON t (k)")
@@ -245,7 +271,7 @@ class TestRecovery:
         it happen halfway.  The vacuum is started mid-check here, and
         the check gives it half a second to finish before reading on."""
         d = str(tmp_path)
-        db = open_database(d, storage=storage, checkpoint_interval=0)
+        db = first_open(d, storage, checkpoint_interval=0)
         s = db.create_session(autocommit=True)
         s.execute("CREATE TABLE t (k INT, v INT)")
         s.execute("CREATE INDEX t_k ON t (k)")
@@ -323,8 +349,8 @@ class TestCheckpoint:
         assert os.path.getsize(wal_path) > 0
         assert db.checkpoint() is True
         assert os.path.getsize(wal_path) == 0
-        assert os.path.getsize(os.path.join(d, SNAPSHOT_FILENAME)) > 0
-        # State must come entirely from the snapshot now.
+        assert os.path.getsize(os.path.join(d, MANIFEST_FILENAME)) > 0
+        # State must come entirely from the runs now.
         crash(db)
         del s, db
         db2 = open_database(d)
@@ -344,8 +370,9 @@ class TestCheckpoint:
         db.close()
 
     def test_crash_between_install_and_truncate(self, tmp_path):
-        """Snapshot installed but WAL not yet truncated: replay must be
-        idempotent (records at or below the snapshot's last_seq skipped)."""
+        """Manifest installed but WAL not yet truncated: replay must be
+        idempotent (records at or below the manifest's last_seq
+        skipped)."""
         d = str(tmp_path)
         db = open_database(d, checkpoint_interval=0)
         s = db.create_session(autocommit=True)
@@ -353,16 +380,16 @@ class TestCheckpoint:
         s.execute("INSERT INTO t VALUES (1, 10)")
         plan = FaultPlan(seed=3)
         plan.inject(
-            "wal.checkpoint.install",
+            "lsm.flush.install",
             error=errors.OperatorExecutionError,
             times=1,
         )
         with plan.armed():
             with pytest.raises(errors.ReproError):
                 db.checkpoint()
-        assert plan.fired["wal.checkpoint.install"] == 1
-        # Snapshot exists AND the WAL still holds the same transactions.
-        assert os.path.getsize(os.path.join(d, SNAPSHOT_FILENAME)) > 0
+        assert plan.fired["lsm.flush.install"] == 1
+        # Manifest exists AND the WAL still holds the same transactions.
+        assert os.path.getsize(os.path.join(d, MANIFEST_FILENAME)) > 0
         assert os.path.getsize(os.path.join(d, WAL_FILENAME)) > 0
         crash(db)
         del s, db  # crash
@@ -484,14 +511,15 @@ CRASH_SITES = [
     "wal.written",
     "wal.fsync",
     "wal.checkpoint",
+    "lsm.manifest",
     "wal.checkpoint.install",
 ]
 
-#: The LSM engine dispatches checkpoints to memtable flushes, so the
-#: checkpoint crash windows move to the equivalent flush faultpoints
-#: (manifest installed / WAL not yet truncated, and the pre-write
-#: window); everything else is engine-independent.
-LSM_SITE_MAP = {
+#: The checkpoint windows keep the ids they had when a checkpoint could
+#: also be a snapshot rewrite; both are LSM flush sites now: before the
+#: flush writes anything, and manifest installed / WAL not yet
+#: truncated.
+FLUSH_SITES = {
     "wal.checkpoint": "lsm.flush",
     "wal.checkpoint.install": "lsm.flush.install",
 }
@@ -506,10 +534,9 @@ class TestCrashMatrix:
         d = str(tmp_path)
         statements = _workload_statements()
         states = _shadow_states(statements)
-        if storage == "lsm":
-            site = LSM_SITE_MAP.get(site, site)
+        site = FLUSH_SITES.get(site, site)
 
-        db = open_database(d, checkpoint_interval=3, storage=storage)
+        db = first_open(d, storage, checkpoint_interval=3)
         s = db.create_session(autocommit=True)
         s.execute("CREATE TABLE t (k INT, v INT)")
         s.execute("CREATE INDEX t_k ON t (k)")
@@ -547,6 +574,7 @@ class TestCrashMatrix:
         # Index structures must agree with the recovered heap.
         for index in db2.catalog.tables["t"].indexes:
             index.verify_against_heap()
+        check_origin(db2, storage)
         db2.close()
 
     @pytest.mark.parametrize("after", [0, 1])
@@ -560,7 +588,7 @@ class TestCrashMatrix:
         statements = _workload_statements()
         expected = _shadow_states(statements)[-1]
 
-        db = open_database(d, storage=storage)
+        db = first_open(d, storage)
         s = db.create_session(autocommit=True)
         s.execute("CREATE TABLE t (k INT, v INT)")
         s.execute("CREATE INDEX t_k ON t (k)")
@@ -602,7 +630,7 @@ class TestCrashMatrix:
         transaction: it was never acknowledged, and recovery must
         replay exactly the prefix *without* it."""
         d = str(tmp_path)
-        db = open_database(d, storage=storage)
+        db = first_open(d, storage)
         s = db.create_session(autocommit=False)
         s.execute("CREATE TABLE t (k INT, v INT)")
         s.execute("INSERT INTO t VALUES (1, 10)")
@@ -629,7 +657,7 @@ class TestCrashMatrix:
         """A corrupted frame at crash time is a torn write: recovery
         truncates it and keeps every earlier committed transaction."""
         d = str(tmp_path)
-        db = open_database(d, storage=storage)
+        db = first_open(d, storage)
         s = db.create_session(autocommit=True)
         s.execute("CREATE TABLE t (k INT, v INT)")
         s.execute("INSERT INTO t VALUES (1, 10)")
@@ -659,6 +687,70 @@ class TestCrashMatrix:
         assert _metrics.snapshot()["counters"]["wal.discarded_txns"] \
             >= before
         db2.close()
+
+
+# ---------------------------------------------------------------------------
+# Migration of snapshot-checkpointed directories
+# ---------------------------------------------------------------------------
+#: Where the migrating open can die: the three flush sites, and after
+#: the WAL truncate but before ``snapshot.db`` is unlinked.
+MIGRATION_CRASHES = ["lsm.flush", "lsm.manifest", "lsm.flush.install",
+                     "unlink"]
+
+
+class TestMigration:
+    @pytest.mark.parametrize("crash_at", MIGRATION_CRASHES)
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_crash_while_migrating_recovers_the_shadow_rows(
+        self, tmp_path, version, crash_at
+    ):
+        """A directory checkpointed as ``snapshot.db`` after the first
+        half of the workload, with the second half committed in its
+        WAL, dies at each point of the open that migrates it.  The
+        next open must recover the whole workload, exactly once, and
+        finish the migration."""
+        d = str(tmp_path)
+        statements = _workload_statements()
+        expected = _shadow_states(statements)[-1]
+        head, tail = statements[:6], statements[6:]
+        legacy = legacy_database(
+            ["CREATE TABLE t (k INT, v INT)", "CREATE INDEX t_k ON t (k)"]
+            + head
+        )
+        image = snapshot_bytes(legacy, last_seq=8, version=version)
+        write_file(d, SNAPSHOT_FILENAME, image)
+        stamp = legacy.transactions.commit_seq if version == 2 else 0
+        write_file(d, WAL_FILENAME,
+                   wal_bytes(tail, first_seq=9, first_stamp=stamp + 1))
+
+        if crash_at == "unlink":
+            db = open_database(d)
+            crash(db)
+            del db
+            # The state that crash leaves: manifest installed, WAL
+            # truncated, the image still there.
+            write_file(d, SNAPSHOT_FILENAME, image)
+        else:
+            plan = FaultPlan(seed=version)
+            plan.inject(
+                crash_at, error=errors.OperatorExecutionError, times=1
+            )
+            with plan.armed():
+                with pytest.raises(errors.ReproError):
+                    open_database(d)
+            assert plan.fired[crash_at] == 1
+
+        db2 = open_database(d)
+        assert table_state(db2) == expected
+        assert table_state(db2, "legacy") == LEGACY_ROWS
+        for index in db2.catalog.tables["t"].indexes:
+            index.verify_against_heap()
+        assert SNAPSHOT_FILENAME not in os.listdir(d)
+        assert os.path.getsize(os.path.join(d, WAL_FILENAME)) == 0
+        db2.close()
+        db3 = open_database(d)  # the runs alone
+        assert table_state(db3) == expected
+        db3.close()
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ conflicts resolve first-committer-wins with SQLSTATE 40001 for the
 loser; readers never block writers and writers never block readers.
 
 Every scenario runs four ways — against in-process engine sessions
-(pure in-memory, durable on the snapshot engine, durable on the LSM
-engine) and over ``repro://`` through the network server — behind one
-small harness facade, proving the guarantees survive both the wire
-protocol and either storage engine unchanged (the paper's location
-transparency, applied to transaction semantics).  The durable modes
-use a tiny checkpoint interval so snapshot checkpoints / LSM flushes
-actually interleave with the battery.  Each way runs twice more with
+(pure in-memory; durable on a directory migrated from a whole-database
+``snapshot.db`` checkpoint; durable on a fresh directory) and over
+``repro://`` through the network server — behind one small harness
+facade, proving the guarantees survive the wire protocol and the
+durable store unchanged (the paper's location transparency, applied
+to transaction semantics).  The durable modes use a tiny checkpoint
+interval so LSM flushes actually interleave with the battery.  Each
+way runs twice more with
 ``accounts_id`` indexed (the ``-indexed`` ids), so the keyed UPDATEs
 find their rows by index probe instead of a heap scan.
 """
@@ -32,6 +33,7 @@ from repro.engine.durability import open_database
 from repro.procedures import build_par
 from repro.server import ReproServer
 from repro.testing import retry_serialization, run_concurrent
+from tests.legacy_formats import write_snapshot_dir
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +112,10 @@ class Harness:
         if mode == "engine":
             self.database = Database(name=name)
         elif mode == "durable":
-            # checkpoint_interval=8: checkpoints (snapshot engine) /
-            # memtable flushes (LSM engine) interleave with the
-            # anomaly scenarios instead of only firing at close.
+            if storage == "snapshot":
+                write_snapshot_dir(directory, Database(name=name))
+            # checkpoint_interval=8: memtable flushes interleave with
+            # the anomaly scenarios instead of only firing at close.
             self.database = open_database(
                 directory, name=name, storage=storage,
                 sync=False, checkpoint_interval=8,

@@ -12,13 +12,14 @@ unique to the LSM layout itself.
 from __future__ import annotations
 
 import os
+import sqlite3
 
 import pytest
 
 from repro import errors
 from repro.engine.durability import WAL_FILENAME, open_database
 from repro.engine.lsm import MANIFEST_FILENAME, SSTableReader, write_sstable
-from repro.engine.lsm.sstable import BLOCK_ENTRIES
+from repro.engine.lsm.sstable import BLOCK_ROWS
 from repro.observability import metrics as _metrics
 from repro.testing.faults import FaultPlan
 
@@ -57,49 +58,45 @@ def crash(database):
 class TestSSTable:
     def test_roundtrip(self, tmp_path):
         path = os.path.join(str(tmp_path), "run-00000001.run")
-        entries = sorted(
-            [("d", rid, rid + 100, [rid, f"v{rid}"])
-             for rid in range(1, 50, 2)]
-            + [("t", rid, 999) for rid in range(2, 20, 4)],
-            key=lambda e: e[1],
-        )
-        write_sstable(path, entries, table="t")
+        rids = list(range(1, 50, 2))
+        begins = [rid + 100 for rid in rids]
+        rows = [[rid, f"v{rid}"] for rid in rids]
+        tombstones = {rid: 999 for rid in range(2, 20, 4)}
+        write_sstable(path, rids, begins, rows, tombstones, table="t")
         reader = SSTableReader(path)
-        assert list(reader.entries()) == entries
+        assert list(reader.rows()) == list(zip(rids, begins, rows))
+        assert reader.tombstones() == tombstones
         assert reader.table == "t"
         assert reader.tombstone_rids == frozenset(range(2, 20, 4))
-        assert list(reader.data_entries()) == [
-            e for e in entries if e[0] == "d"
-        ]
-        assert (reader.count, reader.data_count) == (len(entries), 25)
+        assert reader.data_count == 25
 
     def test_sparse_index_spans_blocks(self, tmp_path):
         path = os.path.join(str(tmp_path), "run-00000001.run")
-        count = BLOCK_ENTRIES * 3 + 17  # forces 4 blocks
-        entries = [("d", rid, 1, [rid]) for rid in range(1, count + 1)]
-        write_sstable(path, entries)
+        count = BLOCK_ROWS * 3 + 17  # forces 4 blocks
+        rids = range(1, count + 1)
+        write_sstable(path, rids, [1] * count, [[rid] for rid in rids])
         reader = SSTableReader(path)
         # One (first rid, offset) pair per block; the scan walks them
         # in order and crosses every block boundary.
         assert [rid for rid, _ in reader._index] == [
-            1 + BLOCK_ENTRIES * block for block in range(4)
+            1 + BLOCK_ROWS * block for block in range(4)
         ]
-        assert list(reader.entries()) == entries
+        assert list(reader.rows()) == [(rid, 1, [rid]) for rid in rids]
 
     def test_reader_survives_unlink(self, tmp_path):
         """Compaction unlinks victim runs while a concurrent scan may
         still hold their readers: the reader keeps its descriptor open,
         so POSIX unlink semantics keep every block readable."""
         path = os.path.join(str(tmp_path), "run-00000001.run")
-        entries = [("d", rid, 1, [rid]) for rid in range(1, 600)]
-        write_sstable(path, entries)
+        rids = range(1, 600)
+        write_sstable(path, rids, [1] * len(rids), [[rid] for rid in rids])
         reader = SSTableReader(path)
         os.unlink(path)
-        assert list(reader.entries()) == entries
+        assert list(reader.rows()) == [(rid, 1, [rid]) for rid in rids]
 
     def test_torn_run_file_rejected(self, tmp_path):
         path = os.path.join(str(tmp_path), "run-00000001.run")
-        write_sstable(path, [("d", 1, 1, [1])])
+        write_sstable(path, [1], [1], [[1]])
         with open(path, "rb") as fh:
             blob = fh.read()
         with open(path, "wb") as fh:
@@ -127,7 +124,7 @@ class TestFlush:
         # No snapshot file: the runs + manifest ARE the checkpoint.
         assert not os.path.exists(os.path.join(d, "snapshot.db"))
         hist = _metrics.snapshot()["histograms"]
-        assert hist["lsm.stall_ms"]["count"] >= 1
+        assert hist["wal.checkpoint.seconds"]["count"] >= 1
         db.close()
 
     def test_flush_is_delta_not_whole_database(self, tmp_path):
@@ -206,18 +203,19 @@ class TestFlush:
         db.close()
 
     def test_storage_flag_is_creation_time_only(self, tmp_path):
+        """``storage=`` is accepted and ignored: whatever a reopen
+        passes, the directory keeps its runs and manifest."""
         d = str(tmp_path)
         db = open_lsm(d)
         s = db.create_session(autocommit=True)
         s.execute("CREATE TABLE t (k INT, v INT)")
         s.execute("INSERT INTO t VALUES (1, 10)")
         db.close()
-        # Reopening with the default (snapshot) keeps the LSM layout.
-        db2 = open_database(d)
-        assert db2.durability.storage == "lsm"
-        assert db2.lsm_store is not None
+        db2 = open_database(d, storage="snapshot")
+        assert db2.lsm_store is db2.durability.store
         assert table_state(db2) == {1: 10}
         db2.close()
+        assert not os.path.exists(os.path.join(d, "snapshot.db"))
 
     def test_unknown_storage_rejected(self, tmp_path):
         with pytest.raises(errors.ConnectionError_):
@@ -226,21 +224,22 @@ class TestFlush:
     def test_storage_flag_survives_crash_before_first_flush(
         self, tmp_path
     ):
-        """The creation-time manifest makes the engine choice durable
-        immediately: a crash before any checkpoint must not reopen the
-        directory under the snapshot engine."""
+        """A directory without a manifest is an empty store whose WAL
+        replays everything: a crash before any checkpoint loses
+        nothing, whatever ``storage=`` the reopen passes."""
         d = str(tmp_path)
         db = open_lsm(d)
-        assert os.path.exists(os.path.join(d, MANIFEST_FILENAME))
+        assert not os.path.exists(os.path.join(d, MANIFEST_FILENAME))
         s = db.create_session(autocommit=True)
         s.execute("CREATE TABLE t (k INT, v INT)")
         s.execute("INSERT INTO t VALUES (1, 10)")
         crash(db)
         del s, db  # crash: no checkpoint ever ran
 
-        db2 = open_database(d)
-        assert db2.durability.storage == "lsm"
+        db2 = open_database(d, storage="snapshot")
+        assert db2.lsm_store is not None
         assert table_state(db2) == {1: 10}
+        assert os.path.exists(os.path.join(d, MANIFEST_FILENAME))
         db2.close()
 
 
@@ -312,20 +311,23 @@ class TestCompaction:
         reader = db.create_session(autocommit=False)
         assert reader.execute("SELECT COUNT(*) FROM t").rows == [[10]]
         s.execute("DELETE FROM t WHERE k < 4")
+        # Ten more rows keep the second run in the first one's size tier.
+        for i in range(10, 20):
+            s.execute(f"INSERT INTO t VALUES ({i}, {i})")
         db.checkpoint()
         store.compact_threshold = 2
         assert store.compact(db) == 1
         merged = store.runs["t"][-1]
-        # The reader's snapshot still needs those rows: data entries
-        # and tombstones both survive the merge.
-        assert merged.data_count == 10
+        # The reader's snapshot still needs those rows: rows and
+        # tombstones both survive the merge.
+        assert merged.data_count == 20
         assert len(merged.tombstone_rids) == 4
         reader.close()  # horizon advances past the deletions
         before = counters().get("lsm.tombstones_gced", 0)
         store.compact_threshold = 1  # rewrite the lone merged run
         assert store.compact(db) == 1
         gced = store.runs["t"][-1]
-        assert gced.data_count == 6
+        assert gced.data_count == 16
         assert gced.tombstone_rids == frozenset()
         assert counters()["lsm.tombstones_gced"] == before + 4
         db.close()
@@ -341,8 +343,9 @@ class TestCompaction:
             s.execute(f"INSERT INTO t VALUES ({i}, {i})")
         db.checkpoint()
         # ...then several small runs, one holding a tombstone whose
-        # data entry lives in the big run.
+        # row lives in the big run.
         s.execute("DELETE FROM t WHERE k = 0")
+        s.execute("INSERT INTO t VALUES (999, 1)")
         db.checkpoint()
         for b in range(3):
             s.execute(f"INSERT INTO t VALUES ({1000 + b}, 1)")
@@ -354,7 +357,7 @@ class TestCompaction:
         # The tombstone must survive: dropping it would resurrect k=0.
         assert len(merged.tombstone_rids) == 1
         flushed = {row[0] for _, _, row in store.scan_table("t")}
-        assert 0 not in flushed and len(flushed) == 202
+        assert 0 not in flushed and len(flushed) == 203
         db.close()
 
     def test_background_compaction_runs_after_flushes(self, tmp_path):
@@ -526,7 +529,7 @@ class TestLsmCrashWindows:
         # A real crash in the window leaves completed run files with no
         # manifest referencing them; plant that state by hand.
         orphan = os.path.join(d, "run-77777777.run")
-        write_sstable(orphan, [("d", 999, 1, [999, 0])], table="t")
+        write_sstable(orphan, [999], [1], [[999, 0]], table="t")
         with open(os.path.join(d, "run-77777778.run.tmp"), "wb") as fh:
             fh.write(b"\x00half-written run")
         crash(db)
@@ -736,3 +739,103 @@ class TestDdlInvalidation:
         db.checkpoint()
         assert not any(f.endswith(".run") for f in os.listdir(d))
         db.close()
+
+
+#: The old ``t`` is flushed, then dropped and re-created between two
+#: flushes; its runs must not come back under the new table.
+OLD_T = [
+    "CREATE TABLE t (k INT, v VARCHAR(8))",
+    "INSERT INTO t VALUES (1, 'old')",
+    "INSERT INTO t VALUES (2, 'old')",
+]
+NEW_T = [
+    "DROP TABLE t",
+    "CREATE TABLE t (k INT, v VARCHAR(8))",
+    "INSERT INTO t VALUES (3, 'new')",
+]
+
+
+def sqlite_rows(statements):
+    oracle = sqlite3.connect(":memory:")
+    try:
+        for sql in statements:
+            oracle.execute(sql)
+        return [list(row) for row in
+                oracle.execute("SELECT k, v FROM t ORDER BY k")]
+    finally:
+        oracle.close()
+
+
+def rows_of_t(database):
+    session = database.create_session(autocommit=True)
+    try:
+        return session.execute("SELECT k, v FROM t ORDER BY k").rows
+    finally:
+        session.close()
+
+
+class TestDropCreateSameName:
+    """DROP TABLE retires the name's runs: a table created later under
+    the same name starts empty on disk too."""
+
+    def run(self, db, statements):
+        s = db.create_session(autocommit=True)
+        for sql in statements:
+            s.execute(sql)
+        s.close()
+
+    def test_clean_close_and_reopen(self, tmp_path):
+        d = str(tmp_path)
+        db = open_lsm(d)
+        self.run(db, OLD_T)
+        db.checkpoint()
+        self.run(db, NEW_T)
+        expected = sqlite_rows(OLD_T + NEW_T)
+        assert rows_of_t(db) == expected == [[3, "new"]]
+        db.close()
+        db2 = open_database(d)
+        assert rows_of_t(db2) == expected
+        db2.close()
+
+    def test_crash_before_the_next_flush(self, tmp_path):
+        """Replay re-runs the DROP and the CREATE over the old table's
+        runs; the flush that ends recovery must retire them."""
+        d = str(tmp_path)
+        db = open_lsm(d)
+        self.run(db, OLD_T)
+        db.checkpoint()
+        self.run(db, NEW_T)
+        crash(db)
+        del db
+        expected = sqlite_rows(OLD_T + NEW_T)
+        db2 = open_database(d)
+        assert rows_of_t(db2) == expected
+        db2.close()
+        db3 = open_database(d)  # from the runs alone: the WAL is empty
+        assert os.path.getsize(os.path.join(d, WAL_FILENAME)) == 0
+        assert rows_of_t(db3) == expected
+        db3.close()
+
+    def test_compaction_between_drop_and_flush(self, tmp_path):
+        d = str(tmp_path)
+        db = open_lsm(d)
+        store = db.lsm_store
+        store.compact_threshold = 100
+        self.run(db, OLD_T[:1])
+        statements = list(OLD_T[:1])
+        for k in range(4):  # four same-tier runs of the old table
+            sql = f"INSERT INTO t VALUES ({10 + k}, 'old')"
+            self.run(db, [sql])
+            statements.append(sql)
+            db.checkpoint()
+        self.run(db, NEW_T)
+        store.compact_threshold = 4
+        assert store.compact(db) == 1  # merges the dropped table's runs
+        expected = sqlite_rows(statements + NEW_T)
+        assert rows_of_t(db) == expected
+        db.checkpoint()
+        assert store.run_count("t") == 1
+        db.close()
+        db2 = open_database(d)
+        assert rows_of_t(db2) == expected
+        db2.close()
