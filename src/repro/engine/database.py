@@ -1152,13 +1152,9 @@ class Session:
         for table in targets:
             self.check_table_privilege("SELECT", table.name)
         for table in targets:
-            visible = [
-                version.row
-                for version in list(table.versions)
-                if txn.sees(version)
-            ]
+            rows = [v.row for v in txn.visible(list(table.versions))]
             stats = collect_table_statistics(
-                table, visible, analyzed_txn=txn.id
+                table, rows, analyzed_txn=txn.id
             )
             catalog.set_statistics(table.name, stats)
         _metrics.increment("analyze.tables", len(targets))

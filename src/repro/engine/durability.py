@@ -53,7 +53,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any, Dict, Union
+from typing import Any, Dict, Optional, Union
 
 from repro import errors, faultpoints
 from repro.observability import metrics as _metrics
@@ -106,7 +106,7 @@ class DurabilityManager:
         last_seq: int = 0,
         checkpoint_interval: int = 256,
     ) -> None:
-        self.database = database
+        self.database: Optional[Database] = database  # None once closed
         self.wal = wal
         #: The checkpoint store the log is folded into.
         self.store = store
@@ -237,20 +237,23 @@ class DurabilityManager:
         runs after the lock is released, outside that pause.
         """
         start = time.perf_counter()
-        with self.database.lock.write():
+        database = self.database
+        if database is None:
+            return False  # closed
+        with database.lock.write():
             with self._state_lock:
                 if self.closed or self.active_txns:
                     return False
                 last_seq = self._next_seq - 1
             faultpoints.trigger("lsm.flush")
-            self.store.flush(self.database, last_seq=last_seq)
+            self.store.flush(database, last_seq=last_seq)
             faultpoints.trigger("lsm.flush.install")
             self.wal.reset()
             with self._state_lock:
                 self._commits_since_checkpoint = 0
         _CHECKPOINTS.increment()
         _CHECKPOINT_SECONDS.observe(time.perf_counter() - start)
-        self.store.maybe_compact(self.database)
+        self.store.maybe_compact(database)
         return True
 
     # ------------------------------------------------------------------
@@ -270,6 +273,7 @@ class DurabilityManager:
             self.closed = True
         self.wal.close()
         self.store.close()
+        self.database = None  # no cycle keeps a closed database alive
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,18 @@ Each operator exposes ``rows(ctx)`` returning an iterator of value lists.
 ``ctx`` carries the executing session, the statement's dynamic parameters
 and (for correlated subqueries) the enclosing row environment.
 
-The operators that evaluate expressions per row — Filter, Project, the
-two joins, GroupAggregate and Sort — have their loop emitted as Python
-source with the expressions' fragments inlined (see
-:mod:`repro.engine.expressions`).  :func:`generate_plan` compiles every
-loop of a plan, and the callables IndexScan and Limit evaluate, in one
-``compile()`` when the :class:`QueryPlan` is built, so a plan-cache hit
-never recompiles.  A loop pulls its input through ``child.rows(ctx)``,
-which keeps early exit (LIMIT, EXISTS) and :func:`instrument_plan`
-working per node.
+The scans and the operators that evaluate expressions per row — Filter,
+Project, the two joins, GroupAggregate and Sort — have their loop
+emitted as Python source with the expressions' fragments inlined (see
+:mod:`repro.engine.expressions`).  A scan's loop inlines the snapshot's
+visibility test, :data:`repro.engine.mvcc.VISIBLE`; a chain of Filters
+and Projects, and the scan below it, runs inside the loop of the
+operator consuming the chain (:func:`_input`).  :func:`generate_plan`
+compiles every loop of a plan, and the callables IndexScan and Limit
+evaluate, in one ``compile()`` when the :class:`QueryPlan` is built, so
+a plan-cache hit never recompiles.  Other inputs are pulled through
+``child.rows(ctx)``, so early exit (LIMIT, EXISTS) stops the scan too;
+:func:`instrument_plan` turns fusion off to count rows per node.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ import collections
 import decimal
 import functools
 import heapq
+import textwrap
 import time
-from operator import attrgetter
+from operator import length_hint
 from typing import Any, Dict, Iterator, List, Optional, Sequence, \
     Tuple
 
@@ -30,6 +34,7 @@ from repro import errors, faultpoints
 from repro.engine.catalog import Table
 from repro.engine.expressions import RUNTIME, Compiled, Env, RowShape, \
     fresh, generate, prologue
+from repro.engine.mvcc import VISIBLE
 from repro.observability import metrics as _metrics
 from repro.observability import stats as _stats
 from repro.sqltypes import TypeDescriptor, compare_values
@@ -67,6 +72,9 @@ class _Generated(Operator):
     context), built from :meth:`source` by :func:`generate_plan`."""
 
     loop: Any = None
+    #: Whether the loop runs a Filter/Project/scan input inside itself
+    #: (:func:`_input`); :func:`instrument_plan` turns it off.
+    fuse = True
 
     def source(self, name: str) -> Tuple[str, Dict[str, Any]]:
         """``def name(self, c)`` and the bindings it names."""
@@ -159,9 +167,16 @@ def _aggregate(name: str, distinct: bool, values: List[Any]) -> Any:
     return decimal.Decimal(result) / decimal.Decimal(len(values))
 
 
+def _scanned(rows: int) -> None:
+    """Charge ``rows`` visible rows to the statement as rows scanned."""
+    _ROWS_SCANNED.increment(rows)
+    _stats.note_scan(rows)
+
+
 _RUNTIME = {**RUNTIME, "heapq": heapq, "sort_key": sort_key,
             "key_image": key_image, "_canonical": _canonical,
-            "_join_image": _join_image, "_pick": _pick}
+            "_join_image": _join_image, "_pick": _pick,
+            "_scanned": _scanned, "length_hint": length_hint}
 
 
 def generate_plan(root: Operator) -> None:
@@ -200,49 +215,90 @@ class SingleRow(Operator):
         yield []
 
 
-def _visible(txn: Any, candidates: Sequence[Any]) -> List[Any]:
-    """The ``candidates`` versions ``txn``'s snapshot sees, charged to
-    the statement as rows scanned.
+def _scan_loop(scan: str, step: str) -> str:
+    """Body running ``step`` (source over the row ``r``) on each row the
+    reading snapshot sees among the candidates of the scan ``scan``
+    names, :data:`~repro.engine.mvcc.VISIBLE` inlined.
 
-    Callers take the snapshot (``session.mvcc_txn`` begins the
-    transaction on first use) *before* collecting candidates: a commit
-    landing between the two would otherwise end versions the snapshot
-    must not see while its replacements are missing from the copy.
-    """
-    visible = [version for version in candidates if txn.sees(version)]
-    _ROWS_SCANNED.increment(len(visible))
-    _stats.note_scan(len(visible))
-    return visible
+    The snapshot is taken (``session.mvcc_txn`` begins the transaction)
+    *before* the candidates are read, or a commit landing in between
+    would end versions whose replacements the copy lacks.  When the
+    loop ends or is abandoned (LIMIT, EXISTS), the candidates consumed
+    less the invisible ones are charged as rows scanned."""
+    return (
+        "    t = c.session.mvcc_txn\n    snap = t.snapshot_seq\n"
+        f"    me = t.id\n    vs = {scan}.candidates(c)\n    it = iter(vs)\n"
+        "    hidden = 0\n    try:\n        for v in it:\n"
+        f"            if not ({VISIBLE}):\n"
+        "                hidden += 1\n                continue\n"
+        "            r = v.row\n"
+        + textwrap.indent(step, " " * 12)
+        + "    finally:\n"
+        "        _scanned(len(vs) - length_hint(it) - hidden)\n"
+    )
 
 
-_ROW = attrgetter("row")
+def _input(path: str, node: Operator, step: str,
+           fragments: List[Compiled], fuse: bool = True) -> str:
+    """Body running ``step`` (source over the row ``r``) on each row of
+    the input ``node``, reached from ``self`` as ``path``.
+
+    Unless ``fuse`` is off, a chain of Filters and Projects is inlined
+    (their fragments added to ``fragments``) and a scan below it runs
+    its loop right here (:func:`_scan_loop`); any other input is pulled
+    through its ``rows``."""
+    while fuse and isinstance(node, (Filter, Project)):
+        if isinstance(node, Filter):
+            step = f"if not ({node.predicate.test}):\n    continue\n{step}"
+            fragments.append(node.predicate)
+        else:
+            values = ", ".join(item.source for item in node.items)
+            step = f"r = [{values}]\n{step}"
+            fragments.extend(node.items)
+        path, node = path + ".child", node.child
+    if fuse and isinstance(node, _Scan):
+        return _scan_loop(path, step)
+    return f"    for r in {path}.rows(c):\n" + textwrap.indent(step, " " * 8)
 
 
-class SeqScan(Operator):
-    """Full scan over a base table's heap.
+class _Scan(_Generated):
+    """A base-table scan: the versions :meth:`candidates` reads, through
+    the reading snapshot (:func:`_scan_loop`).  The operator consuming
+    it, through any Filters and Projects, runs this loop inside its own
+    (:func:`_input`)."""
 
-    :meth:`versions` is the scan itself — the visible
-    :class:`~repro.engine.mvcc.RowVersion` objects, which an UPDATE or
-    DELETE claims — and :meth:`rows` their value lists.
-    """
+    def candidates(self, ctx: RuntimeContext) -> List[Any]:
+        """The versions to test, copied out of the heap or index."""
+        raise NotImplementedError
+
+    def versions(self, ctx: RuntimeContext) -> List[Any]:
+        """The visible :class:`~repro.engine.mvcc.RowVersion` objects,
+        which an UPDATE or DELETE claims, charged as rows scanned."""
+        txn = ctx.session.mvcc_txn  # before the candidates: see _scan_loop
+        visible = txn.visible(self.candidates(ctx))
+        _scanned(len(visible))
+        return visible
+
+    def source(self, name: str) -> Tuple[str, Dict[str, Any]]:
+        return _function(name, _scan_loop("self", "yield r\n"), [])
+
+
+class SeqScan(_Scan):
+    """Full scan over a base table's heap."""
 
     def __init__(self, table: Table) -> None:
         self.table = table
 
-    def versions(self, ctx: RuntimeContext) -> List[Any]:
-        # Iterate over a list() copy so DML statements reading their own
-        # target table (e.g. INSERT INTO t SELECT ... FROM t) terminate,
-        # and so concurrent appends by other transactions cannot disturb
-        # the iteration (the heap is append-only; claimed/dead versions
-        # are filtered by the snapshot, never removed mid-scan).
-        txn = ctx.session.mvcc_txn
-        return _visible(txn, list(self.table.versions))
-
-    def rows(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
-        return map(_ROW, self.versions(ctx))
+    def candidates(self, ctx: RuntimeContext) -> List[Any]:
+        # A list() copy, so DML statements reading their own target
+        # table (e.g. INSERT INTO t SELECT ... FROM t) terminate, and so
+        # concurrent appends by other transactions cannot disturb the
+        # iteration (the heap is append-only; claimed/dead versions are
+        # filtered by the snapshot, never removed mid-scan).
+        return list(self.table.versions)
 
 
-class IndexScan(Operator):
+class IndexScan(_Scan):
     """Probe a secondary index instead of scanning the heap.
 
     Either an equality probe over the index's full key (``equal`` holds
@@ -278,10 +334,10 @@ class IndexScan(Operator):
         return [e for e in (self.equal or []) + [self.lower, self.upper]
                 if e is not None]
 
-    def versions(self, ctx: RuntimeContext) -> List[Any]:
-        """The probed versions the reading snapshot sees (see SeqScan)."""
+    def candidates(self, ctx: RuntimeContext) -> List[Any]:
+        """The versions the probe finds: index buckets hold every
+        version, whatever its visibility."""
         _INDEX_LOOKUPS.increment()
-        txn = ctx.session.mvcc_txn
         env = ctx.env([])
         if self.equal is not None:
             values = tuple(compiled.fn(env) for compiled in self.equal)
@@ -303,13 +359,7 @@ class IndexScan(Operator):
         # Writers change the index under the mutation lock (a rolled
         # back insert empties a bucket), so the probe holds it too.
         with self.table.mutation_lock:
-            candidates = list(probe())
-        # Index buckets hold every version regardless of visibility;
-        # apply the reading snapshot exactly as SeqScan does.
-        return _visible(txn, candidates)
-
-    def rows(self, ctx: RuntimeContext) -> Iterator[List[Any]]:
-        return map(_ROW, self.versions(ctx))
+            return list(probe())
 
 
 class Filter(_Generated):
@@ -327,11 +377,11 @@ class Filter(_Generated):
         self.description = description
 
     def source(self, name: str) -> Tuple[str, Dict[str, Any]]:
-        return _function(name, (
-            "    for r in self.child.rows(c):\n"
-            f"        if {self.predicate.test}:\n"
-            "            yield r\n"
-        ), [self.predicate])
+        fragments = [self.predicate]
+        return _function(name, _input(
+            "self.child", self.child,
+            f"if {self.predicate.test}:\n    yield r\n", fragments, self.fuse
+        ), fragments)
 
 
 class Project(_Generated):
@@ -341,10 +391,10 @@ class Project(_Generated):
 
     def source(self, name: str) -> Tuple[str, Dict[str, Any]]:
         values = ", ".join(item.source for item in self.items)
-        return _function(name, (
-            "    for r in self.child.rows(c):\n"
-            f"        yield [{values}]\n"
-        ), self.items)
+        fragments = list(self.items)
+        return _function(name, _input(
+            "self.child", self.child, f"yield [{values}]\n", fragments,
+            self.fuse), fragments)
 
 
 class _Join(_Generated):
@@ -391,9 +441,12 @@ class _Join(_Generated):
 
         keys = {"left": self.left_keys, "right": self.right_keys}
         test = self.predicate.test if self.predicate is not None else "True"
+        fragments = self.left_keys + self.right_keys + (
+            [self.predicate] if self.predicate is not None else [])
         body = (f"    build = list(self.{build}.rows(c))\n"
                 "    matched = [False] * len(build)\n"
                 "    everything = range(len(build))\n")
+        step = "q = r\n"
         if self.left_keys:
             build_key, build_null = _hash_key(keys[build], keys[probe])
             probe_key, probe_null = _hash_key(keys[probe], keys[build])
@@ -404,32 +457,31 @@ class _Join(_Generated):
                 f"            if {build_null}:\n                continue\n"
                 "            buckets.setdefault(k, []).append(i)\n"
                 "        except TypeError:\n            loose.append(i)\n"
-                f"    for q in self.{probe}.rows(c):\n        r = q\n"
-                f"        try:\n            k = {probe_key}\n"
-                f"            hits = loose if {probe_null} else "
+            )
+            step += (
+                f"try:\n    k = {probe_key}\n"
+                f"    hits = loose if {probe_null} else "
                 "[*buckets.get(k, ()), *loose] if loose "
                 "else buckets.get(k, ())\n"
-                "        except TypeError:\n            hits = everything\n"
+                "except TypeError:\n    hits = everything\n"
             )
         else:
-            body += (f"    for q in self.{probe}.rows(c):\n"
-                     "        hits = everything\n")
-        body += (
-            "        hit = False\n        for i in hits:\n"
-            f"            b = build[i]\n            r = {row('b', 'q')}\n"
-            f"            if {test}:\n"
-            "                hit = matched[i] = True\n"
-            "                yield r\n"
+            step += "hits = everything\n"
+        step += (
+            "hit = False\nfor i in hits:\n"
+            f"    b = build[i]\n    r = {row('b', 'q')}\n"
+            f"    if {test}:\n"
+            "        hit = matched[i] = True\n"
+            "        yield r\n"
         )
         if self.kind in ("FULL", probe.upper()):
-            body += ("        if not hit:\n"
-                     f"            yield {row(pad[build], 'q')}\n")
+            step += f"if not hit:\n    yield {row(pad[build], 'q')}\n"
+        body += _input(f"self.{probe}", getattr(self, probe), step,
+                       fragments, self.fuse)
         if self.kind in ("FULL", build.upper()):
             body += ("    for i, b in enumerate(build):\n"
                      "        if not matched[i]:\n"
                      f"            yield {row('b', pad[probe])}\n")
-        fragments = self.left_keys + self.right_keys + (
-            [self.predicate] if self.predicate is not None else [])
         return _function(name, body, fragments)
 
 
@@ -668,23 +720,24 @@ class GroupAggregate(_Generated):
         single = len(images) == 1
         key = images[0] if single \
             else f"({''.join(i + ', ' for i in images)})"
-        body = (
-            "    groups = {}\n    loose = {}\n"
-            f"    for r in self.child.rows(c):\n        k = {key}\n"
-            "        try:\n            s = groups.get(k)\n"
-            "        except TypeError:\n"
-            f"            k = _canonical(loose, {'(k,)' if single else 'k'})\n"
-            "            s = groups.get(k)\n"
-            f"        if s is None:\n            s = groups[k] = {init}\n"
-            + "".join(f"        {update}\n" for update in updates)
+        step = (
+            f"k = {key}\n"
+            "try:\n    s = groups.get(k)\n"
+            "except TypeError:\n"
+            f"    k = _canonical(loose, {'(k,)' if single else 'k'})\n"
+            "    s = groups.get(k)\n"
+            f"if s is None:\n    s = groups[k] = {init}\n"
+            + "".join(f"{update}\n" for update in updates)
         )
+        fragments = self.keys + [spec.argument for spec in self.aggregates
+                                 if spec.argument is not None]
+        body = "    groups = {}\n    loose = {}\n" + _input(
+            "self.child", self.child, step, fragments, self.fuse)
         if not self.keys:
             body += f"    if not groups:\n        groups[()] = {init}\n"
         plain = finals == [f"s[{i}]" for i in range(len(temps), len(state))]
         output = "s" if plain else f"s[:{len(temps)}] + [{', '.join(finals)}]"
         body += f"    for s in groups.values():\n        yield {output}\n"
-        fragments = self.keys + [spec.argument for spec in self.aggregates
-                                 if spec.argument is not None]
         return _function(name, body, fragments, bindings)
 
 
@@ -836,6 +889,10 @@ def instrument_plan(root: Operator) -> PlanInstrumentation:
     stack = [root]
     while stack:
         node = stack.pop()
+        if isinstance(node, _Generated):
+            # Regenerated unfused on first use, so every node's rows
+            # pass through its wrapper.
+            node.fuse, node.loop = False, None
         instrumentation._attach(node)
         stack.extend(operator_children(node))
     return instrumentation

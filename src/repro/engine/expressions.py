@@ -143,8 +143,10 @@ def fresh() -> str:
     return f"_v{next(_names)}"
 
 
-_NAME = re.compile(r"\b_v\d+\b")
-_PARAM = re.compile(r"\bp\[(\d+)\]")
+# ``\b_v\d+\b`` and ``\bp\[(\d+)\]`` with the leading boundary as a
+# lookbehind: a literal start lets the regex skip ahead (several x faster).
+_NAME = re.compile(r"_v(?<!\w_v)\d+\b")
+_PARAM = re.compile(r"p\[(?<!\wp\[)(\d+)\]")
 #: Canonical source -> code object: plans that differ only in the values
 #: they bind (one query shape, other literals) share one.
 _CODE: Dict[str, Any] = {}

@@ -39,9 +39,10 @@ from __future__ import annotations
 
 import threading
 import time as _time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro import errors
+from repro.engine.expressions import generate
 from repro.observability import metrics as _metrics
 
 __all__ = [
@@ -49,7 +50,25 @@ __all__ = [
     "Transaction",
     "TransactionManager",
     "WriteConflict",
+    "VISIBLE",
 ]
+
+#: The visibility rule above, once, as Python source over a version
+#: ``v``, the snapshot ``snap`` and the reader's transaction id ``me``:
+#: inlined into every scan loop, and generating :meth:`Transaction.sees`
+#: and :meth:`Transaction.visible`.  Reading ``begin``/``end`` races
+#: commits on purpose: a commit after the snapshot is stamped above
+#: ``snap``, so None and its stamp classify a version alike.
+VISIBLE = (
+    "(v.begin is not None and v.begin <= snap or v.xmin == me) and "
+    "(v.xmax is None or v.xmax != me and (v.end is None or v.end > snap))"
+)
+
+_HEAD = "    snap = txn.snapshot_seq\n    me = txn.id\n"
+_sees, _seen = generate(  # (txn, v) -> bool, (txn, versions) -> list
+    f"def _v0(txn, v):\n{_HEAD}    return {VISIBLE}\n"
+    f"def _v1(txn, versions):\n{_HEAD}"
+    f"    return [v for v in versions if {VISIBLE}]\n", {}).values()
 
 #: Pseudo transaction id for bootstrap rows (bulk loads, snapshot
 #: restore): committed "since forever" with commit stamp 0.
@@ -109,10 +128,6 @@ class RowVersion:
         self.xmax: Optional[int] = None
         self.end: Optional[int] = None
         self.rid: Optional[int] = None
-
-    def committed_live(self) -> bool:
-        """Committed and not (even provisionally) deleted or replaced."""
-        return self.begin is not None and self.end is None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -206,27 +221,14 @@ class Transaction:
     # visibility
     # ------------------------------------------------------------------
     def sees(self, version: RowVersion) -> bool:
-        """Snapshot-isolation visibility of ``version`` to this txn.
+        """Snapshot-isolation visibility of ``version`` to this txn
+        (:data:`VISIBLE`)."""
+        return _sees(self, version)
 
-        Reads of ``begin``/``end`` race with concurrent commits on
-        purpose: a commit that lands after this snapshot was taken
-        always receives a stamp greater than ``snapshot_seq``, so both
-        the pre-stamp (``None``) and post-stamp readings classify the
-        version identically.
-        """
-        if version.xmin == self.id:
-            pass  # own insert: visible (unless self-deleted below)
-        else:
-            begin = version.begin
-            if begin is None or begin > self.snapshot_seq:
-                return False
-        xmax = version.xmax
-        if xmax is None:
-            return True
-        if xmax == self.id:
-            return False  # own delete/update claim
-        end = version.end
-        return end is None or end > self.snapshot_seq
+    def visible(self, versions: Iterable[RowVersion]) -> List[RowVersion]:
+        """The ``versions`` this transaction's snapshot sees, in order
+        (:data:`VISIBLE`)."""
+        return _seen(self, versions)
 
 
 def _undo(kind: str, table: Any, payload: Any) -> None:

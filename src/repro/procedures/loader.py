@@ -28,7 +28,9 @@ class ParModuleLoader:
     """Loads and caches modules from a database's installed archives."""
 
     def __init__(self, database: Any) -> None:
-        self.database = database
+        # The catalog, not the database: no reference cycle keeps a
+        # closed database alive.
+        self.catalog = database.catalog
         self._cache: Dict[Tuple[str, str], types.ModuleType] = {}
 
     # ------------------------------------------------------------------
@@ -41,9 +43,7 @@ class ParModuleLoader:
         self, par: InstalledPar, module_name: str
     ) -> types.ModuleType:
         """Return the live module ``module_name`` as seen from ``par``."""
-        resolved = resolve_module_source(
-            self.database.catalog, par, module_name
-        )
+        resolved = resolve_module_source(self.catalog, par, module_name)
         if resolved is None:
             raise errors.PathResolutionError(
                 f"module {module_name!r} is not reachable from archive "
@@ -104,9 +104,7 @@ class ParModuleLoader:
             level: int = 0,
         ) -> Any:
             if level == 0:
-                resolved = resolve_module_source(
-                    loader.database.catalog, par, name
-                )
+                resolved = resolve_module_source(loader.catalog, par, name)
                 if resolved is not None:
                     module = loader.load_module(par, name)
                     # ``import a.b`` binds ``a``; our archives use flat
