@@ -40,29 +40,16 @@ from urllib.parse import parse_qs, urlsplit
 from repro import errors, faultpoints
 from repro.engine.database import StatementResult
 from repro.engine.dialects import DIALECTS, Dialect
-from repro.engine.expressions import ColumnInfo, RowShape
+from repro.engine.expressions import RowShape
 from repro.engine.parser import Parser
 from repro.observability import metrics as _metrics
 from repro.observability import slowlog as _slowlog
 from repro.observability import tracing as _tracing
 from repro.server import protocol
 from repro.server.protocol import (
-    MSG_AUTOCOMMIT,
-    MSG_CANCEL,
-    MSG_CLOSE_CURSOR,
-    MSG_COMMIT,
-    MSG_ERROR,
-    MSG_EXECUTE,
-    MSG_EXECUTE_BATCH,
-    MSG_FETCH,
-    MSG_GOODBYE,
-    MSG_HELLO,
-    MSG_OK,
-    MSG_PING,
-    MSG_RESULT,
-    MSG_ROLLBACK,
-    MSG_ROWS,
-    MSG_WELCOME,
+    MSG_AUTOCOMMIT, MSG_CANCEL, MSG_CLOSE_CURSOR, MSG_COMMIT, MSG_ERROR,
+    MSG_EXECUTE, MSG_EXECUTE_BATCH, MSG_FETCH, MSG_GOODBYE, MSG_HELLO,
+    MSG_OK, MSG_PING, MSG_RESULT, MSG_ROLLBACK, MSG_ROWS, MSG_WELCOME,
 )
 
 __all__ = [
@@ -127,7 +114,7 @@ class RemoteRows:
         cursor_id: Optional[int],
     ) -> None:
         self._session = session
-        self._rows: List[List[Any]] = list(first_page)
+        self._rows: List[List[Any]] = first_page
         self._total = total
         self._cursor = cursor_id
 
@@ -249,6 +236,9 @@ class RemoteSession:
         #: sequence it targets so the server can discard stale cancels.
         self._seq = 0
         self._inflight_seq = 0
+        #: Describe id -> RowShape, filled from RESULT frames that carry
+        #: a shape's triples (the server sends each once per connection).
+        self._shapes: Dict[int, Optional[RowShape]] = {}
         faultpoints.trigger("net.connect")
         _CONNECTS.increment()
         try:
@@ -341,7 +331,23 @@ class RemoteSession:
                 self.in_transaction = bool(reply["in_txn"])
             if reply_type == MSG_ERROR:
                 raise protocol.rebuild_error(reply)
+            if reply_type == MSG_RESULT and "shape" in reply:
+                # Resolved under the request lock: another thread's
+                # reply may describe a new shape into the same slot.
+                reply["shape"] = self._resolve_shape(reply)
             return reply_type, reply
+
+    def _resolve_shape(self, reply: Dict[str, Any]) -> Optional[RowShape]:
+        shape_id = reply["shape"]
+        if "describe" in reply and shape_id in range(protocol.SHAPE_SLOTS):
+            self._shapes[shape_id] = protocol.decode_shape(reply["describe"])
+        if shape_id not in self._shapes:
+            self._teardown()
+            raise errors.ProtocolError(
+                f"RESULT names shape {shape_id!r}, which the server "
+                "never described"
+            )
+        return self._shapes[shape_id]
 
     def _expect(
         self, msg_type: int, payload: Any, expected: int
@@ -362,37 +368,7 @@ class RemoteSession:
     def execute(
         self, sql: str, params: Sequence[Any] = ()
     ) -> StatementResult:
-        _EXECUTIONS.increment()
-        with self._send_lock:
-            self._seq += 1
-            seq = self._inflight_seq = self._seq
-        payload = {"sql": sql, "params": list(params), "seq": seq}
-        tracer = _tracing.current
-        slow_ms = _slowlog.effective_threshold(self)
-        start = time.perf_counter() if slow_ms is not None else 0.0
-        if tracer.enabled:
-            with tracer.span("remote.execute", sql=sql) as span:
-                # Ship this span's identity so the server parents its
-                # spans under ours: one connected trace, two processes.
-                payload["trace"] = {
-                    "trace_id": span.trace_id,
-                    "span_id": span.span_id,
-                }
-                reply = self._expect(MSG_EXECUTE, payload, MSG_RESULT)
-        else:
-            reply = self._expect(MSG_EXECUTE, payload, MSG_RESULT)
-        if slow_ms is not None:
-            # Client-side view of the same statement: includes network
-            # time, carries no wait breakdown (that is in the server's
-            # own record and in repro_stats.statements).
-            _slowlog.maybe_log(
-                self,
-                sql=sql,
-                key=None,
-                seconds=time.perf_counter() - start,
-                source="client",
-            )
-        return self._build_result(reply)
+        return self._build_result(self._run(MSG_EXECUTE, sql, list(params)))
 
     def execute_batch(
         self, sql: str, param_rows: Sequence[Sequence[Any]]
@@ -411,37 +387,55 @@ class RemoteSession:
         rows = [list(row) for row in param_rows]
         if not rows:
             return []
+        reply = self._run(MSG_EXECUTE_BATCH, sql, rows, len(rows))
+        return list(reply.get("update_counts") or [])
+
+    def _run(
+        self,
+        msg_type: int,
+        sql: str,
+        params: List[Any],
+        batch_rows: Optional[int] = None,
+    ) -> Dict[str, Any]:
+        """One EXECUTE (or EXECUTE_BATCH of ``batch_rows`` rows) round
+        trip, traced and slow-logged; returns the RESULT payload."""
         _EXECUTIONS.increment()
         with self._send_lock:
             self._seq += 1
             seq = self._inflight_seq = self._seq
-        payload = {"sql": sql, "params": rows, "seq": seq}
+        payload = {"sql": sql, "params": params, "seq": seq}
         tracer = _tracing.current
         slow_ms = _slowlog.effective_threshold(self)
         start = time.perf_counter() if slow_ms is not None else 0.0
         if tracer.enabled:
             with tracer.span(
-                "remote.execute_batch", sql=sql, batch=len(rows)
+                "remote.execute" if batch_rows is None
+                else "remote.execute_batch",
+                sql=sql,
+                **({} if batch_rows is None else {"batch": batch_rows}),
             ) as span:
+                # Ship this span's identity so the server parents its
+                # spans under ours: one connected trace, two processes.
                 payload["trace"] = {
                     "trace_id": span.trace_id,
                     "span_id": span.span_id,
                 }
-                reply = self._expect(
-                    MSG_EXECUTE_BATCH, payload, MSG_RESULT
-                )
+                reply = self._expect(msg_type, payload, MSG_RESULT)
         else:
-            reply = self._expect(MSG_EXECUTE_BATCH, payload, MSG_RESULT)
+            reply = self._expect(msg_type, payload, MSG_RESULT)
         if slow_ms is not None:
+            # Client-side view of the same statement: includes network
+            # time, carries no wait breakdown (that is in the server's
+            # own record and in repro_stats.statements).
             _slowlog.maybe_log(
                 self,
                 sql=sql,
                 key=None,
                 seconds=time.perf_counter() - start,
                 source="client",
-                batch_rows=len(rows),
+                batch_rows=batch_rows,
             )
-        return list(reply.get("update_counts") or [])
+        return reply
 
     def prepare(self, sql: str) -> RemotePreparedPlan:
         return RemotePreparedPlan(self, sql)
@@ -451,7 +445,7 @@ class RemoteSession:
         """The server-side plan for ``sql`` as a typed PlanNode tree.
 
         Runs ``EXPLAIN (FORMAT JSON) <sql>`` over the wire — the JSON
-        document is plain protocol-v2 data — and rebuilds the
+        document is plain protocol data — and rebuilds the
         :class:`repro.engine.explain.PlanNode` tree client-side, so
         local and remote sessions expose the same introspection API.
         """
@@ -562,25 +556,12 @@ class RemoteSession:
         self._expect(MSG_CLOSE_CURSOR, {"cursor": cursor_id}, MSG_OK)
 
     def _build_result(self, payload: Dict[str, Any]) -> StatementResult:
-        shape = protocol.decode_shape(payload.get("shape"))
-        if shape is None and payload.get("columns"):
-            shape = RowShape(
-                [
-                    ColumnInfo(None, name, None)
-                    for name in payload["columns"]
-                ]
-            )
-        rows: Any = RemoteRows(
-            self,
-            payload.get("rows") or [],
-            payload.get("row_count", 0),
-            payload.get("cursor"),
-        )
+        first_page = payload.get("rows") or []
         result = StatementResult(
             payload.get("kind", "update"),
-            shape=shape,
+            shape=payload.get("shape"),
             update_count=payload.get("update_count", 0),
-            out_values=payload.get("out_values") or [],
+            out_values=payload.get("out_values"),
             result_sets=[
                 StatementResult(
                     "rowset",
@@ -591,7 +572,12 @@ class RemoteSession:
             ],
             function_value=payload.get("function_value"),
         )
-        result.rows = rows
+        result.rows = RemoteRows(
+            self,
+            first_page,
+            payload.get("row_count", len(first_page)),
+            payload.get("cursor"),
+        )
         return result
 
     # ------------------------------------------------------------------

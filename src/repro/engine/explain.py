@@ -87,7 +87,7 @@ class PlanAlternative:
 class PlanNode:
     """One node of a compiled plan, as surfaced to API consumers.
 
-    The tree is plain data — it serialises over protocol v2 (dicts,
+    The tree is plain data — it serialises over the wire (dicts,
     lists, scalars) via :meth:`to_dict` / :meth:`from_dict`, which is
     exactly what ``EXPLAIN (FORMAT JSON)`` emits.
     """

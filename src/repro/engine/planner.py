@@ -5,7 +5,7 @@ star expansion), aggregate rewriting (GROUP BY keys and aggregate calls
 become columns of an intermediate shape), ORDER BY alias/position
 substitution, and privilege checks on referenced relations.
 
-Three rewrites build the fast path:
+Four rewrites build the fast path:
 
 * **predicate pushdown** — WHERE conjuncts are routed to the deepest
   operator that can evaluate them: onto individual scans, through the
@@ -20,7 +20,10 @@ Three rewrites build the fast path:
 * **hash joins** — equality join conjuncts whose two sides come from
   the two join inputs (from ON or from pushed WHERE conjuncts) become
   :class:`HashJoin` keys; non-equi joins and type-incompatible keys
-  fall back to :class:`NestedLoopJoin`.
+  fall back to :class:`NestedLoopJoin`;
+* **derived key probes** — an inner join on ``a = b`` with ``a = k``
+  (a literal or ``?``) pushed into one input also pushes ``b = k``
+  into the other, so an index on ``b`` probes instead of scanning.
 
 Costing is driven by ``ANALYZE`` statistics (see ``_table_stats``):
 with them the planner costs seqscan-vs-IndexScan, the HashJoin build
@@ -1123,6 +1126,10 @@ def _plan_join(
         else:
             join_list.append(conjunct)
 
+    if kind in ("INNER", "CROSS"):
+        _derive_key_probes(
+            ref, session, scopes, join_list, (left_pushed, right_pushed)
+        )
     left_op, left_shape = _plan_table_ref(
         ref.left, session, outer, left_pushed
     )
@@ -1143,6 +1150,121 @@ def _plan_join(
         outer,
     )
     return _apply_conjuncts(operator, merged, above, session, outer), merged
+
+
+def _derive_key_probes(
+    ref: ast.Join,
+    session: Any,
+    scopes: Sequence[_Scope],
+    join_list: Sequence[ast.Expression],
+    pushed: Tuple[List[ast.Expression], List[ast.Expression]],
+) -> None:
+    """Push ``b = k`` into one input of an inner join on ``a = b`` when
+    the other input is filtered by ``a = k``.
+
+    Every joined row has ``a = b`` and ``a = k``, so ``b = k`` only
+    drops rows the join would drop anyway, and on an indexed ``b`` it
+    turns a scan of that input into a probe.  ``k`` must be a literal
+    or ``?`` (one value per execution), ``a`` and ``b`` base-table
+    columns of compatible type families, and a literal ``k`` comparable
+    with ``b``, so the new conjunct cannot raise a cast error the join
+    would not.
+    """
+    for conjunct in join_list:
+        columns = _join_columns(conjunct, scopes)
+        if columns is None:
+            continue
+        types = [
+            _column_type(side, column, session)
+            for side, column in zip((ref.left, ref.right), columns)
+        ]
+        if not _compatible_families(*types):
+            continue
+        found = [
+            _constant_equalities(columns[side], pushed[side], scopes[side])
+            for side in (0, 1)
+        ]
+        for side in (0, 1):
+            other = 1 - side
+            for value in found[side]:
+                derived = ast.Binary("=", columns[other], value)
+                if derived in pushed[other]:
+                    continue
+                if isinstance(value, ast.Literal):
+                    literal = ExpressionCompiler(RowShape([]), session) \
+                        .compile(value).descriptor
+                    if literal is None or not types[other].comparable_with(
+                        literal
+                    ):
+                        continue
+                pushed[other].append(derived)
+
+
+def _join_columns(
+    conjunct: ast.Expression, scopes: Sequence[_Scope]
+) -> Optional[Tuple[ast.ColumnRef, ast.ColumnRef]]:
+    """``(a, b)`` for a conjunct ``a = b`` (either way round) joining a
+    column of the left input to a column of the right, else None."""
+    if not (isinstance(conjunct, ast.Binary) and conjunct.op == "="):
+        return None
+    pair = (conjunct.left, conjunct.right)
+    if not all(isinstance(side, ast.ColumnRef) for side in pair):
+        return None
+    sources = [_attribute_column(side, scopes) for side in pair]
+    if sources == [0, 1]:
+        return pair
+    if sources == [1, 0]:
+        return pair[1], pair[0]
+    return None
+
+
+def _constant_equalities(
+    column: ast.ColumnRef,
+    conjuncts: Sequence[ast.Expression],
+    scope: _Scope,
+) -> List[ast.Expression]:
+    """The ``k`` of every conjunct ``column = k`` (either way round)
+    where ``k`` is a literal or ``?``."""
+    found = []
+    for conjunct in conjuncts:
+        if not (isinstance(conjunct, ast.Binary) and conjunct.op == "="):
+            continue
+        for ref, value in (
+            (conjunct.left, conjunct.right),
+            (conjunct.right, conjunct.left),
+        ):
+            if (
+                isinstance(ref, ast.ColumnRef)
+                and isinstance(value, (ast.Literal, ast.Parameter))
+                and ref.name == column.name
+                # Refs in one input's scope name the same column when
+                # they match, or when the input is a single table.
+                and (ref.table == column.table or len(scope.aliases) == 1)
+            ):
+                found.append(value)
+    return found
+
+
+def _column_type(
+    ref: ast.TableRef, column: ast.ColumnRef, session: Any
+) -> Optional[TypeDescriptor]:
+    """Declared type of ``column`` in FROM item ``ref`` when it is a
+    base-table column, else None."""
+    if isinstance(ref, ast.Join):
+        return _column_type(ref.left, column, session) or _column_type(
+            ref.right, column, session
+        )
+    if not isinstance(ref, ast.TableName) or column.table not in (
+        None, ref.alias or ref.name
+    ):
+        return None
+    relation = session.catalog.get_relation(ref.name)
+    if not isinstance(relation, Table) or isinstance(relation, VirtualTable):
+        return None
+    for declared in relation.columns:
+        if declared.name == column.name:
+            return declared.descriptor
+    return None
 
 
 # ---------------------------------------------------------------------------

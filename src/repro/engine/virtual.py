@@ -8,7 +8,7 @@ plan over a virtual table always returns fresh rows.  Because the
 tables live in the ordinary catalog under dotted names
 (``repro_stats.statements`` and friends), a plain ``SELECT`` against
 them works identically in-process, through dbapi connections and
-pools, from translated SQLJ programs, and over the protocol-v2 server
+pools, from translated SQLJ programs, and over the repro:// server
 — the paper's location transparency, extended to observability itself.
 
 Registered views (see ``docs/OBSERVABILITY.md`` for column meanings):

@@ -67,7 +67,7 @@ class Span:
     spans inherit ``trace_id`` from their parent and record its span id
     as ``parent_id``, so a whole tree shares one trace id.  A span may
     also be parented on a *remote* span (:meth:`set_remote_parent`) —
-    that is how the protocol-v2 server continues a client's trace: the
+    that is how the repro:// server continues a client's trace: the
     server-side root keeps the client's trace id and points its
     ``parent_id`` at the client's span, producing one connected tree
     across the wire.

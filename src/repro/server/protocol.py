@@ -11,7 +11,8 @@ an empty payload is a 5-byte frame.  Payloads use a **data-only** typed
 encoding (:func:`encode_frame` / :func:`decode_payload`): one tag byte
 per value, covering exactly the kinds of data SQL results are made of —
 ``None``, booleans, integers, floats, strings, bytes, decimals, dates,
-times, datetimes, lists, tuples and dicts.  Decoding can only ever
+times, datetimes, lists, tuples and dicts — plus *row pages*, which
+carry a list of rows column by column.  Decoding can only ever
 build those types; there is no object construction, no class lookup and
 no code path from bytes to behaviour, so a hostile peer that reaches
 the socket can at worst send garbage, never execute code.  (This is why
@@ -25,41 +26,20 @@ The conversation is strict request/response from the client's point of
 view, with two exceptions: CANCEL may be sent while an EXECUTE is
 outstanding (the reply to the EXECUTE then becomes an ERROR with
 SQLSTATE 57014), and the server may send an unsolicited GOODBYE when it
-is shutting down and the session has no request in flight.
+is shutting down and the session has no request in flight.  Payloads
+are dicts (or empty); ``docs/SERVER.md`` ("Wire protocol") lists each
+message's fields.  Two rules shape them:
 
-Message types and their payload dictionaries:
-
-==============  ======  ====================================================
-message         dir     payload
-==============  ======  ====================================================
-HELLO           c->s    magic, version, database, dialect, user, auth,
-                        autocommit
-WELCOME         s->c    server_version, protocol, database, dialect,
-                        session_id, page_size
-EXECUTE         c->s    sql, params, seq (statement sequence number),
-                        trace (optional trace-context dict)
-RESULT          s->c    kind, update_count, out_values, result_sets,
-                        function_value, columns, shape (encoded — see
-                        :func:`encode_shape`), rows (first page),
-                        row_count, cursor (id or None), in_txn
-FETCH           c->s    cursor, max_rows
-ROWS            s->c    rows, done
-CLOSE_CURSOR    c->s    cursor
-COMMIT          c->s    --
-ROLLBACK        c->s    --
-AUTOCOMMIT      c->s    value
-PING            c->s    --
-OK              s->c    in_txn
-CANCEL          c->s    seq of the EXECUTE it targets (out of band)
-GOODBYE         both    reason
-ERROR           s->c    error (class name), sqlstate, message, vendor_code,
-                        in_txn (except during the handshake)
-==============  ======  ====================================================
-
-``in_txn`` is the server session's ``Session.in_transaction`` after the
-request: true while any transaction state is open, a read snapshot
-included, so the client (and a pool over it) knows when a session must
-be rolled back before it changes hands.
+* a RESULT frame leaves out every field that holds its default, and
+  names its row shape by a *describe id*: the ``[alias, name,
+  spelling]`` triples (:func:`encode_shape`) ride along only the first
+  time a connection sees the shape, and the client keeps the decoded
+  ``RowShape`` per id (at most :data:`SHAPE_SLOTS` of them);
+* ``in_txn`` (on RESULT, OK and ERROR) is the server session's
+  ``Session.in_transaction`` after the request: true while any
+  transaction state is open, a read snapshot included, so the client
+  (and a pool over it) knows when a session must be rolled back before
+  it changes hands.
 
 Security note: frames carry data only, so a malicious peer cannot run
 code through the wire format — but the transport itself is cleartext
@@ -73,54 +53,39 @@ from __future__ import annotations
 
 import datetime
 import decimal
+import itertools
 import socket
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import errors, faultpoints
 
 __all__ = [
-    "PROTOCOL_VERSION",
-    "MAGIC",
-    "DEFAULT_PORT",
-    "MAX_FRAME",
-    "MSG_HELLO",
-    "MSG_WELCOME",
-    "MSG_EXECUTE",
-    "MSG_RESULT",
-    "MSG_FETCH",
-    "MSG_ROWS",
-    "MSG_CLOSE_CURSOR",
-    "MSG_COMMIT",
-    "MSG_ROLLBACK",
-    "MSG_AUTOCOMMIT",
-    "MSG_PING",
-    "MSG_OK",
-    "MSG_CANCEL",
-    "MSG_GOODBYE",
-    "MSG_ERROR",
-    "MSG_EXECUTE_BATCH",
-    "MESSAGE_NAMES",
-    "encode_frame",
-    "decode_payload",
-    "encode_shape",
-    "decode_shape",
-    "read_frame",
-    "recv_frame",
-    "send_frame",
-    "error_payload",
+    "PROTOCOL_VERSION", "MAGIC", "DEFAULT_PORT", "MAX_FRAME",
+    "SHAPE_SLOTS", "MSG_HELLO", "MSG_WELCOME", "MSG_EXECUTE", "MSG_RESULT",
+    "MSG_FETCH", "MSG_ROWS", "MSG_CLOSE_CURSOR", "MSG_COMMIT",
+    "MSG_ROLLBACK", "MSG_AUTOCOMMIT", "MSG_PING", "MSG_OK", "MSG_CANCEL",
+    "MSG_GOODBYE", "MSG_ERROR", "MSG_EXECUTE_BATCH", "MESSAGE_NAMES",
+    "encode_frame", "decode_payload", "encode_shape", "decode_shape",
+    "read_frame", "recv_frame", "send_frame", "error_payload",
     "rebuild_error",
 ]
 
 #: v2 replaced the original pickled payloads with the typed data-only
-#: encoding below; v1 peers are refused at the handshake.
-PROTOCOL_VERSION = 2
+#: encoding below; v3 added row pages and describe-once RESULT frames.
+#: Peers of any other version are refused at the handshake.
+PROTOCOL_VERSION = 3
 MAGIC = "pysqlj"
 DEFAULT_PORT = 7878
 
 #: Upper bound on a single frame's payload; a peer announcing more is
 #: treated as garbage (a torn frame read as a length, or an attack).
 MAX_FRAME = 64 * 1024 * 1024
+
+#: Describe ids a connection uses: a RESULT's ``shape`` is an id in
+#: ``range(SHAPE_SLOTS)``, and a new shape reuses the oldest slot, so
+#: both ends hold at most this many described shapes.
+SHAPE_SLOTS = 64
 
 _HEADER = struct.Struct("<IB")  # payload length, message type
 
@@ -142,22 +107,8 @@ MSG_ERROR = 15
 MSG_EXECUTE_BATCH = 16
 
 MESSAGE_NAMES = {
-    MSG_HELLO: "HELLO",
-    MSG_WELCOME: "WELCOME",
-    MSG_EXECUTE: "EXECUTE",
-    MSG_RESULT: "RESULT",
-    MSG_FETCH: "FETCH",
-    MSG_ROWS: "ROWS",
-    MSG_CLOSE_CURSOR: "CLOSE_CURSOR",
-    MSG_COMMIT: "COMMIT",
-    MSG_ROLLBACK: "ROLLBACK",
-    MSG_AUTOCOMMIT: "AUTOCOMMIT",
-    MSG_PING: "PING",
-    MSG_OK: "OK",
-    MSG_CANCEL: "CANCEL",
-    MSG_GOODBYE: "GOODBYE",
-    MSG_ERROR: "ERROR",
-    MSG_EXECUTE_BATCH: "EXECUTE_BATCH",
+    value: name[4:] for name, value in globals().items()
+    if name.startswith("MSG_")
 }
 
 
@@ -174,134 +125,243 @@ MESSAGE_NAMES = {
 #   f <f64>     float         s <len,utf8> str        b <len> bytes
 #   D <len,str> Decimal       a/m/z <len,iso> date / time / datetime
 #   l/t <n,...> list / tuple  d <n,k,v...> dict
+#   P <n,w, w columns>        row page: a list of n >= 3 lists (rows)
+#                             of w >= 1 values each
+#
+# A row page stores its values column by column, each column one kind
+# byte and one block: ``i`` = n i64s, ``s`` = n u32 character counts, a
+# u32 byte count and the column's UTF-8 text, ``v`` = n tagged values.
+# Encoding dispatches on the value's exact type (``_ENCODERS``);
+# decoding reads by position through a table keyed on the tag byte
+# (``_DECODERS``).
 
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
+_PAGE = struct.Struct("<cII")  # P, rows, width
 _I64_MIN, _I64_MAX = -(2 ** 63), 2 ** 63 - 1
+_INT, _STR, _LIST = frozenset([int]), frozenset([str]), frozenset([list])
+#: Below this many rows, a page's per-column headers cost more to
+#: write and read than tagging each value.
+_PAGE_MIN_ROWS = 3
+_SIZED = struct.Struct("<cI")  # tag, byte length
+_TAGGED_I64 = struct.Struct("<cq")
+_TAGGED_F64 = struct.Struct("<cd")
 
 
-def _encode_value(value: Any, out: List[bytes]) -> None:
-    if value is None:
-        out.append(b"N")
-    elif isinstance(value, bool):
-        out.append(b"T" if value else b"F")
-    elif isinstance(value, int):
-        if _I64_MIN <= value <= _I64_MAX:
-            out.append(b"i")
-            out.append(_I64.pack(value))
-        else:
-            text = str(value).encode("ascii")
-            out.append(b"I")
-            out.append(_U32.pack(len(text)))
-            out.append(text)
-    elif isinstance(value, float):
-        out.append(b"f")
-        out.append(_F64.pack(value))
-    elif isinstance(value, str):
-        data = value.encode("utf-8")
-        out.append(b"s")
-        out.append(_U32.pack(len(data)))
-        out.append(data)
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        data = bytes(value)
-        out.append(b"b")
-        out.append(_U32.pack(len(data)))
-        out.append(data)
-    elif isinstance(value, decimal.Decimal):
-        text = str(value).encode("ascii")
-        out.append(b"D")
-        out.append(_U32.pack(len(text)))
-        out.append(text)
-    elif isinstance(value, datetime.datetime):
-        text = value.isoformat().encode("ascii")
-        out.append(b"z")
-        out.append(_U32.pack(len(text)))
-        out.append(text)
-    elif isinstance(value, datetime.date):
-        text = value.isoformat().encode("ascii")
-        out.append(b"a")
-        out.append(_U32.pack(len(text)))
-        out.append(text)
-    elif isinstance(value, datetime.time):
-        text = value.isoformat().encode("ascii")
-        out.append(b"m")
-        out.append(_U32.pack(len(text)))
-        out.append(text)
-    elif isinstance(value, (list, tuple)):
-        out.append(b"l" if isinstance(value, list) else b"t")
-        out.append(_U32.pack(len(value)))
-        for item in value:
-            _encode_value(item, out)
-    elif isinstance(value, dict):
-        out.append(b"d")
-        out.append(_U32.pack(len(value)))
-        for key, item in value.items():
-            _encode_value(key, out)
-            _encode_value(item, out)
+def _put_sized(tag: bytes, data: bytes, out: bytearray) -> None:
+    out += _SIZED.pack(tag, len(data))
+    out += data
+
+
+def _put_int(value: int, out: bytearray) -> None:
+    if _I64_MIN <= value <= _I64_MAX:
+        out += _TAGGED_I64.pack(b"i", value)
     else:
-        raise errors.ProtocolError(
-            f"{type(value).__name__} values cannot travel on the wire "
-            "(data-only protocol)"
-        )
+        _put_sized(b"I", str(value).encode("ascii"), out)
 
 
-class _Decoder:
-    """Cursor over an encoded payload; raises ProtocolError on garbage."""
+def _put_items(tag: bytes, items: Any, out: bytearray) -> None:
+    out += _SIZED.pack(tag, len(items))
+    for item in items:
+        _encoder(item)(item, out)
 
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
 
-    def _take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.data):
-            raise errors.ProtocolError("truncated frame payload")
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
+def _put_list(value: list, out: bytearray) -> None:
+    if not (len(value) >= _PAGE_MIN_ROWS and _put_page(value, out)):
+        _put_items(b"l", value, out)
 
-    def _sized_text(self) -> str:
-        length = _U32.unpack(self._take(4))[0]
-        return self._take(length).decode("utf-8")
 
-    def value(self) -> Any:
-        tag = self._take(1)
-        if tag == b"N":
-            return None
-        if tag == b"T":
-            return True
-        if tag == b"F":
-            return False
-        if tag == b"i":
-            return _I64.unpack(self._take(8))[0]
-        if tag == b"I":
-            return int(self._sized_text())
-        if tag == b"f":
-            return _F64.unpack(self._take(8))[0]
-        if tag == b"s":
-            return self._sized_text()
-        if tag == b"b":
-            length = _U32.unpack(self._take(4))[0]
-            return self._take(length)
-        if tag == b"D":
-            return decimal.Decimal(self._sized_text())
-        if tag == b"z":
-            return datetime.datetime.fromisoformat(self._sized_text())
-        if tag == b"a":
-            return datetime.date.fromisoformat(self._sized_text())
-        if tag == b"m":
-            return datetime.time.fromisoformat(self._sized_text())
-        if tag in (b"l", b"t"):
-            count = _U32.unpack(self._take(4))[0]
-            items = [self.value() for _ in range(count)]
-            return items if tag == b"l" else tuple(items)
-        if tag == b"d":
-            count = _U32.unpack(self._take(4))[0]
-            return {self.value(): self.value() for _ in range(count)}
-        raise errors.ProtocolError(
-            f"unknown value tag {tag!r} in frame payload"
-        )
+def _put_dict(value: dict, out: bytearray) -> None:
+    out += _SIZED.pack(b"d", len(value))
+    for key, item in value.items():
+        _encoder(key)(key, out)
+        _encoder(item)(item, out)
+
+
+def _put_page(rows: list, out: bytearray) -> bool:
+    """Encode ``rows`` as one row page; False when they are not lists
+    of one width (the caller lists them value by value)."""
+    width = len(rows[0]) if type(rows[0]) is list else 0
+    if not width or set(map(type, rows)) != _LIST \
+            or set(map(len, rows)) != {width}:
+        return False
+    count = len(rows)
+    out += _PAGE.pack(b"P", count, width)
+    ints = lengths = None
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        if kinds == _INT and _I64_MIN <= min(column) \
+                and max(column) <= _I64_MAX:
+            ints = ints or struct.Struct(f"<{count}q")
+            out += b"i"
+            out += ints.pack(*column)
+        elif kinds == _STR:
+            lengths = lengths or struct.Struct(f"<{count}I")
+            data = "".join(column).encode("utf-8")
+            out += b"s"
+            out += lengths.pack(*map(len, column))
+            out += _U32.pack(len(data))
+            out += data
+        else:
+            out += b"v"
+            for value in column:
+                _encoder(value)(value, out)
+    return True
+
+
+def _put_iso(tag: bytes) -> Callable[[Any, bytearray], None]:
+    return lambda value, out: _put_sized(
+        tag, value.isoformat().encode("ascii"), out
+    )
+
+
+_ENCODERS: Dict[type, Callable[[Any, bytearray], None]] = {
+    type(None): lambda value, out: out.extend(b"N"),
+    bool: lambda value, out: out.extend(b"T" if value else b"F"),
+    int: _put_int,
+    float: lambda value, out: out.extend(_TAGGED_F64.pack(b"f", value)),
+    str: lambda value, out: _put_sized(b"s", value.encode("utf-8"), out),
+    bytes: lambda value, out: _put_sized(b"b", bytes(value), out),
+    decimal.Decimal: lambda value, out: _put_sized(
+        b"D", str(value).encode("ascii"), out
+    ),
+    datetime.datetime: _put_iso(b"z"),
+    datetime.date: _put_iso(b"a"),
+    datetime.time: _put_iso(b"m"),
+    list: _put_list,
+    tuple: lambda value, out: _put_items(b"t", value, out),
+    dict: _put_dict,
+}
+_ENCODERS[bytearray] = _ENCODERS[memoryview] = _ENCODERS[bytes]
+
+
+def _encoder(value: Any) -> Callable[[Any, bytearray], None]:
+    """The encoder for ``value``'s type; a subclass of a wire type (an
+    IntEnum, a str subclass) travels as its nearest wire base."""
+    encoder = _ENCODERS.get(type(value))
+    if encoder is not None:
+        return encoder
+    for base in type(value).__mro__:
+        if base in _ENCODERS:
+            return _ENCODERS[base]
+    raise errors.ProtocolError(
+        f"{type(value).__name__} values cannot travel on the wire "
+        "(data-only protocol)"
+    )
+
+
+def _end(data: bytes, pos: int, size: int) -> int:
+    """``pos + size``, which must not pass the end of the payload."""
+    if pos + size > len(data):
+        raise errors.ProtocolError("truncated frame payload")
+    return pos + size
+
+
+def _get_sized(data: bytes, pos: int) -> Tuple[bytes, int]:
+    end = _end(data, pos + 4, _U32.unpack_from(data, pos)[0])
+    return data[pos + 4:end], end
+
+
+def _get_str(data: bytes, pos: int) -> Tuple[str, int]:
+    end = _end(data, pos + 4, _U32.unpack_from(data, pos)[0])
+    return data[pos + 4:end].decode("utf-8"), end
+
+
+def _get_text(convert: Callable[[str], Any]) -> Callable:
+    def decode(data: bytes, pos: int) -> Tuple[Any, int]:
+        text, pos = _get_str(data, pos)
+        return convert(text), pos
+
+    return decode
+
+
+def _get_items(data: bytes, pos: int) -> Tuple[List[Any], int]:
+    count = _U32.unpack_from(data, pos)[0]
+    pos += 4
+    items = []
+    for _ in range(count):
+        item, pos = _DECODERS[data[pos]](data, pos + 1)
+        items.append(item)
+    return items, pos
+
+
+def _get_tuple(data: bytes, pos: int) -> Tuple[tuple, int]:
+    items, pos = _get_items(data, pos)
+    return tuple(items), pos
+
+
+def _get_dict(data: bytes, pos: int) -> Tuple[dict, int]:
+    count = _U32.unpack_from(data, pos)[0]
+    pos += 4
+    result = {}
+    for _ in range(count):
+        key, pos = _DECODERS[data[pos]](data, pos + 1)
+        result[key], pos = _DECODERS[data[pos]](data, pos + 1)
+    return result, pos
+
+
+def _get_page(data: bytes, pos: int) -> Tuple[list, int]:
+    _tag, count, width = _PAGE.unpack_from(data, pos - 1)
+    pos += _PAGE.size - 1
+    if not width:
+        raise errors.ProtocolError("row page without columns")
+    columns: List[Any] = []
+    for _ in range(width):
+        kind = data[pos]
+        pos += 1
+        if kind == 0x69:  # i
+            end = _end(data, pos, 8 * count)
+            columns.append(struct.unpack_from(f"<{count}q", data, pos))
+        elif kind == 0x73:  # s
+            end = _end(data, pos, 4 * count)
+            lengths = struct.unpack_from(f"<{count}I", data, pos)
+            text, end = _get_str(data, end)
+            bounds = [0, *itertools.accumulate(lengths)]
+            if bounds[-1] != len(text):
+                raise errors.ProtocolError(
+                    "row page text column does not match its lengths"
+                )
+            columns.append(
+                [text[a:b] for a, b in zip(bounds, bounds[1:])]
+            )
+        elif kind == 0x76:  # v
+            column, end = [], pos
+            for _ in range(count):
+                value, end = _DECODERS[data[end]](data, end + 1)
+                column.append(value)
+            columns.append(column)
+        else:
+            raise errors.ProtocolError(
+                f"unknown row page column kind {bytes([kind])!r}"
+            )
+        pos = end
+    return list(map(list, zip(*columns))), pos
+
+
+#: Tag byte -> ``decoder(data, pos) -> (value, end)``; an unknown tag
+#: is a KeyError, reported by :func:`decode_payload`.
+_DECODERS: Dict[int, Callable[[bytes, int], Tuple[Any, int]]] = {
+    ord(tag): decoder
+    for tag, decoder in {
+        "N": lambda data, pos: (None, pos),
+        "T": lambda data, pos: (True, pos),
+        "F": lambda data, pos: (False, pos),
+        "i": lambda data, pos: (_I64.unpack_from(data, pos)[0], pos + 8),
+        "f": lambda data, pos: (_F64.unpack_from(data, pos)[0], pos + 8),
+        "I": _get_text(int),
+        "s": _get_str,
+        "b": _get_sized,
+        "D": _get_text(decimal.Decimal),
+        "z": _get_text(datetime.datetime.fromisoformat),
+        "a": _get_text(datetime.date.fromisoformat),
+        "m": _get_text(datetime.time.fromisoformat),
+        "l": _get_items,
+        "t": _get_tuple,
+        "d": _get_dict,
+        "P": _get_page,
+    }.items()
+}
 
 
 def encode_frame(msg_type: int, payload: Any = None) -> bytes:
@@ -311,41 +371,45 @@ def encode_frame(msg_type: int, payload: Any = None) -> bytes:
     a value outside the data-only vocabulary (e.g. an archive-loaded
     object): such values are engine-local by design.
     """
-    if payload is None:
-        body = b""
-    else:
-        parts: List[bytes] = []
-        _encode_value(payload, parts)
-        body = b"".join(parts)
-    if len(body) > MAX_FRAME:
+    frame = bytearray(_HEADER.size)
+    if payload is not None:
+        _encoder(payload)(payload, frame)
+    length = len(frame) - _HEADER.size
+    if length > MAX_FRAME:
         raise errors.ProtocolError(
-            f"frame payload of {len(body)} bytes exceeds the "
+            f"frame payload of {length} bytes exceeds the "
             f"{MAX_FRAME}-byte limit"
         )
-    return _HEADER.pack(len(body), msg_type) + body
+    _HEADER.pack_into(frame, 0, length, msg_type)
+    return bytes(frame)
 
 
 def decode_payload(body: bytes) -> Any:
     """Decode a frame payload; only plain data values can result.
 
     Anything malformed — a pickle, random bytes, a truncated buffer,
-    trailing garbage — raises :class:`~repro.errors.ProtocolError`.
+    an unknown tag, trailing garbage — raises
+    :class:`~repro.errors.ProtocolError`.
     """
     if not body:
         return None
-    decoder = _Decoder(body)
     try:
-        value = decoder.value()
+        value, pos = _DECODERS[body[0]](body, 1)
     except errors.ReproError:
         raise
+    except KeyError as exc:
+        raise errors.ProtocolError(
+            f"unknown value tag {bytes(exc.args)!r} in frame payload"
+        ) from exc
+    except (IndexError, struct.error) as exc:
+        raise errors.ProtocolError("truncated frame payload") from exc
     except Exception as exc:
         raise errors.ProtocolError(
             f"undecodable frame payload: {exc}"
         ) from exc
-    if decoder.pos != len(decoder.data):
+    if pos != len(body):
         raise errors.ProtocolError(
-            f"{len(decoder.data) - decoder.pos} trailing bytes after "
-            "frame payload"
+            f"{len(body) - pos} trailing bytes after frame payload"
         )
     return value
 
@@ -373,19 +437,14 @@ def encode_shape(shape: Any) -> Optional[List[List[Optional[str]]]]:
     """Flatten a :class:`~repro.engine.expressions.RowShape` to data.
 
     Each column becomes ``[alias, name, sql_spelling]``; the spelling
-    (``"DECIMAL(6,2)"``) is re-parsed client-side, so column metadata
+    (``"DECIMAL(6,2)"``) is parsed client-side, so column metadata
     survives the wire without shipping descriptor objects.
     """
     if shape is None:
         return None
     return [
-        [
-            column.alias,
-            column.name,
-            column.descriptor.sql_spelling()
-            if column.descriptor is not None
-            else None,
-        ]
+        [column.alias, column.name,
+         column.descriptor and column.descriptor.sql_spelling()]
         for column in shape.columns
     ]
 
@@ -399,12 +458,10 @@ def decode_shape(data: Any) -> Any:
 
     columns = []
     for alias, name, spelling in data:
-        descriptor = None
-        if spelling:
-            try:
-                descriptor = parse_type(spelling)
-            except errors.ReproError:
-                descriptor = None
+        try:
+            descriptor = parse_type(spelling) if spelling else None
+        except errors.ReproError:
+            descriptor = None
         columns.append(ColumnInfo(alias, name, descriptor))
     return RowShape(columns)
 
@@ -442,16 +499,7 @@ def read_frame(sock: socket.socket) -> Tuple[int, Any]:
     and :class:`~repro.errors.ProtocolError` on an invalid header.
     """
     length, msg_type = parse_header(_recv_exact(sock, HEADER_SIZE))
-    body = _recv_exact(sock, length) if length else b""
-    try:
-        return msg_type, decode_payload(body)
-    except errors.ReproError:
-        raise
-    except Exception as exc:
-        raise errors.ProtocolError(
-            f"undecodable {MESSAGE_NAMES.get(msg_type, msg_type)} payload: "
-            f"{exc}"
-        ) from exc
+    return msg_type, decode_payload(_recv_exact(sock, length))
 
 
 def recv_frame(sock: socket.socket) -> Tuple[int, Any]:

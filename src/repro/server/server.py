@@ -42,7 +42,7 @@ import select
 import socket
 import threading
 import time
-from typing import Any, Deque, Dict, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro import errors, faultpoints
 from repro.dbapi.driver import registry
@@ -51,22 +51,10 @@ from repro.observability import metrics as _metrics
 from repro.observability import tracing as _tracing
 from repro.server import protocol
 from repro.server.protocol import (
-    MSG_AUTOCOMMIT,
-    MSG_CANCEL,
-    MSG_CLOSE_CURSOR,
-    MSG_COMMIT,
-    MSG_ERROR,
-    MSG_EXECUTE,
-    MSG_EXECUTE_BATCH,
-    MSG_FETCH,
-    MSG_GOODBYE,
-    MSG_HELLO,
-    MSG_OK,
-    MSG_PING,
-    MSG_RESULT,
-    MSG_ROLLBACK,
-    MSG_ROWS,
-    MSG_WELCOME,
+    MSG_AUTOCOMMIT, MSG_CANCEL, MSG_CLOSE_CURSOR, MSG_COMMIT, MSG_ERROR,
+    MSG_EXECUTE, MSG_EXECUTE_BATCH, MSG_FETCH, MSG_GOODBYE, MSG_HELLO,
+    MSG_OK, MSG_PING, MSG_RESULT, MSG_ROLLBACK, MSG_ROWS, MSG_WELCOME,
+    SHAPE_SLOTS,
 )
 
 __all__ = ["ReproServer"]
@@ -79,6 +67,12 @@ _CANCELLED = _metrics.registry.counter("server.cancelled")
 _FETCHES = _metrics.registry.counter("server.fetches")
 _REQUEST_SECONDS = _metrics.registry.histogram("server.request.seconds")
 _EXECUTE_SECONDS = _metrics.registry.histogram("server.execute.seconds")
+
+#: StatementResult fields a RESULT frame carries only when they differ
+#: from these defaults.
+_RESULT_DEFAULTS = (
+    ("update_count", 0), ("out_values", []), ("function_value", None),
+)
 
 
 class _ClientConnection:
@@ -107,6 +101,11 @@ class _ClientConnection:
         self.cancel_seq: Optional[int] = None
         self.cursors: Dict[int, Tuple[list, int]] = {}
         self.next_cursor = 1
+        #: Shapes this client holds: triples -> describe id, and the
+        #: triples each id slot carries (a new shape takes the oldest).
+        self.shape_ids: Dict[tuple, int] = {}
+        self.shape_slots: List[Optional[tuple]] = [None] * SHAPE_SLOTS
+        self.next_shape = 0
 
 
 class ReproServer:
@@ -549,34 +548,53 @@ class ReproServer:
     def _result_payload(
         self, conn: _ClientConnection, result: Any
     ) -> Dict[str, Any]:
+        """The RESULT frame: every field holding its default is left
+        out, and the shape travels as a describe id."""
+        reply: Dict[str, Any] = {
+            "kind": result.kind,
+            "in_txn": conn.session.in_transaction,
+        }
+        if result.shape is not None:
+            self._describe(conn, result.shape, reply)
         rows = result.rows
-        first_page = rows[: self.page_size]
-        cursor_id = None
+        if rows:
+            reply["rows"] = rows[: self.page_size]
         if len(rows) > self.page_size:
             cursor_id = conn.next_cursor
             conn.next_cursor += 1
             conn.cursors[cursor_id] = (rows, self.page_size)
             while len(conn.cursors) > self.max_cursors:
                 conn.cursors.pop(next(iter(conn.cursors)))
-        return {
-            "kind": result.kind,
-            "update_count": result.update_count,
-            "out_values": result.out_values,
-            "result_sets": [
-                {
-                    "rows": nested.rows,
-                    "shape": protocol.encode_shape(nested.shape),
-                }
+            reply["row_count"] = len(rows)
+            reply["cursor"] = cursor_id
+        for field, default in _RESULT_DEFAULTS:
+            if getattr(result, field) != default:
+                reply[field] = getattr(result, field)
+        if result.result_sets:
+            reply["result_sets"] = [
+                {"rows": nested.rows,
+                 "shape": protocol.encode_shape(nested.shape)}
                 for nested in result.result_sets
-            ],
-            "function_value": result.function_value,
-            "columns": result.column_names(),
-            "shape": protocol.encode_shape(result.shape),
-            "rows": first_page,
-            "row_count": len(rows),
-            "cursor": cursor_id,
-            "in_txn": conn.session.in_transaction,
-        }
+            ]
+        return reply
+
+    @staticmethod
+    def _describe(
+        conn: _ClientConnection, shape: Any, reply: Dict[str, Any]
+    ) -> None:
+        """Name ``shape`` by its describe id, adding its triples only
+        the first time this connection sees it (describe once)."""
+        triples = protocol.encode_shape(shape)
+        key = tuple(map(tuple, triples))
+        shape_id = conn.shape_ids.get(key)
+        if shape_id is None:
+            shape_id = conn.next_shape % SHAPE_SLOTS
+            conn.next_shape += 1
+            conn.shape_ids.pop(conn.shape_slots[shape_id], None)
+            conn.shape_slots[shape_id] = key
+            conn.shape_ids[key] = shape_id
+            reply["describe"] = triples
+        reply["shape"] = shape_id
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -592,7 +610,11 @@ class ReproServer:
             # Result outside the data-only vocabulary (e.g. rows or OUT
             # values holding archive-loaded objects, which the README
             # documents as engine-local).  Degrade to a typed error
-            # rather than a hung client.
+            # rather than a hung client, which then never saw the
+            # triples of a shape described here.
+            if "describe" in payload:
+                conn.shape_ids.pop(conn.shape_slots[payload["shape"]])
+                conn.shape_slots[payload["shape"]] = None
             data = protocol.encode_frame(
                 MSG_ERROR,
                 protocol.error_payload(

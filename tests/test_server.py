@@ -914,6 +914,355 @@ class TestWireSafety:
         assert not marker.exists()
 
 
+def _strict(value):
+    """``value`` with every leaf tagged by its type, so ``True`` and
+    ``1`` (or a list and a tuple) do not compare equal."""
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [_strict(item) for item in value])
+    if isinstance(value, dict):
+        return ("dict", [(_strict(k), _strict(v)) for k, v in value.items()])
+    return (type(value).__name__, value)
+
+
+def _random_scalar(rng):
+    import datetime
+    import decimal
+
+    return rng.choice([
+        lambda: None,
+        lambda: rng.random() < 0.5,
+        lambda: rng.randint(-2 ** 63, 2 ** 63 - 1),
+        lambda: rng.choice([-1, 1]) * rng.randint(2 ** 63, 2 ** 100),
+        lambda: rng.uniform(-1e6, 1e6),
+        lambda: "".join(rng.choice("aé€😀 \x00z") for _ in range(
+            rng.randint(0, 6))),
+        lambda: bytes(rng.randrange(256) for _ in range(rng.randint(0, 4))),
+        lambda: decimal.Decimal(rng.randint(-10 ** 6, 10 ** 6)).scaleb(-2),
+        lambda: datetime.date(rng.randint(1, 9999), 12, 31),
+        lambda: datetime.time(rng.randint(0, 23), 59, 58, 1234),
+        lambda: datetime.datetime(2000, 1, 1, 12, rng.randint(0, 59)),
+    ])()
+
+
+def _random_rows(rng):
+    """A list of rows in one of the shapes a row page must handle."""
+    count = rng.randint(0, 8)
+    width = rng.randint(0, 4)
+    shape = rng.choice(
+        ["ints", "texts", "nullable", "bools", "huge", "mixed", "ragged",
+         "tuples"]
+    )
+    rows = []
+    for index in range(count):
+        if shape == "ints":
+            row = [rng.randint(-2 ** 63, 2 ** 63 - 1) for _ in range(width)]
+        elif shape == "texts":
+            row = [f"{'ü' * (index % 3)}t{index}" for _ in range(width)]
+        elif shape == "nullable":
+            row = [rng.choice([None, index]) for _ in range(width)]
+        elif shape == "bools":
+            row = [rng.choice([True, 1, False, 0]) for _ in range(width)]
+        elif shape == "huge":
+            row = [2 ** 64 + index for _ in range(width)]
+        elif shape == "ragged":
+            row = [index] * rng.randint(0, 3)
+        else:
+            row = [_random_scalar(rng) for _ in range(width)]
+        rows.append(tuple(row) if shape == "tuples" else row)
+    return rows
+
+
+def _random_payload(rng, depth=0):
+    if depth > 2 or rng.random() < 0.3:
+        return _random_scalar(rng)
+    kind = rng.choice(["rows", "list", "tuple", "dict"])
+    if kind == "rows":
+        return _random_rows(rng)
+    items = [_random_payload(rng, depth + 1)
+             for _ in range(rng.randint(0, 4))]
+    if kind == "list":
+        return items
+    if kind == "tuple":
+        return tuple(items)
+    return {f"k{i}": item for i, item in enumerate(items)}
+
+
+class TestCodecProperties:
+    """The v3 codec: exact round trips, and every malformed payload is
+    a ProtocolError (08P01), never an IndexError, struct.error or
+    UnicodeDecodeError escaping from the decoder."""
+
+    SEEDS = range(120)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_payload_roundtrips_exactly(self, seed):
+        import random
+
+        payload = _random_payload(random.Random(seed))
+        frame = protocol.encode_frame(protocol.MSG_RESULT, payload)
+        body = frame[protocol.HEADER_SIZE:]
+        assert _strict(protocol.decode_payload(body)) == _strict(payload)
+
+    @pytest.mark.parametrize("seed", SEEDS[:40])
+    def test_every_strict_prefix_and_trailing_byte_is_refused(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        body = protocol.encode_frame(
+            protocol.MSG_RESULT,
+            {"rows": _random_rows(rng), "more": _random_payload(rng)},
+        )[protocol.HEADER_SIZE:]
+        # (the empty prefix is the empty payload, which means None)
+        for end in range(1, len(body)):
+            with pytest.raises(errors.ProtocolError):
+                protocol.decode_payload(body[:end])
+        with pytest.raises(errors.ProtocolError, match="trailing"):
+            protocol.decode_payload(body + b"N")
+
+    @pytest.mark.parametrize("seed", SEEDS[:40])
+    def test_corrupted_bytes_decode_or_raise_protocol_error(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        body = bytearray(protocol.encode_frame(
+            protocol.MSG_RESULT, [_random_rows(rng), _random_rows(rng)]
+        )[protocol.HEADER_SIZE:])
+        for _ in range(50):
+            broken = bytearray(body)
+            broken[rng.randrange(len(broken))] = rng.randrange(256)
+            try:
+                protocol.decode_payload(bytes(broken))
+            except errors.ProtocolError:
+                pass
+
+    def test_unknown_tag_and_unknown_column_kind(self):
+        with pytest.raises(errors.ProtocolError, match="unknown value tag"):
+            protocol.decode_payload(b"l\x01\x00\x00\x00Q")
+        page = protocol.encode_frame(
+            protocol.MSG_ROWS, [[1], [2], [3]]
+        )[protocol.HEADER_SIZE:]
+        assert page[9:10] == b"i"  # P, rows (u32), width (u32), kind
+        bad = page[:9] + b"x" + page[10:]
+        with pytest.raises(errors.ProtocolError, match="column kind"):
+            protocol.decode_payload(bad)
+        with pytest.raises(errors.ProtocolError, match="without columns"):
+            protocol.decode_payload(b"P\x03\x00\x00\x00\x00\x00\x00\x00")
+        texts = protocol.encode_frame(
+            protocol.MSG_ROWS, [["ab"], ["c"], ["d"]]
+        )[protocol.HEADER_SIZE:]
+        assert texts[10:14] == b"\x02\x00\x00\x00"  # first length
+        with pytest.raises(errors.ProtocolError, match="lengths"):
+            protocol.decode_payload(texts[:10] + b"\x03" + texts[11:])
+
+    def test_range_page_is_one_tag_then_one_block_per_column(
+        self, monkeypatch
+    ):
+        import struct
+
+        rows = [[k, f"item{k:06d}"] for k in range(1000, 1050)]
+        body = protocol.encode_frame(
+            protocol.MSG_ROWS, rows
+        )[protocol.HEADER_SIZE:]
+        assert body[:9] == b"P" + struct.pack("<II", 50, 2)
+        ints = struct.pack("<50q", *range(1000, 1050))
+        assert body[9:10 + len(ints)] == b"i" + ints
+        texts = body[10 + len(ints):]
+        assert texts[:1] == b"s"
+        assert texts[1:201] == struct.pack("<50I", *[10] * 50)
+        assert texts[201:] == struct.pack("<I", 500) + "".join(
+            row[1] for row in rows
+        ).encode()
+        calls = []
+        counted = {
+            tag: (lambda data, pos, tag=tag, fn=fn:
+                  calls.append(tag) or fn(data, pos))
+            for tag, fn in protocol._DECODERS.items()
+        }
+        monkeypatch.setattr(protocol, "_DECODERS", counted)
+        assert protocol.decode_payload(body) == rows
+        assert calls == [ord("P")]  # no per-value tag dispatch
+
+
+@pytest.fixture
+def result_frames(monkeypatch):
+    """Every RESULT frame a client reads, as ``(payload, bytes)``."""
+    frames = []
+    read = protocol.read_frame
+
+    def spy(sock):
+        msg_type, payload = read(sock)
+        if msg_type == protocol.MSG_RESULT:
+            frames.append(
+                (dict(payload), protocol.encode_frame(msg_type, payload))
+            )
+        return msg_type, payload
+
+    monkeypatch.setattr(protocol, "read_frame", spy)
+    return frames
+
+
+#: Protocol v2's RESULT frame for the point select below: every field
+#: spelled out, the shape's triples on every reply.
+V2_POINT_FRAME_BYTES = 395
+
+
+class TestDescribeOnce:
+    POINT = "select k, grp, val, name from items where k = ?"
+
+    def test_repeated_point_select_carries_no_triples_or_defaults(
+        self, server, result_frames
+    ):
+        with repro.connect(url_of(server, "describe")) as conn:
+            st = conn.create_statement()
+            st.execute_update(
+                "create table items (k integer primary key, grp integer, "
+                "val integer, name varchar(16))"
+            )
+            st.execute_update(
+                "insert into items values (5, 5, 300, 'item000005')"
+            )
+            ps = conn.prepare_statement(self.POINT)
+            del result_frames[:]
+            for _ in range(3):
+                ps.set_int(1, 5)
+                rs = ps.execute_query()
+                assert rs.fetch_all() == [[5, 5, 300, "item000005"]]
+                meta = rs.get_meta_data()
+                assert [meta.get_column_name(i) for i in range(1, 5)] \
+                    == ["k", "grp", "val", "name"]
+                assert meta.get_column_type_name(4) == "VARCHAR(16)"
+        (first, _), (second, frame), (third, _) = result_frames
+        assert first["describe"][3] == [None, "name", "VARCHAR(16)"]
+        assert second == third
+        assert set(second) == {"kind", "in_txn", "shape", "rows"}
+        assert second["shape"] == first["shape"]
+        assert len(frame) <= 0.6 * V2_POINT_FRAME_BYTES
+
+    def test_same_text_after_drop_and_create_describes_anew(self, server):
+        import datetime
+        import decimal
+
+        with repro.connect(url_of(server, "redescribe")) as conn:
+            st = conn.create_statement()
+            session = conn.session
+            st.execute_update("create table t (a int, b varchar(5))")
+            st.execute_update("insert into t values (1, 'x')")
+            before = session.execute("select * from t")
+            assert before.column_names() == ["a", "b"]
+            st.execute_update("drop table t")
+            st.execute_update(
+                "create table t (x decimal(6,2), y date, z int)"
+            )
+            row = [decimal.Decimal("1.50"), datetime.date(2001, 2, 3), 7]
+            session.execute("insert into t values (?, ?, ?)", row)
+            after = session.execute("select * from t")
+            assert after.column_names() == ["x", "y", "z"]
+            assert [c.descriptor.sql_spelling() for c in after.shape.columns] \
+                == ["DECIMAL(6,2)", "DATE", "INTEGER"]
+            assert list(after.rows) == [row]
+
+    def test_paged_result_after_its_shape_was_described(self, server):
+        with repro.connect(url_of(server, "describepages")) as conn:
+            st = conn.create_statement()
+            st.execute_update("create table p (n int, s varchar(8))")
+            conn.session.execute_batch(
+                "insert into p values (?, ?)",
+                [(i, f"s{i}") for i in range(100)],
+            )
+            for _ in range(2):  # the second run reuses the describe id
+                result = conn.session.execute(
+                    "select n, s from p order by n"
+                )
+                assert len(result.rows) == 100
+                assert list(result.rows) == [
+                    [i, f"s{i}"] for i in range(100)
+                ]
+                assert result.column_names() == ["n", "s"]
+
+    def test_shared_connection_never_sees_an_undescribed_id(
+        self, server, monkeypatch
+    ):
+        from repro.dbapi.remote import RemoteSession
+
+        resolve = RemoteSession._resolve_shape
+
+        def checked(self, reply):
+            assert self._request_lock._is_owned()
+            return resolve(self, reply)
+
+        monkeypatch.setattr(RemoteSession, "_resolve_shape", checked)
+        with repro.connect(url_of(server, "sharedshapes")) as conn:
+            conn.create_statement().execute_update("create table t (n int)")
+            conn.create_statement().execute_update(
+                "insert into t values (1)"
+            )
+            session = conn.session
+            failures = []
+
+            def worker(tag):
+                # 4 x 40 distinct shapes wrap the 64 describe slots.
+                for i in range(40):
+                    name = f"{tag}{i}"
+                    try:
+                        result = session.execute(
+                            f"select n as {name} from t"
+                        )
+                    except AssertionError as exc:
+                        failures.append((name, exc))
+                        return
+                    if result.column_names() != [name]:
+                        failures.append((name, result.column_names()))
+
+            threads = [threading.Thread(target=worker, args=(tag,))
+                       for tag in "abcd"]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+
+    def test_describe_table_is_bounded(self, server):
+        slots = protocol.SHAPE_SLOTS
+        with repro.connect(url_of(server, "boundedshapes")) as conn:
+            conn.create_statement().execute_update("create table t (n int)")
+            conn.create_statement().execute_update(
+                "insert into t values (1)"
+            )
+            session = conn.session
+            for i in range(10 * slots):
+                result = session.execute(f"select n as c{i} from t")
+                assert result.column_names() == [f"c{i}"]
+            (served,) = [c for c in server._connections
+                         if c.database_name == "boundedshapes"]
+            assert len(served.shape_ids) <= slots
+            assert len(session._shapes) <= slots
+            # an evicted shape is described again, not misread
+            assert session.execute(
+                "select n as c0 from t"
+            ).column_names() == ["c0"]
+
+    def test_hello_for_protocol_v2_is_refused_08P01(self, server):
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            protocol.send_frame(
+                sock, protocol.MSG_HELLO,
+                {"magic": protocol.MAGIC, "version": 2, "database": "v2"},
+            )
+            msg_type, payload = protocol.recv_frame(sock)
+        assert msg_type == protocol.MSG_ERROR
+        error = protocol.rebuild_error(payload)
+        assert isinstance(error, errors.ProtocolError)
+        assert error.sqlstate == "08P01"
+        assert "version 2" in str(error)
+
+
 # ---------------------------------------------------------------------------
 # cursor hygiene: abandoned paged results must not pin rows server-side
 # ---------------------------------------------------------------------------
