@@ -33,7 +33,7 @@ from repro.engine.dialects import DIALECTS, STANDARD, Dialect
 from repro.engine.expressions import RowShape
 from repro.engine.locks import ReadWriteLock
 from repro.engine.mvcc import Transaction, TransactionManager, \
-    WriteConflict
+    WriteConflict, freeze
 from repro.engine.parser import Parser
 from repro.engine.plancache import CachedPlan, PlanCache
 from repro.engine.planner import plan_query
@@ -326,7 +326,9 @@ class Database:
         (so the deletion still reaches disk at the next flush), and the
         pass finishes by offering the store a compaction — the
         threshold trigger does useful on-disk work instead of only
-        sweeping heap versions.
+        sweeping heap versions.  After the exclusive section the pass
+        freezes each heap's settled blocks
+        (:func:`~repro.engine.mvcc.freeze`), so scans skip their test.
         """
         from repro.engine.virtual import VirtualTable
 
@@ -334,9 +336,9 @@ class Database:
         horizon = self.transactions.oldest_visible_seq()
         removed = 0
         with self.lock.write():
-            for table in list(self.catalog.tables.values()):
-                if isinstance(table, VirtualTable):
-                    continue
+            tables = [table for table in list(self.catalog.tables.values())
+                      if not isinstance(table, VirtualTable)]
+            for table in tables:
                 # Fires once per table, so fault injection can model a
                 # crash after *some* tables were already reclaimed.
                 faultpoints.trigger("storage.vacuum")
@@ -362,6 +364,10 @@ class Database:
             self.transactions.dead_versions = 0
         if removed:
             _metrics.increment("mvcc.vacuumed", removed)
+        # Off the exclusive lock: freeze() locks one block at a time.
+        horizon = self.transactions.freeze_horizon()
+        for table in tables:
+            freeze(table, horizon)
         if store is not None:
             store.maybe_compact(self)
         return removed
@@ -799,9 +805,13 @@ class Session:
             return entry.statement, entry, store
         if span is not None:
             with _tracing.current.span("parse"):
-                statement = Parser(sql, self.dialect).parse_statement()
+                parser = Parser(sql, self.dialect)
+                statement = parser.parse_statement()
         else:
-            statement = Parser(sql, self.dialect).parse_statement()
+            parser = Parser(sql, self.dialect)
+            statement = parser.parse_statement()
+        if _stats.enabled:  # the statistics key, without lexing again
+            _stats.note_tokens(sql, parser.tokens)
         if isinstance(statement, _PLANNABLE):
             cache.miss()
         return statement, None, store
@@ -1127,6 +1137,8 @@ class Session:
         see) and publishes per-table row counts, per-column NDV, null
         fractions, min/max, and equi-width histograms into the catalog,
         bumping its ``stats_version`` so cached plans are re-costed.
+        Having walked each heap, it freezes its settled blocks
+        (:func:`repro.engine.mvcc.freeze`).
         """
         from repro.engine.statistics import collect_table_statistics
         from repro.engine.virtual import VirtualTable
@@ -1151,12 +1163,14 @@ class Session:
         txn = self.mvcc_txn
         for table in targets:
             self.check_table_privilege("SELECT", table.name)
+        horizon = self.database.transactions.freeze_horizon()
         for table in targets:
             rows = [v.row for v in txn.visible(list(table.versions))]
             stats = collect_table_statistics(
                 table, rows, analyzed_txn=txn.id
             )
             catalog.set_statistics(table.name, stats)
+            freeze(table, horizon)
         _metrics.increment("analyze.tables", len(targets))
         return StatementResult("analyze", update_count=len(targets))
 

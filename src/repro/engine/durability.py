@@ -315,6 +315,9 @@ def _replay(database: Database, records, last_seq: int) -> int:
     sessions: Dict[int, Session] = {}
     lost: set = set()
     replayed = 0
+    # Replay pins logged snapshots below the horizon: nothing may
+    # freeze (ANALYZE, a vacuum its commits start) until it is over.
+    database.transactions.replaying = True
     try:
         for record in records:
             if record.seq <= last_seq:
@@ -369,6 +372,7 @@ def _replay(database: Database, records, last_seq: int) -> int:
     finally:
         for session in sessions.values():
             session.close()  # rolls back anything uncommitted
+        database.transactions.replaying = False
     if lost:
         _DISCARDED_TXNS.increment(len(lost))
     return replayed

@@ -8,14 +8,18 @@ The scans and the operators that evaluate expressions per row — Filter,
 Project, the two joins, GroupAggregate and Sort — have their loop
 emitted as Python source with the expressions' fragments inlined (see
 :mod:`repro.engine.expressions`).  A scan's loop inlines the snapshot's
-visibility test, :data:`repro.engine.mvcc.VISIBLE`; a chain of Filters
-and Projects, and the scan below it, runs inside the loop of the
-operator consuming the chain (:func:`_input`).  :func:`generate_plan`
-compiles every loop of a plan, and the callables IndexScan and Limit
+visibility test, :data:`repro.engine.mvcc.VISIBLE`, which a SeqScan
+skips on frozen heap blocks (:func:`repro.engine.mvcc.settled_runs`); a
+chain of Filters and Projects, and the scan below it, runs inside the
+loop of the operator consuming the chain (:func:`_input`) — the chain's
+top node, GroupAggregate, Sort (top-N included) or either side of a
+join.  :func:`generate_plan` compiles every loop of a plan that no
+consumer runs inside its own, and the callables IndexScan and Limit
 evaluate, in one ``compile()`` when the :class:`QueryPlan` is built, so
-a plan-cache hit never recompiles.  Other inputs are pulled through
-``child.rows(ctx)``, so early exit (LIMIT, EXISTS) stops the scan too;
-:func:`instrument_plan` turns fusion off to count rows per node.
+a plan-cache hit never recompiles.
+Other inputs are pulled through ``child.rows(ctx)``, so early exit
+(LIMIT, EXISTS) stops the scan too; :func:`instrument_plan` turns
+fusion off to count rows per node.
 """
 
 from __future__ import annotations
@@ -24,9 +28,8 @@ import collections
 import decimal
 import functools
 import heapq
-import textwrap
 import time
-from operator import length_hint
+from operator import itemgetter, length_hint
 from typing import Any, Dict, Iterator, List, Optional, Sequence, \
     Tuple
 
@@ -34,7 +37,7 @@ from repro import errors, faultpoints
 from repro.engine.catalog import Table
 from repro.engine.expressions import RUNTIME, Compiled, Env, RowShape, \
     fresh, generate, prologue
-from repro.engine.mvcc import VISIBLE
+from repro.engine.mvcc import VISIBLE, settled_runs
 from repro.observability import metrics as _metrics
 from repro.observability import stats as _stats
 from repro.sqltypes import TypeDescriptor, compare_values
@@ -84,6 +87,12 @@ class _Generated(Operator):
         if self.loop is None:
             generate_plan(self)
         return self.loop(self, ctx)
+
+
+def _indent(source: str, width: int) -> str:
+    """``source`` (newline-terminated lines) indented ``width`` spaces."""
+    pad = " " * width
+    return pad + source[:-1].replace("\n", "\n" + pad) + "\n"
 
 
 def _function(name: str, body: str, fragments: Sequence[Compiled],
@@ -173,29 +182,65 @@ def _scanned(rows: int) -> None:
     _stats.note_scan(rows)
 
 
-_RUNTIME = {**RUNTIME, "heapq": heapq, "sort_key": sort_key,
+def _count(value: Any, clause: str) -> int:
+    """A LIMIT or OFFSET value as a row count: a non-negative integer
+    (an integral DOUBLE or DECIMAL, or a numeral string, converts).  NULL
+    and non-integral values raise :class:`~repro.errors.DataError`, with
+    the standard's "invalid row count" SQLSTATE for the clause."""
+    state = "2201W" if clause == "LIMIT" else "2201X"
+    try:
+        number = decimal.Decimal(value.strip()) if isinstance(value, str) \
+            else value
+        count = int(number)
+        integral = count == number
+    except (TypeError, ValueError, ArithmeticError):
+        integral = False
+    if not integral:
+        raise errors.DataError(
+            f"{clause} must be an integer, not {value!r}", sqlstate=state)
+    if count < 0:
+        raise errors.DataError(f"{clause} must be non-negative",
+                               sqlstate=state)
+    return count
+
+
+# Max-heap primitives for top-N: public from Python 3.14, private before.
+_heapify_max = getattr(heapq, "heapify_max", None) or heapq._heapify_max
+_heapreplace_max = getattr(heapq, "heapreplace_max", None) \
+    or heapq._heapreplace_max
+
+_RUNTIME = {**RUNTIME, "sort_key": sort_key,
             "key_image": key_image, "_canonical": _canonical,
             "_join_image": _join_image, "_pick": _pick,
-            "_scanned": _scanned, "length_hint": length_hint}
+            "_scanned": _scanned, "length_hint": length_hint,
+            "settled_runs": settled_runs,
+            "itemgetter": itemgetter, "_count": _count,
+            "_heapify_max": _heapify_max,
+            "_heapreplace_max": _heapreplace_max, "_INF": float("inf")}
 
 
 def generate_plan(root: Operator) -> None:
     """Compile, with one ``compile()``, the loops of every operator under
-    ``root`` that has none yet, and the callables their expressions
-    need; a plan's operators and expressions hold the results."""
+    ``root`` that has none yet and does not run inside a consumer's loop
+    (:func:`_fused_inputs`), and the callables their expressions need; a
+    plan's operators and expressions hold the results."""
     parts: List[str] = []
     bindings: Dict[str, Any] = {}
     targets: List[Tuple[Any, str, str]] = []
+    fused: set = set()  # nodes whose rows a consumer's loop produces
     stack = [root]
     while stack:
         node = stack.pop()
         stack.extend(operator_children(node))
-        if isinstance(node, _Generated) and node.loop is None:
+        if isinstance(node, _Generated) and node.loop is None \
+                and id(node) not in fused:
             name = fresh()
             text, names = node.source(name)
             parts.append(text)
             bindings.update(names)
             targets.append((node, "loop", name))
+            if node.fuse:
+                fused.update(map(id, _fused_inputs(node)))
         for compiled in node.expressions():
             if compiled._fn is None:
                 name = fresh()
@@ -208,6 +253,20 @@ def generate_plan(root: Operator) -> None:
             setattr(target, attribute, values[name])
 
 
+def _fused_inputs(node: Operator) -> List[Operator]:
+    """The nodes ``node``'s loop runs inside itself (:func:`_input`):
+    below each input, its chain of Filters and Projects and a scan under
+    it.  Their own loops are generated only if someone pulls them."""
+    fused: List[Operator] = []
+    for child in operator_children(node):
+        while isinstance(child, (Filter, Project)):
+            fused.append(child)
+            child = child.child
+        if isinstance(child, _Scan):
+            fused.append(child)
+    return fused
+
+
 class SingleRow(Operator):
     """Produces exactly one empty row (``SELECT 1`` with no FROM)."""
 
@@ -215,26 +274,37 @@ class SingleRow(Operator):
         yield []
 
 
-def _scan_loop(scan: str, step: str) -> str:
+def _scan_loop(scan: str, step: str, blocks: bool) -> str:
     """Body running ``step`` (source over the row ``r``) on each row the
     reading snapshot sees among the candidates of the scan ``scan``
-    names, :data:`~repro.engine.mvcc.VISIBLE` inlined.
+    names, :data:`~repro.engine.mvcc.VISIBLE` inlined — except, given
+    ``blocks``, on the frozen blocks of a heap copy, whose rows every
+    snapshot sees and which are read as they are
+    (:func:`~repro.engine.mvcc.settled_runs`, after the snapshot).
 
     The snapshot is taken (``session.mvcc_txn`` begins the transaction)
     *before* the candidates are read, or a commit landing in between
     would end versions whose replacements the copy lacks.  When the
     loop ends or is abandoned (LIMIT, EXISTS), the candidates consumed
     less the invisible ones are charged as rows scanned."""
+    tested = (f"for v in sub:\n    if not ({VISIBLE}):\n"
+              f"        hidden += 1\n        continue\n    r = v.row\n"
+              + _indent(step, 4))
+    if blocks:
+        loop = ("for stop, frozen, items in settled_runs(vs):\n"
+                "    sub = iter(items)\n"
+                "    if frozen:\n        for r in sub:\n"
+                + _indent(step, 12) + "    else:\n" + _indent(tested, 8))
+        start = "    hidden = stop = 0\n    sub = iter(())\n"
+    else:
+        loop = tested
+        start = "    hidden = 0\n    stop = len(vs)\n    sub = iter(vs)\n"
     return (
         "    t = c.session.mvcc_txn\n    snap = t.snapshot_seq\n"
-        f"    me = t.id\n    vs = {scan}.candidates(c)\n    it = iter(vs)\n"
-        "    hidden = 0\n    try:\n        for v in it:\n"
-        f"            if not ({VISIBLE}):\n"
-        "                hidden += 1\n                continue\n"
-        "            r = v.row\n"
-        + textwrap.indent(step, " " * 12)
+        f"    me = t.id\n    vs = {scan}.candidates(c)\n{start}    try:\n"
+        + _indent(loop, 8)
         + "    finally:\n"
-        "        _scanned(len(vs) - length_hint(it) - hidden)\n"
+        "        _scanned(stop - length_hint(sub) - hidden)\n"
     )
 
 
@@ -257,8 +327,8 @@ def _input(path: str, node: Operator, step: str,
             fragments.extend(node.items)
         path, node = path + ".child", node.child
     if fuse and isinstance(node, _Scan):
-        return _scan_loop(path, step)
-    return f"    for r in {path}.rows(c):\n" + textwrap.indent(step, " " * 8)
+        return _scan_loop(path, step, node.blocks)
+    return f"    for r in {path}.rows(c):\n" + _indent(step, 8)
 
 
 class _Scan(_Generated):
@@ -266,6 +336,10 @@ class _Scan(_Generated):
     the reading snapshot (:func:`_scan_loop`).  The operator consuming
     it, through any Filters and Projects, runs this loop inside its own
     (:func:`_input`)."""
+
+    #: Whether the candidates are a heap copy, whose frozen blocks the
+    #: loop may take without the snapshot test.
+    blocks = False
 
     def candidates(self, ctx: RuntimeContext) -> List[Any]:
         """The versions to test, copied out of the heap or index."""
@@ -280,11 +354,14 @@ class _Scan(_Generated):
         return visible
 
     def source(self, name: str) -> Tuple[str, Dict[str, Any]]:
-        return _function(name, _scan_loop("self", "yield r\n"), [])
+        return _function(name, _scan_loop("self", "yield r\n", self.blocks),
+                         [])
 
 
 class SeqScan(_Scan):
     """Full scan over a base table's heap."""
+
+    blocks = True
 
     def __init__(self, table: Table) -> None:
         self.table = table
@@ -399,9 +476,9 @@ class Project(_Generated):
 
 class _Join(_Generated):
     """One loop template for both joins and both build sides: the build
-    input is materialised (and, given keys, hashed), the probe input
-    streams, and every candidate pair is checked with the full
-    predicate."""
+    input is materialised (and, given keys, hashed) by a loop of its own,
+    the probe input streams, and every candidate pair is checked with the
+    full predicate."""
 
     def __init__(
         self,
@@ -443,20 +520,30 @@ class _Join(_Generated):
         test = self.predicate.test if self.predicate is not None else "True"
         fragments = self.left_keys + self.right_keys + (
             [self.predicate] if self.predicate is not None else [])
-        body = (f"    build = list(self.{build}.rows(c))\n"
-                "    matched = [False] * len(build)\n"
-                "    everything = range(len(build))\n")
+        body = "    build = []\n"
+        fill = "build.append(r)\n"
         step = "q = r\n"
         if self.left_keys:
             build_key, build_null = _hash_key(keys[build], keys[probe])
             probe_key, probe_null = _hash_key(keys[probe], keys[build])
-            body += (
-                "    buckets = {}\n    loose = []\n"
-                "    for i, r in enumerate(build):\n"
-                f"        try:\n            k = {build_key}\n"
-                f"            if {build_null}:\n                continue\n"
-                "            buckets.setdefault(k, []).append(i)\n"
-                "        except TypeError:\n            loose.append(i)\n"
+        if self.left_keys and all(
+                key.kind == other.kind and key.kind in ("int", "str")
+                for key, other in zip(self.left_keys, self.right_keys)):
+            # Int and str images always hash, and a NULL is never filed,
+            # so a probe is one lookup.
+            body += "    buckets = {}\n"
+            fill = ("i = len(build)\nbuild.append(r)\n"
+                    f"k = {build_key}\nif not ({build_null}):\n"
+                    "    buckets.setdefault(k, []).append(i)\n")
+            step += f"hits = buckets.get({probe_key}, ())\n"
+        elif self.left_keys:
+            body += "    buckets = {}\n    loose = []\n"
+            fill = (
+                "i = len(build)\nbuild.append(r)\n"
+                f"try:\n    k = {build_key}\n"
+                f"    if {build_null}:\n        continue\n"
+                "    buckets.setdefault(k, []).append(i)\n"
+                "except TypeError:\n    loose.append(i)\n"
             )
             step += (
                 f"try:\n    k = {probe_key}\n"
@@ -476,6 +563,10 @@ class _Join(_Generated):
         )
         if self.kind in ("FULL", probe.upper()):
             step += f"if not hit:\n    yield {row(pad[build], 'q')}\n"
+        body += _input(f"self.{build}", getattr(self, build), fill,
+                       fragments, self.fuse)
+        body += ("    matched = [False] * len(build)\n"
+                 "    everything = range(len(build))\n")
         body += _input(f"self.{probe}", getattr(self, probe), step,
                        fragments, self.fuse)
         if self.kind in ("FULL", build.upper()):
@@ -533,14 +624,34 @@ class HashJoin(_Join):
     """
 
 
+def _order_image(key: Compiled, ascending: bool) -> str:
+    """One ORDER BY key's image, an expression over ``r`` ordering as the
+    key sorts: a provable int itself (or negated for DESC), NULL as
+    +inf (ASC: last) or -inf (DESC: first); a provable str without pad
+    spaces, after a NULLs-last flag; anything else its sort_key."""
+    temp = fresh()
+    read = f"({temp} := {key.source})"
+    if key.kind == "int":
+        sign = "" if ascending else "-"
+        return f"({sign}{temp} if {read} is not None else {sign}_INF)"
+    if key.kind == "str":
+        return (f"({read} is None, {temp}.rstrip(' ') if {temp} is not None "
+                "else '')")
+    return f"sort_key({key.source})"
+
+
 class Sort(_Generated):
     """ORDER BY: ``keys`` are (compiled key, ascending) pairs.
 
-    Keys that compose into one tuple — ascending, or DESC over provable
-    ints — sort in one stable pass; under a LIMIT (``limit`` and
-    ``offset`` set by the planner) only the first offset + limit + 1
-    rows are kept, which is all the Limit above ever pulls.  Any other
-    key list sorts once per key, right to left, stably.
+    Keys that compose into one image — ascending, or DESC over provable
+    ints (:func:`_order_image`) — sort in one stable pass over rows
+    decorated inside the input's loop.  Under a LIMIT (``limit`` and
+    ``offset`` set by the planner) that loop keeps only the first
+    offset + limit + 1 rows, which is all the Limit above ever pulls, in
+    a bounded max-heap: a row whose leading image is worse than the
+    kept worst is dropped before the rest of its key is built, and
+    arrival order breaks ties.  Any other key list sorts once per key,
+    right to left, stably.
     """
 
     def __init__(self, child: Operator,
@@ -552,36 +663,51 @@ class Sort(_Generated):
 
     def source(self, name: str) -> Tuple[str, Dict[str, Any]]:
         fragments = [key for key, _ in self.keys]
-        body = "    rows = list(self.child.rows(c))\n"
+
+        def rows(step: str) -> str:
+            return _input("self.child", self.child, step, fragments,
+                          self.fuse)
+
         if not all(ascending or key.kind == "int"
                    for key, ascending in self.keys):
-            for key, ascending in reversed(self.keys):
-                body += (f"    rows.sort(key=lambda r: sort_key({key.source}"
-                         f"), reverse={not ascending})\n")
-            return _function(name, body + "    yield from rows\n", fragments)
-        parts = []
-        for key, ascending in self.keys:
-            temp = fresh()
-            read = f"({temp} := {key.source})"
-            if key.kind == "int" and not ascending:  # NULLs first
-                parts.append(f"{read} is not None, "
-                             f"-{temp} if {temp} is not None else 0")
-            elif key.kind == "int":
-                parts.append(f"{read} is None, {temp}")
-            elif key.kind == "str":
-                parts.append(f"{read} is None, "
-                             f"{temp}.rstrip(' ') if {temp} is not None "
-                             "else ''")
-            else:
-                parts.append(f"sort_key({key.source})")
-        composed = f"lambda r: ({', '.join(parts)},)"
-        if self.limit is None:
-            body += f"    rows.sort(key={composed})\n    yield from rows\n"
+            images = "".join(f"sort_key({key.source}), "
+                             for key, _ in self.keys)
+            body = "    rows = []\n" + rows(f"rows.append(({images}r))\n")
+            for at, (_key, ascending) in reversed(list(enumerate(self.keys))):
+                body += (f"    rows.sort(key=itemgetter({at}), "
+                         f"reverse={not ascending})\n")
+            body += "    for d in rows:\n        yield d[-1]\n"
             return _function(name, body, fragments)
-        offset = f"int({self.offset.source})" if self.offset else "0"
-        body += (f"    yield from heapq.nsmallest(int({self.limit.source}) + "
-                 f"{offset} + 1, rows, key={composed})\n")
+        images = [_order_image(key, ascending)
+                  for key, ascending in self.keys]
+        if self.limit is None:
+            key = images[0] if len(images) == 1 \
+                else f"({', '.join(images)})"
+            body = "    rows = []\n" + rows(f"rows.append(({key}, r))\n")
+            body += ("    rows.sort(key=itemgetter(0))\n"
+                     "    for d in rows:\n        yield d[1]\n")
+            return _function(name, body, fragments)
         fragments += [e for e in (self.limit, self.offset) if e is not None]
+        offset = f"_count({self.offset.source}, 'OFFSET')" \
+            if self.offset else "0"
+        if len(images) == 1:
+            step, worst = f"k = {images[0]}\n", ""
+        else:
+            step = (f"lead = {images[0]}\nif full and lead > worst:\n"
+                    f"    continue\nk = (lead, {', '.join(images[1:])})\n")
+            worst = "worst = top[0]\n"
+        step += (
+            "if full:\n    if k >= top:\n        continue\n"
+            "    _heapreplace_max(heap, (k, o, r))\n"
+            "else:\n    heap.append((k, o, r))\n"
+            "    if len(heap) < bound:\n        o += 1\n        continue\n"
+            "    _heapify_max(heap)\n    full = True\n"
+            f"top = heap[0][0]\n{worst}o += 1\n"
+        )
+        body = (f"    bound = _count({self.limit.source}, 'LIMIT') + {offset}"
+                " + 1\n    heap = []\n    full = False\n    o = 0\n"
+                + rows(step)
+                + "    heap.sort()\n    for d in heap:\n        yield d[2]\n")
         return _function(name, body, fragments)
 
 
@@ -599,14 +725,10 @@ class Limit(Operator):
         empty_env = ctx.env([])
         remaining = None
         if self.limit is not None:
-            remaining = int(self.limit.fn(empty_env))
-            if remaining < 0:
-                raise errors.DataError("LIMIT must be non-negative")
+            remaining = _count(self.limit.fn(empty_env), "LIMIT")
         to_skip = 0
         if self.offset is not None:
-            to_skip = int(self.offset.fn(empty_env))
-            if to_skip < 0:
-                raise errors.DataError("OFFSET must be non-negative")
+            to_skip = _count(self.offset.fn(empty_env), "OFFSET")
         for row in self.child.rows(ctx):
             if to_skip > 0:
                 to_skip -= 1

@@ -33,13 +33,28 @@ caller lost the race and must retry on a fresh snapshot.
 Dead versions (``end`` stamped at or below every live snapshot) are
 physically reclaimed by vacuum — see ``Database.vacuum`` in
 :mod:`repro.engine.database`.
+
+Most rows are loaded once and never written again, yet a scan would
+re-prove each one visible.  The *all-visible block map* lets it skip
+that: :func:`freeze` (run by ANALYZE and vacuum, which walk the heap
+anyway) marks a full block of :data:`BLOCK` heap positions *frozen*
+when every version in it is committed at or below the vacuum horizon
+and unclaimed — visible to every live and future snapshot.  A claim
+clears its version's bit before writing ``xmax``, and a block is only
+trusted while its first and last versions still sit at its two ends,
+so an undone INSERT, a vacuum rewrite or a replaced heap, which shift
+or replace versions, silently unfreeze what moved
+(:func:`settled_runs`).  SeqScan loops read a frozen block's rows
+without :data:`VISIBLE`; IndexScan, DML targets and
+:meth:`Transaction.visible` keep the full test.
 """
 
 from __future__ import annotations
 
 import threading
 import time as _time
-from typing import Any, Dict, Iterable, List, Optional
+from operator import attrgetter
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro import errors
 from repro.engine.expressions import generate
@@ -51,6 +66,10 @@ __all__ = [
     "TransactionManager",
     "WriteConflict",
     "VISIBLE",
+    "BLOCK",
+    "freeze",
+    "settled_runs",
+    "thaw",
 ]
 
 #: The visibility rule above, once, as Python source over a version
@@ -81,6 +100,12 @@ CLAIM = "claim"
 _TXN_COMMITS = _metrics.registry.counter("mvcc.commits")
 _TXN_ABORTS = _metrics.registry.counter("mvcc.aborts")
 _TXN_CONFLICT_WAITS = _metrics.registry.counter("mvcc.conflict_waits")
+_BLOCKS_FROZEN = _metrics.registry.counter("mvcc.blocks_frozen")
+_BLOCKS_THAWED = _metrics.registry.counter("mvcc.blocks_thawed")
+
+#: Heap positions per block of the all-visible map: the size of an
+#: ``RLSM2`` run block.  A constant, not a knob.
+BLOCK = 256
 
 
 class WriteConflict(Exception):
@@ -112,9 +137,13 @@ class RowVersion:
     first flushed to an SSTable run, then a globally unique integer
     that names its on-disk data entry (tombstones reference the same
     id).  The snapshot engine never assigns it.
+
+    ``block`` is the :class:`Block` that :func:`freeze` last put the
+    version in (None if never): how a claim finds the bit to clear,
+    wherever the version has moved since.
     """
 
-    __slots__ = ("row", "xmin", "begin", "xmax", "end", "rid")
+    __slots__ = ("row", "xmin", "begin", "xmax", "end", "rid", "block")
 
     def __init__(
         self,
@@ -128,12 +157,117 @@ class RowVersion:
         self.xmax: Optional[int] = None
         self.end: Optional[int] = None
         self.rid: Optional[int] = None
+        self.block: Optional[Block] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<RowVersion {self.row!r} xmin={self.xmin} "
             f"begin={self.begin} xmax={self.xmax} end={self.end}>"
         )
+
+
+class Block:
+    """One frozen block of the all-visible map: the bit a claim on any
+    of its versions clears, the ids of its first and last version, and
+    its versions' rows, which a scan of the block reads directly.
+
+    Ids rather than references, so versions and blocks form no cycle.
+    Every version holding this block was alive when it froze, so a live
+    one whose id matches an end *is* that end (:func:`_frozen`).  A row
+    list is never replaced, only edited in place (ALTER TABLE), so
+    ``rows`` stays the block's rows.
+    """
+
+    __slots__ = ("frozen", "first", "last", "rows")
+
+    def __init__(self, versions: List[RowVersion]) -> None:
+        self.frozen = True
+        self.first = id(versions[0])
+        self.last = id(versions[-1])
+        self.rows = [version.row for version in versions]
+
+
+def _frozen(versions: List[RowVersion], at: int) -> Optional[Block]:
+    """The frozen block the :data:`BLOCK` positions from ``at`` hold
+    exactly — its first version here, its last one BLOCK - 1 later — or
+    None.  Heaps only append and remove, so what lies between is then
+    exactly the block; a shift or replacement breaks the match."""
+    first = versions[at]
+    block = first.block
+    if block is None or not block.frozen or block.first != id(first):
+        return None
+    last = versions[at + BLOCK - 1]
+    return block if last.block is block and block.last == id(last) \
+        else None
+
+
+def settled_runs(versions: List[RowVersion]) -> List[Tuple[int, bool, Any]]:
+    """``versions`` (a heap copy) as consecutive runs ``(stop, frozen,
+    items)``: the rows of one frozen block, or the versions of a stretch
+    between frozen blocks, to test.  Read after the reader's snapshot: a
+    claim clears its block's bit before it writes ``xmax``, so any claim
+    this misses ends after the snapshot."""
+    runs: List[Tuple[int, bool, Any]] = []
+    start = 0
+    for at in range(0, len(versions) - BLOCK + 1, BLOCK):
+        block = _frozen(versions, at)
+        if block is not None:
+            if start < at:
+                runs.append((at, False, versions[start:at]))
+            runs.append((at + BLOCK, True, block.rows))
+            start = at + BLOCK
+    if start < len(versions):
+        runs.append((len(versions), False,
+                     versions[start:] if start else versions))
+    return runs
+
+
+_BEGIN, _XMAX, _END = attrgetter("begin"), attrgetter("xmax"), \
+    attrgetter("end")
+
+
+def freeze(table: Any, horizon: Optional[int]) -> int:
+    """Freeze each full block of ``table``'s heap whose versions are all
+    committed at or below ``horizon`` and unclaimed; returns how many
+    froze.  ``horizon`` is :meth:`TransactionManager.freeze_horizon`
+    (None: freeze nothing).  Blocks already frozen in place are skipped;
+    the versions of a block that cannot freeze drop any stale block (and
+    the rows it holds).  Each block is checked under the table's mutation
+    lock — which appends, undo and claims take too — so a writer waits at
+    most one block's check."""
+    if horizon is None:
+        return 0
+    count = at = 0
+    while True:
+        with table.mutation_lock:
+            heap = table.versions
+            if at + BLOCK > len(heap):
+                break
+            if _frozen(heap, at) is None:
+                segment = heap[at:at + BLOCK]
+                begins = list(map(_BEGIN, segment))
+                if (None not in begins and max(begins) <= horizon
+                        and list(map(_XMAX, segment)).count(None) == BLOCK
+                        and list(map(_END, segment)).count(None) == BLOCK):
+                    block = Block(segment)
+                    count += 1
+                else:
+                    block = None  # let go of a stale block and its rows
+                for version in segment:
+                    version.block = block
+        at += BLOCK
+    if count:
+        _BLOCKS_FROZEN.increment(count)
+    return count
+
+
+def thaw(version: RowVersion) -> None:
+    """Clear the frozen bit of ``version``'s block.  A claim calls this
+    under the table's mutation lock *before* it writes ``xmax``."""
+    block = version.block
+    if block is not None and block.frozen:
+        block.frozen = False
+        _BLOCKS_THAWED.increment()
 
 
 class Transaction:
@@ -272,6 +406,9 @@ class TransactionManager:
         #: Committed-dead versions since the last vacuum (advisory; the
         #: database layer uses it to decide when to trigger vacuum).
         self.dead_versions = 0
+        #: True while crash-recovery replay runs: it pins snapshots
+        #: below the horizon, so nothing may freeze meanwhile.
+        self.replaying = False
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -390,6 +527,11 @@ class TransactionManager:
                 min(t.snapshot_seq for t in self._active.values()),
                 self._commit_seq,
             )
+
+    def freeze_horizon(self) -> Optional[int]:
+        """The horizon :func:`freeze` may use: :meth:`oldest_visible_seq`,
+        or None during replay, which pins snapshots below it."""
+        return None if self.replaying else self.oldest_visible_seq()
 
     def active_transactions(self) -> List[Transaction]:
         with self._cond:

@@ -31,7 +31,8 @@ from typing import Any, Callable, List, Optional
 
 from repro import errors, faultpoints
 from repro.engine.catalog import Table
-from repro.engine.mvcc import CLAIM, INSERT, RowVersion, WriteConflict
+from repro.engine.mvcc import CLAIM, INSERT, RowVersion, WriteConflict, \
+    thaw
 from repro.observability import metrics as _metrics
 from repro.sqltypes import ObjectType
 
@@ -144,6 +145,7 @@ class RowStore:
                 # conflict wait returns immediately, the snapshot is
                 # refreshed, and the statement transparently retries.
                 raise WriteConflict(xmax)
+            thaw(version)  # before xmax: see mvcc.settled_runs
             version.xmax = txn.id
         txn.record(CLAIM, self.table, version)
 

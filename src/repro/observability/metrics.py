@@ -26,6 +26,10 @@ name                            meaning
 ``rows.returned``               rows materialised for rowset results
 ``rows.scanned``                rows read by SeqScan/IndexScan from tables
 ``index.lookups``               IndexScan probes (point or range)
+``mvcc.blocks_frozen``          heap blocks ANALYZE or vacuum froze: scans
+                                skip the snapshot test on them
+``mvcc.blocks_thawed``          frozen blocks a claim (UPDATE/DELETE)
+                                unfroze
 ``plan_cache.*``                engine plan cache ``hits`` / ``misses`` /
                                 ``evictions`` (capacity or stale schema)
 ``rows.fetched``                rows pulled through SQLJ ``FETCH``

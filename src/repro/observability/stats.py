@@ -39,7 +39,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import deque
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.observability import metrics as _metrics
 
@@ -47,6 +47,8 @@ __all__ = [
     "StatementContext",
     "StatementStats",
     "normalize_statement",
+    "normalize_tokens",
+    "note_tokens",
     "wait_breakdown",
     "begin",
     "abandon",
@@ -285,7 +287,9 @@ def normalize_statement(sql: str) -> str:
     handled exactly; an unlexable statement falls back to its raw text
     (it will fail to parse anyway, and the error should still be
     attributable).  Results are memoized by raw text, which also makes
-    the per-execution cost of a repeated statement one dict hit.
+    the per-execution cost of a repeated statement one dict hit; a text
+    the engine parsed is memoized from the parser's tokens
+    (:func:`note_tokens`) and never lexed again here.
     """
     cached = _NORMALIZE_CACHE.get(sql)
     if cached is not None:
@@ -293,26 +297,42 @@ def normalize_statement(sql: str) -> str:
     from repro.engine.lexer import tokenize
 
     try:
-        parts: List[str] = []
-        for token in tokenize(sql):
-            if token.kind == token.EOF:
-                break
-            if token.kind in (token.NUMBER, token.STRING):
-                parts.append("?")
-            elif token.value == "." and parts:
-                # Keep qualified names (repro_stats.statements) intact.
-                parts[-1] += "."
-            elif parts and parts[-1].endswith("."):
-                parts[-1] += token.value
-            else:
-                parts.append(token.value)
-        normalized = " ".join(parts)
+        normalized = normalize_tokens(tokenize(sql))
     except Exception:
         normalized = sql.strip()
+    _memo(sql, normalized)
+    return normalized
+
+
+def normalize_tokens(tokens: Iterable[Any]) -> str:
+    """:func:`normalize_statement`'s key from the text's lexer tokens."""
+    parts: List[str] = []
+    for token in tokens:
+        if token.kind == token.EOF:
+            break
+        if token.kind in (token.NUMBER, token.STRING):
+            parts.append("?")
+        elif token.value == "." and parts:
+            # Keep qualified names (repro_stats.statements) intact.
+            parts[-1] += "."
+        elif parts and parts[-1].endswith("."):
+            parts[-1] += token.value
+        else:
+            parts.append(token.value)
+    return " ".join(parts)
+
+
+def note_tokens(sql: str, tokens: Iterable[Any]) -> None:
+    """Memoize ``sql``'s key from the tokens the parser already lexed,
+    so recording a never-seen text does not lex it a second time."""
+    if sql not in _NORMALIZE_CACHE:
+        _memo(sql, normalize_tokens(tokens))
+
+
+def _memo(sql: str, normalized: str) -> None:
     if len(_NORMALIZE_CACHE) >= _NORMALIZE_CACHE_LIMIT:
         _NORMALIZE_CACHE.clear()
     _NORMALIZE_CACHE[sql] = normalized
-    return normalized
 
 
 # ---------------------------------------------------------------------------

@@ -527,6 +527,49 @@ def test_shapes_match_sqlite(shapes, sql, lite_sql, ordered):
         assert Counter(got) == Counter(want)
 
 
+@pytest.fixture(params=["plain", "frozen"])
+def join_keys(request, db):
+    """Two 300-row tables joined on int, string or DOUBLE keys with
+    NULLs and duplicates on both sides (frozen: ANALYZEd)."""
+    session = db.create_session(autocommit=True)
+    lite = sqlite3.connect(":memory:")
+    rng = random.Random(5)
+
+    def maybe(value):
+        return None if rng.random() < 0.1 else value
+
+    for name in ("l", "r"):
+        ddl = (f"create table {name} (id integer, i integer, s varchar(4), "
+               "x double precision)")
+        session.execute(ddl)
+        lite.execute(ddl)
+        rows = [(n, maybe(rng.randrange(40)), maybe(f"k{rng.randrange(40)}"),
+                 maybe(rng.randrange(40) / 2)) for n in range(300)]
+        session.execute_batch(f"insert into {name} values (?, ?, ?, ?)", rows)
+        lite.executemany(f"insert into {name} values (?, ?, ?, ?)", rows)
+    if request.param == "frozen":
+        session.execute("analyze")
+    yield session, lite
+    lite.close()
+
+
+@pytest.mark.parametrize("kind", ["join", "left join", "right join",
+                                  "full join"])
+@pytest.mark.parametrize("on", ["l.i = r.i", "l.s = r.s", "l.x = r.x",
+                                "l.i = r.i and l.s = r.s",
+                                "l.i = r.i and l.x = r.x"])
+def test_hash_join_build_matches_sqlite(join_keys, kind, on):
+    """Either build side, filled inside its input's loop, against sqlite3:
+    NULL keys never match, duplicates multiply, outer rows pad."""
+    session, lite = join_keys
+    for where in ("", " where l.id < 200 and r.id >= 50"):
+        sql = f"select l.id, r.id from l {kind} r on {on}{where}"
+        assert "HashJoin" in "".join(
+            row[0] for row in session.execute("explain " + sql).rows)
+        got = Counter(tuple(row) for row in session.execute(sql).rows)
+        assert got == Counter(lite.execute(sql).fetchall()), sql
+
+
 def test_top_n_keeps_explain_analyze_actual_rows(shapes):
     """A Sort under LIMIT keeps offset + limit + 1 rows: exactly what the
     Limit above it pulls, so per-node actual rows stay as they were."""

@@ -63,6 +63,53 @@ class TestStatementsView:
         assert "INSERT INTO t VALUES ( ? , ? )" in keys
         assert keys["INSERT INTO t VALUES ( ? , ? )"] == 3
 
+    def test_parser_tokens_give_the_lexed_key(self):
+        """Over every SQL text in the tier-1 tests that parses, the key
+        derived from the parser's tokens is the key a fresh lex gives."""
+        import ast as pyast
+        import pathlib
+        import re
+
+        from repro.engine.parser import Parser
+
+        sql = re.compile(r"\s*(select|insert|update|delete|create|drop|"
+                         r"alter|call|values|grant|revoke)\b", re.I)
+        corpus = {
+            node.value
+            for path in pathlib.Path(__file__).parent.glob("test_*.py")
+            for node in pyast.walk(pyast.parse(path.read_text()))
+            if isinstance(node, pyast.Constant)
+            and isinstance(node.value, str) and sql.match(node.value)
+        }
+        checked = 0
+        for text in sorted(corpus):
+            try:
+                parser = Parser(text)
+                parser.parse_statement()
+            except errors.ReproError:
+                continue
+            stats._NORMALIZE_CACHE.pop(text, None)
+            assert stats.normalize_tokens(parser.tokens) == \
+                stats.normalize_statement(text), text
+            checked += 1
+        assert checked > 1000
+
+    def test_a_new_text_is_lexed_once(self, session, monkeypatch):
+        from repro.engine import lexer
+
+        session.execute("create table t (n int, s varchar(20))")
+        lexed = []
+        tokens = lexer.Lexer.tokens
+        monkeypatch.setattr(lexer.Lexer, "tokens",
+                            lambda self: lexed.append(1) or tokens(self))
+        sql = "select n from t where s = 'never seen' and n > 41"
+        session.execute(sql)
+        assert lexed == [1]
+        result = session.execute(
+            "select calls from repro_stats.statements where statement = "
+            "'SELECT n FROM t WHERE s = ? AND n > ?'")
+        assert result.rows == [[1]]
+
     def test_rows_scanned_and_returned(self, emps):
         emps.execute("select * from emps")
         result = emps.execute(

@@ -9,7 +9,11 @@ UPDATE/DELETE target rows against the rule as stated.  The other tests
 pin what running a Filter/Project inside its scan's loop must keep:
 EXPLAIN ANALYZE per-node counts, early exit, one cached plan shared by
 many threads while writers commit — and that a closed database is
-freed by refcount.
+freed by refcount.  The frozen-block tests pin the all-visible map: a
+settled heap puts at most one block's versions to the test, every
+reader agrees on frozen, claimed (open, committed, rolled back),
+shifted, vacuum-rewritten and ALTERed heaps, nothing freezes past an
+open snapshot or during replay.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ import pytest
 
 import repro
 from repro.engine.expressions import Env
-from repro.engine.mvcc import VISIBLE, Transaction
+from repro.engine.mvcc import BLOCK, VISIBLE, RowVersion, Transaction, \
+    settled_runs
 from repro.engine.parser import parse_expression
 from repro.engine.planner import plan_target
 from repro.observability import metrics
@@ -173,12 +178,24 @@ def test_explain_analyze_counts_every_node_of_a_fused_plan(
 
 
 def test_limit_and_exists_stop_a_fused_scan_early(session):
+    _early_exit(session, analyze=False)
+
+
+def test_limit_and_exists_stop_a_frozen_scan_early(session):
+    _early_exit(session, analyze=True)
+
+
+def _early_exit(session, analyze):
     session.execute("create table big (k integer, v integer)")
     session.execute_batch(
         "insert into big values (?, ?)", [(k, k) for k in range(10_000)]
     )
     session.execute("create table one (x integer)")
     session.execute("insert into one values (1)")
+    if analyze:  # every full block of big frozen
+        frozen = _counter("mvcc.blocks_frozen")
+        session.execute("analyze")
+        assert _counter("mvcc.blocks_frozen") - frozen == 10_000 // BLOCK
     before = _scanned()
     assert session.execute(
         "select k from big where v >= 0 limit 1"
@@ -195,20 +212,50 @@ def test_one_cached_fused_plan_under_committing_writers(db):
     """Readers share one cached plan per text (a Filter fused into its
     SeqScan, an IndexScan range) while writers commit transfers between
     their own two rows: count and sum never change."""
+    _readers_under_writers(db, rows=64, freezer=False)
+
+
+def test_one_cached_fused_plan_while_writers_thaw_frozen_blocks(db):
+    """The same, over three frozen blocks: every writer claims rows of
+    the first, and a freezer thread keeps re-freezing (ANALYZE, vacuum)
+    whatever the claims thawed."""
+    thawed = _counter("mvcc.blocks_thawed")
+    _readers_under_writers(db, rows=3 * BLOCK, freezer=True)
+    assert _counter("mvcc.blocks_thawed") > thawed
+
+
+def _readers_under_writers(db, rows, freezer):
     admin = db.create_session(autocommit=True)
     admin.execute("create table acct (k integer, v integer)")
     admin.execute("create index acct_k on acct (k)")
     admin.execute_batch(
-        "insert into acct values (?, 100)", [[k] for k in range(64)]
+        "insert into acct values (?, 100)", [[k] for k in range(rows)]
     )
+    # Transfers stay within a writer's pair, rows 0-7: count and sum of
+    # the table, and of the pairs' range, never change.
     queries = ["select count(*), sum(v) from acct where v > -1000000",
                "select count(*), sum(v) from acct where k >= 0"]
+    oracles = [[[rows, 100 * rows]], [[rows, 100 * rows]]]
+    if freezer:
+        admin.execute("analyze")
+        queries[1] = "select count(*), sum(v) from acct where k < 8"
+        oracles[1] = [[8, 800]]
     assert "SeqScan" in _explain(admin, queries[0])
     assert "IndexScan" in _explain(admin, queries[1])
-    oracle = [[64, 6400]]
     stop = threading.Event()
     failures = []
     commits = []
+
+    def refreeze():
+        own = db.create_session(autocommit=True)
+        try:
+            while not stop.is_set():
+                own.execute("analyze acct")
+                db.vacuum()
+        except Exception as exc:  # pragma: no cover - reported below
+            failures.append(exc)
+        finally:
+            own.close()
 
     def writer(index):
         own = db.create_session()
@@ -229,9 +276,10 @@ def test_one_cached_fused_plan_under_committing_writers(db):
         own = db.create_session(autocommit=True)
         try:
             for round_ in range(25):
-                rows = own.execute(queries[(index + round_) % 2]).rows
-                if rows != oracle:
-                    failures.append(rows)
+                which = (index + round_) % 2
+                got = own.execute(queries[which]).rows
+                if got != oracles[which]:
+                    failures.append(got)
         except Exception as exc:  # pragma: no cover - reported below
             failures.append(exc)
         finally:
@@ -240,6 +288,8 @@ def test_one_cached_fused_plan_under_committing_writers(db):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     writers = [threading.Thread(target=writer, args=(i,)) for i in range(4)]
+    if freezer:
+        writers.append(threading.Thread(target=refreeze))
     readers = [threading.Thread(target=reader, args=(i,)) for i in range(16)]
     try:
         for thread in writers + readers:
@@ -254,7 +304,276 @@ def test_one_cached_fused_plan_under_committing_writers(db):
     assert not any(t.is_alive() for t in writers + readers)
     assert failures == []
     assert commits, "no writer committed"
-    assert admin.execute(queries[0]).rows == oracle
+    assert admin.execute(queries[0]).rows == oracles[0]
+
+
+# ---------------------------------------------------------------------------
+# Frozen blocks: scans skip the test only where every snapshot sees all
+# ---------------------------------------------------------------------------
+
+
+def _counter(name):
+    return metrics.registry.counter(name).value
+
+
+_BEGIN = RowVersion.begin
+
+
+class _Counted(RowVersion):
+    """A version noting in :attr:`tested` that its ``begin`` — the
+    snapshot test's first read — was read."""
+
+    __slots__ = ()
+    tested: set = set()
+
+    @property
+    def begin(self):
+        _Counted.tested.add(id(self))
+        return _BEGIN.__get__(self)
+
+    @begin.setter
+    def begin(self, value):
+        _BEGIN.__set__(self, value)
+
+
+def _tested(table, run):
+    """How many of ``table``'s versions ``run()`` puts to the test."""
+    for version in table.versions:
+        version.__class__ = _Counted
+    _Counted.tested.clear()
+    try:
+        run()
+        return len(_Counted.tested)
+    finally:
+        for version in table.versions:
+            version.__class__ = RowVersion
+
+
+def test_a_settled_heap_skips_the_snapshot_test(db, session):
+    session.execute("create table big (k integer, v integer)")
+    session.execute_batch(
+        "insert into big values (?, ?)", [(k, k) for k in range(10_000)]
+    )
+    table = db.catalog.get_table("big")
+    count = "select count(*) from big where v >= 0"
+
+    def counts(n):
+        return lambda: session.execute(count).rows == [[n]] or 1 / 0
+
+    assert _tested(table, counts(10_000)) == 10_000
+    frozen = _counter("mvcc.blocks_frozen")
+    session.execute("analyze big")
+    assert _counter("mvcc.blocks_frozen") - frozen == 10_000 // BLOCK
+    tail = 10_000 % BLOCK
+    assert _tested(table, counts(10_000)) == tail <= BLOCK
+    thawed = _counter("mvcc.blocks_thawed")
+    session.execute("update big set v = -1 where k = 5000")
+    assert _counter("mvcc.blocks_thawed") - thawed == 1
+    # the claimed version's block, the tail and the new version
+    assert _tested(table, counts(9_999)) == BLOCK + tail + 1
+    session.execute("analyze big")  # its dead version keeps it thawed
+    assert _tested(table, counts(9_999)) == BLOCK + tail + 1
+    assert db.vacuum() == 1  # which shifts, then re-freezes, the rest
+    assert _tested(table, counts(9_999)) == tail
+
+
+ROWS = 3 * BLOCK + 10
+
+#: The readers each scenario checks: SQL and the keys it must return,
+#: given the reader's visible keys (a sorted multiset).
+READS = [
+    ("select k from t", sorted),
+    ("select k from t where v > -1000000", sorted),
+    ("select a.k from t a join t b on a.k = b.k and a.v = b.v", sorted),
+    ("select k from t order by v desc, k limit 5",
+     lambda keys: sorted(keys, reverse=True)[:5]),
+    ("select k from t order by k limit 7 offset 300",
+     lambda keys: keys[300:307]),
+    ("select count(*) from t where v > -1000000",
+     lambda keys: [len(keys)]),
+]
+
+
+@pytest.fixture
+def frozen_t(db):
+    """Table ``t`` of three frozen blocks and a 10-row tail, ``v = k``."""
+    admin = db.create_session(autocommit=True)
+    admin.execute("create table t (k integer, v integer)")
+    admin.execute("create index t_k on t (k)")
+    admin.execute_batch("insert into t values (?, ?)",
+                        [(k, k) for k in range(ROWS)])
+    frozen = _counter("mvcc.blocks_frozen")
+    admin.execute("analyze t")
+    assert _counter("mvcc.blocks_frozen") - frozen == 3
+    return admin, db.catalog.get_table("t")
+
+
+def _agrees(reader, table, keys):
+    """Every reader of ``reader``'s snapshot returns ``keys``: SeqScan,
+    a fused Filter, a hash join's build and probe sides, top-N, OFFSET,
+    a fused aggregate, the DML target path and the full test."""
+    keys = sorted(keys)
+    for sql, want in READS:
+        got = [row[0] for row in reader.execute(sql).rows]
+        assert (sorted(got) if want is sorted else got) == want(keys), sql
+    access, _ = plan_target(table, None, reader)
+    got = access.versions(Env((), (), None, reader))
+    assert sorted(v.row[0] for v in got) == keys
+    txn = reader.mvcc_txn
+    assert sorted(v.row[0] for v in txn.visible(table.versions)) == keys
+
+
+def test_frozen_blocks_are_seen_by_every_reader(db, frozen_t):
+    _admin, table = frozen_t
+    _agrees(db.create_session(autocommit=True), table, range(ROWS))
+
+
+@pytest.mark.parametrize("claim", ["update", "delete"])
+@pytest.mark.parametrize("ending", ["open", "commit", "rollback"])
+def test_a_claim_thaws_its_block(db, frozen_t, claim, ending):
+    admin, table = frozen_t
+    before = db.create_session()  # snapshot before the claim
+    _agrees(before, table, range(ROWS))
+    writer = db.create_session()
+    thawed = _counter("mvcc.blocks_thawed")
+    if claim == "update":
+        writer.execute("update t set v = -v where k in (300, 301)")
+    else:
+        writer.execute("delete from t where k in (300, 301)")
+    assert _counter("mvcc.blocks_thawed") - thawed == 1  # both in block 1
+    everything = list(range(ROWS))
+    claimed = everything if claim == "update" \
+        else [k for k in everything if k not in (300, 301)]
+    _agrees(writer, table, claimed)  # its own claims, in a thawed block
+    if ending == "commit":
+        writer.commit()
+    elif ending == "rollback":
+        writer.rollback()
+    after = db.create_session(autocommit=True)
+    _agrees(after, table, claimed if ending == "commit" else everything)
+    _agrees(before, table, everything)
+    before.commit()
+    if ending == "open":
+        writer.rollback()
+    admin.execute("analyze t")  # re-freeze what the claim thawed
+    _agrees(after, table, claimed if ending == "commit" else everything)
+
+
+def test_nothing_freezes_past_an_open_snapshot(db, frozen_t):
+    admin, table = frozen_t
+    reader = db.create_session()
+    _agrees(reader, table, range(ROWS))
+    admin.execute_batch("insert into t values (?, ?)",
+                        [(k, k) for k in range(ROWS, ROWS + 300)])
+    frozen = _counter("mvcc.blocks_frozen")
+    admin.execute("analyze t")  # block 3 is full, but the reader is older
+    assert _counter("mvcc.blocks_frozen") == frozen
+    _agrees(reader, table, range(ROWS))
+    reader.commit()
+    admin.execute("analyze t")
+    assert _counter("mvcc.blocks_frozen") - frozen == 1
+    _agrees(reader, table, range(ROWS + 300))
+
+
+def test_a_rolled_back_insert_shifts_the_tail(db, frozen_t):
+    admin, table = frozen_t
+    loser = db.create_session()
+    loser.execute_batch("insert into t values (?, ?)",
+                        [(k, k) for k in range(5000, 5005)])
+    admin.execute_batch("insert into t values (?, ?)",
+                        [(k, k) for k in range(ROWS, ROWS + 300)])
+    admin.execute("analyze t")
+    loser.rollback()  # the tail after the loser's rows moves down
+    want = list(range(ROWS + 300))
+    _agrees(db.create_session(autocommit=True), table, want)
+    frozen = _counter("mvcc.blocks_frozen")
+    admin.execute("analyze t")
+    assert _counter("mvcc.blocks_frozen") - frozen == 1  # block 3
+    _agrees(db.create_session(autocommit=True), table, want)
+
+
+@pytest.mark.parametrize("deleted", [
+    [5, 260, 600],
+    # New block 0 is rows 0, 256 and 258-511: in the old copy, positions
+    # 256-511 run from its second row to its last, around a dead one.
+    [*range(1, 256), 257],
+])
+def test_a_vacuum_rewritten_heap(db, frozen_t, deleted):
+    admin, table = frozen_t
+    admin.execute_batch("delete from t where k = ?", [[k] for k in deleted])
+    old = list(table.versions)  # a scan's copy from before the rewrite
+    assert db.vacuum() == len(deleted)
+    # The rewrite moved blocks; vacuum re-froze every full one.
+    left = ROWS - len(deleted)
+    assert [(stop, frozen) for stop, frozen, _ in
+            settled_runs(table.versions)] == \
+        [(at, True) for at in range(BLOCK, left + 1, BLOCK)] + [(left, False)]
+    # Against the old copy, no frozen run may cover a deleted version.
+    at = 0
+    for stop, frozen, items in settled_runs(old):
+        if frozen:
+            assert all(v.end is None for v in old[at:stop])
+            assert items == [v.row for v in old[at:stop]]
+        at = stop
+    _agrees(db.create_session(autocommit=True), table,
+            [k for k in range(ROWS) if k not in deleted])
+
+
+def test_no_stale_block_keeps_dead_rows(db, frozen_t):
+    """After a rewrite, versions whose block cannot freeze again (an open
+    claim sits in it) let go of their old block, which holds the rows of
+    the versions vacuum removed."""
+    admin, table = frozen_t
+    admin.execute("delete from t where k < 10")
+    dead = {id(v.row) for v in table.versions if v.row[0] < 10}
+    writer = db.create_session()
+    writer.execute("update t set v = -v where k = 100")
+    assert db.vacuum() == 10
+    held = {id(row) for v in table.versions if v.block is not None
+            for row in v.block.rows}
+    assert not held & dead
+    writer.rollback()
+    _agrees(db.create_session(autocommit=True), table, range(10, ROWS))
+
+
+def test_alter_table_reaches_frozen_rows(db, frozen_t):
+    """A frozen block's scan reads the row lists ALTER TABLE edits."""
+    admin, table = frozen_t
+    admin.execute("alter table t add column w integer default 7")
+    rows = admin.execute("select k, w from t where v >= 0").rows
+    assert sorted(rows) == [[k, 7] for k in range(ROWS)]
+    admin.execute("alter table t drop column w")
+    assert admin.execute("select * from t where k = 300 or k = 0").rows \
+        == [[0, 0], [300, 300]]
+    _agrees(db.create_session(autocommit=True), table, range(ROWS))
+
+
+def test_replay_freezes_nothing_below_a_pinned_snapshot(tmp_path, monkeypatch):
+    """Recovery replays a statement on the snapshot it logged, below the
+    horizon; a vacuum started by replay's own commits must not freeze
+    the rows that snapshot cannot see."""
+    monkeypatch.setattr(repro.Database, "_maybe_vacuum",
+                        repro.Database.vacuum)  # after every commit
+    directory = str(tmp_path)
+    db = repro.open_database(directory, checkpoint_interval=0)
+    admin = db.create_session(autocommit=True)
+    admin.execute("create table t (k integer)")
+    admin.execute("create table seen (n integer)")
+    old = db.create_session()
+    assert old.execute("select count(*) from t").rows == [[0]]
+    admin.execute_batch("insert into t values (?)",
+                        [[k] for k in range(BLOCK + 44)])
+    old.execute("insert into seen select count(*) from t")  # logs its snapshot
+    old.commit()
+    db.lsm_store.close()  # crash: no checkpoint, the WAL replays
+    del db, admin, old
+    again = repro.open_database(directory, checkpoint_interval=0)
+    try:
+        check = again.create_session(autocommit=True)
+        assert check.execute("select n from seen").rows == [[0]]
+        assert check.execute("select count(*) from t").rows == [[BLOCK + 44]]
+    finally:
+        again.close()
 
 
 # ---------------------------------------------------------------------------
