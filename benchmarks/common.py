@@ -388,7 +388,7 @@ def measure_noop_hook_cost(
                     pass
                 if tracing.current.enabled:  # clause-execution gate
                     pass
-                if tracing.current.enabled:  # execute_statement gate
+                if tracing.current.enabled:  # statement-envelope gate
                     pass
                 if tracing.current.enabled:  # dispatch gate
                     pass

@@ -570,7 +570,6 @@ class RemoteSession:
                 )
                 for nested in payload.get("result_sets") or []
             ],
-            function_value=payload.get("function_value"),
         )
         result.rows = RemoteRows(
             self,

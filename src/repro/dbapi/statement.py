@@ -243,8 +243,8 @@ class Statement:
 
 
 class PreparedStatement(Statement):
-    """Parameterised statement parsed and (queries and DML) compiled
-    once, when it is prepared."""
+    """Parameterised statement parsed and (queries, DML and CALL)
+    compiled once, when it is prepared."""
 
     def __init__(self, connection: Any, sql: str) -> None:
         super().__init__(connection)
@@ -443,7 +443,10 @@ class CallableStatement(PreparedStatement):
     ``?`` markers are numbered 1..n in order of appearance; IN markers are
     bound with ``set_xxx``, OUT markers registered with
     ``register_out_parameter`` and read back with ``get_xxx`` after
-    ``execute``.
+    ``execute``.  The CALL is compiled when it is prepared, so
+    ``prepare_call`` fails as executing would: an unknown procedure, a
+    function, a wrong argument count, a missing EXECUTE privilege, or an
+    OUT/INOUT argument that is not a ``?`` marker.
     """
 
     def __init__(self, connection: Any, sql: str) -> None:
@@ -472,12 +475,10 @@ class CallableStatement(PreparedStatement):
 
     def _run_prepared(self) -> StatementResult:
         result = super()._run_prepared()
-        self._out_by_marker = {}
-        if result.kind == "call":
-            for marker, position in self._marker_positions.items():
-                if position < len(result.out_values):
-                    self._out_by_marker[marker + 1] = \
-                        result.out_values[position]
+        self._out_by_marker = {
+            marker + 1: result.out_values[position]
+            for marker, position in self._marker_positions.items()
+        }
         return result
 
     # ------------------------------------------------------------------

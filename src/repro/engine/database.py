@@ -30,7 +30,8 @@ from repro.engine import ast, ddl, dml
 from repro.engine.catalog import Catalog, InstalledPar, Routine, \
     Table, UserDefinedType
 from repro.engine.dialects import DIALECTS, STANDARD, Dialect
-from repro.engine.expressions import RowShape
+from repro.engine.expressions import Compiled, Env, ExpressionCompiler, \
+    RowShape
 from repro.engine.locks import ReadWriteLock
 from repro.engine.mvcc import Transaction, TransactionManager, \
     WriteConflict, freeze
@@ -38,10 +39,12 @@ from repro.engine.parser import Parser
 from repro.engine.plancache import CachedPlan, PlanCache
 from repro.engine.planner import plan_query
 from repro.engine.privileges import PrivilegeManager
-from repro.engine.render import render_statement
 from repro.sqltypes import ObjectType
 
-__all__ = ["Database", "Session", "StatementResult", "PreparedStatementPlan"]
+__all__ = [
+    "Database", "Session", "StatementResult", "PreparedStatementPlan",
+    "CallPlan",
+]
 
 # Counter handles cached at import time: the per-statement path must not
 # pay a name format plus registry lookup per execution (metrics.reset()
@@ -89,6 +92,7 @@ _SHARED_STATEMENTS = (
 #: dispatched per execution.
 _PLANNABLE = (
     ast.Select, ast.SetOperation, ast.Insert, ast.Update, ast.Delete,
+    ast.Call,
 )
 _DML = (ast.Insert, ast.Update, ast.Delete)
 
@@ -165,7 +169,6 @@ class StatementResult:
         update_count: int = 0,
         out_values: Optional[List[Any]] = None,
         result_sets: Optional[List[Any]] = None,
-        function_value: Any = None,
     ) -> None:
         self.kind = kind
         self.rows = rows if rows is not None else []
@@ -173,7 +176,6 @@ class StatementResult:
         self.update_count = update_count
         self.out_values = out_values or []
         self.result_sets = result_sets or []
-        self.function_value = function_value
 
     @property
     def is_rowset(self) -> bool:
@@ -188,8 +190,8 @@ class StatementResult:
 class PreparedStatementPlan:
     """A statement prepared once and executable many times.
 
-    A query or an INSERT/UPDATE/DELETE is compiled here — preparing
-    fails as executing would — and keeps its plan as a
+    A query, an INSERT/UPDATE/DELETE or a CALL is compiled here —
+    preparing fails as executing would — and keeps its plan as a
     :class:`CachedPlan`, revalidated against the catalog on every
     execution like a plan-cache entry.  A command keeps the parsed AST
     and is dispatched per execution.  ``statement`` is ``sql`` parsed
@@ -222,6 +224,65 @@ class PreparedStatementPlan:
         )
 
 
+class CallPlan:
+    """A compiled CALL: the procedure and its IN arguments.
+
+    The plan binds the catalog :class:`Routine`, not its body: the body
+    is read per call, so ``sqlj.replace_par`` (which swaps it without a
+    catalog change) reaches cached and prepared plans.  ``arguments``
+    evaluates the IN and INOUT values in parameter order; OUT and INOUT
+    positions are ``?`` markers, and the values coming back are coerced
+    per call.  Like a query plan it keeps nothing of the compiling
+    session: the arguments read the executing one from their
+    :class:`Env`.
+    """
+
+    __slots__ = ("routine", "arguments")
+
+    def __init__(
+        self, routine: Routine, arguments: Callable[[Env], List[Any]]
+    ) -> None:
+        self.routine = routine
+        self.arguments = arguments
+
+    def run(
+        self, session: "Session", param_rows: Sequence[Sequence[Any]]
+    ) -> "StatementResult":
+        [params] = param_rows
+        values = self.arguments(Env([], params, None, session))
+        return session.database._call_routine(session, self.routine, values)
+
+
+def plan_call(statement: ast.Call, session: "Session") -> CallPlan:
+    """Compile a CALL against ``session``'s catalog and privileges: the
+    procedure lookup, its arity and EXECUTE privilege, the IN arguments,
+    and a ``?`` marker at every OUT/INOUT position.  Raises every error
+    that does not depend on parameter values."""
+    name = statement.procedure
+    routine = session.catalog.get_routine(name)
+    if routine.is_function:
+        raise errors.SQLSyntaxError(
+            f"{name!r} is a function; invoke it in an expression"
+        )
+    if len(statement.args) != len(routine.params):
+        raise errors.SQLSyntaxError(
+            f"procedure {name!r} takes {len(routine.params)} "
+            f"arguments, got {len(statement.args)}"
+        )
+    session.check_execute_privilege(routine)
+    compiler = ExpressionCompiler(RowShape([]), session)
+    arguments = []
+    for param, arg in zip(routine.params, statement.args):
+        if param.mode != "IN" and not isinstance(arg, ast.Parameter):
+            raise errors.SQLSyntaxError(
+                f"{param.mode} parameter {param.name!r} of {name!r} "
+                f"takes a ? marker"
+            )
+        if param.mode != "OUT":
+            arguments.append(compiler.compile(arg))
+    return CallPlan(routine, Compiled.row(arguments).fn)
+
+
 class Database:
     """One database instance: catalog + privileges + dialect."""
 
@@ -247,8 +308,9 @@ class Database:
         #: transaction control share it; only DDL and CALL hold it
         #: exclusively (see engine/locks.py).
         self.lock = ReadWriteLock()
-        #: Compiled plans of queries and DML keyed by (sql, dialect,
-        #: user), invalidated by catalog and statistics version bumps.
+        #: Compiled plans of queries, DML and CALL keyed by (sql,
+        #: dialect, user), invalidated by catalog and statistics
+        #: version bumps.
         self.plan_cache = PlanCache()
         #: Durability manager (WAL + checkpointing), attached by
         #: ``repro.open_database``; ``None`` for an in-memory database.
@@ -282,14 +344,14 @@ class Database:
     def _bootstrap(self) -> None:
         # Lazy imports avoid a package cycle: procedures/datatypes build on
         # the engine, and the engine only reaches them through these hooks.
-        from repro.procedures.invocation import execute_call, invoke_function
+        from repro.procedures.invocation import call_routine, invoke_function
         from repro.procedures.registration import execute_create_routine
         from repro.procedures.system import register_system_routines
         from repro.datatypes.registration import execute_create_type
         from repro.engine.virtual import register_stats_views
 
         self._invoke_function = invoke_function
-        self._execute_call = execute_call
+        self._call_routine = call_routine
         self._execute_create_routine = execute_create_routine
         self._execute_create_type = execute_create_type
         register_system_routines(self)
@@ -625,7 +687,7 @@ class Session:
     def _run_statement(
         self,
         statement: ast.Statement,
-        sql: Optional[str],
+        sql: str,
         param_rows: Sequence[Sequence[Any]],
         body: Callable[[], Any],
         span: Optional[dict] = None,
@@ -682,9 +744,9 @@ class Session:
                         try:
                             result = body()
                             # Redo-log only statements that succeeded; a
-                            # logging failure (unpicklable parameter,
-                            # unrenderable AST) rolls the statement back
-                            # too, keeping WAL and heap in agreement.
+                            # logging failure (an unpicklable parameter)
+                            # rolls the statement back too, keeping WAL
+                            # and heap in agreement.
                             pending = self._log_durable(
                                 statement, param_rows, sql
                             )
@@ -750,8 +812,7 @@ class Session:
             if context is not None:
                 self._record_statement(
                     context,
-                    sql if sql is not None
-                    else f"<{type(statement).__name__}>",
+                    sql,
                     _perf_counter() - start,
                     returned,
                     error,
@@ -774,8 +835,9 @@ class Session:
     def _execute_text(
         self, sql: str, params: Sequence[Any], span: Any = None
     ) -> StatementResult:
-        """Route one text: a plan-cache hit runs unparsed, a query or DML
-        parsed here is compiled into the cache, a command is dispatched.
+        """Route one text: a plan-cache hit runs unparsed, a query, DML or
+        CALL parsed here is compiled into the cache, a command is
+        dispatched.
         ``span`` is the caller's statement span when tracing is on."""
         statement, entry, store = self._lookup(sql, span)
         return self._execute_parsed(
@@ -822,32 +884,19 @@ class Session:
         return PreparedStatementPlan(self, sql)
 
     def compile(self, statement: ast.Statement) -> Optional[CachedPlan]:
-        """The one compile step: a query or an INSERT/UPDATE/DELETE
-        planned against the current catalog, privileges and statistics,
-        as the :class:`CachedPlan` every execution route holds; None for
-        a command, which is dispatched per execution instead.  Raises
-        every error that does not depend on rows or parameter values;
-        the translator's ``OnlineChecker`` is this, on an exemplar."""
+        """The one compile step: a query, an INSERT/UPDATE/DELETE or a
+        CALL planned against the current catalog, privileges and
+        statistics, as the :class:`CachedPlan` every execution route
+        holds; None for a command, which is dispatched per execution
+        instead.  Raises every error that does not depend on rows or
+        parameter values; the translator's ``OnlineChecker`` is this, on
+        an exemplar."""
         if not isinstance(statement, _PLANNABLE):
             return None
         # Compiling reads the catalog, so it must not race a DDL
         # statement rewriting it.
         with self.database.lock.read():
             return self._compile(statement)
-
-    def execute_statement(
-        self,
-        statement: ast.Statement,
-        params: Sequence[Any] = (),
-        sql: Optional[str] = None,
-    ) -> StatementResult:
-        """Execute a pre-parsed statement, compiling it afresh.
-
-        ``sql`` is the statement's original text when the caller has it;
-        statistics then key on it, and redo logging falls back to
-        rendering the AST when it is absent.
-        """
-        return self._execute_parsed(statement, sql, [params])
 
     def execute_batch(
         self,
@@ -896,7 +945,7 @@ class Session:
     def _execute_parsed(
         self,
         statement: ast.Statement,
-        sql: Optional[str],
+        sql: str,
         param_rows: Sequence[Sequence[Any]],
         entry: Optional[CachedPlan] = None,
         store: Optional[Callable[[CachedPlan], Any]] = None,
@@ -904,8 +953,8 @@ class Session:
         cache_hit: bool = False,
         batch: bool = False,
     ) -> Any:
-        """Every entry point's one route into the envelope: a query or
-        DML runs through its compiled plan (:meth:`_run_plan`), a
+        """Every entry point's one route into the envelope: a query, DML
+        or CALL runs through its compiled plan (:meth:`_run_plan`), a
         command is dispatched (:meth:`_dispatch`)."""
         if isinstance(statement, _PLANNABLE):
             def body() -> Any:
@@ -926,15 +975,17 @@ class Session:
     # statement bodies (run inside the envelope, engine lock held)
     # ------------------------------------------------------------------
     def _compile(self, statement: ast.Statement) -> CachedPlan:
-        """Compile a query or DML statement under the current catalog
-        and statistics versions; the caller holds the shared lock, which
-        keeps DDL (it takes the lock exclusively) from changing the
-        catalog meanwhile."""
+        """Compile a query, DML or CALL statement under the current
+        catalog and statistics versions; the caller holds the shared
+        lock, which keeps DDL (it takes the lock exclusively) from
+        changing the catalog meanwhile."""
         catalog = self.catalog
         version, stats_version = catalog.version, catalog.stats_version
         with _tracing.current.span("plan"):
             if isinstance(statement, _DML):
                 plan, shape = dml.plan_dml(statement, self), None
+            elif isinstance(statement, ast.Call):
+                plan, shape = plan_call(statement, self), None
             else:
                 plan, shape = plan_query(statement, self)
         return CachedPlan(statement, plan, shape, version, stats_version)
@@ -947,8 +998,8 @@ class Session:
         store: Optional[Callable[[CachedPlan], Any]],
         batch: bool,
     ) -> Any:
-        """Body: run a query or DML statement through ``entry``, the
-        plan its caller holds (a plan-cache entry, a prepared or
+        """Body: run a query, DML or CALL statement through ``entry``,
+        the plan its caller holds (a plan-cache entry, a prepared or
         precompiled statement's own) — recompiled, and handed to
         ``store``, when absent or when DDL or ANALYZE moved the catalog
         since it was built (new indexes, dropped columns, revoked
@@ -965,12 +1016,12 @@ class Session:
                 store(entry)
         plan, shape = entry.plan, entry.shape
         tracer = _tracing.current
-        if shape is None:  # INSERT / UPDATE / DELETE
+        if shape is None:  # INSERT / UPDATE / DELETE / CALL
             with tracer.span("execute", statement=type(statement).__name__):
-                counts = plan.run(self, param_rows)
-            if batch:
-                return counts
-            return StatementResult("update", update_count=counts[0])
+                outcome = plan.run(self, param_rows)
+            if batch or isinstance(outcome, StatementResult):
+                return outcome
+            return StatementResult("update", update_count=outcome[0])
         [params] = param_rows
         if not tracer.enabled:
             return self.finish_rowset(plan.run(self, params), shape)
@@ -1010,8 +1061,6 @@ class Session:
         if isinstance(statement, ast.Revoke):
             ddl.execute_revoke(statement, self)
             return StatementResult("ddl")
-        if isinstance(statement, ast.Call):
-            return self.database._execute_call(statement, self, params)
         if isinstance(statement, ast.Explain):
             return self._explain(statement, params)
         if isinstance(statement, ast.Analyze):
@@ -1105,30 +1154,27 @@ class Session:
         is executed through an instrumented plan and each node carries
         actual row counts and times.  The tree includes the planner's
         estimated rows/costs and the alternatives it rejected, when
-        ANALYZE statistics made a cost model available.
+        ANALYZE statistics made a cost model available.  It is one
+        EXPLAIN statement of the envelope, counted and recorded as such.
         """
         self._check_open()
         statement = Parser(sql, self.dialect).parse_statement()
-        if isinstance(statement, ast.Explain):
-            query = statement.query
-            analyze = analyze or statement.analyze
-        elif isinstance(statement, (ast.Select, ast.SetOperation)):
-            query = statement
-        else:
+        if isinstance(statement, (ast.Select, ast.SetOperation)):
+            statement = ast.Explain(statement, analyze)
+        elif not isinstance(statement, ast.Explain):
             raise errors.FeatureNotSupportedError(
                 "explain() takes a query (SELECT / set operation)"
             )
-        with self.database.lock.read():
-            try:
-                tree, _rows, _elapsed = self._explain_tree(
-                    query, params, analyze
-                )
-            except BaseException:
-                self._end_statement(failed=True)
-                raise
-            pending = self._end_statement()
-        self._after_commit(pending)
-        return tree
+        trees: list = []
+
+        def body() -> StatementResult:
+            trees.append(self._explain_tree(
+                statement.query, params, analyze or statement.analyze
+            )[0])
+            return StatementResult("explain")
+
+        self._run_statement(statement, sql, [params], body)
+        return trees[0]
 
     def _analyze(self, statement: ast.Analyze) -> StatementResult:
         """Collect planner statistics for one table or every base table.
@@ -1224,7 +1270,7 @@ class Session:
         self,
         statement: ast.Statement,
         param_rows: Sequence[Sequence[Any]],
-        sql: Optional[str],
+        sql: str,
     ) -> Optional[int]:
         """Append the redo record for a just-executed statement.
 
@@ -1256,10 +1302,6 @@ class Session:
         snapshot = open_txn.snapshot_seq if open_txn is not None else None
         if snapshot is None:
             snapshot = self.database.transactions.commit_seq
-        text = (
-            sql if sql is not None
-            else render_statement(statement, self.dialect)
-        )
         if immediate:
             wal_txn = durability.begin()
         else:
@@ -1268,7 +1310,7 @@ class Session:
                 txn.wal_txn = durability.begin()
             wal_txn = txn.wal_txn
         durability.log_statement(
-            wal_txn, self.user, text, param_rows, snapshot
+            wal_txn, self.user, sql, param_rows, snapshot
         )
         return durability.log_commit(wal_txn) if immediate else None
 

@@ -2,10 +2,10 @@
 
 Parsing and compiling dominate the cost of small statements (the
 per-row work of a point lookup or a keyed UPDATE is a couple of dict
-probes), so this cache keys compiled plans — queries and
-INSERT/UPDATE/DELETE alike — by ``(sql, dialect, user)`` and tags each
-entry with the catalog version *and statistics version* it was compiled
-under:
+probes), so this cache keys compiled plans — queries,
+INSERT/UPDATE/DELETE and CALL alike — by ``(sql, dialect, user)`` and
+tags each entry with the catalog version *and statistics version* it
+was compiled under:
 
 * **sql** — byte-exact statement text (no normalisation; two spellings
   of the same statement are two entries);
@@ -22,8 +22,11 @@ under:
 
 A plan keeps nothing of the session that compiled it (its generated
 code reads the executing one from the run's context), so one entry
-serves every session of its user.  Commands — DDL, CALL, EXPLAIN,
-transaction control — are never cached.
+serves every session of its user; a CALL's plan binds the catalog
+routine and reads its body per call, so ``sqlj.replace_par`` (which
+swaps bodies without a catalog change) reaches cached CALLs too.
+Commands — DDL, EXPLAIN, ANALYZE, transaction control — are never
+cached.
 
 Thread safety: lookups and inserts take a private lock; the *plans*
 themselves are only executed under the database's reader-writer lock,
@@ -58,7 +61,8 @@ CAPACITY = 128
 
 class CachedPlan:
     """One compiled statement: parsed AST, plan, output shape (None for
-    DML, whose plan is a :class:`~repro.engine.dml.DmlPlan`)."""
+    DML, whose plan is a :class:`~repro.engine.dml.DmlPlan`, and for
+    CALL, whose plan is a :class:`~repro.engine.database.CallPlan`)."""
 
     __slots__ = (
         "statement", "plan", "shape", "catalog_version", "stats_version"

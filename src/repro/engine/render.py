@@ -3,11 +3,9 @@
 Used by profile customizers to show (and test) the vendor-specific SQL a
 customization produces — e.g. the standard dialect's ``LIMIT n`` becomes
 ``SELECT TOP n`` for the acme dialect and ``FETCH FIRST n ROWS ONLY`` for
-zenith, and ``||`` concatenation becomes ``+`` where required — and by
-the durability layer (:mod:`repro.engine.durability`) as the fallback
-source of redo-log SQL text when a statement arrives as a bare AST
-(profile-driven execution), which is why DDL and savepoint statements
-render too.
+zenith, and ``||`` concatenation becomes ``+`` where required.  Every
+statement a profile entry may hold renders, DDL and savepoints included,
+and the planner renders expressions for its plan text.
 """
 
 from __future__ import annotations
@@ -43,6 +41,10 @@ class _Renderer:
         if isinstance(node, ast.Call):
             args = ", ".join(self.expr(a) for a in node.args)
             return f"CALL {node.procedure}({args})"
+        if isinstance(node, ast.Explain):
+            options = ["ANALYZE"] * node.analyze + [f"FORMAT {node.format}"]
+            query = self.query(node.query)
+            return f"EXPLAIN ({', '.join(options)}) {query}"
         if isinstance(node, ast.Analyze):
             if node.table:
                 return f"ANALYZE {node.table}"

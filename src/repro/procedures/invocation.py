@@ -24,17 +24,14 @@ import contextvars
 from typing import Any, List, Optional, Sequence
 
 from repro import errors, faultpoints
-from repro.engine import ast
 from repro.engine.catalog import Routine
 from repro.engine.database import Session, StatementResult
-from repro.engine.expressions import Env, ExpressionCompiler, RowShape
 from repro.observability import metrics as _metrics
 from repro.observability import tracing as _tracing
 from repro.procedures.sqlstate import to_sql_exception
 
 __all__ = [
     "invoke_function",
-    "execute_call",
     "default_connection_session",
     "call_routine",
 ]
@@ -123,26 +120,20 @@ def _host_value(descriptor: Any, value: Any) -> Any:
 
 
 def _coerce_in_args(routine: Routine, args: Sequence[Any]) -> List[Any]:
-    in_params = routine.in_params()
-    if len(args) != len(in_params):
-        raise errors.ExternalRoutineInvocationError(
-            f"routine {routine.name!r} expects {len(in_params)} input "
-            f"arguments, got {len(args)}"
-        )
+    """The IN and INOUT values as the body receives them; compiling the
+    call checked that there is one per parameter."""
     return [
         _host_value(param.descriptor, param.descriptor.coerce(value))
-        for param, value in zip(in_params, args)
+        for param, value in zip(routine.in_params(), args)
     ]
 
 
 def invoke_function(
     session: Session, routine: Routine, args: Sequence[Any]
 ) -> Any:
-    """Invoke a Part 1 function from a SQL expression."""
-    if not routine.is_function:
-        raise errors.SQLSyntaxError(
-            f"{routine.name!r} is a procedure; use CALL"
-        )
+    """Invoke a Part 1 function from a SQL expression (compiled by
+    :mod:`repro.engine.expressions`, which resolved the function and
+    checked its arity and EXECUTE privilege)."""
     _FUNCTION_CALLS.increment()
     values = _coerce_in_args(routine, args)
     result = _invoke_body(session, routine, values)
@@ -156,18 +147,14 @@ def call_routine(
     routine: Routine,
     in_values: Sequence[Any],
 ) -> StatementResult:
-    """Call a procedure with already-evaluated input values.
+    """Call a procedure with already-evaluated input values: the body of
+    a compiled CALL (:class:`repro.engine.database.CallPlan`), which
+    checked the procedure, its arity and the EXECUTE privilege.
 
     Builds OUT and result-set containers, invokes the body, and collects
     outputs.  ``out_values`` in the result is aligned with the routine's
     full parameter list (None at IN positions).
     """
-    session.check_execute_privilege(routine)
-
-    if routine.is_function:
-        value = invoke_function(session, routine, list(in_values))
-        return StatementResult("call", function_value=value)
-
     _PROCEDURE_CALLS.increment()
     coerced = _coerce_in_args(routine, in_values)
     coerced_iter = iter(coerced)
@@ -227,29 +214,3 @@ def _materialise_result_set(value: Any, routine: Routine) -> StatementResult:
         f"{type(value).__name__} in a result-set container"
     )
 
-
-def execute_call(
-    stmt: ast.Call, session: Session, params: Sequence[Any]
-) -> StatementResult:
-    """Execute a CALL statement.
-
-    IN arguments may be arbitrary expressions (including ``?`` markers);
-    OUT/INOUT arguments must be ``?`` markers or are ignored on output.
-    """
-    routine = session.catalog.get_routine(stmt.procedure)
-    if routine.is_function:
-        raise errors.SQLSyntaxError(
-            f"{stmt.procedure!r} is a function; invoke it in an expression"
-        )
-    if len(stmt.args) != len(routine.params):
-        raise errors.SQLSyntaxError(
-            f"procedure {stmt.procedure!r} takes {len(routine.params)} "
-            f"arguments, got {len(stmt.args)}"
-        )
-    compiler = ExpressionCompiler(RowShape([]), session)
-    env = Env([], params, None, session)
-    in_values: List[Any] = []
-    for param, arg in zip(routine.params, stmt.args):
-        if param.mode in ("IN", "INOUT"):
-            in_values.append(compiler.compile(arg).fn(env))
-    return call_routine(session, routine, in_values)

@@ -70,9 +70,7 @@ _EXECUTE_SECONDS = _metrics.registry.histogram("server.execute.seconds")
 
 #: StatementResult fields a RESULT frame carries only when they differ
 #: from these defaults.
-_RESULT_DEFAULTS = (
-    ("update_count", 0), ("out_values", []), ("function_value", None),
-)
+_RESULT_DEFAULTS = (("update_count", 0), ("out_values", []))
 
 
 class _ClientConnection:

@@ -14,11 +14,12 @@ Two checkers ship with the translator:
   :class:`~repro.engine.database.Database` or session whose catalog
   matches the deployment target) and runs the engine's own compile step
   (:meth:`Session.compile <repro.engine.database.Session.compile>`) on
-  every query and INSERT/UPDATE/DELETE entry: unknown
+  every query, INSERT/UPDATE/DELETE and CALL entry: unknown
   tables/columns/routines/types, privileges, read-only targets, type
   mismatches in predicates and assignments, arity errors — exactly what
   ``prepare`` would raise against that schema, because it is the same
-  code.  Query entries are *described* from the compiled shape, feeding
+  code.  A CALL's host variables must also carry their parameter's
+  mode.  Query entries are *described* from the compiled shape, feeding
   result-shape information back for typed-iterator checking.  Only
   errors that depend on rows or parameter values (constraint
   violations, coercion of a bound value) are left to run time.
@@ -34,7 +35,7 @@ from typing import Any, List, Optional
 
 from repro import errors
 from repro.engine import ast
-from repro.engine.database import Database, Session
+from repro.engine.database import CallPlan, Database, Session
 from repro.engine.parser import Parser
 from repro.profiles.model import EntryInfo, TypeInfo
 from repro.sqltypes import ObjectType, TypeDescriptor
@@ -147,7 +148,7 @@ class OnlineChecker(SQLChecker):
         except errors.SQLException:
             return None
         if compiled is None or compiled.shape is None:
-            return None  # a command, or DML: no result columns
+            return None  # a command, DML or CALL: no result columns
         return [
             TypeInfo(
                 name=column.name,
@@ -162,49 +163,23 @@ class OnlineChecker(SQLChecker):
         ]
 
     # ------------------------------------------------------------------
-    def _analyse(
-        self, statement: ast.Statement, entry: Optional[EntryInfo] = None
-    ) -> None:
-        if isinstance(statement, ast.Call):
-            self._analyse_call(statement, entry)
-        else:
-            # Queries and DML: the engine's compile step.  DDL / GRANT /
-            # transaction statements compile to nothing: parse-checked.
-            self.session.compile(statement)
-
-    def _analyse_call(
-        self, statement: ast.Call, entry: Optional[EntryInfo] = None
-    ) -> None:
-        routine = self.session.catalog.get_routine(statement.procedure)
-        if routine.is_function:
-            raise errors.SQLSyntaxError(
-                f"{statement.procedure!r} is a function, not a procedure"
-            )
-        if len(statement.args) != len(routine.params):
-            raise errors.SQLSyntaxError(
-                f"procedure {statement.procedure!r} takes "
-                f"{len(routine.params)} arguments, got "
-                f"{len(statement.args)}"
-            )
-        if entry is None:
+    def _analyse(self, statement: ast.Statement, entry: EntryInfo) -> None:
+        # The engine's compile step; DDL / GRANT / transaction
+        # statements compile to nothing: parse-checked.
+        compiled = self.session.compile(statement)
+        if compiled is None or not isinstance(compiled.plan, CallPlan):
             return
         # Host-variable modes must match the routine's parameter modes:
         # ``:OUT x`` on an IN parameter (or vice versa) is a translate-
         # time error, like registering the wrong JDBC OUT parameter.
-        for position, arg in enumerate(statement.args):
-            if not isinstance(arg, ast.Parameter):
+        hosts = entry.param_types
+        for param, arg in zip(compiled.plan.routine.params, statement.args):
+            if not isinstance(arg, ast.Parameter) or arg.index >= len(hosts):
                 continue
-            if arg.index >= len(entry.param_types):
-                continue
-            declared = entry.param_types[arg.index].mode
-            actual = routine.params[position].mode
-            if declared != actual and not (
-                declared == "IN" and actual == "IN"
-            ):
+            host = hosts[arg.index]
+            if host.mode != param.mode:
                 raise errors.SQLSyntaxError(
-                    f"host variable "
-                    f"{entry.param_types[arg.index].name!r} is declared "
-                    f":{declared} but parameter "
-                    f"{routine.params[position].name!r} of "
-                    f"{statement.procedure!r} is {actual}"
+                    f"host variable {host.name!r} is declared "
+                    f":{host.mode} but parameter {param.name!r} of "
+                    f"{statement.procedure!r} is {param.mode}"
                 )

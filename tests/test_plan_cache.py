@@ -1,7 +1,7 @@
 """Engine-level plan cache: hits, invalidation, and concurrency.
 
 ``Session.execute`` and ``execute_batch`` cache compiled plans for
-queries, set operations and INSERT/UPDATE/DELETE keyed by ``(sql,
+queries, set operations, INSERT/UPDATE/DELETE and CALL keyed by ``(sql,
 dialect, user)``; every catalog mutation (DDL, GRANT/REVOKE) bumps
 ``Catalog.version`` and ANALYZE bumps ``stats_version``, invalidating
 stale entries.  These tests pin the cache's observable contract:
@@ -15,7 +15,9 @@ from __future__ import annotations
 import pytest
 
 from repro import errors, observability
+from repro.engine.parser import Parser
 from repro.engine.plancache import CachedPlan, PlanCache
+from repro.procedures import build_par
 from repro.testing import run_concurrent
 
 
@@ -248,6 +250,99 @@ class TestDmlPlans:
         assert session.execute("select k, v from t order by k").rows == [
             [1, None], [2, "b"]
         ]
+
+
+class TestCallPlans:
+    """CALL texts are compiled once and cached like DML, prepared CALLs
+    hold their plan, and the same envelope revalidates both.  A plan
+    binds the routine, whose body is read per call."""
+
+    CALL = "call bump(?, ?)"
+    CREATE = (
+        "create procedure bump({params}) no sql "
+        "external name 'cp:cmod.bump' "
+        "language python parameter style python"
+    )
+
+    @staticmethod
+    def _par(tmp_path, name, step):
+        return build_par(str(tmp_path / f"{name}.par"), {"cmod": (
+            "def bump(x, out, step=None):\n"
+            f"    out[0] = x + (step[0] if step else {step})\n"
+        )})
+
+    @pytest.fixture
+    def bump(self, session, tmp_path):
+        session.execute(
+            f"call sqlj.install_par('{self._par(tmp_path, 'v1', 1)}', 'cp')"
+        )
+        session.execute(self.CREATE.format(
+            params="x integer, out y integer"
+        ))
+        session.execute("grant execute on bump to smith")
+        return session
+
+    def test_repeated_call_hits_without_parsing(self, bump, monkeypatch):
+        assert bump.execute(self.CALL, [1]).out_values == [None, 2]
+        parses = []
+        parse = Parser.parse_statement
+        monkeypatch.setattr(
+            Parser, "parse_statement",
+            lambda parser: parses.append(parser) or parse(parser),
+        )
+        before = _counter("plan_cache.hits")
+        for x in range(3):
+            assert bump.execute(self.CALL, [x]).out_values == [None, x + 1]
+        assert _counter("plan_cache.hits") == before + 3
+        assert parses == []
+        calls, hits, _scanned = _statement_stats(bump, "CALL bump")
+        assert (calls, hits) == (4, 3)
+
+    def test_revalidated_across_catalog_changes(
+        self, db, bump, tmp_path
+    ):
+        smith = db.create_session(user="smith", autocommit=True)
+        prepared = smith.prepare(self.CALL)
+
+        def outcomes(*params):
+            results = []
+            for run in (lambda: prepared.execute(list(params)),
+                        lambda: smith.execute(self.CALL, list(params))):
+                try:
+                    results.append(run().out_values)
+                except errors.SQLException as exc:
+                    results.append(exc.sqlstate)
+            return results
+
+        assert outcomes(1) == [[None, 2]] * 2
+        bump.execute("revoke execute on bump from smith")
+        assert outcomes(1) == ["42501"] * 2
+        bump.execute("grant execute on bump to smith")
+        assert outcomes(1) == [[None, 2]] * 2
+        # A new arity: the old texts no longer fit, and INOUT takes
+        # its value from its marker.
+        bump.execute("drop procedure bump")
+        bump.execute(self.CREATE.format(
+            params="x integer, out y integer, inout step integer"
+        ))
+        bump.execute("grant execute on bump to smith")
+        assert outcomes(1) == ["42000"] * 2
+        wider = smith.prepare("call bump(?, ?, ?)")
+        assert wider.execute([1, None, 10]).out_values == [None, 11, 10]
+        bump.execute("drop procedure bump")
+        bump.execute(self.CREATE.format(
+            params="x integer, out y integer"
+        ))
+        bump.execute("grant execute on bump to smith")
+        assert outcomes(1) == [[None, 2]] * 2
+        # replace_par swaps the body without a catalog change: cached
+        # and prepared plans run the new one.
+        version = db.catalog.version
+        bump.execute(
+            f"call sqlj.replace_par('{self._par(tmp_path, 'v2', 5)}', 'cp')"
+        )
+        assert db.catalog.version == version
+        assert outcomes(1) == [[None, 6]] * 2
 
 
 class TestConcurrency:

@@ -49,6 +49,9 @@ CORPUS = [
     "SELECT -a, NOT (b = 1) FROM t",
     "SELECT NEW addr('s', 'z') FROM t",
     "SELECT COUNT(DISTINCT state) FROM emps",
+    "EXPLAIN SELECT a FROM t WHERE a = ?",
+    "EXPLAIN ANALYZE SELECT a FROM t",
+    "EXPLAIN (ANALYZE, FORMAT JSON) SELECT a FROM t",
 ]
 
 

@@ -1,16 +1,17 @@
 """One statement pipeline: every entry point means the same thing.
 
-``Session.execute``, ``Session.prepare().execute``,
-``Session.execute_statement`` (with and without its ``sql=`` text),
-``Session.execute_batch`` and a customized profile entry all run their
-statement through one envelope (``Session._run_statement``).  The table
-below runs each statement through every entry point that accepts it and
-compares everything an observer could tell them apart by — result,
-``statements.*`` / ``rows.returned`` / ``errors.*`` counter deltas, the
-number of ``repro_stats.statements`` calls, the WAL record sequence and
-the session's transaction state — against the same statement run through
-``execute`` on an identically prepared database; tracing off and on,
-in memory and durable, autocommit and inside a transaction.
+``Session.execute``, ``Session.prepare().execute``, a statement parsed
+ahead of time (with its own text, or with a rendering of it as its
+text), ``Session.execute_batch`` and a customized profile entry all run
+their statement through one envelope (``Session._run_statement``).
+The table below runs each statement through every entry point that
+accepts it and compares everything an observer could tell them apart
+by — result, ``statements.*`` / ``rows.returned`` / ``errors.*``
+counter deltas, the number of ``repro_stats.statements`` calls, the WAL
+record sequence and the session's transaction state — against the same
+statement run through ``execute`` on an identically prepared database;
+tracing off and on, in memory and durable, autocommit and inside a
+transaction.
 
 The three regression tests at the bottom pin the bugs the shared
 envelope fixed: a prepared query on a closed session, a customized
@@ -35,6 +36,7 @@ import pytest
 
 import repro
 from repro import ConnectionContext, Database, errors, open_database
+from repro.engine.database import PreparedStatementPlan
 from repro.engine.dialects import STANDARD
 from repro.engine.durability import WAL_FILENAME
 from repro.engine.indexes import Index
@@ -100,15 +102,20 @@ def _via_profile(session, sql, params):
     return connected.execute(0, params)
 
 
+def _via_statement(session, sql, params, render=False):
+    """A statement parsed ahead of time, the way a customization ships
+    it: with the text it was parsed from, or with a rendering of it."""
+    statement = parse_statement(sql)
+    if render:
+        sql = render_statement(statement, STANDARD)
+    return PreparedStatementPlan(session, sql, statement).execute(params)
+
+
 ENTRY_POINTS = {
     "execute": lambda s, sql, p: s.execute(sql, p),
     "prepare": lambda s, sql, p: s.prepare(sql).execute(p),
-    "statement+sql": lambda s, sql, p: s.execute_statement(
-        parse_statement(sql), p, sql=sql
-    ),
-    "statement": lambda s, sql, p: s.execute_statement(
-        parse_statement(sql), p
-    ),
+    "statement+sql": _via_statement,
+    "statement": lambda s, sql, p: _via_statement(s, sql, p, render=True),
     "batch": lambda s, sql, p: s.execute_batch(sql, [p]),
     "profile": _via_profile,
 }
@@ -135,8 +142,6 @@ COMBINATIONS = [
     for entry in ENTRY_POINTS
     if entry != "execute"
     and (case[3] or entry != "batch")
-    # the customizer cannot render EXPLAIN, so no profile carries one
-    and (case[0], entry) != ("explain", "profile")
 ]
 
 
@@ -190,7 +195,7 @@ def _canonical(sql):
 def _wal(database, start=0):
     """The log from record ``start`` on, as comparable tuples; with
     ``start`` None, just its length.  Statement texts are canonicalised
-    (a record written without the original text carries a rendering)."""
+    (a statement shipped with a rendering logs the rendering)."""
     if database.wal_path is None:
         return 0 if start is None else []
     with open(database.wal_path, "rb") as handle:

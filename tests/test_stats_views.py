@@ -235,6 +235,31 @@ class TestStatementsView:
         assert any("VirtualScan on repro_stats.statements" in l
                    for l in lines)
 
+    def test_explain_method_is_recorded(self, emps):
+        """``Session.explain`` is one EXPLAIN statement of the envelope,
+        counted and recorded as the same text through ``execute`` is."""
+        def explains():
+            counters = repro.observability.snapshot()["counters"]
+            return counters.get("statements.explain", 0)
+
+        query = "select id from emps where sales > 100"
+        before = explains()
+        emps.explain(query, analyze=True)
+        emps.execute("explain analyze " + query)
+        assert explains() == before + 2
+        result = emps.execute(
+            "select statement, calls, rows_scanned "
+            "from repro_stats.statements "
+            "where statement like '%id FROM emps WHERE sales%' "
+            "order by statement"
+        )
+        scanned = len(emps.execute("select * from emps").rows)
+        assert result.rows == [
+            ["EXPLAIN analyze SELECT id FROM emps WHERE sales > ?", 1,
+             scanned],
+            ["SELECT id FROM emps WHERE sales > ?", 1, scanned],
+        ]
+
     def test_fresh_rows_on_cached_plan(self, session):
         session.execute("create table t (n int)")
         first = session.execute(

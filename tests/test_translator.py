@@ -412,6 +412,16 @@ class Pos:
         self.y = y
 
 
+def checked_proc(a, b):
+    """Body of the checker schema's procedure ``p(a, OUT b)``."""
+    b[0] = a + 1
+
+
+def checked_function(a):
+    """Body of the checker schema's function ``f(a)``."""
+    return a
+
+
 CHECKER_SCHEMA = [
     f"create type pos external name '{Pos.__module__}.Pos' "
     "language python (x integer external name x, "
@@ -420,6 +430,12 @@ CHECKER_SCHEMA = [
     "create table acct (k integer primary key, name varchar(10), pos pos)",
     "create view acct_v as select k, name from acct",
     "create table src (a integer, b integer)",
+    "create procedure p(a integer, out b integer) no sql "
+    f"external name '{__name__}.checked_proc' "
+    "language python parameter style python",
+    "create function f(a integer) returns integer no sql "
+    f"external name '{__name__}.checked_function' "
+    "language python parameter style python",
 ]
 #: The one row ``acct`` matches ``k = 1`` with.
 CHECKER_ROW = "insert into acct values (1, 'a', new pos(1, 2))"
@@ -457,6 +473,12 @@ CHECKER_CASES = {
     "select_unknown_column": ("select nosuch from acct", [], "42703"),
     "select_type_mismatch": ("select k from acct where name = 1", [],
                              "22018"),
+    "call_unknown_routine": ("call nope(1)", [], "42883"),
+    "call_function": ("call f(1)", [], "42000"),
+    "call_arity": ("call p(1)", [], "42000"),
+    "call_unknown_column": ("call p(nosuch, ?)", [], "42703"),
+    "call_argument_type": ("call p('x' + 1, ?)", [], "22018"),
+    "call_literal_out": ("call p(1, 2)", [], "42000"),
     # clean at compile time
     "insert": ("insert into acct (k, name) values (?, ?)", [5, "e"],
                None, None, None),
@@ -464,6 +486,7 @@ CHECKER_CASES = {
                          None, None, None),
     "delete": ("delete from acct where k = ?", [1], None, None, None),
     "select": ("select k, pos>>x from acct", [], None, None, None),
+    "call": ("call p(?, ?)", [1], None, None, None),
     # data-dependent: constraint violations and bound values stay
     # run-time errors
     "duplicate_key": ("insert into acct (k, name) values (1, 'dup')", [],
