@@ -65,13 +65,14 @@ VACUUM_THRESHOLD = 1000
 
 #: Statement kinds that may run concurrently under the database's
 #: shared lock.  With MVCC row versioning this is everything except
-#: DDL (which rewrites the catalog that planning reads) and CALL
-#: (a routine body may execute arbitrary nested statements, including
-#: DDL): reads see a consistent snapshot without blocking, and DML
-#: serializes per row through version claims, not through the engine
-#: lock.  Transaction control is shared too — commit stamping has its
-#: own mutex and rollback undo only touches rows this transaction
-#: already claimed or created.
+#: DDL, which rewrites the catalog that planning reads: reads see a
+#: consistent snapshot without blocking, and DML serializes per row
+#: through version claims, not through the engine lock.  Transaction
+#: control is shared too — commit stamping has its own mutex and
+#: rollback undo only touches rows this transaction already claimed or
+#: created — and so is CALL: a routine body's statements re-enter the
+#: caller's shared hold, and a body's DDL is refused (38003).  A
+#: ``sqlj.*`` CALL is exclusive, like DDL (``Session._execute_parsed``).
 _SHARED_STATEMENTS = (
     ast.Select,
     ast.SetOperation,
@@ -85,6 +86,7 @@ _SHARED_STATEMENTS = (
     ast.Savepoint,
     ast.RollbackTo,
     ast.ReleaseSavepoint,
+    ast.Call,
 )
 
 #: Statements compiled once into a :class:`CachedPlan` and run through
@@ -304,8 +306,9 @@ class Database:
         self.admin_user = admin_user
         self.catalog = Catalog()
         self.privileges = PrivilegeManager(admin_user)
-        #: Statement-granularity reader-writer lock: queries, DML and
-        #: transaction control share it; only DDL and CALL hold it
+        #: Statement-granularity reader-writer lock, a DDL latch:
+        #: queries, DML, transaction control and user CALLs share it;
+        #: DDL, ``sqlj.*`` CALLs, vacuum and the checkpoint hold it
         #: exclusively (see engine/locks.py).
         self.lock = ReadWriteLock()
         #: Compiled plans of queries, DML and CALL keyed by (sql,
@@ -693,6 +696,7 @@ class Session:
         span: Optional[dict] = None,
         cache_hit: bool = False,
         batch: bool = False,
+        exclusive: bool = False,
     ) -> Any:
         """The statement envelope: every executor runs its body here.
 
@@ -705,8 +709,10 @@ class Session:
         parsing), one engine-lock acquisition, undo mark and
         statement-level rollback, the redo record for ``param_rows``,
         :meth:`_end_statement`, the write-conflict retry, the fsync wait
-        and error accounting.  docs/ARCHITECTURE.md ("Statement
-        lifecycle") walks the stages in order.
+        and error accounting.  ``exclusive`` takes the engine lock
+        exclusively for a statement of a shared kind (a ``sqlj.*``
+        CALL).  docs/ARCHITECTURE.md ("Statement lifecycle") walks the
+        stages in order.
         """
         self._check_open()
         tracer = _tracing.current
@@ -714,7 +720,8 @@ class Session:
         if timed and span is not None:
             with tracer.span("statement", sql=sql, **span):
                 return self._run_statement(
-                    statement, sql, param_rows, body, None, cache_hit, batch
+                    statement, sql, param_rows, body, None, cache_hit,
+                    batch, exclusive,
                 )
         counter = _STATEMENT_COUNTERS.get(statement.__class__)
         if counter is None:
@@ -725,12 +732,22 @@ class Session:
         lock = self.database.lock
         # Bound acquire/release, not the context managers: a generator
         # frame per statement is measurable on the cheapest queries.
-        if isinstance(statement, _SHARED_STATEMENTS):
+        shared = not exclusive and isinstance(statement, _SHARED_STATEMENTS)
+        if shared:
             acquire, release = lock.acquire_read, lock.release_read
         else:
             acquire, release = lock.acquire_write, lock.release_write
         returned, error = 0, None
         try:
+            if not shared and lock.held_by_me() == "shared":
+                # DDL or a sqlj.* CALL from a routine body, which runs
+                # under its caller's shared hold: the lock is never
+                # upgraded, so the statement is refused before it waits.
+                raise errors.ExternalRoutineError(
+                    "prohibited SQL-statement attempted: a routine body "
+                    "may not run DDL or a system procedure",
+                    sqlstate="38003",
+                )
             # A write-write conflict retries the whole statement: the
             # failed attempt rolled itself back under the lock, then the
             # wait for the blocking transaction happens with NO engine
@@ -768,27 +785,23 @@ class Session:
                         release()
                     break
                 except WriteConflict as conflict:
-                    if lock.held_exclusive_by_me():
-                        # Still inside an outer exclusive statement (a
-                        # routine body): the blocker can never finish
-                        # while we hold the engine lock, so waiting is
-                        # futile — fail fast, retryably.  Ownership
-                        # matters: an unrelated thread holding the
-                        # exclusive lock will release it, so that case
-                        # falls through to the normal wait below.
+                    if lock.held_by_me():
+                        # A routine body's statement: its caller holds
+                        # the lock, and a writer queued behind that hold
+                        # stops the blocker's COMMIT, so a wait could
+                        # only end at lock_timeout.  Only a top-level
+                        # statement waits; this one fails, retryably.
                         raise errors.SerializationFailureError(
-                            "write-write conflict inside an exclusive "
-                            "statement; roll back and retry the "
-                            "transaction"
+                            "write-write conflict inside a routine body; "
+                            "roll back and retry the transaction"
                         ) from None
                     self._wait_for_conflict(conflict.blocker)
-            if pending is not None:
-                # fsync AFTER the engine lock is released: concurrent
-                # committers pile onto one group-commit flush instead of
-                # serialising the engine behind the disk.  The statistics
-                # bracket is still open, so the stall is charged to this
-                # statement (waits.wal.sync).
-                self._after_commit(pending)
+            # fsync AFTER the engine lock is released: concurrent
+            # committers pile onto one group-commit flush instead of
+            # serialising the engine behind the disk.  The statistics
+            # bracket is still open, so the stall is charged to this
+            # statement (waits.wal.sync).
+            self._after_commit(pending)
             if timed:
                 # Per-statement latency is only sampled while tracing is
                 # on: two clock reads plus a histogram update are
@@ -956,6 +969,23 @@ class Session:
         """Every entry point's one route into the envelope: a query, DML
         or CALL runs through its compiled plan (:meth:`_run_plan`), a
         command is dispatched (:meth:`_dispatch`)."""
+        exclusive = False
+        if isinstance(statement, ast.Call):
+            # A system procedure rewrites the catalog: its CALL is
+            # exclusive, decided from the routine it compiles against (a
+            # held plan may be stale, but only bootstrap creates system
+            # procedures).  A failing compile is the envelope's to report.
+            if entry is None:
+                try:
+                    entry = self.compile(statement)
+                except errors.SQLException:
+                    pass
+                else:
+                    if store is not None:
+                        store(entry)
+            exclusive = (
+                entry is not None and entry.plan.routine.language == "SYSTEM"
+            )
         if isinstance(statement, _PLANNABLE):
             def body() -> Any:
                 return self._run_plan(
@@ -968,7 +998,8 @@ class Session:
                 ):
                     return self._dispatch(statement, param_rows[0])
         return self._run_statement(
-            statement, sql, param_rows, body, span, cache_hit, batch
+            statement, sql, param_rows, body, span, cache_hit, batch,
+            exclusive,
         )
 
     # ------------------------------------------------------------------
@@ -1347,7 +1378,6 @@ class Session:
                     )
             finally:
                 tm.finish(txn)
-        self.database._maybe_vacuum()
         return pending
 
     def _rollback_all(self) -> None:
@@ -1363,14 +1393,20 @@ class Session:
             self.database.durability.log_abort(txn.wal_txn)
 
     def _after_commit(self, pending: Optional[int]) -> None:
-        """Durability barrier, called with no engine lock held: wait
-        for the group-commit fsync covering ``pending``, then give the
+        """After a statement or COMMIT, outside its own engine-lock
+        hold: give the vacuum a chance to start, wait for the
+        group-commit fsync covering ``pending``, then give the
         checkpointer a chance to run."""
-        durability = self.database.durability
+        database = self.database
+        database._maybe_vacuum()
+        durability = database.durability
         if durability is None or pending is None:
             return
         durability.wait_durable(pending)
-        durability.maybe_checkpoint()
+        if database.lock.held_by_me() != "shared":
+            # A COMMIT in a routine body runs under its caller's shared
+            # hold, which the checkpoint cannot take: a later one runs.
+            durability.maybe_checkpoint()
 
     # ------------------------------------------------------------------
     # transactions / lifecycle

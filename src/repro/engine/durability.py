@@ -367,6 +367,7 @@ def _replay(database: Database, records, last_seq: int) -> int:
                         else None
                     with database.lock.read():
                         session._commit_all(stamp)
+                    database._maybe_vacuum()
                     session.close()
                 replayed += 1
     finally:

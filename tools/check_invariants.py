@@ -197,6 +197,17 @@ CHECKS = [
         ("src/repro/dbapi/planted.py", "size = len(body).to_bytes(4)"),
         ignore=r"^src/repro/server/protocol\.py:",
     ),
+    # A user CALL holds the engine lock shared, as a function under a
+    # SELECT does: DDL or a sqlj.* CALL from a routine body is refused
+    # (SQLSTATE 38003), so the lock never upgrades a shared hold and its
+    # upgrade machinery must not come back.
+    Check(
+        "One lock regime for a routine body (no read→write upgrade)",
+        "the deleted read-to-write lock upgrade is back",
+        r"_upgrade_locked|_suspended_read_depth|_upgrader|held_exclusive",
+        ("src",),
+        ("src/repro/engine/planted.py", "self._upgrade_locked(me)"),
+    ),
 ]
 
 
