@@ -212,6 +212,11 @@ def execute_drop(stmt: ast.Drop, session: Any) -> None:
                 f"{stmt.name!r} is a {routine.kind.lower()}, not a "
                 f"{kind.lower()}"
             )
+        if routine.language == "SYSTEM":
+            # Nothing re-registers a system procedure once dropped.
+            raise errors.PrivilegeError(
+                f"system {kind.lower()} {stmt.name!r} cannot be dropped"
+            )
         _require_ownership(session, routine.owner, "ROUTINE", stmt.name)
         catalog.drop_routine(stmt.name)
         privileges.drop_object("ROUTINE", stmt.name)

@@ -5,7 +5,7 @@ Each operator exposes ``rows(ctx)`` returning an iterator of value lists.
 and (for correlated subqueries) the enclosing row environment.
 
 The scans and the operators that evaluate expressions per row — Filter,
-Project, the two joins, GroupAggregate and Sort — have their loop
+Project, the three joins, GroupAggregate and Sort — have their loop
 emitted as Python source with the expressions' fragments inlined (see
 :mod:`repro.engine.expressions`).  A scan's loop inlines the snapshot's
 visibility test, :data:`repro.engine.mvcc.VISIBLE`, which a SeqScan
@@ -13,10 +13,11 @@ skips on frozen heap blocks (:func:`repro.engine.mvcc.settled_runs`); a
 chain of Filters and Projects, and the scan below it, runs inside the
 loop of the operator consuming the chain (:func:`_input`) — the chain's
 top node, GroupAggregate, Sort (top-N included) or either side of a
-join.  :func:`generate_plan` compiles every loop of a plan that no
-consumer runs inside its own, and the callables IndexScan and Limit
-evaluate, in one ``compile()`` when the :class:`QueryPlan` is built, so
-a plan-cache hit never recompiles.
+join (an index join's probed side, fused or not).
+:func:`generate_plan` compiles every loop of a plan that no consumer
+runs inside its own, and the callables IndexScan and Limit evaluate, in
+one ``compile()`` when the :class:`QueryPlan` is built, so a plan-cache
+hit never recompiles.
 Other inputs are pulled through ``child.rows(ctx)``, so early exit
 (LIMIT, EXISTS) stops the scan too; :func:`instrument_plan` turns
 fusion off to count rows per node.
@@ -48,7 +49,8 @@ _INDEX_LOOKUPS = _metrics.registry.counter("index.lookups")
 
 __all__ = [
     "RuntimeContext", "Operator", "SingleRow", "SeqScan", "IndexScan",
-    "Filter", "Project", "NestedLoopJoin", "HashJoin", "Sort", "Limit",
+    "Filter", "Project", "NestedLoopJoin", "HashJoin",
+    "IndexNestedLoopJoin", "Sort", "Limit",
     "Distinct", "GroupAggregate", "AggregateSpec", "UnionOp", "QueryPlan",
     "OperatorStats", "PlanInstrumentation", "generate_plan",
     "instrument_plan", "operator_children",
@@ -213,6 +215,7 @@ _RUNTIME = {**RUNTIME, "sort_key": sort_key,
             "key_image": key_image, "_canonical": _canonical,
             "_join_image": _join_image, "_pick": _pick,
             "_scanned": _scanned, "length_hint": length_hint,
+            "_INDEX_LOOKUPS": _INDEX_LOOKUPS,
             "settled_runs": settled_runs,
             "itemgetter": itemgetter, "_count": _count,
             "_heapify_max": _heapify_max,
@@ -239,8 +242,7 @@ def generate_plan(root: Operator) -> None:
             parts.append(text)
             bindings.update(names)
             targets.append((node, "loop", name))
-            if node.fuse:
-                fused.update(map(id, _fused_inputs(node)))
+            fused.update(map(id, _fused_inputs(node)))
         for compiled in node.expressions():
             if compiled._fn is None:
                 name = fresh()
@@ -253,12 +255,17 @@ def generate_plan(root: Operator) -> None:
             setattr(target, attribute, values[name])
 
 
-def _fused_inputs(node: Operator) -> List[Operator]:
+def _fused_inputs(node: _Generated) -> List[Operator]:
     """The nodes ``node``'s loop runs inside itself (:func:`_input`):
     below each input, its chain of Filters and Projects and a scan under
-    it.  Their own loops are generated only if someone pulls them."""
+    it — with fusion off, only an IndexNestedLoopJoin's probed input.
+    Their own loops are generated only if someone pulls them."""
     fused: List[Operator] = []
-    for child in operator_children(node):
+    inputs = operator_children(node)
+    if not node.fuse:
+        inputs = [getattr(node, node.build)] \
+            if isinstance(node, IndexNestedLoopJoin) else []
+    for child in inputs:
         while isinstance(child, (Filter, Project)):
             fused.append(child)
             child = child.child
@@ -475,10 +482,15 @@ class Project(_Generated):
 
 
 class _Join(_Generated):
-    """One loop template for both joins and both build sides: the build
-    input is materialised (and, given keys, hashed) by a loop of its own,
-    the probe input streams, and every candidate pair is checked with the
-    full predicate."""
+    """One loop template for the three joins: for each row of the
+    streamed input, the candidate rows of the other are paired with it
+    and every pair is checked with the full predicate.
+
+    HashJoin and NestedLoopJoin materialise the ``build`` input (and,
+    given keys, hash it) by a loop of their own and stream the other;
+    IndexNestedLoopJoin streams its outer input and probes an index for
+    each row.  Only the kinds that keep unmatched rows pay for tracking
+    matches."""
 
     def __init__(
         self,
@@ -503,7 +515,7 @@ class _Join(_Generated):
         self.right_keys = list(right_keys)
         #: SQL rendering of the join keys, for EXPLAIN output.
         self.description = description
-        #: which input is materialised (and hashed): "right" or "left".
+        #: the input that is not streamed: "right" or "left".
         self.build = build
 
     def source(self, name: str) -> Tuple[str, Dict[str, Any]]:
@@ -516,13 +528,44 @@ class _Join(_Generated):
             parts = {build: build_part, probe: probe_part}
             return f"{parts['left']} + {parts['right']}"
 
-        keys = {"left": self.left_keys, "right": self.right_keys}
+        keep_build = self.kind in ("FULL", build.upper())
+        keep_probe = self.kind in ("FULL", probe.upper())
         test = self.predicate.test if self.predicate is not None else "True"
         fragments = self.left_keys + self.right_keys + (
             [self.predicate] if self.predicate is not None else [])
-        body = "    build = []\n"
+        head, candidates = self._candidates(build, probe, fragments)
+        step = "q = r\n" + ("hit = False\n" if keep_probe else "") \
+            + candidates + _indent(
+                f"r = {row('b', 'q')}\nif {test}:\n"
+                + ("    hit = True\n" if keep_probe else "")
+                + ("    matched[i] = True\n" if keep_build else "")
+                + "    yield r\n", 4)
+        if keep_probe:
+            step += f"if not hit:\n    yield {row(pad[build], 'q')}\n"
+        if keep_build:
+            head += "    matched = [False] * len(build)\n"
+        body = head + self._stream(_input(
+            f"self.{probe}", getattr(self, probe), step, fragments,
+            self.fuse))
+        if keep_build:
+            body += ("    for i, b in enumerate(build):\n"
+                     "        if not matched[i]:\n"
+                     f"            yield {row('b', pad[probe])}\n")
+        return _function(name, body, fragments)
+
+    def _candidates(self, build: str, probe: str,
+                    fragments: List[Compiled]) -> Tuple[str, str]:
+        """(body before the streamed input's loop, per-row source over
+        the streamed row ``r`` ending in a loop that sets ``b`` to each
+        candidate row of the other input — and ``i`` to its position
+        in ``build`` — in its body, indented four spaces).
+
+        Here the ``build`` input is materialised into ``build`` and,
+        given keys, hashed."""
+        keys = {"left": self.left_keys, "right": self.right_keys}
+        head = "    build = []\n"
         fill = "build.append(r)\n"
-        step = "q = r\n"
+        step = ""
         if self.left_keys:
             build_key, build_null = _hash_key(keys[build], keys[probe])
             probe_key, probe_null = _hash_key(keys[probe], keys[build])
@@ -531,13 +574,13 @@ class _Join(_Generated):
                 for key, other in zip(self.left_keys, self.right_keys)):
             # Int and str images always hash, and a NULL is never filed,
             # so a probe is one lookup.
-            body += "    buckets = {}\n"
+            head += "    buckets = {}\n"
             fill = ("i = len(build)\nbuild.append(r)\n"
                     f"k = {build_key}\nif not ({build_null}):\n"
                     "    buckets.setdefault(k, []).append(i)\n")
-            step += f"hits = buckets.get({probe_key}, ())\n"
+            step = f"hits = buckets.get({probe_key}, ())\n"
         elif self.left_keys:
-            body += "    buckets = {}\n    loose = []\n"
+            head += "    buckets = {}\n    loose = []\n"
             fill = (
                 "i = len(build)\nbuild.append(r)\n"
                 f"try:\n    k = {build_key}\n"
@@ -545,7 +588,7 @@ class _Join(_Generated):
                 "    buckets.setdefault(k, []).append(i)\n"
                 "except TypeError:\n    loose.append(i)\n"
             )
-            step += (
+            step = (
                 f"try:\n    k = {probe_key}\n"
                 f"    hits = loose if {probe_null} else "
                 "[*buckets.get(k, ()), *loose] if loose "
@@ -553,27 +596,15 @@ class _Join(_Generated):
                 "except TypeError:\n    hits = everything\n"
             )
         else:
-            step += "hits = everything\n"
-        step += (
-            "hit = False\nfor i in hits:\n"
-            f"    b = build[i]\n    r = {row('b', 'q')}\n"
-            f"    if {test}:\n"
-            "        hit = matched[i] = True\n"
-            "        yield r\n"
-        )
-        if self.kind in ("FULL", probe.upper()):
-            step += f"if not hit:\n    yield {row(pad[build], 'q')}\n"
-        body += _input(f"self.{build}", getattr(self, build), fill,
+            step = "hits = everything\n"
+        head += _input(f"self.{build}", getattr(self, build), fill,
                        fragments, self.fuse)
-        body += ("    matched = [False] * len(build)\n"
-                 "    everything = range(len(build))\n")
-        body += _input(f"self.{probe}", getattr(self, probe), step,
-                       fragments, self.fuse)
-        if self.kind in ("FULL", build.upper()):
-            body += ("    for i, b in enumerate(build):\n"
-                     "        if not matched[i]:\n"
-                     f"            yield {row('b', pad[probe])}\n")
-        return _function(name, body, fragments)
+        head += "    everything = range(len(build))\n"
+        return head, step + "for i in hits:\n    b = build[i]\n"
+
+    def _stream(self, loop: str) -> str:
+        """The streamed input's loop as the body runs it."""
+        return loop
 
 
 class NestedLoopJoin(_Join):
@@ -622,6 +653,66 @@ class HashJoin(_Join):
     (``"right"``, or ``"left"`` when the cost-based planner finds it
     smaller); output columns are ``left + right`` either way.
     """
+
+
+class IndexNestedLoopJoin(_Join):
+    """Index nested-loop join (the planner builds it for INNER joins).
+
+    ``build`` names the probed input: Filters (its pushed conjuncts)
+    over an :class:`IndexScan` that names the index and table and
+    probes nothing itself.  For each row of the other, outer input, the
+    loop looks ``probe_keys`` (over the outer row, one per index column)
+    up in that index, copying the bucket under the table's mutation
+    lock as IndexScan does, tests each version with
+    :data:`~repro.engine.mvcc.VISIBLE` under the one snapshot taken
+    before either input is read, applies the Filters and checks the
+    pair with the full predicate: the index only picks candidates, as a
+    hash table does.  The probed input runs inside this loop even when
+    fusion is off, so EXPLAIN ANALYZE counts no rows for it.
+    """
+
+    def __init__(
+        self,
+        kind: str,
+        left: Operator,
+        right: Operator,
+        predicate: Optional[Compiled],
+        left_width: int,
+        right_width: int,
+        probe_keys: Sequence[Compiled],
+        description: Optional[str] = None,
+        build: str = "right",
+    ) -> None:
+        super().__init__(kind, left, right, predicate, left_width,
+                         right_width, description=description, build=build)
+        self.probe_keys = list(probe_keys)
+
+    def _candidates(self, build: str, probe: str,
+                    fragments: List[Compiled]) -> Tuple[str, str]:
+        path, node = f"self.{build}", getattr(self, build)
+        tests = ""
+        while isinstance(node, Filter):
+            tests = (f"    if not ({node.predicate.test}):\n"
+                     "        continue\n") + tests
+            fragments.append(node.predicate)
+            path, node = path + ".child", node.child
+        fragments.extend(self.probe_keys)
+        head = ("    t = c.session.mvcc_txn\n    snap = t.snapshot_seq\n"
+                f"    me = t.id\n    lookup = {path}.index.lookup\n"
+                f"    lock = {path}.table.mutation_lock\n"
+                "    seen = probes = 0\n")
+        keys = "".join(f"{key.source}, " for key in self.probe_keys)
+        step = ("probes += 1\nwith lock:\n"
+                f"    found = list(lookup(({keys})))\n"
+                f"for v in found:\n    if not ({VISIBLE}):\n"
+                "        continue\n    seen += 1\n    r = v.row\n"
+                + tests + "    b = r\n")
+        return head, step
+
+    def _stream(self, loop: str) -> str:
+        return ("    try:\n" + _indent(loop, 4) + "    finally:\n"
+                "        _scanned(seen)\n"
+                "        _INDEX_LOOKUPS.increment(probes)\n")
 
 
 def _order_image(key: Compiled, ascending: bool) -> str:
@@ -1008,6 +1099,7 @@ def instrument_plan(root: Operator) -> PlanInstrumentation:
     a cached prepared plan you intend to keep using untimed).
     """
     instrumentation = PlanInstrumentation()
+    inline: set = set()  # nodes a consumer runs inside its loop anyway
     stack = [root]
     while stack:
         node = stack.pop()
@@ -1015,7 +1107,9 @@ def instrument_plan(root: Operator) -> PlanInstrumentation:
             # Regenerated unfused on first use, so every node's rows
             # pass through its wrapper.
             node.fuse, node.loop = False, None
-        instrumentation._attach(node)
+            inline.update(map(id, _fused_inputs(node)))
+        if id(node) not in inline:
+            instrumentation._attach(node)
         stack.extend(operator_children(node))
     return instrumentation
 

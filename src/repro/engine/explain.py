@@ -34,6 +34,7 @@ from repro.engine.executor import (
     Filter,
     GroupAggregate,
     HashJoin,
+    IndexNestedLoopJoin,
     IndexScan,
     Limit,
     NestedLoopJoin,
@@ -175,6 +176,11 @@ def describe_operator(operator: Operator) -> str:
         return f"Project ({len(operator.items)} columns)"
     if isinstance(operator, NestedLoopJoin):
         return f"NestedLoopJoin ({operator.kind})"
+    if isinstance(operator, IndexNestedLoopJoin):
+        line = f"IndexNestedLoopJoin ({operator.kind})"
+        if operator.description:
+            line = f"{line} ({operator.description})"
+        return line
     if isinstance(operator, HashJoin):
         kind = operator.kind
         if getattr(operator, "build", "right") == "left":

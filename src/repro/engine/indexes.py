@@ -57,7 +57,7 @@ class Index:
 
     @staticmethod
     def key_of_values(values: Tuple[Any, ...]) -> tuple:
-        return tuple(sort_key(v) for v in values)
+        return tuple(map(sort_key, values))
 
     @staticmethod
     def _has_null(key: tuple) -> bool:
@@ -118,9 +118,10 @@ class Index:
 
         Used by crash recovery (:mod:`repro.engine.durability`) after
         replaying the write-ahead log: replay maintains indexes through
-        the ordinary DML path, and this check proves it — every heap
-        version present in its bucket (by identity), no phantom
-        entries, matching cardinality.  Raises
+        the ordinary DML path, and this check proves it — as many
+        entries as heap versions, and every heap version filed (by
+        identity) under its own key, so no entry is a phantom.  One
+        pass over the entries and one over the heap.  Raises
         :class:`repro.errors.DataError` on any divergence.
         """
         from repro import errors
@@ -132,13 +133,23 @@ class Index:
                 f"index {self.name!r} on {self.table.name!r} holds "
                 f"{entries} entries for {heap} heap versions"
             )
+        filed = {  # version (hashed by identity) -> its bucket's key
+            version: key
+            for key, bucket in self._buckets.items()
+            for version in bucket
+        }
         for version in self.table.versions:
-            bucket = self._buckets.get(self.key_of_row(version.row), ())
-            if not any(candidate is version for candidate in bucket):
+            key = self.key_of_row(version.row)
+            found = filed.get(version)
+            if found is None:
                 raise errors.DataError(
                     f"index {self.name!r} on {self.table.name!r} is "
-                    f"missing a heap version "
-                    f"(key {self.key_of_row(version.row)!r})"
+                    f"missing a heap version (key {key!r})"
+                )
+            if found != key:
+                raise errors.DataError(
+                    f"index {self.name!r} on {self.table.name!r} files "
+                    f"a heap version of key {key!r} under {found!r}"
                 )
 
     # ------------------------------------------------------------------
@@ -150,10 +161,10 @@ class Index:
         Yields candidate :class:`RowVersion` objects across all
         snapshots; the caller filters for visibility.
         """
-        key = self.key_of_values(values)
-        if self._has_null(key):
-            return iter(())  # NULL = anything is UNKNOWN
-        return iter(self._buckets.get(key, ()))
+        for value in values:
+            if value is None:
+                return iter(())  # NULL = anything is UNKNOWN
+        return iter(self._buckets.get(self.key_of_values(values), ()))
 
     def range(self, lower: Optional[Any], upper: Optional[Any],
               lower_inclusive: bool = True,

@@ -5,7 +5,7 @@ star expansion), aggregate rewriting (GROUP BY keys and aggregate calls
 become columns of an intermediate shape), ORDER BY alias/position
 substitution, and privilege checks on referenced relations.
 
-Four rewrites build the fast path:
+Five rewrites build the fast path:
 
 * **predicate pushdown** — WHERE conjuncts are routed to the deepest
   operator that can evaluate them: onto individual scans, through the
@@ -21,15 +21,19 @@ Four rewrites build the fast path:
   the two join inputs (from ON or from pushed WHERE conjuncts) become
   :class:`HashJoin` keys; non-equi joins and type-incompatible keys
   fall back to :class:`NestedLoopJoin`;
+* **index nested-loop joins** — with statistics on both inputs, an
+  INNER join whose one input scans a table with an index its keys
+  fully equate probes that index once per row of the other input
+  (:class:`IndexNestedLoopJoin`) when that costs less than hashing;
 * **derived key probes** — an inner join on ``a = b`` with ``a = k``
   (a literal or ``?``) pushed into one input also pushes ``b = k``
   into the other, so an index on ``b`` probes instead of scanning.
 
 Costing is driven by ``ANALYZE`` statistics (see ``_table_stats``):
 with them the planner costs seqscan-vs-IndexScan, the HashJoin build
-side and the join order; without them it makes fixed choices — an index
-probe always wins, the hash table is built on the right, FROM order is
-kept.  The plan depends only on what the planner observes (statistics,
+side, hashing against probing an index, and the join order; without
+them it makes fixed choices — an index probe always wins, the hash
+table is built on the right, FROM order is kept.  The plan depends only on what the planner observes (statistics,
 usable indexes, hash-compatible equi-join keys); there are no switches.
 Plans are deterministic for the benchmark harness.
 """
@@ -48,6 +52,7 @@ from repro.engine.executor import (
     Filter,
     GroupAggregate,
     HashJoin,
+    IndexNestedLoopJoin,
     IndexScan,
     Limit,
     NestedLoopJoin,
@@ -954,6 +959,8 @@ def _fold_join(
     right_compiler = ExpressionCompiler(right_shape, session, outer)
     left_keys: List[Compiled] = []
     right_keys: List[Compiled] = []
+    #: (left side, right side, conjunct) of each key, in key order
+    keyed: List[Tuple[ast.Expression, ast.Expression, ast.Expression]] = []
     for conjunct in conjuncts:
         if not isinstance(conjunct, ast.Binary) or conjunct.op != "=":
             continue
@@ -971,6 +978,7 @@ def _fold_join(
                 if _compatible_families(ca.descriptor, cb.descriptor):
                     left_keys.append(ca)
                     right_keys.append(cb)
+                    keyed.append((a, b, conjunct))
                 break
     predicate = (
         compiler.compile_predicate(_and_all(conjuncts))
@@ -1018,6 +1026,10 @@ def _fold_join(
                     ),
                     est_out,
                 )
+            operator = _index_join(
+                operator, (left_shape, right_shape),
+                (left_keys, right_keys), keyed, session,
+            )
     else:
         operator = NestedLoopJoin(
             kind,
@@ -1037,6 +1049,95 @@ def _fold_join(
             )
             _annotate(operator, est_out, cost)
     return operator, merged
+
+
+def _index_join(
+    hash_join: HashJoin,
+    shapes: Tuple[RowShape, RowShape],
+    keys: Tuple[List[Compiled], List[Compiled]],
+    keyed: Sequence[Tuple[ast.Expression, ast.Expression, ast.Expression]],
+    session: Any,
+) -> Operator:
+    """``hash_join`` (costed), or the IndexNestedLoopJoin that costs
+    less, each listing the other as the rejected alternative.
+
+    For an INNER join, either input may be the outer one, streamed,
+    when the other — the inner — is a SeqScan of a table with
+    statistics (under the Filter of its pushed conjuncts); an inner
+    index serves when join keys equate every column of it to the outer
+    row.  Probing costs ``outer rows × (1 +
+    COST_RANDOM_IO × inner rows / NDV)``, NDV the index key's distinct
+    values by ANALYZE, plus the outer input's own cost.
+    """
+    if hash_join.kind != "INNER":
+        return hash_join
+    inputs = (hash_join.left, hash_join.right)
+    best = None  # (cost, inner input, its filters, scan, index, keys, used)
+    for outer, inner in ((0, 1), (1, 0)):
+        filters, scan = [], inputs[inner]
+        while isinstance(scan, Filter):
+            filters.append(scan)
+            scan = scan.child
+        if type(scan) is not SeqScan or not scan.table.indexes:
+            continue
+        stats = _table_stats(session, scan.table)
+        if stats is None:
+            continue
+        outer_rows, outer_cost = _estimated(inputs[outer])
+        # inner column position -> (outer key, conjunct), first key wins
+        probes: dict = {}
+        for number, pair in enumerate(keyed):
+            position = _bare_column_position(pair[inner], shapes[inner])
+            if position is not None:
+                probes.setdefault(position, (keys[outer][number], pair[2]))
+        for index in scan.table.indexes:
+            columns = [stats.column(name) for name in index.column_names]
+            if not all(p in probes for p in index.positions) \
+                    or None in columns:
+                continue
+            ndv = 1.0
+            for column in columns:
+                ndv *= max(column.ndv, 1)
+            matches = stats.row_count / min(ndv, max(stats.row_count, 1))
+            cost = (outer_cost or 0.0) + outer_rows * (
+                1.0 + COST_RANDOM_IO * matches)
+            if best is None or cost < best[0]:
+                best = (cost, inner, filters, scan, index,
+                        [probes[p][0] for p in index.positions],
+                        [probes[p][1] for p in index.positions])
+    if best is None:
+        return hash_join
+    cost, inner, filters, scan, index, probe_keys, used = best
+    est_out, hash_cost = _estimated(hash_join)
+    if cost >= hash_cost:
+        _rejected_alternative(
+            hash_join,
+            f"IndexNestedLoopJoin (INNER) probing {index.name} "
+            f"on {scan.table.name}",
+            cost, est_out,
+        )
+        return hash_join
+    # The probe, parameterised by the outer row, under the inner
+    # input's Filters: the loop runs them all inline.
+    probed: Operator = IndexScan(
+        index, scan.table, description=_conjuncts_summary(used))
+    for kept in reversed(filters):
+        probed = Filter(probed, kept.predicate, kept.description)
+    sides = list(inputs)
+    sides[inner] = probed
+    operator = IndexNestedLoopJoin(
+        "INNER", sides[0], sides[1], hash_join.predicate,
+        hash_join.left_width, hash_join.right_width, probe_keys,
+        description=hash_join.description,
+        build=("left", "right")[inner],
+    )
+    _annotate(operator, est_out, cost)
+    _rejected_alternative(
+        operator,
+        f"HashJoin (INNER) building on the {hash_join.build} input",
+        hash_cost, est_out,
+    )
+    return operator
 
 
 def _hash_join_rows(left_rows: float, right_rows: float) -> float:

@@ -25,7 +25,9 @@ name                            meaning
 ``statements.<kind>``           statements executed, by AST node kind
 ``rows.returned``               rows materialised for rowset results
 ``rows.scanned``                rows read by SeqScan/IndexScan from tables
-``index.lookups``               IndexScan probes (point or range)
+                                (and by an index join's probes)
+``index.lookups``               IndexScan probes (point or range), and one
+                                per outer row of an index join
 ``mvcc.blocks_frozen``          heap blocks ANALYZE or vacuum froze: scans
                                 skip the snapshot test on them
 ``mvcc.blocks_thawed``          frozen blocks a claim (UPDATE/DELETE)

@@ -179,6 +179,77 @@ class TestIndexMaintenance:
         assert session.execute("select * from x").rows == []
 
 
+class _CountingBucket(list):
+    """An index bucket that counts the entries anyone walks."""
+
+    def __init__(self, items, tally):
+        super().__init__(items)
+        self.tally = tally
+
+    def __iter__(self):
+        for item in list.__iter__(self):
+            self.tally[0] += 1
+            yield item
+
+
+class TestVerifyAgainstHeap:
+    """Recovery's index check: linear work, and every divergence is a
+    DataError."""
+
+    ROWS = 2_000
+
+    def _indexed(self, session, per_key):
+        session.execute("create table v (k integer, g integer)")
+        session.execute_batch(
+            "insert into v values (?, ?)",
+            [(i, i // per_key) for i in range(self.ROWS)],
+        )
+        session.execute("create index v_g on v (g)")
+        return session.catalog.get_index("v_g")
+
+    @pytest.mark.parametrize("per_key", [10, 1_000])
+    def test_work_is_linear_in_rows(self, session, per_key):
+        index = self._indexed(session, per_key)
+        tally = [0]
+        for key, bucket in list(index._buckets.items()):
+            index._buckets[key] = _CountingBucket(bucket, tally)
+        keys_built = [0]
+        key_of_row = index.key_of_row
+
+        def counting_key_of_row(row):
+            keys_built[0] += 1
+            return key_of_row(row)
+
+        index.key_of_row = counting_key_of_row
+        index.verify_against_heap()
+        # One walk of the entries, one key per heap version: the same
+        # per-row work at 10 and at 1,000 rows per key.
+        assert tally[0] == self.ROWS
+        assert keys_built[0] == self.ROWS
+
+    def test_a_missing_entry_is_a_data_error(self, session):
+        index = self._indexed(session, 10)
+        index._buckets[index.key_of_values((3,))].pop()
+        with pytest.raises(errors.DataError):
+            index.verify_against_heap()
+
+    def test_a_phantom_entry_is_a_data_error(self, session):
+        from repro.engine.mvcc import RowVersion
+
+        index = self._indexed(session, 10)
+        bucket = index._buckets[index.key_of_values((3,))]
+        bucket[0] = RowVersion(list(bucket[0].row))
+        with pytest.raises(errors.DataError, match="missing"):
+            index.verify_against_heap()
+
+    def test_an_entry_under_the_wrong_key_is_a_data_error(self, session):
+        index = self._indexed(session, 10)
+        moved = index._buckets[index.key_of_values((3,))].pop()
+        index._buckets[index.key_of_values((4,))].append(moved)
+        with pytest.raises(errors.DataError):
+            index.verify_against_heap()
+
+
 class TestIndexScanPlanning:
     def test_point_lookup_uses_index(self, indexed):
         lines = _explain(indexed, "select name from t where id = 7")

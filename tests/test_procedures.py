@@ -219,6 +219,42 @@ class TestInstallRemoveReplace:
             other.execute("call sqlj.remove_par('mine')")
 
 
+class TestSystemProceduresStay:
+    """The sqlj.* procedures cannot be dropped: nothing re-registers
+    one, so the database would lose the verb for good."""
+
+    SYSTEM = ["install_par", "remove_par", "replace_par",
+              "alter_module_path"]
+
+    @pytest.mark.parametrize("name", SYSTEM)
+    def test_drop_is_refused_even_to_the_admin(self, session, name):
+        with pytest.raises(errors.PrivilegeError) as raised:
+            session.execute(f"drop procedure sqlj.{name}")
+        assert raised.value.sqlstate == "42501"
+        assert session.catalog.get_routine(f"sqlj.{name}").language \
+            == "SYSTEM"
+
+    def test_refused_across_a_durable_reopen(self, tmp_path,
+                                             routines_par):
+        from repro.engine.durability import open_database
+
+        directory = str(tmp_path / "db")
+        db = open_database(directory)
+        admin = db.create_session(autocommit=True)
+        with pytest.raises(errors.PrivilegeError):
+            admin.execute("drop procedure sqlj.install_par")
+        db.close()
+        db = open_database(directory)
+        try:
+            admin = db.create_session(autocommit=True)
+            with pytest.raises(errors.PrivilegeError):
+                admin.execute("drop procedure sqlj.install_par")
+            admin.execute(f"call sqlj.install_par('{routines_par}', 'rp')")
+            assert "rp" in admin.catalog.pars
+        finally:
+            db.close()
+
+
 class TestCreateRoutine:
     def test_function_registration(self, payroll):
         routine = payroll.catalog.get_routine("region_of")

@@ -208,6 +208,18 @@ CHECKS = [
         ("src",),
         ("src/repro/engine/planted.py", "self._upgrade_locked(me)"),
     ),
+    # The snapshot test is written once, as mvcc.VISIBLE; every loop
+    # that tests a version (scans, the index nested-loop join's probes)
+    # interpolates it, so a copy of its text is a second rule.
+    Check(
+        "One visibility rule (scans inline it)",
+        "the visibility test's text outside engine/mvcc.py",
+        r"xmax != me|end > snap|begin <= snap",
+        ("src",),
+        ("src/repro/engine/planted.py",
+         "if v.begin <= snap and v.xmax is None:"),
+        ignore=r"^src/repro/engine/mvcc\.py:",
+    ),
 ]
 
 
