@@ -43,6 +43,8 @@ class Cursor:
         self._rows: Optional[Any] = None  # list or RemoteRows
         self._position = 0
         self._description: Optional[List[Tuple]] = None
+        #: the last result set's shape, which ``description`` describes
+        self._shape: Optional[Any] = None
         self.rowcount = -1
         self._closed = False
 
@@ -58,16 +60,15 @@ class Cursor:
         result = self.connection.session.execute(
             strip_call_escape(sql), list(params)
         )
-        if result.is_rowset:
+        if result.kind == "rowset":
             self._rows = result.rows
-            self._description = [
-                (name, None, None, None, None, None, None)
-                for name in result.column_names()
-            ]
+            # built on first read of ``description``
+            self._description = None
+            self._shape = result.shape
             self.rowcount = len(result.rows)
         else:
             self._rows = None
-            self._description = None
+            self._description = self._shape = None
             self.rowcount = result.update_count
         self._position = 0
         return self
@@ -93,7 +94,7 @@ class Cursor:
             sql, [list(params) for params in seq_of_params]
         )
         self._rows = None
-        self._description = None
+        self._description = self._shape = None
         self._position = 0
         self.rowcount = sum(counts)
         return self
@@ -103,6 +104,12 @@ class Cursor:
     # ------------------------------------------------------------------
     @property
     def description(self) -> Optional[List[Tuple]]:
+        if self._description is None and self._rows is not None:
+            columns = self._shape.columns if self._shape is not None else ()
+            self._description = [
+                (column.name, None, None, None, None, None, None)
+                for column in columns
+            ]
         return self._description
 
     def _check_rowset(self) -> Any:

@@ -55,26 +55,23 @@ class ResultSet:
     """Forward-only cursor over a rowset result."""
 
     def __init__(self, result: StatementResult, statement: Any = None):
-        if not result.is_rowset:
+        if result.kind != "rowset":
             raise errors.DataError("statement did not produce a result set")
         self._result = result
         self._statement = statement
         self._position = -1
         self._was_null = False
         self._closed = False
-        self._names = {
-            column.name: index + 1
-            for index, column in enumerate(
-                result.shape.columns if result.shape else []
-            )
-        }
+        #: column name -> 1-based index, built by the first lookup
+        self._names: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # cursor movement
     # ------------------------------------------------------------------
     def next(self) -> bool:
         """Advance to the next row; False once the set is exhausted."""
-        self._check_open()
+        if self._closed:
+            raise errors.InvalidCursorStateError("result set is closed")
         if self._position + 1 >= len(self._result.rows):
             self._position = len(self._result.rows)
             return False
@@ -182,15 +179,25 @@ class ResultSet:
     # ------------------------------------------------------------------
     def find_column(self, name: str) -> int:
         """1-based index of the named column."""
+        names = self._names
+        if names is None:
+            shape = self._result.shape
+            names = self._names = {
+                column.name: index + 1
+                for index, column in enumerate(
+                    shape.columns if shape else []
+                )
+            }
         try:
-            return self._names[name.lower()]
+            return names[name.lower()]
         except KeyError:
             raise errors.UndefinedColumnError(
                 f"result set has no column {name!r}"
             ) from None
 
     def _raw(self, column: Union[int, str]) -> Any:
-        self._check_open()
+        if self._closed:
+            raise errors.InvalidCursorStateError("result set is closed")
         if not 0 <= self._position < len(self._result.rows):
             raise errors.InvalidCursorStateError(
                 "cursor is not positioned on a row"

@@ -42,6 +42,8 @@ _CALL_ESCAPE_RE = re.compile(
 
 def strip_call_escape(sql: str) -> str:
     """Normalise the JDBC ``{call ...}`` escape to a CALL statement."""
+    if "{" not in sql:
+        return sql
     match = _CALL_ESCAPE_RE.match(sql)
     if match:
         body = match.group("call") or match.group("fncall")
@@ -74,10 +76,11 @@ def _run_batch_atomically(connection: Any, run: Any) -> List[int]:
     failure never leaves a committed prefix behind (MVCC makes the
     rollback invisible to concurrent readers).  Inside an explicit
     transaction the batch simply joins it — completed statements stay
-    pending and the caller's COMMIT/ROLLBACK decides.
+    pending and the caller's COMMIT/ROLLBACK decides — and in a routine
+    body it joins the statement that invoked the routine.
     """
     session = connection.session
-    if not connection.autocommit:
+    if not connection.autocommit or getattr(session, "in_routine", False):
         return run()
     session.autocommit = False
     try:
@@ -387,12 +390,13 @@ class PreparedStatement(Statement):
     def _param_list(self) -> List[Any]:
         if not self._params:
             return []
-        highest = max(self._params)
-        return [self._params.get(i + 1) for i in range(highest)]
+        return list(map(self._params.get, range(1, max(self._params) + 1)))
 
     # ------------------------------------------------------------------
     def _run_prepared(self) -> StatementResult:
-        self._check_open()
+        if self._closed:
+            raise errors.InvalidCursorStateError("statement is closed")
+        self.connection._check_open()
         _EXECUTIONS.increment()
         tracer = self.connection._tracer or _tracing.current
         if tracer.enabled:
@@ -410,7 +414,7 @@ class PreparedStatement(Statement):
                 "prepared statements execute their own SQL"
             )
         result = self._run_prepared()
-        if not result.is_rowset:
+        if result.kind != "rowset":
             raise errors.DataError(
                 "execute_query used for a statement that returns no rows"
             )

@@ -14,6 +14,9 @@ package free of upward dependencies.
 from __future__ import annotations
 
 import contextlib
+import copy
+import datetime
+import decimal
 import functools
 import threading
 from time import perf_counter as _perf_counter
@@ -39,7 +42,6 @@ from repro.engine.parser import Parser
 from repro.engine.plancache import CachedPlan, PlanCache
 from repro.engine.planner import plan_query
 from repro.engine.privileges import PrivilegeManager
-from repro.sqltypes import ObjectType
 
 __all__ = [
     "Database", "Session", "StatementResult", "PreparedStatementPlan",
@@ -132,6 +134,24 @@ _TXN_STATEMENTS = (
     ast.RollbackTo,
     ast.ReleaseSavepoint,
 )
+
+
+#: Values a result hands out as they are; anything else in an
+#: object-typed column is copied out of storage.
+_SCALARS = (
+    str, int, float, bool, bytes, decimal.Decimal,
+    datetime.date, datetime.time, datetime.datetime, type(None),
+)
+
+
+def _copy_objects(rows: List[List[Any]], objects: Sequence[int]) -> None:
+    """Replace each stored object at ``objects`` in ``rows`` by a deep
+    copy, so a caller mutating a fetched value cannot change the table."""
+    for row in rows:
+        for index in objects:
+            value = row[index]
+            if not isinstance(value, _SCALARS):
+                row[index] = copy.deepcopy(value)
 
 
 def _statement_counter(statement_type: type) -> _metrics.Counter:
@@ -493,6 +513,10 @@ class Session:
         self.user = user
         self.autocommit = autocommit
         self._routine_depth = 0
+        #: Part 1 function calls compiled on this session, counted by
+        #: the expression compiler: a plan that compiled one is not
+        #: lean (:meth:`_compile`).
+        self.routines_compiled = 0
         #: The open transaction — snapshot, write list, savepoints and
         #: WAL transaction id in one object — or None.  Opened by the
         #: first statement that needs any of them (the snapshot itself
@@ -592,7 +616,8 @@ class Session:
         """
         txn = self.transaction
         if txn is None or txn.id is None:
-            txn = self._open_transaction()
+            if txn is None:
+                txn = self.transaction = Transaction()
             with self.database.commit_mutex:
                 self.database.transactions.begin(txn)
         return txn
@@ -834,50 +859,144 @@ class Session:
                 )
         return result
 
+    def _run_read(
+        self,
+        entry: CachedPlan,
+        store: Optional[Callable[[CachedPlan], Any]],
+        sql: str,
+        params: Sequence[Any],
+        cache_hit: bool,
+    ) -> StatementResult:
+        """The lean read path: one query through its held lean plan.
+
+        It keeps the envelope's accounting — the statement counter, the
+        statistics bracket, :meth:`_record_statement` and with it the
+        slow-query log, ``errors.*`` — and its transaction handling: the
+        shared lock, the plan run under the transaction's snapshot, and
+        :meth:`_end_statement`, which commits an autocommit statement
+        and pins the snapshot of an explicit transaction.  It skips what
+        a query that runs no routine never needs: the lock-kind choice,
+        the 38003 check, the write-conflict retry, the undo mark and
+        the redo record.  A plan that DDL or ANALYZE made stale since it
+        was built is found under the lock and handed to the generic
+        envelope (:meth:`_run_statement`), which recompiles it.
+        docs/ARCHITECTURE.md ("Statement lifecycle") says why the two
+        paths are equivalent.
+        """
+        if self.closed:
+            raise errors.ConnectionClosedError("session is closed")
+        context = _stats.begin() if _stats.enabled else None
+        start = _perf_counter() if context is not None else 0.0
+        database = self.database
+        lock = database.lock
+        returned, error = 0, None
+        try:
+            lock.acquire_read()
+            try:
+                catalog = database.catalog
+                stale = (
+                    entry.catalog_version != catalog.version
+                    or entry.stats_version != catalog.stats_version
+                )
+                if not stale:
+                    kind = entry.statement.__class__
+                    counter = _STATEMENT_COUNTERS.get(kind)
+                    if counter is None:
+                        counter = _statement_counter(kind)
+                    counter.increment()
+                    try:
+                        rows = entry.plan.run(self, params)
+                        if entry.objects:
+                            _copy_objects(rows, entry.objects)
+                    except BaseException:
+                        self._end_statement(failed=True)
+                        raise
+                    pending = self._end_statement()
+            finally:
+                lock.release_read()
+            if stale:
+                if context is not None:
+                    _stats.abandon(context)
+                    context = None
+            else:
+                if (
+                    pending is not None
+                    or database.transactions.dead_versions
+                    >= VACUUM_THRESHOLD
+                ):
+                    self._after_commit(pending)
+                returned = len(rows)
+                _ROWS_RETURNED.increment(returned)
+        except errors.SQLException as exc:
+            error = exc.sqlstate
+            _metrics.increment(f"errors.{error}")
+            raise
+        except BaseException:
+            if context is not None:
+                _stats.abandon(context)
+                context = None
+            raise
+        finally:
+            if context is not None:
+                self._record_statement(
+                    context, sql, _perf_counter() - start, returned, error,
+                    cache_hit, None,
+                )
+        if stale:
+            statement = entry.statement
+            return self._run_statement(
+                statement, sql, [params],
+                lambda: self._run_plan(
+                    statement, [params], entry, store, False
+                ),
+                None, cache_hit,
+            )
+        return StatementResult("rowset", rows, entry.shape)
+
     def execute(
         self, sql: str, params: Sequence[Any] = ()
     ) -> StatementResult:
-        """Parse and execute one statement."""
-        self._check_open()
+        """Parse and execute one statement: a plan-cache hit runs
+        unparsed, a query, DML or CALL parsed here is compiled into the
+        cache, a command is dispatched."""
+        if self.closed:
+            raise errors.ConnectionClosedError("session is closed")
         tracer = _tracing.current
         if not tracer.enabled:
-            return self._execute_text(sql, params)
+            statement, entry, store = self._lookup(sql)
+            return self._execute_parsed(
+                statement, sql, [params], entry, store,
+                cache_hit=entry is not None,
+            )
         with tracer.span("statement", sql=sql) as span:
-            return self._execute_text(sql, params, span)
-
-    def _execute_text(
-        self, sql: str, params: Sequence[Any], span: Any = None
-    ) -> StatementResult:
-        """Route one text: a plan-cache hit runs unparsed, a query, DML or
-        CALL parsed here is compiled into the cache, a command is
-        dispatched.
-        ``span`` is the caller's statement span when tracing is on."""
-        statement, entry, store = self._lookup(sql, span)
-        return self._execute_parsed(
-            statement, sql, [params], entry, store,
-            cache_hit=entry is not None,
-        )
+            statement, entry, store = self._lookup(sql, span)
+            return self._execute_parsed(
+                statement, sql, [params], entry, store,
+                cache_hit=entry is not None,
+            )
 
     def _lookup(self, sql: str, span: Any = None) -> tuple:
         """``(statement, entry, store)`` for one text: the plan cache's
         fresh entry and its statement, or the text parsed here and no
         entry; ``store`` files a plan compiled for it."""
-        cache = self.database.plan_cache
-        key = (sql, self.dialect.name, self.user)
-        store = functools.partial(cache.put, key)
+        database = self.database
+        cache = database.plan_cache
+        key = (sql, database.dialect.name, self.user)
         # Optimistic peek before parsing: a hit skips the parser and the
         # compile step entirely.  _run_plan re-validates the catalog
         # version under the shared lock, so a DDL statement racing this
         # peek can at worst force a recompile, never a stale execution.
         # peek (not get): a command is never cached, so its absence
         # must not count as a miss.
-        entry = cache.peek(
-            key, self.catalog.version, self.catalog.stats_version
-        )
+        catalog = database.catalog
+        entry = cache.peek(key, catalog.version, catalog.stats_version)
         if entry is not None:
             if span is not None:
                 span.annotate(cached=True)
-            return entry.statement, entry, store
+            # No store for a hit: a DDL statement racing this peek makes
+            # the entry recompile, and the next lookup evicts it.
+            return entry.statement, entry, None
+        store = functools.partial(cache.put, key)
         if span is not None:
             with _tracing.current.span("parse"):
                 parser = Parser(sql, self.dialect)
@@ -968,7 +1087,16 @@ class Session:
     ) -> Any:
         """Every entry point's one route into the envelope: a query, DML
         or CALL runs through its compiled plan (:meth:`_run_plan`), a
-        command is dispatched (:meth:`_dispatch`)."""
+        command is dispatched (:meth:`_dispatch`).  A query whose held
+        plan is lean takes the lean read path (:meth:`_run_read`)
+        instead, unless tracing is on or a routine body runs it."""
+        if (
+            entry is not None
+            and entry.lean
+            and self._routine_depth == 0
+            and not _tracing.current.enabled
+        ):
+            return self._run_read(entry, store, sql, param_rows[0], cache_hit)
         exclusive = False
         if isinstance(statement, ast.Call):
             # A system procedure rewrites the catalog: its CALL is
@@ -1012,14 +1140,23 @@ class Session:
         changing the catalog meanwhile."""
         catalog = self.catalog
         version, stats_version = catalog.version, catalog.stats_version
+        routines = self.routines_compiled
         with _tracing.current.span("plan"):
             if isinstance(statement, _DML):
                 plan, shape = dml.plan_dml(statement, self), None
             elif isinstance(statement, ast.Call):
                 plan, shape = plan_call(statement, self), None
             else:
-                plan, shape = plan_query(statement, self)
-        return CachedPlan(statement, plan, shape, version, stats_version)
+                plan, shape = plan_query(statement, self, collect=True)
+        # A query whose plan invokes no external routine cannot write,
+        # nest statements or end the transaction: the lean read path
+        # (_run_read) may run it.  A function in a SELECT may run DML
+        # (routine data-access levels are not enforced), so a plan
+        # calling one keeps the generic envelope.
+        lean = shape is not None and self.routines_compiled == routines
+        return CachedPlan(
+            statement, plan, shape, version, stats_version, lean
+        )
 
     def _run_plan(
         self,
@@ -1055,11 +1192,16 @@ class Session:
             return StatementResult("update", update_count=outcome[0])
         [params] = param_rows
         if not tracer.enabled:
-            return self.finish_rowset(plan.run(self, params), shape)
+            rows = plan.run(self, params)
+            if entry.objects:
+                _copy_objects(rows, entry.objects)
+            return StatementResult("rowset", rows, shape)
         with tracer.span("execute"):
             rows = plan.run(self, params)
         with tracer.span("fetch"):
-            return self.finish_rowset(rows, shape)
+            if entry.objects:
+                _copy_objects(rows, entry.objects)
+            return StatementResult("rowset", rows, shape)
 
     def _dispatch(
         self, statement: ast.Statement, params: Sequence[Any]
@@ -1251,32 +1393,6 @@ class Session:
         _metrics.increment("analyze.tables", len(targets))
         return StatementResult("analyze", update_count=len(targets))
 
-    def finish_rowset(
-        self, rows: List[List[Any]], shape: RowShape
-    ) -> StatementResult:
-        """Copy object-typed values out of storage (value semantics)."""
-        import copy
-        import datetime
-        import decimal
-
-        scalars = (
-            str, int, float, bool, bytes, decimal.Decimal,
-            datetime.date, datetime.time, datetime.datetime, type(None),
-        )
-        object_positions = [
-            index
-            for index, column in enumerate(shape.columns)
-            if isinstance(column.descriptor, ObjectType)
-            or column.descriptor is None
-        ]
-        if object_positions:
-            for row in rows:
-                for index in object_positions:
-                    value = row[index]
-                    if not isinstance(value, scalars):
-                        row[index] = copy.deepcopy(value)
-        return StatementResult("rowset", rows=rows, shape=shape)
-
     # ------------------------------------------------------------------
     # routines
     # ------------------------------------------------------------------
@@ -1287,7 +1403,8 @@ class Session:
     @contextlib.contextmanager
     def routine_call(self) -> Iterator[None]:
         """Marks the dynamic extent of an external routine invocation
-        (suppresses autocommit for statements the routine runs)."""
+        (suppresses autocommit for statements the routine runs, and
+        refuses COMMIT and ROLLBACK: :meth:`commit`)."""
         self._routine_depth += 1
         try:
             yield
@@ -1404,15 +1521,33 @@ class Session:
             return
         durability.wait_durable(pending)
         if database.lock.held_by_me() != "shared":
-            # A COMMIT in a routine body runs under its caller's shared
-            # hold, which the checkpoint cannot take: a later one runs.
+            # A COMMIT statement runs under its envelope's shared hold,
+            # which the checkpoint cannot take: a later commit runs it.
             durability.maybe_checkpoint()
 
     # ------------------------------------------------------------------
     # transactions / lifecycle
     # ------------------------------------------------------------------
+    @property
+    def in_routine(self) -> bool:
+        """True while an external routine invoked on this session runs:
+        its statements belong to the statement that invoked it."""
+        return self._routine_depth > 0
+
+    def _check_termination(self, verb: str) -> None:
+        """Refuse to end the transaction from a routine body (SQLSTATE
+        2D000): the body runs inside its caller's statement, which
+        rolls back as any failed statement does."""
+        if self._routine_depth > 0:
+            raise errors.TransactionError(
+                f"invalid transaction termination: a routine body may "
+                f"not {verb} its caller's transaction",
+                sqlstate="2D000",
+            )
+
     def commit(self) -> None:
         self._check_open()
+        self._check_termination("commit")
         # The shared lock suffices: commit touches only this
         # transaction's own versions (stamping under the commit mutex)
         # and must not exclude concurrent readers or writers.
@@ -1429,6 +1564,7 @@ class Session:
         # mutation lock for structural changes, so the shared engine
         # lock is enough.
         self._check_open()
+        self._check_termination("roll back")
         with self.database.lock.read():
             self._rollback_all()
 

@@ -215,6 +215,7 @@ _RUNTIME = {**RUNTIME, "sort_key": sort_key,
             "key_image": key_image, "_canonical": _canonical,
             "_join_image": _join_image, "_pick": _pick,
             "_scanned": _scanned, "length_hint": length_hint,
+            "_ROWS_SCANNED": _ROWS_SCANNED, "_note_scan": _stats.note_scan,
             "_INDEX_LOOKUPS": _INDEX_LOOKUPS,
             "settled_runs": settled_runs,
             "itemgetter": itemgetter, "_count": _count,
@@ -222,15 +223,29 @@ _RUNTIME = {**RUNTIME, "sort_key": sort_key,
             "_heapreplace_max": _heapreplace_max, "_INF": float("inf")}
 
 
-def generate_plan(root: Operator) -> None:
+def generate_plan(root: Operator, plan: Optional["QueryPlan"] = None
+                  ) -> None:
     """Compile, with one ``compile()``, the loops of every operator under
     ``root`` that has none yet and does not run inside a consumer's loop
     (:func:`_fused_inputs`), and the callables their expressions need; a
-    plan's operators and expressions hold the results."""
+    plan's operators and expressions hold the results.
+
+    Given the ``plan`` whose root ``root`` is, and a root that is a chain
+    of Filters and Projects, the chain — and a scan under it — runs
+    inside ``plan.collect`` instead of a loop of its own: one function
+    appending the rows to a list (:func:`_collector`).  Should anything
+    pull the root's rows after all, ``rows`` generates its loop then."""
     parts: List[str] = []
     bindings: Dict[str, Any] = {}
     targets: List[Tuple[Any, str, str]] = []
     fused: set = set()  # nodes whose rows a consumer's loop produces
+    if plan is not None and isinstance(root, (Filter, Project)):
+        name = fresh()
+        text, names, chain = _collector(name, root)
+        parts.append(text)
+        bindings.update(names)
+        targets.append((plan, "collect", name))
+        fused.update(map(id, chain))
     stack = [root]
     while stack:
         node = stack.pop()
@@ -253,6 +268,28 @@ def generate_plan(root: Operator) -> None:
         values = generate("\n".join(parts), bindings, _RUNTIME)
         for target, attribute, name in targets:
             setattr(target, attribute, values[name])
+
+
+def _collector(name: str, root: Operator
+               ) -> Tuple[str, Dict[str, Any], List[Operator]]:
+    """``def name(self, c)`` returning the list of the rows of ``root``
+    (``self``), a chain of Filters and Projects, each row a list of its
+    own; its bindings; and the nodes it runs inside itself (the chain,
+    and a scan under it)."""
+    chain: List[Operator] = []
+    node, built = root, False
+    while isinstance(node, (Filter, Project)):
+        chain.append(node)
+        built = built or isinstance(node, Project)
+        node = node.child
+    if isinstance(node, _Scan):
+        chain.append(node)
+    fragments: List[Compiled] = []
+    # A Project's row is a new list; a stored row is copied.
+    step = "out.append(r)\n" if built else "out.append(list(r))\n"
+    text, names = _function(name, "    out = []\n" + _input(
+        "self", root, step, fragments) + "    return out\n", fragments)
+    return text, names, chain
 
 
 def _fused_inputs(node: _Generated) -> List[Operator]:
@@ -281,13 +318,16 @@ class SingleRow(Operator):
         yield []
 
 
-def _scan_loop(scan: str, step: str, blocks: bool) -> str:
+def _scan_loop(path: str, scan: "_Scan", step: str,
+               fragments: List[Compiled]) -> str:
     """Body running ``step`` (source over the row ``r``) on each row the
-    reading snapshot sees among the candidates of the scan ``scan``
-    names, :data:`~repro.engine.mvcc.VISIBLE` inlined — except, given
-    ``blocks``, on the frozen blocks of a heap copy, whose rows every
-    snapshot sees and which are read as they are
-    (:func:`~repro.engine.mvcc.settled_runs`, after the snapshot).
+    reading snapshot sees among the candidates of ``scan``, reached from
+    ``self`` as ``path``, :data:`~repro.engine.mvcc.VISIBLE` inlined —
+    except, for a SeqScan, on the frozen blocks of its heap copy, whose
+    rows every snapshot sees and which are read as they are
+    (:func:`~repro.engine.mvcc.settled_runs`, after the snapshot).  An
+    equality index probe computes its key right here (its fragments
+    added to ``fragments``); other scans call ``candidates``.
 
     The snapshot is taken (``session.mvcc_txn`` begins the transaction)
     *before* the candidates are read, or a commit landing in between
@@ -297,7 +337,7 @@ def _scan_loop(scan: str, step: str, blocks: bool) -> str:
     tested = (f"for v in sub:\n    if not ({VISIBLE}):\n"
               f"        hidden += 1\n        continue\n    r = v.row\n"
               + _indent(step, 4))
-    if blocks:
+    if scan.blocks:
         loop = ("for stop, frozen, items in settled_runs(vs):\n"
                 "    sub = iter(items)\n"
                 "    if frozen:\n        for r in sub:\n"
@@ -308,10 +348,11 @@ def _scan_loop(scan: str, step: str, blocks: bool) -> str:
         start = "    hidden = 0\n    stop = len(vs)\n    sub = iter(vs)\n"
     return (
         "    t = c.session.mvcc_txn\n    snap = t.snapshot_seq\n"
-        f"    me = t.id\n    vs = {scan}.candidates(c)\n{start}    try:\n"
+        f"    me = t.id\n{scan.probe(path, fragments)}{start}    try:\n"
         + _indent(loop, 8)
         + "    finally:\n"
-        "        _scanned(stop - length_hint(sub) - hidden)\n"
+        "        n = stop - length_hint(sub) - hidden\n"
+        "        _ROWS_SCANNED.increment(n)\n        _note_scan(n)\n"
     )
 
 
@@ -334,7 +375,7 @@ def _input(path: str, node: Operator, step: str,
             fragments.extend(node.items)
         path, node = path + ".child", node.child
     if fuse and isinstance(node, _Scan):
-        return _scan_loop(path, step, node.blocks)
+        return _scan_loop(path, node, step, fragments)
     return f"    for r in {path}.rows(c):\n" + _indent(step, 8)
 
 
@@ -360,9 +401,14 @@ class _Scan(_Generated):
         _scanned(len(visible))
         return visible
 
+    def probe(self, path: str, fragments: List[Compiled]) -> str:
+        """Source setting ``vs`` to the candidates, for :func:`_scan_loop`."""
+        return f"    vs = {path}.candidates(c)\n"
+
     def source(self, name: str) -> Tuple[str, Dict[str, Any]]:
-        return _function(name, _scan_loop("self", "yield r\n", self.blocks),
-                         [])
+        fragments: List[Compiled] = []
+        return _function(name, _scan_loop("self", self, "yield r\n",
+                                          fragments), fragments)
 
 
 class SeqScan(_Scan):
@@ -417,6 +463,17 @@ class IndexScan(_Scan):
     def expressions(self) -> List[Compiled]:
         return [e for e in (self.equal or []) + [self.lower, self.upper]
                 if e is not None]
+
+    def probe(self, path: str, fragments: List[Compiled]) -> str:
+        """An equality probe, inlined: the key's fragments evaluated
+        against an empty row, then :meth:`candidates`' lookup."""
+        if self.equal is None:
+            return super().probe(path, fragments)
+        fragments.extend(self.equal)
+        key = "".join(f"{item.source}, " for item in self.equal)
+        return ("    _INDEX_LOOKUPS.increment()\n    r = []\n"
+                f"    pk = ({key})\n    with {path}.table.mutation_lock:\n"
+                f"        vs = list({path}.index.lookup(pk))\n")
 
     def candidates(self, ctx: RuntimeContext) -> List[Any]:
         """The versions the probe finds: index buckets hold every
@@ -1143,18 +1200,26 @@ class QueryPlan:
     """A compiled query: root operator plus output shape.  Building one
     generates its operators' loops (:func:`generate_plan`)."""
 
-    def __init__(self, root: Operator, shape: RowShape) -> None:
+    def __init__(self, root: Operator, shape: RowShape,
+                 collect: bool = False) -> None:
         self.root = root
         self.shape = shape
-        generate_plan(root)
+        #: ``collect(root, c)``, the list of the root's rows, when the
+        #: plan was built to ``collect`` and its root is a chain of
+        #: Filters and Projects (:func:`generate_plan`).
+        self.collect: Any = None
+        generate_plan(root, self if collect else None)
 
     def run(
         self, session: Any, params: Sequence[Any] = ()
     ) -> List[List[Any]]:
-        """Execute and materialise all rows."""
+        """Execute and materialise all rows, each a list of its own."""
         faultpoints.trigger("executor.run")
         ctx = Env((), params, None, session)
         try:
+            collect = self.collect
+            if collect is not None:
+                return collect(self.root, ctx)
             return [list(row) for row in self.root.rows(ctx)]
         except errors.SQLException:
             raise

@@ -178,10 +178,16 @@ def generate(source: str, bindings: Dict[str, Any],
 
 
 def prologue(source: str) -> str:
-    """The ``p = ...`` line of a generated function reading ``source``:
-    the run's parameters, or a stand-in raising for a missing one."""
+    """The ``p = ...`` lines of a generated function reading ``source``:
+    the run's parameters, or a stand-in raising for a missing one
+    (:func:`_params`, inlined: the test costs no call on a point
+    query's path)."""
     used = [int(index) for index in _PARAM.findall(source)]
-    return f"    p = _params(c.params, {max(used) + 1})\n" if used else ""
+    if not used:
+        return ""
+    needed = max(used) + 1
+    return (f"    p = c.params\n    if p is None or len(p) < {needed}:\n"
+            f"        p = _params(p, {needed})\n")
 
 
 class _Unbound:
@@ -854,6 +860,9 @@ def _function_call(
             f"arguments, got {len(args)}"
         )
     compiler.session.check_execute_privilege(routine)
+    # The statement's plan now runs routine code, which may run SQL:
+    # it takes the generic statement envelope (Session._compile).
+    compiler.session.routines_compiled += 1
     return _helper_call(
         lambda env, *values: env.session.invoke_function(
             routine, list(values)

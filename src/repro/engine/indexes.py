@@ -164,7 +164,7 @@ class Index:
         for value in values:
             if value is None:
                 return iter(())  # NULL = anything is UNKNOWN
-        return iter(self._buckets.get(self.key_of_values(values), ()))
+        return iter(self._buckets.get(tuple(map(sort_key, values)), ()))
 
     def range(self, lower: Optional[Any], upper: Optional[Any],
               lower_inclusive: bool = True,

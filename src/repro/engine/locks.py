@@ -54,7 +54,11 @@ class ReadWriteLock:
     """
 
     def __init__(self) -> None:
-        self._cond = threading.Condition(threading.Lock())
+        #: The condition's lock, taken bare on the shared path: every
+        #: statement acquires and releases once, and the condition's
+        #: context-manager frames cost more than the work they guard.
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
         self._writer: Optional[int] = None  # owning thread ident
         self._writer_depth = 0
         self._readers: Dict[int, int] = {}  # thread ident -> hold depth
@@ -85,21 +89,29 @@ class ReadWriteLock:
 
     def acquire_read(self) -> None:
         me = threading.get_ident()
-        with self._cond:
+        mutex = self._mutex
+        mutex.acquire()
+        try:
             if self._writer == me:
                 # Nested read under our own write hold: stay exclusive.
                 self._writer_depth += 1
                 return
-            if me in self._readers:
-                self._readers[me] += 1
+            readers = self._readers
+            depth = readers.get(me)
+            if depth is not None:
+                readers[me] = depth + 1
                 return
             if self._writer is not None or self._waiting_writers:
                 self._wait(False)
-            self._readers[me] = 1
+            readers[me] = 1
+        finally:
+            mutex.release()
 
     def release_read(self) -> None:
         me = threading.get_ident()
-        with self._cond:
+        mutex = self._mutex
+        mutex.acquire()
+        try:
             if self._writer == me:
                 self._release_write_locked()
                 return
@@ -108,9 +120,14 @@ class ReadWriteLock:
                 raise RuntimeError("release_read without acquire_read")
             if depth == 1:
                 del self._readers[me]
-                self._cond.notify_all()
+                # Only a writer waits for readers to leave (a reader
+                # waits for writers), so only a waiting one is woken.
+                if self._waiting_writers:
+                    self._cond.notify_all()
             else:
                 self._readers[me] = depth - 1
+        finally:
+            mutex.release()
 
     def acquire_write(self) -> None:
         me = threading.get_ident()

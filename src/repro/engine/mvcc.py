@@ -399,7 +399,13 @@ class TransactionManager:
     """
 
     def __init__(self) -> None:
-        self._cond = threading.Condition(threading.Lock())
+        #: The condition's lock, taken bare by :meth:`begin` and
+        #: :meth:`finish`: every statement runs both, and the condition's
+        #: context-manager frames cost more than the work they guard.
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
+        #: Threads in :meth:`wait_for`; :meth:`finish` wakes only those.
+        self._waiters = 0
         self._next_txn = 1
         self._commit_seq = 0
         self._active: Dict[int, Transaction] = {}
@@ -418,12 +424,15 @@ class TransactionManager:
         snapshot — the current commit counter, unless
         ``txn.snapshot_seq`` was pinned beforehand (crash-recovery
         replay reproduces the original execution's visibility)."""
-        with self._cond:
+        self._mutex.acquire()
+        try:
             txn.id = self._next_txn
             self._next_txn += 1
             if txn.snapshot_seq is None:
                 txn.snapshot_seq = self._commit_seq
             self._active[txn.id] = txn
+        finally:
+            self._mutex.release()
 
     def refresh_snapshot(self, txn: Transaction) -> None:
         """Re-take the snapshot (only valid while no statement has
@@ -474,9 +483,13 @@ class TransactionManager:
         """
         if txn.id is None:
             return
-        with self._cond:
+        self._mutex.acquire()
+        try:
             self._active.pop(txn.id, None)
-            self._cond.notify_all()
+            if self._waiters:
+                self._cond.notify_all()
+        finally:
+            self._mutex.release()
         (_TXN_COMMITS if committed else _TXN_ABORTS).increment()
 
     # ------------------------------------------------------------------
@@ -492,11 +505,15 @@ class TransactionManager:
         _TXN_CONFLICT_WAITS.increment()
         deadline = _time.monotonic() + timeout
         with self._cond:
-            while txn_id in self._active:
-                remaining = deadline - _time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(remaining)
+            self._waiters += 1
+            try:
+                while txn_id in self._active:
+                    remaining = deadline - _time.monotonic()
+                    if remaining <= 0:
+                        return False
+                    self._cond.wait(remaining)
+            finally:
+                self._waiters -= 1
         return True
 
     def is_active(self, txn_id: int) -> bool:

@@ -44,6 +44,7 @@ from collections import OrderedDict
 from typing import Any, Optional, Tuple
 
 from repro.observability import metrics as _metrics
+from repro.sqltypes import ObjectType
 
 __all__ = ["CachedPlan", "PlanCache"]
 
@@ -62,10 +63,17 @@ CAPACITY = 128
 class CachedPlan:
     """One compiled statement: parsed AST, plan, output shape (None for
     DML, whose plan is a :class:`~repro.engine.dml.DmlPlan`, and for
-    CALL, whose plan is a :class:`~repro.engine.database.CallPlan`)."""
+    CALL, whose plan is a :class:`~repro.engine.database.CallPlan`).
+
+    ``lean`` marks a query that invokes no external routine: it may run
+    through the session's lean read path (``Session._run_read``).
+    ``objects`` are the positions of the shape's columns that may hold
+    Part 2 objects (an object type, or no type at all), whose values a
+    result copies out of storage."""
 
     __slots__ = (
-        "statement", "plan", "shape", "catalog_version", "stats_version"
+        "statement", "plan", "shape", "catalog_version", "stats_version",
+        "lean", "objects",
     )
 
     def __init__(
@@ -75,12 +83,19 @@ class CachedPlan:
         shape: Any,
         catalog_version: int,
         stats_version: int = 0,
+        lean: bool = False,
     ) -> None:
         self.statement = statement
         self.plan = plan
         self.shape = shape
         self.catalog_version = catalog_version
         self.stats_version = stats_version
+        self.lean = lean
+        self.objects: Tuple[int, ...] = () if shape is None else tuple(
+            index for index, column in enumerate(shape.columns)
+            if column.descriptor is None
+            or isinstance(column.descriptor, ObjectType)
+        )
 
 
 class PlanCache:

@@ -1458,6 +1458,7 @@ def _plan_select(
     select: ast.Select,
     session: Any,
     outer: Optional[ExpressionCompiler],
+    collect: bool = False,
 ) -> Tuple[QueryPlan, RowShape]:
     where = select.where
     if where is not None and _contains_aggregate(where):
@@ -1564,7 +1565,7 @@ def _plan_select(
             sort.limit, sort.offset = limit, offset
         operator = Limit(operator, limit, offset)
 
-    return QueryPlan(operator, output_shape), output_shape
+    return QueryPlan(operator, output_shape, collect), output_shape
 
 
 def _from_item_estimates(
@@ -2026,12 +2027,17 @@ def plan_query(
     query: ast.Node,
     session: Any,
     outer: Optional[ExpressionCompiler] = None,
+    collect: bool = False,
 ) -> Tuple[QueryPlan, RowShape]:
-    """Plan a query expression; returns the plan and its output shape."""
+    """Plan a query expression; returns the plan and its output shape.
+    ``collect`` builds a plan that only :meth:`QueryPlan.run` executes —
+    a statement's, not a subquery's or a view's — so its root's rows
+    may be collected by one generated function (``QueryPlan.collect``)
+    instead of pulled through the root's loop."""
     if isinstance(query, ast.Select):
-        return _plan_select(query, session, outer)
+        return _plan_select(query, session, outer, collect)
     if isinstance(query, ast.SetOperation):
-        return _plan_set_operation(query, session, outer)
+        return _plan_set_operation(query, session, outer, collect)
     raise errors.FeatureNotSupportedError(
         f"cannot plan {type(query).__name__}"
     )
@@ -2041,6 +2047,7 @@ def _plan_set_operation(
     op: ast.SetOperation,
     session: Any,
     outer: Optional[ExpressionCompiler],
+    collect: bool = False,
 ) -> Tuple[QueryPlan, RowShape]:
     left_plan, left_shape = plan_query(op.left, session, outer)
     right_plan, right_shape = plan_query(op.right, session, outer)
@@ -2068,4 +2075,4 @@ def _plan_set_operation(
     )
     if op.order_by:
         operator = _sort_output(operator, op.order_by, shape, session, outer)
-    return QueryPlan(operator, shape), shape
+    return QueryPlan(operator, shape, collect), shape

@@ -266,8 +266,9 @@ def note_wal_wait(seconds: float) -> None:
 
 def note_scan(rows: int) -> None:
     """Charge ``rows`` heap/index reads to the active statement."""
-    context = active()
-    if context is not None:
+    # active(), inlined: every scan of every statement lands here.
+    context = getattr(_local, "state", None)
+    if context is not None and context[_DEPTH]:
         context[_ROWS_SCANNED] += rows
         context[_DIRTY] = 1
 
@@ -448,7 +449,12 @@ class StatementStats:
             self._lock.release()
         if context is not None:
             if dirty:
-                _reset(context)
+                # _reset(), inlined: a statement that scanned is dirty.
+                context[_SHARED_WAIT] = context[_EXCLUSIVE_WAIT] = 0.0
+                context[_WAL_WAIT] = 0.0
+                context[_SHARED_WAITS] = context[_EXCLUSIVE_WAITS] = 0
+                context[_ROWS_SCANNED] = 0
+                context[_DIRTY] = 0
             # _close(), inlined: the call frame is measurable here.
             depth = context[_DEPTH] - 1
             if depth < 0:

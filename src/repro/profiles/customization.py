@@ -84,9 +84,9 @@ class _PreparedRTStatement(RTStatement):
     ) -> None:
         super().__init__(entry, session)
         self._prepared = prepared
-
-    def execute(self, params: Sequence[Any] = ()) -> StatementResult:
-        return self._prepared.execute(params)
+        # The entry IS its prepared plan: bound once, a clause runs it
+        # with no wrapper frame.
+        self.execute = prepared.execute  # type: ignore[method-assign]
 
 
 class Customization:

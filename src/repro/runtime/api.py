@@ -136,7 +136,9 @@ def execute(
 ) -> StatementResult:
     """Execute a non-query ``#sql`` clause."""
     if not _tracing.current.enabled:
-        return _context_for(context).execute_entry(profile, index, params)
+        if not isinstance(context, ConnectionContext):
+            context = _context_for(context)
+        return context.execute_entry(profile, index, params)
     return _run_entry("sqlj.execute", profile, index, context, params)
 
 
@@ -174,10 +176,12 @@ def query(
 ) -> SQLJIterator:
     """Execute a query clause and bind its result to a typed iterator."""
     if not _tracing.current.enabled:
-        result = _context_for(context).execute_entry(profile, index, params)
+        if not isinstance(context, ConnectionContext):
+            context = _context_for(context)
+        result = context.execute_entry(profile, index, params)
     else:
         result = _run_entry("sqlj.query", profile, index, context, params)
-    if not result.is_rowset:
+    if result.kind != "rowset":
         raise errors.DataError(
             f"profile entry {index} did not produce a result set"
         )

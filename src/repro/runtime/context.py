@@ -169,19 +169,24 @@ class ConnectionContext:
     def execute_entry(
         self, profile: Profile, index: int, params: Sequence[Any]
     ) -> StatementResult:
-        self._check_open()
+        if self._closed:
+            raise errors.ConnectionClosedError(
+                "connection context is closed"
+            )
         _CLAUSES.increment()
         tracer = self._tracer
         if tracer is None:
             tracer = _tracing.current
+        connected = self._connected_profiles.get(id(profile))
+        if connected is None:
+            connected = self.connected_profile(profile)
         if tracer.enabled:
             with tracer.span(
                 "sqlj.clause", profile=profile.name, entry=index
             ):
-                result = self.connected_profile(profile) \
-                    .execute(index, params)
+                result = connected.execute(index, params)
         else:
-            result = self.connected_profile(profile).execute(index, params)
+            result = connected.execute(index, params)
         self.execution_context.record(result)
         return result
 

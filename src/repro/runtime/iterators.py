@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import datetime
 import decimal
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import errors
 from repro.engine.database import StatementResult
@@ -90,15 +90,42 @@ def _static_type_compatible(
     return value_type in allowed
 
 
+#: Host types whose per-value check a column of a provable value kind
+#: (:attr:`~repro.engine.expressions.ColumnInfo.kind`) makes redundant:
+#: :func:`check_host_type` would hand each such value back unchanged.
+_PROVEN = {"int": (int, decimal.Decimal), "str": (str,), "bool": (bool,)}
+
+
+def _needs_check(host_type: Optional[type], column: Any) -> bool:
+    """Whether values of ``column`` bound to ``host_type`` still need the
+    per-value :func:`check_host_type`: False where the column's kind
+    proves every value already is of the host type.  UDT and ``object``
+    columns, and columns of no provable kind, keep the check."""
+    if host_type is None or host_type is object:
+        return False
+    return host_type not in _PROVEN.get(getattr(column, "kind", None), ())
+
+
+#: Shapes an iterator class keeps its bindings for (a plan's shape
+#: lives as long as the plan; a class bound to more starts afresh).
+_BOUND_SHAPES = 32
+
+
 class SQLJIterator:
-    """Common cursor behaviour over a materialised rowset."""
+    """Common cursor behaviour over a materialised rowset.
+
+    A subclass's binding of its declared columns to a result shape is
+    worked out once per (iterator class, shape) — the class keeps them
+    by shape, in ``_bound`` — so an iterator over a prepared clause's
+    results does no per-result binding work."""
 
     def __init__(self, result: StatementResult) -> None:
-        if not result.is_rowset:
+        if result.kind != "rowset":
             raise errors.DataError(
                 "iterator bound to a statement that returns no rows"
             )
         self._result = result
+        self._rows = result.rows
         self._position = -1
         self._closed = False
         self._end = False
@@ -106,8 +133,9 @@ class SQLJIterator:
     # -- paper API --------------------------------------------------------
     def next(self) -> bool:
         """Advance; False at end (named-iterator loop protocol)."""
-        self._check_open()
-        if self._position + 1 >= len(self._result.rows):
+        if self._closed:
+            raise errors.InvalidCursorStateError("iterator is closed")
+        if self._position + 1 >= len(self._rows):
             self._end = True
             return False
         self._position += 1
@@ -125,20 +153,42 @@ class SQLJIterator:
         return self._closed
 
     def row_count(self) -> int:
-        return len(self._result.rows)
+        return len(self._rows)
 
     # -- internals ----------------------------------------------------------
+    def _bindings_for(self, shape: Any) -> Any:
+        """This class's bindings to ``shape``, worked out on first use."""
+        cls = type(self)
+        # The class's own table, never an ancestor's: a subclass may
+        # declare other columns.  Created once, then only its entries
+        # change — assigning a class attribute per bind would
+        # invalidate the interpreter's caches of the class.
+        bound = cls.__dict__.get("_bound")
+        if bound is None:
+            bound = cls._bound = {}
+        bindings = bound.get(shape)
+        if bindings is None:
+            bindings = self._bind(shape)
+            if shape is not None:
+                if len(bound) >= _BOUND_SHAPES:
+                    bound.clear()
+                bound[shape] = bindings
+        return bindings
+
+    def _bind(self, shape: Any) -> Any:
+        raise NotImplementedError
+
     def _check_open(self) -> None:
         if self._closed:
             raise errors.InvalidCursorStateError("iterator is closed")
 
     def _current_row(self) -> List[Any]:
         self._check_open()
-        if self._end or not 0 <= self._position < len(self._result.rows):
+        if self._end or not 0 <= self._position < len(self._rows):
             raise errors.InvalidCursorStateError(
                 "iterator is not positioned on a row"
             )
-        return self._result.rows[self._position]
+        return self._rows[self._position]
 
 
 class PositionalIterator(SQLJIterator):
@@ -152,27 +202,35 @@ class PositionalIterator(SQLJIterator):
 
     def __init__(self, result: StatementResult) -> None:
         super().__init__(result)
+        #: per column, the host type to check values against, or None
+        #: where construction proved the check redundant.
+        self._checks = self._bindings_for(result.shape)
+
+    def _bind(self, shape: Any) -> Tuple[Optional[type], ...]:
         declared = type(self)._column_types
-        width = len(result.shape) if result.shape else 0
+        width = len(shape) if shape else 0
         if len(declared) != width:
             raise errors.InvalidCastError(
                 f"iterator {type(self).__name__} declares {len(declared)} "
                 f"columns but the query produces {width}"
             )
-        if result.shape is not None:
-            for index, (host_type, column) in enumerate(
-                zip(declared, result.shape.columns)
-            ):
-                if not _static_type_compatible(
-                    host_type, column.descriptor
-                ):
-                    raise errors.InvalidCastError(
-                        f"iterator {type(self).__name__} column "
-                        f"{index + 1} declares "
-                        f"{getattr(host_type, '__name__', host_type)} but "
-                        f"the query returns "
-                        f"{column.descriptor.sql_spelling()}"
-                    )
+        if shape is None:
+            return tuple(declared)
+        for index, (host_type, column) in enumerate(
+            zip(declared, shape.columns)
+        ):
+            if not _static_type_compatible(host_type, column.descriptor):
+                raise errors.InvalidCastError(
+                    f"iterator {type(self).__name__} column "
+                    f"{index + 1} declares "
+                    f"{getattr(host_type, '__name__', host_type)} but "
+                    f"the query returns "
+                    f"{column.descriptor.sql_spelling()}"
+                )
+        return tuple(
+            host_type if _needs_check(host_type, column) else None
+            for host_type, column in zip(declared, shape.columns)
+        )
 
     def fetch_row(self) -> Optional[Tuple[Any, ...]]:
         """FETCH: advance and return the typed row, or None at end."""
@@ -180,8 +238,9 @@ class PositionalIterator(SQLJIterator):
             return None
         row = self._current_row()
         return tuple(
-            check_host_type(value, host_type)
-            for value, host_type in zip(row, type(self)._column_types)
+            value if host_type is None
+            else check_host_type(value, host_type)
+            for value, host_type in zip(row, self._checks)
         )
 
 
@@ -196,12 +255,15 @@ class NamedIterator(SQLJIterator):
 
     def __init__(self, result: StatementResult) -> None:
         super().__init__(result)
-        shape = result.shape
-        available = {}
+        #: lower-cased name -> (position, host type to check or None).
+        self._bindings = self._bindings_for(result.shape)
+
+    def _bind(self, shape: Any) -> Dict[str, Tuple[int, Optional[type]]]:
+        available: Dict[str, int] = {}
         if shape is not None:
             for index, column in enumerate(shape.columns):
                 available.setdefault(column.name, index)
-        self._bindings = {}
+        bindings = {}
         for name, host_type in type(self)._columns:
             key = name.lower()
             if key not in available:
@@ -210,19 +272,33 @@ class NamedIterator(SQLJIterator):
                     f"{name!r}, absent from the query result"
                 )
             index = available[key]
-            if shape is not None and not _static_type_compatible(
-                host_type, shape.columns[index].descriptor
+            column = shape.columns[index] if shape is not None else None
+            if column is not None and not _static_type_compatible(
+                host_type, column.descriptor
             ):
                 raise errors.InvalidCastError(
                     f"iterator {type(self).__name__} column {name!r} "
                     f"declares "
                     f"{getattr(host_type, '__name__', host_type)} but the "
                     f"query returns "
-                    f"{shape.columns[index].descriptor.sql_spelling()}"
+                    f"{column.descriptor.sql_spelling()}"
                 )
-            self._bindings[key] = (index, host_type)
+            checked = host_type if column is None \
+                or _needs_check(host_type, column) else None
+            bindings[key] = (index, checked)
+        return bindings
 
     def _get(self, name: str) -> Any:
-        row = self._current_row()
+        # _current_row(), inlined: every generated accessor lands here.
+        if self._closed:
+            raise errors.InvalidCursorStateError("iterator is closed")
+        position = self._position
+        if self._end or position < 0:
+            raise errors.InvalidCursorStateError(
+                "iterator is not positioned on a row"
+            )
         index, host_type = self._bindings[name.lower()]
-        return check_host_type(row[index], host_type)
+        value = self._rows[position][index]
+        if host_type is None:
+            return value
+        return check_host_type(value, host_type)

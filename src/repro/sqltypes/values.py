@@ -178,6 +178,8 @@ def sort_key(value: Any) -> tuple:
     """Total-order key placing NULLs last (the SQL default for ASC)."""
     if value is None:
         return (1, 0)
+    if value.__class__ is int:  # _comparison_key's commonest case, inlined
+        return (0, decimal.Decimal(value))
     return (0, _comparison_key(value))
 
 

@@ -12,8 +12,14 @@ shared, as a function under a SELECT does.
   holds the lock, so waiting on the claim could only end at
   ``lock_timeout`` while a queued writer held up the blocker's COMMIT.
 * Many CALLs incrementing one row at once lose no update.
-* A COMMIT in a routine body leaves the checkpoint it makes due to the
-  next commit, which runs with no lock held.
+* A routine body may not end its caller's transaction: COMMIT and
+  ROLLBACK, as SQL or as ``Connection.commit()``/``rollback()`` on the
+  default connection, raise SQLSTATE 2D000 from a CALL, from a
+  function in a SELECT and from a customized profile entry.  The
+  calling statement rolls back and the session goes on; on a durable
+  database the caller's own COMMIT is durable and checkpoints.
+* A COMMIT statement leaves the checkpoint it makes due to the next
+  commit, which runs with no lock held.
 
 The SQL cases run in process and over ``repro://``; the checkpoint
 case opens a durable database in process.
@@ -41,15 +47,19 @@ TIMEOUT = 15.0
 
 LOCK_ROUTINES = '''
 import threading
+import time
 
 from repro import DriverManager
 
 #: Two bodies meet here, which they can only do while both run.
 BARRIER = threading.Barrier(2, timeout=5)
+#: When each rendezvous body finished, as its last act.
+FINISHED = []
 
 
 def rendezvous():
     BARRIER.wait()
+    FINISHED.append(time.monotonic())
 
 
 def run_sql(sql):
@@ -62,6 +72,17 @@ def run_sql(sql):
 
 def run_sql_fn(sql):
     run_sql(sql)
+    return 1
+
+
+def end_txn(how):
+    connection = DriverManager.get_connection("DBAPI:DEFAULT:CONNECTION")
+    connection.create_statement().execute("INSERT INTO audit VALUES (1)")
+    getattr(connection, how)()
+
+
+def end_txn_fn(how):
+    end_txn(how)
     return 1
 
 
@@ -87,6 +108,12 @@ SETUP = [
     "language python parameter style python",
     "create function run_sql_fn(s varchar(200)) returns integer "
     "modifies sql data external name 'p:lock_routines.run_sql_fn' "
+    "language python parameter style python",
+    "create procedure end_txn(how varchar(20)) modifies sql data "
+    "external name 'p:lock_routines.end_txn' "
+    "language python parameter style python",
+    "create function end_txn_fn(how varchar(20)) returns integer "
+    "modifies sql data external name 'p:lock_routines.end_txn_fn' "
     "language python parameter style python",
     "create function bump(k integer) returns integer modifies sql data "
     "external name 'p:lock_routines.bump' "
@@ -114,11 +141,13 @@ class Env:
         self.connections.append(connection)
         return connection.session
 
-    def barrier(self):
+    def routines(self):
+        """The routines' module, as the database loaded it."""
         par = self.database.catalog.get_par("p")
-        return self.database.par_loader.load_module(
-            par, "lock_routines"
-        ).BARRIER
+        return self.database.par_loader.load_module(par, "lock_routines")
+
+    def barrier(self):
+        return self.routines().BARRIER
 
     def close(self):
         for connection in self.connections:
@@ -197,6 +226,7 @@ def test_two_calls_run_at_once(env):
 
 def test_a_system_call_waits_for_a_call_in_flight(env):
     barrier = env.barrier()
+    finished = env.routines().FINISHED  # before the replace reloads it
     caller, admin = env.open(), env.open()
     call, call_outcome = _in_thread(
         lambda: caller.execute("call rendezvous()").kind
@@ -211,7 +241,11 @@ def test_a_system_call_waits_for_a_call_in_flight(env):
     barrier.wait()  # let the body finish
     _join(call, replace)
     assert call_outcome[0] == replace_outcome[0] == "call"
-    assert call_outcome[1] <= replace_outcome[1]
+    # The body's last act happened under the CALL's shared hold, which
+    # the replace had to wait out.  (The two threads' reply stamps are
+    # no witness: the replace may stamp its reply first.)
+    assert len(finished) == 1
+    assert finished[0] <= replace_outcome[1]
 
 
 def test_concurrent_calls_lose_no_update(env):
@@ -330,18 +364,65 @@ def test_a_nested_write_conflict_does_not_wait(env):
     assert caller.execute("select v from t").rows == [[100]]
 
 
-def test_a_commit_in_a_routine_body_leaves_the_checkpoint_for_later(
+# ---------------------------------------------------------------------------
+# a routine body may not end its caller's transaction
+# ---------------------------------------------------------------------------
+
+#: How a body tries to end the transaction, and the routine doing it.
+ENDINGS = {
+    "commit": ("run_sql", "commit"),
+    "rollback": ("run_sql", "rollback"),
+    "connection_commit": ("end_txn", "commit"),
+    "connection_rollback": ("end_txn", "rollback"),
+}
+
+ENDING_CALLERS = {
+    "call": lambda s, routine, arg: s.execute(f"call {routine}(?)", [arg]),
+    "select": lambda s, routine, arg: s.execute(
+        f"select {routine}_fn(?) from one", [arg]
+    ),
+    "profile": lambda s, routine, arg: _via_profile(
+        s, f"call {routine}(?)", [arg]
+    ),
+}
+
+
+@pytest.mark.parametrize("autocommit", [True, False], ids=["auto", "txn"])
+@pytest.mark.parametrize("caller", list(ENDING_CALLERS))
+@pytest.mark.parametrize("ending", list(ENDINGS))
+def test_a_routine_body_may_not_end_its_callers_transaction(
+    env, ending, caller, autocommit
+):
+    session = env.open(autocommit=autocommit)
+    if not autocommit:
+        session.execute("insert into audit values (0)")
+    routine, arg = ENDINGS[ending]
+    with pytest.raises(errors.SQLException) as excinfo:
+        ENDING_CALLERS[caller](session, routine, arg)
+    assert excinfo.value.sqlstate == "2D000"
+    # The body's INSERT rolled back with its caller, and the caller's
+    # transaction is intact: its own row is still pending.
+    assert session.execute("select k from audit").rows == (
+        [] if autocommit else [[0]]
+    )
+    if not autocommit:
+        session.rollback()
+        assert session.execute("select k from audit").rows == []
+    assert env.database.lock.reader_count() == 0
+
+
+def test_a_commit_in_a_routine_body_is_refused_on_a_durable_database(
     tmp_path
 ):
-    """A COMMIT in a routine body runs under its caller's shared hold,
-    which the checkpoint due after it cannot take: the commit is
-    durable at once, and the checkpoint runs after the next commit."""
+    """A COMMIT in a routine body is refused and leaves the caller's
+    transaction open, so nothing of it is durable or checkpointed until
+    the caller commits; that COMMIT runs with no lock held and takes the
+    checkpoint it makes due."""
     par = build_par(
         str(tmp_path / "lock.par"), {"lock_routines": LOCK_ROUTINES}
     )
-    database = repro.open_database(
-        str(tmp_path / "data"), checkpoint_interval=1
-    )
+    directory = str(tmp_path / "data")
+    database = repro.open_database(directory, checkpoint_interval=1)
     try:
         admin = database.create_session(autocommit=True)
         admin.execute(f"call sqlj.install_par('{par}', 'p')")
@@ -350,9 +431,41 @@ def test_a_commit_in_a_routine_body_leaves_the_checkpoint_for_later(
         session = database.create_session()
         session.execute("insert into audit values (0)")  # a logged txn
         checkpoints = snapshot()["counters"]["wal.checkpoints"]
-        assert session.execute("call run_sql('commit')").kind == "call"
+        with pytest.raises(errors.SQLException) as excinfo:
+            session.execute("call run_sql('commit')")
+        assert excinfo.value.sqlstate == "2D000"
         assert snapshot()["counters"]["wal.checkpoints"] == checkpoints
+        assert admin.execute("select k from audit").rows == []
         session.commit()
+        assert snapshot()["counters"]["wal.checkpoints"] == checkpoints + 1
+        assert admin.execute("select k from audit").rows == [[0]]
+    finally:
+        database.close()
+    reopened = repro.open_database(directory)
+    try:
+        assert reopened.create_session().execute(
+            "select k from audit"
+        ).rows == [[0]]
+    finally:
+        reopened.close()
+
+
+def test_a_commit_statement_leaves_the_checkpoint_for_later(tmp_path):
+    """A COMMIT statement runs under its envelope's shared hold, which
+    the checkpoint it makes due cannot take: the commit is durable at
+    once, and the next commit, with no lock held, checkpoints."""
+    database = repro.open_database(
+        str(tmp_path / "data"), checkpoint_interval=1
+    )
+    try:
+        admin = database.create_session(autocommit=True)
+        admin.execute("create table audit (k int)")
+        session = database.create_session()
+        session.execute("insert into audit values (0)")
+        checkpoints = snapshot()["counters"]["wal.checkpoints"]
+        assert session.execute("commit").kind == "ddl"
+        assert snapshot()["counters"]["wal.checkpoints"] == checkpoints
+        admin.execute("insert into audit values (1)")
         assert snapshot()["counters"]["wal.checkpoints"] == checkpoints + 1
         assert admin.execute("select k from audit order by k").rows \
             == [[0], [1]]

@@ -158,6 +158,41 @@ class TestPositionalIterator:
             ByPos(StatementResult("update", update_count=1))
 
 
+class TestBindingsPerShape:
+    """An iterator class works its bindings out once per result shape
+    and keeps them by shape: results of other shapes, in any order,
+    bind (or fail to bind) as if seen for the first time."""
+
+    def test_alternating_shapes_bind_each_on_its_own(self, people_db):
+        _db, session = people_db
+        plan_a = session.prepare("select name, year from people "
+                                 "order by year")
+        plan_b = session.prepare("select year, name from people "
+                                 "where year > 1991 order by year")
+        plan_c = session.prepare("select name, name as year from people")
+        for _ in range(2):
+            by_name = ByName(plan_a.execute())
+            assert by_name.next() and by_name.year() == 1990
+            by_name = ByName(plan_b.execute())
+            assert by_name.next() and by_name.name() == "Ben"
+            with pytest.raises(errors.InvalidCastError):
+                ByName(plan_c.execute())  # year is a string there
+            positional = ByPos(plan_a.execute())
+            assert positional.fetch_row() == ("Ann", 1990)
+            with pytest.raises(errors.InvalidCastError):
+                ByPos(plan_b.execute())  # (int, str) against (str, int)
+
+    def test_a_subclass_binds_its_own_columns(self, people_db):
+        class YearOnly(ByName):
+            _columns = (("year", int),)
+
+        _db, session = people_db
+        plan = session.prepare("select year from people order by year")
+        assert YearOnly(plan.execute()).next()
+        with pytest.raises(errors.UndefinedColumnError):
+            ByName(plan.execute())  # no name column: ByName's own check
+
+
 class TestNamedIterator:
     def test_binds_by_name_any_order(self, people_db):
         _db, session = people_db

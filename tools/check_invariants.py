@@ -220,6 +220,19 @@ CHECKS = [
          "if v.begin <= snap and v.xmax is None:"),
         ignore=r"^src/repro/engine/mvcc\.py:",
     ),
+    # A statement's accounting — the statistics bracket and the record
+    # that closes it, with the slow-query log — is done by the session,
+    # on the generic envelope and the lean read path alike: a third
+    # execution path must reuse those two, not grow its own.
+    Check(
+        "One statement accounting (the session's two paths)",
+        "a statistics bracket or statement record outside "
+        "engine/database.py",
+        r"_record_statement\(|_stats\.begin\(",
+        ("src",),
+        ("src/repro/engine/planted.py", "context = _stats.begin()"),
+        ignore=r"^src/repro/engine/database\.py:",
+    ),
 ]
 
 
