@@ -53,7 +53,6 @@ __all__ = [
 # zeroes counters in place, so these handles stay registered).
 _ROWS_RETURNED = _metrics.registry.counter("rows.returned")
 _STATEMENT_SECONDS = _metrics.registry.histogram("statement.seconds")
-_STATEMENT_COUNTERS: dict = {}
 #: Batch fast-path traffic: batches executed and parameter rows bound
 #: through them; ``batch.rows / batch.executed`` is the mean batch size.
 _BATCH_EXECUTED = _metrics.registry.counter("batch.executed")
@@ -74,7 +73,7 @@ VACUUM_THRESHOLD = 1000
 #: rollback undo only touches rows this transaction already claimed or
 #: created — and so is CALL: a routine body's statements re-enter the
 #: caller's shared hold, and a body's DDL is refused (38003).  A
-#: ``sqlj.*`` CALL is exclusive, like DDL (``Session._execute_parsed``).
+#: ``sqlj.*`` CALL is exclusive, like DDL (``Session._run_statement``).
 _SHARED_STATEMENTS = (
     ast.Select,
     ast.SetOperation,
@@ -92,7 +91,7 @@ _SHARED_STATEMENTS = (
 )
 
 #: Statements compiled once into a :class:`CachedPlan` and run through
-#: it (``Session._run_plan``); every other statement is a command,
+#: it (``Session._run_statement``); every other statement is a command,
 #: dispatched per execution.
 _PLANNABLE = (
     ast.Select, ast.SetOperation, ast.Insert, ast.Update, ast.Delete,
@@ -134,6 +133,8 @@ _TXN_STATEMENTS = (
     ast.RollbackTo,
     ast.ReleaseSavepoint,
 )
+#: Every statement with a redo record (``Session._log_durable``).
+_LOGGED_STATEMENTS = _DDL_STATEMENTS + _TXN_STATEMENTS
 
 
 #: Values a result hands out as they are; anything else in an
@@ -154,14 +155,25 @@ def _copy_objects(rows: List[List[Any]], objects: Sequence[int]) -> None:
                 row[index] = copy.deepcopy(value)
 
 
-def _statement_counter(statement_type: type) -> _metrics.Counter:
-    counter = _STATEMENT_COUNTERS.get(statement_type)
-    if counter is None:
-        counter = _metrics.registry.counter(
+class _Kind:
+    """What a statement's class decides, worked out once per class: its
+    ``statements.<kind>`` counter, and whether it runs under the shared
+    lock, compiles into a plan and writes a redo record.  A failing
+    ``isinstance`` against a tuple costs a test per member, which a
+    cache-hit read would pay on every execution."""
+
+    __slots__ = ("counter", "shared", "plannable", "logged")
+
+    def __init__(self, statement_type: type) -> None:
+        self.counter = _metrics.registry.counter(
             "statements." + statement_type.__name__.lower()
         )
-        _STATEMENT_COUNTERS[statement_type] = counter
-    return counter
+        self.shared = issubclass(statement_type, _SHARED_STATEMENTS)
+        self.plannable = issubclass(statement_type, _PLANNABLE)
+        self.logged = issubclass(statement_type, _LOGGED_STATEMENTS)
+
+
+_KINDS: dict = {}
 
 
 class StatementResult:
@@ -240,9 +252,9 @@ class PreparedStatementPlan:
     def execute(self, params: Sequence[Any] = ()) -> StatementResult:
         # The reused plan is recorded as a plan-cache hit: preparing IS
         # this path's plan cache.
-        return self.session._execute_parsed(
+        return self.session._run_statement(
             self.statement, self.sql, [params], self._cached, self._store,
-            span=_PREPARED_SPAN, cache_hit=self._cached is not None,
+            _PREPARED_SPAN, self._cached is not None,
         )
 
 
@@ -513,10 +525,6 @@ class Session:
         self.user = user
         self.autocommit = autocommit
         self._routine_depth = 0
-        #: Part 1 function calls compiled on this session, counted by
-        #: the expression compiler: a plan that compiled one is not
-        #: lean (:meth:`_compile`).
-        self.routines_compiled = 0
         #: The open transaction — snapshot, write list, savepoints and
         #: WAL transaction id in one object — or None.  Opened by the
         #: first statement that needs any of them (the snapshot itself
@@ -717,51 +725,77 @@ class Session:
         statement: ast.Statement,
         sql: str,
         param_rows: Sequence[Sequence[Any]],
-        body: Callable[[], Any],
+        entry: Optional[CachedPlan] = None,
+        store: Optional[Callable[[CachedPlan], Any]] = None,
         span: Optional[dict] = None,
         cache_hit: bool = False,
         batch: bool = False,
-        exclusive: bool = False,
     ) -> Any:
-        """The statement envelope: every executor runs its body here.
+        """The statement envelope: every entry point runs its statement
+        here, traced or not.
 
-        ``body`` does the statement's own work under the engine lock —
-        run a held query plan, dispatch a parsed statement, apply DML to
-        the parameter rows of a batch — and returns the result.  The
-        envelope owns everything around it: counter, statistics bracket,
-        ``statement`` span (when tracing is on and the caller passed its
-        attributes as ``span``; ``execute`` opens its own, around
-        parsing), one engine-lock acquisition, undo mark and
-        statement-level rollback, the redo record for ``param_rows``,
-        :meth:`_end_statement`, the write-conflict retry, the fsync wait
-        and error accounting.  ``exclusive`` takes the engine lock
-        exclusively for a statement of a shared kind (a ``sqlj.*``
-        CALL).  docs/ARCHITECTURE.md ("Statement lifecycle") walks the
-        stages in order.
+        A query, DML or CALL runs through ``entry``, the plan its caller
+        holds (a plan-cache entry, a prepared or precompiled statement's
+        own), recompiled under the lock and handed to ``store`` when
+        absent or when DDL or ANALYZE moved the catalog since it was
+        built.  A command is dispatched (:meth:`_dispatch`).  DML
+        returns its per-row counts for a batch.  Around that the
+        envelope owns the counter, statistics bracket, ``statement``
+        span (when tracing is on and the caller passed its attributes
+        as ``span``; ``execute`` opens its own, around parsing), one
+        engine-lock acquisition (exclusive for DDL and a ``sqlj.*``
+        CALL), undo mark and statement-level rollback, the redo record
+        for ``param_rows``, :meth:`_end_statement`, the write-conflict
+        retry, the fsync wait and error accounting.  A stage with
+        nothing to do costs an attribute read, so a cache-hit query
+        pays for little more than its plan.  docs/ARCHITECTURE.md
+        ("Statement lifecycle") walks the stages in order.
         """
-        self._check_open()
+        if self.closed:
+            raise errors.ConnectionClosedError("session is closed")
         tracer = _tracing.current
         timed = tracer.enabled
         if timed and span is not None:
             with tracer.span("statement", sql=sql, **span):
                 return self._run_statement(
-                    statement, sql, param_rows, body, None, cache_hit,
-                    batch, exclusive,
+                    statement, sql, param_rows, entry, store, None,
+                    cache_hit, batch,
                 )
-        counter = _STATEMENT_COUNTERS.get(statement.__class__)
-        if counter is None:
-            counter = _statement_counter(statement.__class__)
-        counter.increment()
+        cls = statement.__class__
+        kind = _KINDS.get(cls)
+        if kind is None:
+            kind = _KINDS[cls] = _Kind(cls)
+        exclusive = False
+        if isinstance(statement, ast.Call):
+            # A system procedure rewrites the catalog: its CALL is
+            # exclusive, decided from the routine it compiles against (a
+            # held plan may be stale, but only bootstrap creates system
+            # procedures).  A failing compile is reported below.
+            if entry is None:
+                try:
+                    entry = self.compile(statement)
+                except errors.SQLException:
+                    pass
+                else:
+                    if store is not None:
+                        store(entry)
+            exclusive = (
+                entry is not None and entry.plan.routine.language == "SYSTEM"
+            )
+        kind.counter.increment()
         context = _stats.begin() if _stats.enabled else None
         start = _perf_counter() if (timed or context is not None) else 0.0
-        lock = self.database.lock
+        database = self.database
+        lock = database.lock
         # Bound acquire/release, not the context managers: a generator
         # frame per statement is measurable on the cheapest queries.
-        shared = not exclusive and isinstance(statement, _SHARED_STATEMENTS)
+        shared = kind.shared and not exclusive
         if shared:
             acquire, release = lock.acquire_read, lock.release_read
         else:
             acquire, release = lock.acquire_write, lock.release_write
+        command = entry is None and not kind.plannable
+        logged = kind.logged and database.durability is not None
         returned, error = 0, None
         try:
             if not shared and lock.held_by_me() == "shared":
@@ -784,13 +818,73 @@ class Session:
                         marked = self.transaction
                         mark = 0 if marked is None else len(marked.writes)
                         try:
-                            result = body()
+                            if command:
+                                if timed:
+                                    with tracer.span(
+                                        "execute", statement=cls.__name__
+                                    ):
+                                        result = self._dispatch(
+                                            statement, param_rows[0]
+                                        )
+                                else:
+                                    result = self._dispatch(
+                                        statement, param_rows[0]
+                                    )
+                            else:
+                                catalog = database.catalog
+                                if (
+                                    entry is None
+                                    or entry.catalog_version
+                                    != catalog.version
+                                    or entry.stats_version
+                                    != catalog.stats_version
+                                ):
+                                    entry = self._compile(statement)
+                                    if store is not None:
+                                        store(entry)
+                                plan = entry.plan
+                                if entry.shape is None:  # DML or CALL
+                                    if timed:
+                                        with tracer.span(
+                                            "execute",
+                                            statement=cls.__name__,
+                                        ):
+                                            result = plan.run(
+                                                self, param_rows
+                                            )
+                                    else:
+                                        result = plan.run(self, param_rows)
+                                    if not (
+                                        batch
+                                        or isinstance(result, StatementResult)
+                                    ):
+                                        result = StatementResult(
+                                            "update",
+                                            update_count=result[0],
+                                        )
+                                elif timed:
+                                    with tracer.span("execute"):
+                                        rows = plan.run(self, param_rows[0])
+                                    with tracer.span("fetch"):
+                                        if entry.objects:
+                                            _copy_objects(rows, entry.objects)
+                                        result = StatementResult(
+                                            "rowset", rows, entry.shape
+                                        )
+                                else:
+                                    rows = plan.run(self, param_rows[0])
+                                    if entry.objects:
+                                        _copy_objects(rows, entry.objects)
+                                    result = StatementResult(
+                                        "rowset", rows, entry.shape
+                                    )
                             # Redo-log only statements that succeeded; a
                             # logging failure (an unpicklable parameter)
                             # rolls the statement back too, keeping WAL
                             # and heap in agreement.
-                            pending = self._log_durable(
-                                statement, param_rows, sql
+                            pending = (
+                                self._log_durable(statement, param_rows, sql)
+                                if logged else None
                             )
                         except BaseException:
                             # Statement-level atomicity: a failing
@@ -825,8 +919,13 @@ class Session:
             # committers pile onto one group-commit flush instead of
             # serialising the engine behind the disk.  The statistics
             # bracket is still open, so the stall is charged to this
-            # statement (waits.wal.sync).
-            self._after_commit(pending)
+            # statement (waits.wal.sync).  With nothing to wait for and
+            # too little garbage to vacuum there is nothing to do.
+            if (
+                pending is not None
+                or database.transactions.dead_versions >= VACUUM_THRESHOLD
+            ):
+                self._after_commit(pending)
             if timed:
                 # Per-statement latency is only sampled while tracing is
                 # on: two clock reads plus a histogram update are
@@ -859,100 +958,6 @@ class Session:
                 )
         return result
 
-    def _run_read(
-        self,
-        entry: CachedPlan,
-        store: Optional[Callable[[CachedPlan], Any]],
-        sql: str,
-        params: Sequence[Any],
-        cache_hit: bool,
-    ) -> StatementResult:
-        """The lean read path: one query through its held lean plan.
-
-        It keeps the envelope's accounting — the statement counter, the
-        statistics bracket, :meth:`_record_statement` and with it the
-        slow-query log, ``errors.*`` — and its transaction handling: the
-        shared lock, the plan run under the transaction's snapshot, and
-        :meth:`_end_statement`, which commits an autocommit statement
-        and pins the snapshot of an explicit transaction.  It skips what
-        a query that runs no routine never needs: the lock-kind choice,
-        the 38003 check, the write-conflict retry, the undo mark and
-        the redo record.  A plan that DDL or ANALYZE made stale since it
-        was built is found under the lock and handed to the generic
-        envelope (:meth:`_run_statement`), which recompiles it.
-        docs/ARCHITECTURE.md ("Statement lifecycle") says why the two
-        paths are equivalent.
-        """
-        if self.closed:
-            raise errors.ConnectionClosedError("session is closed")
-        context = _stats.begin() if _stats.enabled else None
-        start = _perf_counter() if context is not None else 0.0
-        database = self.database
-        lock = database.lock
-        returned, error = 0, None
-        try:
-            lock.acquire_read()
-            try:
-                catalog = database.catalog
-                stale = (
-                    entry.catalog_version != catalog.version
-                    or entry.stats_version != catalog.stats_version
-                )
-                if not stale:
-                    kind = entry.statement.__class__
-                    counter = _STATEMENT_COUNTERS.get(kind)
-                    if counter is None:
-                        counter = _statement_counter(kind)
-                    counter.increment()
-                    try:
-                        rows = entry.plan.run(self, params)
-                        if entry.objects:
-                            _copy_objects(rows, entry.objects)
-                    except BaseException:
-                        self._end_statement(failed=True)
-                        raise
-                    pending = self._end_statement()
-            finally:
-                lock.release_read()
-            if stale:
-                if context is not None:
-                    _stats.abandon(context)
-                    context = None
-            else:
-                if (
-                    pending is not None
-                    or database.transactions.dead_versions
-                    >= VACUUM_THRESHOLD
-                ):
-                    self._after_commit(pending)
-                returned = len(rows)
-                _ROWS_RETURNED.increment(returned)
-        except errors.SQLException as exc:
-            error = exc.sqlstate
-            _metrics.increment(f"errors.{error}")
-            raise
-        except BaseException:
-            if context is not None:
-                _stats.abandon(context)
-                context = None
-            raise
-        finally:
-            if context is not None:
-                self._record_statement(
-                    context, sql, _perf_counter() - start, returned, error,
-                    cache_hit, None,
-                )
-        if stale:
-            statement = entry.statement
-            return self._run_statement(
-                statement, sql, [params],
-                lambda: self._run_plan(
-                    statement, [params], entry, store, False
-                ),
-                None, cache_hit,
-            )
-        return StatementResult("rowset", rows, entry.shape)
-
     def execute(
         self, sql: str, params: Sequence[Any] = ()
     ) -> StatementResult:
@@ -964,15 +969,15 @@ class Session:
         tracer = _tracing.current
         if not tracer.enabled:
             statement, entry, store = self._lookup(sql)
-            return self._execute_parsed(
-                statement, sql, [params], entry, store,
-                cache_hit=entry is not None,
+            return self._run_statement(
+                statement, sql, [params], entry, store, None,
+                entry is not None,
             )
         with tracer.span("statement", sql=sql) as span:
             statement, entry, store = self._lookup(sql, span)
-            return self._execute_parsed(
-                statement, sql, [params], entry, store,
-                cache_hit=entry is not None,
+            return self._run_statement(
+                statement, sql, [params], entry, store, None,
+                entry is not None,
             )
 
     def _lookup(self, sql: str, span: Any = None) -> tuple:
@@ -983,7 +988,7 @@ class Session:
         cache = database.plan_cache
         key = (sql, database.dialect.name, self.user)
         # Optimistic peek before parsing: a hit skips the parser and the
-        # compile step entirely.  _run_plan re-validates the catalog
+        # compile step entirely.  The envelope re-validates the catalog
         # version under the shared lock, so a DDL statement racing this
         # peek can at worst force a recompile, never a stale execution.
         # peek (not get): a command is never cached, so its absence
@@ -1068,66 +1073,9 @@ class Session:
             )
         _BATCH_EXECUTED.increment()
         _BATCH_ROWS.increment(len(rows))
-        return self._execute_parsed(
-            statement, sql, rows, entry, store,
-            span={"batch": len(rows)}, cache_hit=entry is not None,
-            batch=True,
-        )
-
-    def _execute_parsed(
-        self,
-        statement: ast.Statement,
-        sql: str,
-        param_rows: Sequence[Sequence[Any]],
-        entry: Optional[CachedPlan] = None,
-        store: Optional[Callable[[CachedPlan], Any]] = None,
-        span: Optional[dict] = None,
-        cache_hit: bool = False,
-        batch: bool = False,
-    ) -> Any:
-        """Every entry point's one route into the envelope: a query, DML
-        or CALL runs through its compiled plan (:meth:`_run_plan`), a
-        command is dispatched (:meth:`_dispatch`).  A query whose held
-        plan is lean takes the lean read path (:meth:`_run_read`)
-        instead, unless tracing is on or a routine body runs it."""
-        if (
-            entry is not None
-            and entry.lean
-            and self._routine_depth == 0
-            and not _tracing.current.enabled
-        ):
-            return self._run_read(entry, store, sql, param_rows[0], cache_hit)
-        exclusive = False
-        if isinstance(statement, ast.Call):
-            # A system procedure rewrites the catalog: its CALL is
-            # exclusive, decided from the routine it compiles against (a
-            # held plan may be stale, but only bootstrap creates system
-            # procedures).  A failing compile is the envelope's to report.
-            if entry is None:
-                try:
-                    entry = self.compile(statement)
-                except errors.SQLException:
-                    pass
-                else:
-                    if store is not None:
-                        store(entry)
-            exclusive = (
-                entry is not None and entry.plan.routine.language == "SYSTEM"
-            )
-        if isinstance(statement, _PLANNABLE):
-            def body() -> Any:
-                return self._run_plan(
-                    statement, param_rows, entry, store, batch
-                )
-        else:
-            def body() -> Any:
-                with _tracing.current.span(
-                    "execute", statement=type(statement).__name__
-                ):
-                    return self._dispatch(statement, param_rows[0])
         return self._run_statement(
-            statement, sql, param_rows, body, span, cache_hit, batch,
-            exclusive,
+            statement, sql, rows, entry, store, {"batch": len(rows)},
+            entry is not None, True,
         )
 
     # ------------------------------------------------------------------
@@ -1140,7 +1088,6 @@ class Session:
         changing the catalog meanwhile."""
         catalog = self.catalog
         version, stats_version = catalog.version, catalog.stats_version
-        routines = self.routines_compiled
         with _tracing.current.span("plan"):
             if isinstance(statement, _DML):
                 plan, shape = dml.plan_dml(statement, self), None
@@ -1148,60 +1095,7 @@ class Session:
                 plan, shape = plan_call(statement, self), None
             else:
                 plan, shape = plan_query(statement, self, collect=True)
-        # A query whose plan invokes no external routine cannot write,
-        # nest statements or end the transaction: the lean read path
-        # (_run_read) may run it.  A function in a SELECT may run DML
-        # (routine data-access levels are not enforced), so a plan
-        # calling one keeps the generic envelope.
-        lean = shape is not None and self.routines_compiled == routines
-        return CachedPlan(
-            statement, plan, shape, version, stats_version, lean
-        )
-
-    def _run_plan(
-        self,
-        statement: ast.Statement,
-        param_rows: Sequence[Sequence[Any]],
-        entry: Optional[CachedPlan],
-        store: Optional[Callable[[CachedPlan], Any]],
-        batch: bool,
-    ) -> Any:
-        """Body: run a query, DML or CALL statement through ``entry``,
-        the plan its caller holds (a plan-cache entry, a prepared or
-        precompiled statement's own) — recompiled, and handed to
-        ``store``, when absent or when DDL or ANALYZE moved the catalog
-        since it was built (new indexes, dropped columns, revoked
-        privileges, fresh statistics that cost a different plan).  DML
-        returns its per-row counts for a batch, else a result."""
-        catalog = self.catalog
-        if (
-            entry is None
-            or entry.catalog_version != catalog.version
-            or entry.stats_version != catalog.stats_version
-        ):
-            entry = self._compile(statement)
-            if store is not None:
-                store(entry)
-        plan, shape = entry.plan, entry.shape
-        tracer = _tracing.current
-        if shape is None:  # INSERT / UPDATE / DELETE / CALL
-            with tracer.span("execute", statement=type(statement).__name__):
-                outcome = plan.run(self, param_rows)
-            if batch or isinstance(outcome, StatementResult):
-                return outcome
-            return StatementResult("update", update_count=outcome[0])
-        [params] = param_rows
-        if not tracer.enabled:
-            rows = plan.run(self, params)
-            if entry.objects:
-                _copy_objects(rows, entry.objects)
-            return StatementResult("rowset", rows, shape)
-        with tracer.span("execute"):
-            rows = plan.run(self, params)
-        with tracer.span("fetch"):
-            if entry.objects:
-                _copy_objects(rows, entry.objects)
-            return StatementResult("rowset", rows, shape)
+        return CachedPlan(statement, plan, shape, version, stats_version)
 
     def _dispatch(
         self, statement: ast.Statement, params: Sequence[Any]
@@ -1257,43 +1151,30 @@ class Session:
             f"cannot execute {type(statement).__name__}"
         )
 
-    def _explain_tree(
-        self,
-        query: ast.QueryExpr,
-        params: Sequence[Any],
-        analyze: bool,
-    ) -> "tuple":
-        """Plan (and for ANALYZE, execute) ``query``; returns
-        ``(PlanNode, total_rows, total_seconds)`` — the latter two are
-        None unless ``analyze``.  Caller holds the shared lock."""
-        from repro.engine.explain import build_plan_tree
-
-        plan, _shape = plan_query(query, self)
-        if not analyze:
-            return build_plan_tree(plan.root), None, None
-        from repro.engine.executor import instrument_plan
-
-        # EXPLAIN ANALYZE plans its query freshly above, so in-place
-        # instrumentation never touches a cached plan.
-        instrumentation = instrument_plan(plan.root)
-        start = _perf_counter()
-        result_rows = plan.run(self, params)
-        elapsed = _perf_counter() - start
-        tree = build_plan_tree(plan.root, instrumentation)
-        return tree, len(result_rows), elapsed
-
     def _explain(
         self, statement: ast.Explain, params: Sequence[Any] = ()
     ) -> StatementResult:
+        """Plan ``statement``'s query — for ANALYZE, run it through an
+        instrumented plan — and return the plan tree as text or JSON
+        rows."""
         import json
 
-        from repro.engine.explain import format_plan_tree
+        from repro.engine.executor import instrument_plan
+        from repro.engine.explain import build_plan_tree, format_plan_tree
         from repro.sqltypes import VarCharType
         from repro.engine.expressions import ColumnInfo
 
-        tree, total_rows, elapsed = self._explain_tree(
-            statement.query, params, statement.analyze
-        )
+        # EXPLAIN plans its query freshly, so ANALYZE's in-place
+        # instrumentation never touches a cached plan.
+        plan, _shape = plan_query(statement.query, self)
+        if statement.analyze:
+            instrumentation = instrument_plan(plan.root)
+            start = _perf_counter()
+            total_rows = len(plan.run(self, params))
+            elapsed_ms = (_perf_counter() - start) * 1000.0
+            tree = build_plan_tree(plan.root, instrumentation)
+        else:
+            tree = build_plan_tree(plan.root)
         shape = RowShape(
             [ColumnInfo(None, "query_plan", VarCharType(None))]
         )
@@ -1301,17 +1182,14 @@ class Session:
             document: dict = {"plan": tree.to_dict()}
             if statement.analyze:
                 document["total_rows"] = total_rows
-                document["total_ms"] = elapsed * 1000.0
-            rows = [[json.dumps(document)]]
-            return StatementResult("rowset", rows=rows, shape=shape)
+                document["total_ms"] = elapsed_ms
+            return StatementResult("rowset", [[json.dumps(document)]], shape)
         lines = format_plan_tree(tree)
         if statement.analyze:
             lines.append(
-                f"Total: rows={total_rows} "
-                f"time={elapsed * 1000.0:.3f} ms"
+                f"Total: rows={total_rows} time={elapsed_ms:.3f} ms"
             )
-        rows = [[line] for line in lines]
-        return StatementResult("rowset", rows=rows, shape=shape)
+        return StatementResult("rowset", [[line] for line in lines], shape)
 
     def explain(
         self,
@@ -1328,26 +1206,27 @@ class Session:
         actual row counts and times.  The tree includes the planner's
         estimated rows/costs and the alternatives it rejected, when
         ANALYZE statistics made a cost model available.  It is one
-        EXPLAIN statement of the envelope, counted and recorded as such.
+        EXPLAIN statement of the envelope, counted and recorded as such;
+        the tree comes back as its JSON document, which a ``repro://``
+        client rebuilds the tree from too.
         """
+        import json
+
+        from repro.engine.explain import PlanNode
+
         self._check_open()
         statement = Parser(sql, self.dialect).parse_statement()
-        if isinstance(statement, (ast.Select, ast.SetOperation)):
-            statement = ast.Explain(statement, analyze)
-        elif not isinstance(statement, ast.Explain):
+        if isinstance(statement, ast.Explain):
+            query, analyze = statement.query, analyze or statement.analyze
+        elif isinstance(statement, (ast.Select, ast.SetOperation)):
+            query = statement
+        else:
             raise errors.FeatureNotSupportedError(
                 "explain() takes a query (SELECT / set operation)"
             )
-        trees: list = []
-
-        def body() -> StatementResult:
-            trees.append(self._explain_tree(
-                statement.query, params, analyze or statement.analyze
-            )[0])
-            return StatementResult("explain")
-
-        self._run_statement(statement, sql, [params], body)
-        return trees[0]
+        statement = ast.Explain(query, analyze=analyze, format="json")
+        result = self._run_statement(statement, sql, [params])
+        return PlanNode.from_dict(json.loads(result.rows[0][0])["plan"])
 
     def _analyze(self, statement: ast.Analyze) -> StatementResult:
         """Collect planner statistics for one table or every base table.
@@ -1436,13 +1315,13 @@ class Session:
 
         Statements executed inside an external routine are *not*
         logged: the outer CALL is, and replaying it re-runs the body.
+        The envelope calls this for a :data:`_LOGGED_STATEMENTS` kind
+        on a durable database only.
         """
+        if self._routine_depth > 0:
+            return None
         durability = self.database.durability
-        if durability is None or self._routine_depth > 0:
-            return None
         immediate = isinstance(statement, _DDL_STATEMENTS)
-        if not immediate and not isinstance(statement, _TXN_STATEMENTS):
-            return None
         # Record the snapshot the statement actually executed with, so
         # crash-recovery replay reproduces its visibility even when the
         # original history interleaved with concurrent commits.

@@ -860,9 +860,6 @@ def _function_call(
             f"arguments, got {len(args)}"
         )
     compiler.session.check_execute_privilege(routine)
-    # The statement's plan now runs routine code, which may run SQL:
-    # it takes the generic statement envelope (Session._compile).
-    compiler.session.routines_compiled += 1
     return _helper_call(
         lambda env, *values: env.session.invoke_function(
             routine, list(values)

@@ -48,7 +48,7 @@ import itertools
 import os
 import struct
 from typing import (
-    Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Any, BinaryIO, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
 )
 
 from repro import errors
@@ -146,10 +146,13 @@ class SSTableReader:
     reads are positioned reads on the held descriptor, so they carry no
     seek state (safe under concurrent scans) and POSIX unlink semantics
     keep in-flight reads working after compaction unlinks a victim run
-    out from under them.  The descriptor is released when the last
-    reference to the reader is dropped — the store never closes a
-    reader explicitly, because a concurrent scan may still hold it.
+    out from under them.  A reader dropped from the live runs (a
+    compaction victim, a retired run) releases its descriptor with its
+    last reference, because a concurrent scan may still hold it; the
+    store closes its live readers at :meth:`LsmStore.close`.
     """
+
+    _handle: Optional[BinaryIO] = None
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -187,6 +190,13 @@ class SSTableReader:
         self._index: List[Tuple[int, int]] = footer["index"]
         self.tombstone_rids: frozenset = frozenset(footer["tombstones"])
         self._tombstones = footer["tombstones"]
+
+    def close(self) -> None:
+        """Release the run file's descriptor (idempotent)."""
+        if self._handle is not None:
+            self._handle.close()
+
+    __del__ = close
 
     # ------------------------------------------------------------------
     # scans

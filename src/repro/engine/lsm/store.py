@@ -489,7 +489,7 @@ class LsmStore:
             return False
         with self._compact_gate:
             thread = self._compact_thread
-            if thread is not None and thread.is_alive():
+            if self.closed or (thread is not None and thread.is_alive()):
                 return False
             thread = threading.Thread(
                 target=self._compact_quietly,
@@ -643,8 +643,17 @@ class LsmStore:
             return sum(len(r) for r in self.runs.values())
 
     def close(self) -> None:
-        """Stop accepting compactions and wait for an in-flight one."""
-        self.closed = True
-        thread = self._compact_thread
+        """Stop accepting compactions, wait for an in-flight one, then
+        close the live run files.  A compaction still running after the
+        wait keeps its readers, which close with their last reference."""
+        with self._compact_gate:
+            self.closed = True
+            thread = self._compact_thread
         if thread is not None and thread.is_alive():
             thread.join(timeout=5.0)
+            if thread.is_alive():
+                return
+        with self._lock:
+            for readers in self.runs.values():
+                for reader in readers:
+                    reader.close()

@@ -65,15 +65,16 @@ class CachedPlan:
     DML, whose plan is a :class:`~repro.engine.dml.DmlPlan`, and for
     CALL, whose plan is a :class:`~repro.engine.database.CallPlan`).
 
-    ``lean`` marks a query that invokes no external routine: it may run
-    through the session's lean read path (``Session._run_read``).
-    ``objects`` are the positions of the shape's columns that may hold
-    Part 2 objects (an object type, or no type at all), whose values a
-    result copies out of storage."""
+    Every execution route holds one and runs it through the session's
+    one statement envelope (``Session._run_statement``), which checks
+    under the engine lock that it is still fresh.  ``objects`` are the
+    positions of the shape's columns that may hold Part 2 objects (an
+    object type, or no type at all), whose values a result copies out
+    of storage."""
 
     __slots__ = (
         "statement", "plan", "shape", "catalog_version", "stats_version",
-        "lean", "objects",
+        "objects",
     )
 
     def __init__(
@@ -83,14 +84,12 @@ class CachedPlan:
         shape: Any,
         catalog_version: int,
         stats_version: int = 0,
-        lean: bool = False,
     ) -> None:
         self.statement = statement
         self.plan = plan
         self.shape = shape
         self.catalog_version = catalog_version
         self.stats_version = stats_version
-        self.lean = lean
         self.objects: Tuple[int, ...] = () if shape is None else tuple(
             index for index, column in enumerate(shape.columns)
             if column.descriptor is None

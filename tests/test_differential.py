@@ -251,16 +251,18 @@ class TestDifferential:
         db.durability.close(checkpoint=False)
 
         replayed = open_database(directory)
-        check = replayed.create_session("dba", autocommit=True)
-        replayed_state = _normalise(
-            check.execute(f"SELECT * FROM {gen.table}").rows
-        )
-        assert replayed_state == concurrent_state
-        for table in replayed.catalog.tables.values():
-            for index_ in table.indexes:
-                index_.verify_against_heap()
-        check.close()
-        replayed.close()
+        try:
+            check = replayed.create_session("dba", autocommit=True)
+            replayed_state = _normalise(
+                check.execute(f"SELECT * FROM {gen.table}").rows
+            )
+            assert replayed_state == concurrent_state
+            for table in replayed.catalog.tables.values():
+                for index_ in table.indexes:
+                    index_.verify_against_heap()
+            check.close()
+        finally:
+            replayed.close()
 
     def test_update_heavy_workload_matches(self):
         """A dedicated update/delete-heavy stream (skewed away from the

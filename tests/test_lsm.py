@@ -11,8 +11,10 @@ unique to the LSM layout itself.
 
 from __future__ import annotations
 
+import gc
 import os
 import sqlite3
+import warnings
 
 import pytest
 
@@ -275,6 +277,34 @@ class TestCompaction:
         flushed = {row[0] for _, _, row in store.scan_table("t")}
         assert flushed == set(range(100))
         db.close()
+
+    def test_close_releases_every_run_file(self, tmp_path):
+        """A closed database leaves no run file open: the store closes
+        its live readers, and a compaction victim dropped earlier
+        releases its descriptor with its last reference — so garbage
+        collection finds nothing to report unclosed."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            db = open_lsm(tmp_path)
+            store = db.lsm_store
+            store.compact_threshold = 100  # hold background off
+            s = db.create_session(autocommit=True)
+            s.execute("CREATE TABLE t (k INT, v INT)")
+            s.close()
+            _load_batches(db, batches=5, rows_per_batch=20)
+            store.compact_threshold = 4
+            assert store.compact(db) >= 1
+            _load_batches(db, batches=1, rows_per_batch=5, offset=100)
+            readers = [r for runs in store.runs.values() for r in runs]
+            assert len(readers) >= 2
+            db.close()
+            assert all(reader._handle.closed for reader in readers)
+            del db, store, readers
+            gc.collect()
+        assert [
+            str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)
+        ] == []
 
     def test_compaction_preserves_state_across_reopen(self, tmp_path):
         d = str(tmp_path)

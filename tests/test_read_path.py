@@ -1,12 +1,10 @@
-"""The lean read path and the generic statement envelope give one answer.
+"""Untraced and traced runs of the one statement envelope give one answer.
 
-A query whose held plan is lean (it invokes no external routine) runs
-through ``Session._run_read`` when tracing is off and no routine body
-runs it; with tracing on, every statement takes the generic envelope,
-``Session._run_statement``, which stays the reference.  Each scenario
-below runs twice on fresh, identical databases — once untraced (the
-lean path) and once traced (the generic envelope) — and must observe
-the same thing both times:
+Every statement runs through one envelope, ``Session._run_statement``;
+tracing only adds spans and timings around its stages.  Each scenario
+below runs twice on fresh, identical databases — once untraced and
+once traced — and must observe the same thing both times, so a trace
+describes the path an untraced run takes:
 
 * rows, row shapes and SQLSTATEs of a grid of queries, and their
   ``repro_stats.statements`` calls, errors, rows and plan-cache hits;
@@ -14,13 +12,12 @@ the same thing both times:
 * a repeatable read in an explicit transaction across a commit;
 * a prepared statement and a cached text made stale by DDL and by
   ANALYZE;
-* a SELECT calling a ``MODIFIES SQL DATA`` function, which takes the
-  generic envelope either way and rolls back the function's DML when
-  the statement fails;
+* a SELECT calling a ``MODIFIES SQL DATA`` function, which rolls back
+  the function's DML when the statement fails;
 * a UDT iterator column's per-row ``InvalidCastError``.
 
 Every scenario runs in process and over ``repro://`` (an in-process
-server, so the path taken server-side is observable here).
+server, whose tracing is this process's).
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ import pytest
 
 import repro
 from repro import errors, registry
-from repro.engine.database import Session
 from repro.observability import slowlog, tracing
 from repro.observability.stats import normalize_statement
 from repro.procedures import build_par
@@ -160,49 +156,20 @@ def where(request):
     return request.param
 
 
-@pytest.fixture
-def paths(monkeypatch):
-    """The path each statement took: ``("lean", sql)`` per lean run,
-    ``("generic", sql)`` per trip through the envelope."""
-    seen = []
-    run_read, run_statement = Session._run_read, Session._run_statement
-
-    def spy_read(self, entry, store, sql, *args):
-        seen.append(("lean", sql))
-        return run_read(self, entry, store, sql, *args)
-
-    def spy_statement(self, statement, sql, *args, **kwargs):
-        seen.append(("generic", sql))
-        return run_statement(self, statement, sql, *args, **kwargs)
-
-    monkeypatch.setattr(Session, "_run_read", spy_read)
-    monkeypatch.setattr(Session, "_run_statement", spy_statement)
-    return seen
-
-
-def both(where, tmp_path, paths, scenario):
-    """Run ``scenario(world)`` untraced and traced on fresh worlds; assert
-    the two observations equal; return ``{mode: paths taken}``."""
-    observed, taken = {}, {}
-    for mode in ("lean", "generic"):
+def both(where, tmp_path, scenario):
+    """Run ``scenario(world)`` untraced and traced on fresh worlds and
+    assert the two observations equal."""
+    observed = {}
+    for mode in ("untraced", "traced"):
         world = World(where, tmp_path / mode)
-        del paths[:]
-        if mode == "generic":
+        if mode == "traced":
             tracing.enable_tracing("json", io.StringIO())
         try:
             observed[mode] = scenario(world)
         finally:
             tracing.disable_tracing()
             world.close()
-        taken[mode] = list(paths)
-    assert observed["lean"] == observed["generic"]
-    assert not any(kind == "lean" for kind, _sql in taken["generic"])
-    return taken
-
-
-def lean(taken, sql):
-    """How many times ``sql`` took the lean path in the untraced run."""
-    return taken["lean"].count(("lean", sql))
+    assert observed["untraced"] == observed["traced"]
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +177,7 @@ def lean(taken, sql):
 # ---------------------------------------------------------------------------
 
 
-def test_a_grid_of_queries_agrees(where, tmp_path, paths):
+def test_a_grid_of_queries_agrees(where, tmp_path):
     def scenario(world):
         session = world.open()
         results = {}
@@ -225,15 +192,10 @@ def test_a_grid_of_queries_agrees(where, tmp_path, paths):
         texts = {sql for sql, _params in QUERIES.values()}
         return results, world.statements(texts)
 
-    taken = both(where, tmp_path, paths, scenario)
-    # Every text's first run compiles it through the envelope; the
-    # cached runs after it are lean.
-    assert lean(taken, QUERIES["point"][0]) == 2
-    assert lean(taken, QUERIES["join"][0]) == 2
-    assert lean(taken, QUERIES["division"][0]) == 2
+    both(where, tmp_path, scenario)
 
 
-def test_the_slow_log_and_a_fault_agree(where, tmp_path, paths):
+def test_the_slow_log_and_a_fault_agree(where, tmp_path):
     sql, params = QUERIES["point"]
 
     def scenario(world):
@@ -264,8 +226,7 @@ def test_the_slow_log_and_a_fault_agree(where, tmp_path, paths):
         return list(map(list, rows)), logged, failed, after, \
             world.statements({sql})
 
-    taken = both(where, tmp_path, paths, scenario)
-    assert lean(taken, sql) == 3
+    both(where, tmp_path, scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +234,7 @@ def test_the_slow_log_and_a_fault_agree(where, tmp_path, paths):
 # ---------------------------------------------------------------------------
 
 
-def test_a_repeatable_read_across_a_commit_agrees(where, tmp_path, paths):
+def test_a_repeatable_read_across_a_commit_agrees(where, tmp_path):
     sql = "select v from t where k = ?"
 
     def scenario(world):
@@ -291,8 +252,7 @@ def test_a_repeatable_read_across_a_commit_agrees(where, tmp_path, paths):
         reader.commit()
         return [list(map(list, rows)) for rows in seen], states
 
-    taken = both(where, tmp_path, paths, scenario)
-    assert lean(taken, sql) == 5
+    both(where, tmp_path, scenario)
 
 
 @pytest.mark.parametrize("change", [
@@ -300,7 +260,7 @@ def test_a_repeatable_read_across_a_commit_agrees(where, tmp_path, paths):
     "create index t_v on t (v)",
     "analyze t",
 ])
-def test_a_stale_plan_agrees(where, tmp_path, paths, change):
+def test_a_stale_plan_agrees(where, tmp_path, change):
     sql = "select * from t where v = ?"
 
     def scenario(world):
@@ -314,19 +274,7 @@ def test_a_stale_plan_agrees(where, tmp_path, paths, change):
             seen.append(outcome(lambda: session.execute(sql, [30])))
         return seen
 
-    taken = both(where, tmp_path, paths, scenario)
-    runs = [kind for kind, text in taken["lean"] if text == sql]
-    if where == "engine":
-        # The prepared plan is lean at once; after the change it is
-        # found stale under the lock and handed to the envelope, and
-        # the cached text misses; then both are lean.
-        assert runs == ["lean", "generic", "lean", "generic", "generic",
-                        "lean", "lean"]
-    else:
-        # A remote prepared statement runs its text through the
-        # server's plan cache, which evicts the stale entry.
-        assert runs == ["generic", "lean", "generic", "lean",
-                        "lean", "lean"]
+    both(where, tmp_path, scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +283,7 @@ def test_a_stale_plan_agrees(where, tmp_path, paths, change):
 
 
 def test_a_function_that_modifies_data_takes_the_envelope(
-    where, tmp_path, paths
+    where, tmp_path
 ):
     sql = "select run_sql(?) from one"
 
@@ -349,12 +297,10 @@ def test_a_function_that_modifies_data_takes_the_envelope(
         audit = world.admin.execute("select count(*) from audit").rows
         return seen, audit
 
-    taken = both(where, tmp_path, paths, scenario)
-    assert lean(taken, sql) == 0
-    assert ("generic", sql) in taken["lean"]
+    both(where, tmp_path, scenario)
 
 
-def test_a_udt_iterator_column_checks_each_row(where, tmp_path, paths):
+def test_a_udt_iterator_column_checks_each_row(where, tmp_path):
     """``home_addr`` is declared ``addr``; an iterator binding it to the
     subtype's class accepts the row holding an ``addr_2_line`` and
     raises 22018 on the row holding a plain ``addr``."""
@@ -407,6 +353,4 @@ def test_a_udt_iterator_column_checks_each_row(where, tmp_path, paths):
             iterator.close()
         return seen
 
-    taken = both(where, tmp_path, paths, scenario)
-    if where == "engine":
-        assert lean(taken, sql) == 2
+    both(where, tmp_path, scenario)

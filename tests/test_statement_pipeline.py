@@ -3,7 +3,8 @@
 ``Session.execute``, ``Session.prepare().execute``, a statement parsed
 ahead of time (with its own text, or with a rendering of it as its
 text), ``Session.execute_batch`` and a customized profile entry all run
-their statement through one envelope (``Session._run_statement``).
+their statement through one envelope (``Session._run_statement``),
+traced or not: tracing adds spans around its stages, never a path.
 The table below runs each statement through every entry point that
 accepts it and compares everything an observer could tell them apart
 by — result, ``statements.*`` / ``rows.returned`` / ``errors.*``

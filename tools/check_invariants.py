@@ -221,17 +221,28 @@ CHECKS = [
         ignore=r"^src/repro/engine/mvcc\.py:",
     ),
     # A statement's accounting — the statistics bracket and the record
-    # that closes it, with the slow-query log — is done by the session,
-    # on the generic envelope and the lean read path alike: a third
-    # execution path must reuse those two, not grow its own.
+    # that closes it, with the slow-query log — is done by the session's
+    # statement envelope: another execution path must reuse it, not
+    # grow its own.
     Check(
-        "One statement accounting (the session's two paths)",
+        "One statement accounting (the session's envelope)",
         "a statistics bracket or statement record outside "
         "engine/database.py",
         r"_record_statement\(|_stats\.begin\(",
         ("src",),
         ("src/repro/engine/planted.py", "context = _stats.begin()"),
         ignore=r"^src/repro/engine/database\.py:",
+    ),
+    # Every statement runs through Session._run_statement, traced or
+    # not.  A lean read path once forked beside it, chosen by a flag on
+    # the plan, a count of routines compiled and whether tracing was
+    # on, so a trace timed a path untraced runs never took.
+    Check(
+        "One statement envelope (no lean fork)",
+        "a deleted second statement path is back",
+        r"_run_read|_run_plan|_execute_parsed|routines_compiled|\.lean\b",
+        ("src", "tests", "docs"),
+        ("src/repro/engine/planted.py", "if entry.lean:"),
     ),
 ]
 
