@@ -62,7 +62,7 @@ class Table:
         self.versions: List[Any] = []  # List[mvcc.RowVersion]
         self.mutation_lock = threading.RLock()
         #: secondary indexes over this table (engine.indexes.Index),
-        #: maintained by RowStore DML and rebuilt on ALTER TABLE.
+        #: maintained by every DML append and rebuilt on ALTER TABLE.
         self.indexes: List[Any] = []
         self._column_index = {c.name: i for i, c in enumerate(columns)}
         if len(self._column_index) != len(columns):

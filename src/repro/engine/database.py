@@ -525,6 +525,10 @@ class Session:
         self.user = user
         self.autocommit = autocommit
         self._routine_depth = 0
+        #: Per routine invocation in progress, innermost last: the
+        #: savepoints its body created, the only ones it may release or
+        #: roll back to.
+        self._body_savepoints: List[set] = []
         #: The open transaction — snapshot, write list, savepoints and
         #: WAL transaction id in one object — or None.  Opened by the
         #: first statement that needs any of them (the snapshot itself
@@ -1140,12 +1144,18 @@ class Session:
             return StatementResult("ddl")
         if isinstance(statement, ast.Savepoint):
             self._open_transaction().savepoint(statement.name)
+            if self._routine_depth:
+                self._body_savepoints[-1].add(statement.name)
             return StatementResult("ddl")
         if isinstance(statement, ast.RollbackTo):
+            self._check_body_savepoint(statement.name, "roll back to")
             self._open_transaction().rollback_to(statement.name)
             return StatementResult("ddl")
         if isinstance(statement, ast.ReleaseSavepoint):
+            self._check_body_savepoint(statement.name, "release")
             self._open_transaction().release(statement.name)
+            if self._routine_depth:
+                self._body_savepoints[-1].discard(statement.name)
             return StatementResult("ddl")
         raise errors.FeatureNotSupportedError(
             f"cannot execute {type(statement).__name__}"
@@ -1285,9 +1295,11 @@ class Session:
         (suppresses autocommit for statements the routine runs, and
         refuses COMMIT and ROLLBACK: :meth:`commit`)."""
         self._routine_depth += 1
+        self._body_savepoints.append(set())
         try:
             yield
         finally:
+            self._body_savepoints.pop()
             self._routine_depth -= 1
 
     # ------------------------------------------------------------------
@@ -1311,7 +1323,10 @@ class Session:
         releasing the engine lock (DDL commits immediately), or None
         (reads, EXPLAIN, COMMIT/ROLLBACK — logged as markers —
         non-durable databases, and statements that join the session
-        transaction and become durable at its COMMIT).
+        transaction and become durable at its COMMIT).  An autocommit
+        statement's record is framed here — a parameter that cannot be
+        pickled fails the statement — and :meth:`_commit_all` appends
+        it with the commit marker in one ``write``: the same two frames.
 
         Statements executed inside an external routine are *not*
         logged: the outer CALL is, and replaying it re-runs the body.
@@ -1331,15 +1346,23 @@ class Session:
             snapshot = self.database.transactions.commit_seq
         if immediate:
             wal_txn = durability.begin()
-        else:
-            txn = self._open_transaction()
-            if txn.wal_txn is None:
-                txn.wal_txn = durability.begin()
-            wal_txn = txn.wal_txn
-        durability.log_statement(
-            wal_txn, self.user, sql, param_rows, snapshot
+            durability.wal.write(durability.log_statement(
+                wal_txn, self.user, sql, param_rows, snapshot
+            ))
+            return durability.log_commit(wal_txn)
+        txn = open_txn if open_txn is not None else self._open_transaction()
+        if txn.wal_txn is None:
+            txn.wal_txn = durability.begin()
+        frame = durability.log_statement(
+            txn.wal_txn, self.user, sql, param_rows, snapshot
         )
-        return durability.log_commit(wal_txn) if immediate else None
+        if self.autocommit:
+            # Appended with the commit marker _end_statement is about
+            # to write.
+            txn.wal_statement = frame
+        else:
+            durability.wal.write(frame)
+        return None
 
     def _commit_all(self, stamp: Optional[int] = None) -> Optional[int]:
         """Commit the session's transaction: stamp its writes, append
@@ -1370,7 +1393,7 @@ class Session:
                 faultpoints.trigger("mvcc.commit")
                 if txn.wal_txn is not None:
                     pending = self.database.durability.log_commit(
-                        txn.wal_txn, stamp
+                        txn.wal_txn, stamp, txn.wal_statement
                     )
             finally:
                 tm.finish(txn)
@@ -1394,7 +1417,8 @@ class Session:
         group-commit fsync covering ``pending``, then give the
         checkpointer a chance to run."""
         database = self.database
-        database._maybe_vacuum()
+        if database.transactions.dead_versions >= VACUUM_THRESHOLD:
+            database._maybe_vacuum()
         durability = database.durability
         if durability is None or pending is None:
             return
@@ -1421,6 +1445,18 @@ class Session:
             raise errors.TransactionError(
                 f"invalid transaction termination: a routine body may "
                 f"not {verb} its caller's transaction",
+                sqlstate="2D000",
+            )
+
+    def _check_body_savepoint(self, name: str, verb: str) -> None:
+        """Refuse (SQLSTATE 2D000) a routine body's RELEASE or ROLLBACK
+        TO of a savepoint the body did not create: it belongs to the
+        caller's transaction, which the body may not end either."""
+        if self._routine_depth > 0 \
+                and name not in self._body_savepoints[-1]:
+            raise errors.TransactionError(
+                f"invalid transaction termination: a routine body may "
+                f"not {verb} savepoint {name!r}, which it did not create",
                 sqlstate="2D000",
             )
 

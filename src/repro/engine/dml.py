@@ -1,19 +1,21 @@
-"""INSERT / UPDATE / DELETE: one compile step and one run step.
+"""INSERT / UPDATE / DELETE: one compile step, one generated function.
 
 :func:`plan_dml` does everything that does not touch rows — table
 lookup, privilege and read-only checks, column positions and arity, the
-compiled VALUES rows or source query, compiled column defaults,
-assignment typing, ``>>`` attribute-path validation and the planner's
-access path for the target rows — and returns a :class:`DmlPlan`.
-:meth:`DmlPlan.run` is the row work, once per parameter row.  The plan
-keeps nothing of the session that compiled it (compiled expressions read
-the executing session from the run's ``Env``), so the session layer caches
-it like a query plan and a prepared statement holds it; the translator's
-``OnlineChecker`` runs the same compile step against an exemplar schema.
-
-Every INSERT and UPDATE ends in heap appends guarded by the one
-uniqueness decision, :func:`_check_unique`: one per UPDATE, and one per
-INSERT unless its source reads the database (see :func:`_plan_insert`).
+compiled VALUES rows or source query, column defaults, assignment
+typing, ``>>`` attribute-path validation and the planner's access path
+for the target rows — and emits the row work for every parameter row as
+one function (:func:`~repro.engine.expressions.generate`).  It finds the
+targets with the snapshot test inlined
+(:func:`~repro.engine.executor.target_loop`) and claims them all first,
+builds each new row from the compiled fragments with each written column
+coerced as stored (:func:`~repro.engine.storage.stored`) and checked NOT
+NULL, and appends the rows (:mod:`repro.engine.storage`'s fragments)
+after :func:`_check_unique` when it writes a UNIQUE or PRIMARY KEY
+column.  Expressions that can run SQL are evaluated outside the table's
+mutation lock.  The plan keeps nothing of the session that compiled it,
+so it is cached like a query plan, a prepared statement holds it, and
+the translator's ``OnlineChecker`` runs the same compile step.
 
 UPDATE supports the SQLJ Part 2 attribute-path targets from the paper::
 
@@ -26,56 +28,46 @@ the result back (value semantics).
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+import re
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, \
+    Tuple
 
 from repro import errors
 from repro.engine import ast
 from repro.engine.catalog import Column, Table
-from repro.engine.expressions import (
-    Compiled,
-    Env,
-    ExpressionCompiler,
-    RowShape,
-)
+from repro.engine.executor import LOOP_RUNTIME, target_loop
+from repro.engine.expressions import Compiled, Env, ExpressionCompiler, \
+    RowShape, fresh, generate, indent, prologue
 from repro.engine.functions import lookup_builtin
 from repro.engine.mvcc import RowVersion, Transaction, WriteConflict
-from repro.engine.planner import (
-    COST_RANDOM_IO,
-    COST_SEQ_IO,
-    plan_query,
-    plan_target,
-    table_shape,
-)
-from repro.engine.storage import RowStore, store_value
+from repro.engine.planner import COST_RANDOM_IO, COST_SEQ_IO, plan_query, \
+    plan_target, table_shape
+from repro.engine.storage import CLAIM_TARGETS, WRITE_RUNTIME, appending, \
+    null_checks, stored
 from repro.engine.virtual import VirtualTable
 from repro.sqltypes import ObjectType, TypeDescriptor, compare_values
 from repro.sqltypes.values import key_image
 
-__all__ = [
-    "DmlPlan",
-    "plan_dml",
-    "execute_insert",
-    "execute_update",
-    "execute_delete",
-]
+__all__ = ["DmlPlan", "plan_dml", "execute_insert", "execute_update",
+           "execute_delete"]
 
 
 class DmlPlan:
     """A compiled INSERT, UPDATE or DELETE.
 
-    ``run(session, param_rows)`` applies the statement once per
-    parameter row on ``session`` and returns the per-row affected counts
-    (JDBC ``updateCounts``).  A failure — constraint violation, coercion
-    error, injected fault — leaves the failing append untouched; the
-    caller's statement rollback undoes earlier ones.
+    ``run(session, param_rows)``, generated from ``source``, applies the
+    statement once per parameter row on ``session`` and returns the
+    per-row affected counts (JDBC ``updateCounts``).  A failure —
+    constraint violation, coercion error, injected fault — leaves the
+    failing append untouched; the caller's statement rollback undoes
+    earlier ones.
     """
 
-    __slots__ = ("run",)
+    __slots__ = ("run", "source")
 
-    def __init__(
-        self, run: Callable[[Any, Sequence[Sequence[Any]]], List[int]]
-    ) -> None:
+    def __init__(self, run: Callable[..., List[int]], source: str) -> None:
         self.run = run
+        self.source = source
 
 
 def plan_dml(statement: ast.Statement, session: Any) -> DmlPlan:
@@ -99,13 +91,6 @@ def _execute(stmt: ast.Statement, session: Any, params: Sequence[Any]) -> int:
 execute_insert = execute_update = execute_delete = _execute
 
 
-def _check_not_null(column: Column, value: Any, table: Table) -> None:
-    if value is None and column.not_null:
-        raise errors.NotNullViolationError(
-            f"column {column.name!r} of table {table.name!r} is NOT NULL"
-        )
-
-
 #: ``known.get`` default: no live value or earlier row has this key.
 _FREE = object()
 
@@ -122,11 +107,10 @@ def _check_unique(
 ) -> None:
     """Raise if any of ``rows`` collides on a UNIQUE/PRIMARY KEY column.
 
-    The one uniqueness decision for INSERT and UPDATE alike.  Callers
-    pass it as the ``precondition`` of :meth:`RowStore.insert` /
-    :meth:`RowStore.replace`, so it runs under the table's mutation lock
-    immediately before the rows are appended: check-and-append is one
-    atomic step, and a violation leaves the heap untouched.
+    The one uniqueness decision for INSERT and UPDATE alike.  It runs
+    under the table's mutation lock immediately before the rows are
+    appended (:func:`~repro.engine.storage.appending`): check-and-append
+    is one atomic step, and a violation leaves the heap untouched.
 
     Unique enforcement reads the *latest* heap state, not the
     transaction's snapshot — like PostgreSQL, a constraint must hold
@@ -260,27 +244,82 @@ def _typed_value(
 def _reads_database(node: Any) -> bool:
     """Whether an expression tree holds a subquery or a Part 1 external
     function call (which may run SQL of its own)."""
-    if isinstance(node, (ast.ScalarSubquery, ast.Exists, ast.InSubquery)):
-        return True
-    if isinstance(node, ast.FunctionCall) \
-            and lookup_builtin(node.name.lower()) is None:
-        return True
-    if isinstance(node, list):
-        return any(_reads_database(item) for item in node)
-    if isinstance(node, ast.Node):
-        return any(_reads_database(item) for item in vars(node).values())
+    pending = [node]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, list):
+            pending.extend(node)
+        elif isinstance(node, ast.Node):
+            if isinstance(node, (ast.ScalarSubquery, ast.Exists,
+                                 ast.InSubquery)) \
+                    or isinstance(node, ast.FunctionCall) \
+                    and lookup_builtin(node.name.lower()) is None:
+                return True
+            pending.extend(vars(node).values())
     return False
+
+
+# -- generated row work ------------------------------------------------------
+
+def _bind(bindings: Dict[str, Any], value: Any) -> str:
+    """A new name for ``value`` in the generated function."""
+    name = fresh()
+    bindings[name] = value
+    return name
+
+
+def _targets(table: Table, where: Optional[ast.Expression], session: Any,
+             bindings: Dict[str, Any]) -> str:
+    """Source setting ``ts`` to the versions WHERE selects, through the
+    planner's access path — materialised before anything is claimed,
+    so an UPDATE moving a row's key (``set k = k + 10 where k >= ?``)
+    never meets its own replacements."""
+    access, residual = plan_target(table, where, session)
+    fragments: List[Compiled] = []
+    text = target_loop(_bind(bindings, access), access, fragments, residual)
+    for fragment in fragments:
+        bindings.update(fragment.bindings)
+    return text
+
+
+#: A use of ``c``, the row-less Env fragments' helpers read.
+_ENV = re.compile(r"c(?<![\w.]c)\b")
+
+
+def _generate(table: Table, body: str, bindings: Dict[str, Any],
+              head: str = "", tail: str = "") -> DmlPlan:
+    """The statement's function: ``head``, then ``body`` (a function
+    body's source) once per parameter row ``q`` (read as ``p``), then
+    ``tail``.  The Env ``c`` is built only if a fragment reads it."""
+    name = fresh()
+    if _ENV.search(body):
+        head = "    c = Env((), None, None, session)\n" + head
+        body = "    c.params = q\n" + body
+    source = (
+        f"def {name}(session, param_rows):\n"
+        "    txn = session.mvcc_txn\n    snap = txn.snapshot_seq\n"
+        f"    me = txn.id\n    table = {_bind(bindings, table)}\n"
+        f"    counts = []\n{head}    for q in param_rows:\n"
+        + indent(prologue(body, "q") + body, 4) + tail
+        + "    return counts\n"
+    )
+    return DmlPlan(generate(source, bindings, _RUNTIME)[name], source)
+
+
+#: The unique check, as the ``check`` of a generated append.
+_UNIQUE = "_check_unique(table, rows, txn)\n"
+#: The claims of the targets ``ts``, inside an ``if ts:``.
+_CLAIMS = indent(CLAIM_TARGETS, 4)
 
 
 def _plan_insert(stmt: ast.Insert, session: Any) -> DmlPlan:
     """INSERT: ``VALUES`` and ``INSERT ... SELECT``, a plain execute (one
     parameter row) and ``executemany`` (N) all build and coerce every
-    row a parameter row produces and append them with
-    :meth:`RowStore.insert`, whose precondition is :func:`_check_unique`.
-    Each parameter row is its own append when the source reads the
-    database (a query, a subquery, an external function), so it sees the
-    rows earlier ones inserted; a plain VALUES source appends every
-    parameter row at once."""
+    row a parameter row produces and append them after
+    :func:`_check_unique`.  Each parameter row is its own append when
+    the source reads the database (a query, a subquery, an external
+    function), so it sees the rows earlier ones inserted; a plain VALUES
+    source appends every parameter row at once."""
     table = _target_table(stmt.table, "INSERT", session)
     columns = table.columns
     if stmt.columns is None:
@@ -294,12 +333,7 @@ def _plan_insert(stmt: ast.Insert, session: Any) -> DmlPlan:
     for position in positions:
         _check_udt_usage(session, columns[position])
     compiler = ExpressionCompiler(RowShape([]), session)
-    defaults = [
-        (position, None if column.default is None
-         else compiler.compile(column.default).fn)
-        for position, column in enumerate(columns)
-        if position not in positions
-    ]
+    bindings: Dict[str, Any] = {}
 
     source = stmt.source
     if isinstance(source, ast.ValuesSource):
@@ -316,11 +350,10 @@ def _plan_insert(stmt: ast.Insert, session: Any) -> DmlPlan:
                     f"column {columns[position].name!r}",
                 )
                 for position, expr in zip(positions, value_row)
-            ]).fn)
-
-        def produce(env: Env) -> List[List[Any]]:
-            return [fn(env) for fn in value_rows]
-
+            ]))
+            bindings.update(value_rows[-1].bindings)
+        # Every VALUES row is evaluated before any is coerced.
+        produce = f"[{', '.join(row.source for row in value_rows)}]"
         # A plain VALUES list cannot tell whether earlier parameter
         # rows were appended yet, so all of them are one append.
         per_row = _reads_database(source.rows)
@@ -331,82 +364,50 @@ def _plan_insert(stmt: ast.Insert, session: Any) -> DmlPlan:
                 f"INSERT expects {len(positions)} columns, the query "
                 f"supplies {len(shape)}"
             )
-
-        def produce(env: Env) -> List[List[Any]]:
-            return query.run(env.session, env.params)
-
+        produce = f"{_bind(bindings, query)}.run(session, q)"
         per_row = True
 
-    def build(values: Sequence[Any], env: Env) -> List[Any]:
-        row: List[Any] = [None] * len(columns)
-        for position, value in zip(positions, values):
-            descriptor = columns[position].descriptor
-            row[position] = store_value(descriptor.coerce(value), descriptor)
-        for position, default in defaults:
-            descriptor = columns[position].descriptor
-            value = None if default is None else default(env)
-            row[position] = store_value(descriptor.coerce(value), descriptor)
-        for column, value in zip(columns, row):
-            _check_not_null(column, value, table)
-        return row
-
-    def run(session: Any, param_rows: Sequence[Sequence[Any]]) -> List[int]:
-        store = RowStore(table, session)
-        appends = [[params] for params in param_rows] if per_row \
-            else [param_rows]
-        counts: List[int] = []
-        for append in appends:
-            rows: List[List[Any]] = []
-            for params in append:
-                env = Env([], params, None, session)
-                before = len(rows)
-                rows.extend(build(values, env) for values in produce(env))
-                counts.append(len(rows) - before)
-            store.insert(rows, precondition=lambda rows=rows: _check_unique(
-                table, rows, store.txn
-            ))
-        return counts
-
-    return DmlPlan(run)
-
-
-def _target_rows(
-    table: Table, where: Optional[ast.Expression], session: Any
-) -> Callable[[Any, Sequence[Any]], List[RowVersion]]:
-    """The planner's access path for the rows WHERE selects, as a
-    function of (session, params) returning the visible versions —
-    materialised before anything is claimed, so an UPDATE moving a row's
-    key (``set k = k + 10 where k >= ?``) never meets its own
-    replacements."""
-    access, residual = plan_target(table, where, session)
-
-    def targets(session: Any, params: Sequence[Any]) -> List[RowVersion]:
-        versions = access.versions(Env((), params, None, session))
-        if residual is None:
-            return versions
-        return [
-            version for version in versions
-            if residual(Env(version.row, params, None, session))
-        ]
-
-    return targets
+    # The row: the values in list order, then the defaults, each
+    # coerced, then NOT NULL in column order.
+    build = ""
+    for at, position in enumerate(positions):
+        build += f"x = a[{at}]\n" + stored(
+            columns[position].descriptor, "x", bindings
+        ) + f"x{position} = x\n"
+    for position, column in enumerate(columns):
+        if position in positions:
+            continue
+        if column.default is None:
+            build += f"x{position} = None\n"
+            continue
+        default = compiler.compile(column.default)
+        bindings.update(default.bindings)
+        build += f"x = {default.source}\n" + stored(
+            column.descriptor, "x", bindings
+        ) + f"x{position} = x\n"
+    build += null_checks(columns, "x{}", range(len(columns)), bindings)
+    row = ", ".join(f"x{position}" for position in range(len(columns)))
+    append = appending("storage.insert", _UNIQUE if any(
+        column.unique for column in columns) else "")
+    body = (("    rows = []\n" if per_row else "") + "    k = len(rows)\n"
+            f"    for a in {produce}:\n" + indent(build, 8)
+            + f"        rows.append([{row}])\n"
+            "    counts.append(len(rows) - k)\n" + (append if per_row else ""))
+    return _generate(
+        table, body, bindings,
+        head="    r = ()\n" + ("" if per_row else "    rows = []\n"),
+        tail="" if per_row else append,
+    )
 
 
 def _plan_delete(stmt: ast.Delete, session: Any) -> DmlPlan:
     table = _target_table(stmt.table, "DELETE", session)
-    targets = _target_rows(table, stmt.where, session)
-
-    def run(session: Any, param_rows: Sequence[Sequence[Any]]) -> List[int]:
-        store = RowStore(table, session)
-        counts = []
-        for params in param_rows:
-            versions = targets(session, params)
-            if versions:
-                store.delete(versions)
-            counts.append(len(versions))
-        return counts
-
-    return DmlPlan(run)
+    bindings: Dict[str, Any] = {}
+    body = (_targets(table, stmt.where, session, bindings)
+            + "    if ts:\n        _trigger('storage.delete')\n" + _CLAIMS
+            + "        _ROWS_MUTATED.increment(len(ts))\n"
+            "    counts.append(len(ts))\n")
+    return _generate(table, body, bindings)
 
 
 def _attribute_path(
@@ -430,10 +431,18 @@ def _attribute_path(
 
 
 def _plan_update(stmt: ast.Update, session: Any) -> DmlPlan:
+    """UPDATE: claim every target first (first-updater-wins conflict
+    detection), then compute every replacement row against pre-update
+    state — old versions are immutable, so the images cannot shift
+    under us — and append them.  The claimed versions no longer count
+    for the unique check (their ``xmax`` is ours), so it sees exactly
+    the table as it will be."""
     table = _target_table(stmt.table, "UPDATE", session)
     columns = table.columns
     compiler = ExpressionCompiler(table_shape(table), session)
-    assignments: List[Tuple[Any, int, Callable[[Env], Any]]] = []
+    bindings: Dict[str, Any] = {}
+    assign = ""
+    written: Set[int] = set()
     for assignment in stmt.assignments:
         target = assignment.target
         position = table.column_position(
@@ -445,65 +454,39 @@ def _plan_update(stmt: ast.Update, session: Any) -> DmlPlan:
             descriptor, name = column.descriptor, f"column {column.name!r}"
         else:
             descriptor, name = _attribute_path(session, column, target)
-        assignments.append((target, position, _typed_value(
-            compiler, assignment.value, descriptor, name
-        ).fn))
-    targets = _target_rows(table, stmt.where, session)
-
-    def run(session: Any, param_rows: Sequence[Sequence[Any]]) -> List[int]:
-        store = RowStore(table, session)
-        counts = []
-        for params in param_rows:
-            versions = targets(session, params)
-            # Claim every target first (first-updater-wins conflict
-            # detection), then evaluate all replacement rows against
-            # pre-update state — old versions are immutable, so the
-            # images cannot shift under us.
-            for version in versions:
-                store.claim(version)
-            new_rows: List[List[Any]] = []
-            for version in versions:
-                env = Env(version.row, params, None, session)
-                new_row = list(version.row)
-                for target, position, value_fn in assignments:
-                    _assign(
-                        columns[position], new_row, position, target,
-                        value_fn(env), session,
-                    )
-                for column, cell in zip(columns, new_row):
-                    _check_not_null(column, cell, table)
-                new_rows.append(new_row)
-            # The claimed old versions no longer count (their xmax is
-            # ours), so the unique check sees exactly the table as it
-            # will be.
-            store.replace(new_rows, precondition=lambda: _check_unique(
-                table, new_rows, store.txn
-            ))
-            counts.append(len(new_rows))
-        return counts
-
-    return DmlPlan(run)
+        value = _typed_value(compiler, assignment.value, descriptor, name)
+        bindings.update(value.bindings)
+        if isinstance(target, str):
+            assign += f"x = {value.source}\n" + stored(
+                descriptor, "x", bindings
+            ) + f"n[{position}] = x\n"
+        else:
+            assign += (
+                f"_assign_attribute(n, {position}, "
+                f"{_bind(bindings, target)}, {value.source}, session)\n"
+            )
+        written.add(position)
+    assign += null_checks(columns, "n[{}]", written, bindings)
+    body = (_targets(table, stmt.where, session, bindings)
+            + "    if ts:\n" + _CLAIMS
+            + "    rows = []\n    for v in ts:\n        r = v.row\n"
+            "        n = list(r)\n" + indent(assign, 8)
+            + "        rows.append(n)\n"
+            + appending("storage.update", _UNIQUE if any(
+                columns[position].unique for position in written) else "")
+            + "    counts.append(len(rows))\n")
+    return _generate(table, body, bindings)
 
 
-def _assign(
-    column: Column,
-    row: List[Any],
-    position: int,
-    target: Any,
-    value: Any,
+def _assign_attribute(
+    row: List[Any], position: int, target: ast.AttributePath, value: Any,
     session: Any,
 ) -> None:
-    """Store ``value`` into ``row[position]``, or into one attribute of
-    its object when ``target`` is a (validated) attribute path."""
-    if isinstance(target, str):
-        row[position] = store_value(
-            column.descriptor.coerce(value), column.descriptor
-        )
-        return
-
-    # Part 2 attribute path: copy object, set the mapped field, store back.
-    # Bindings are looked up on the runtime class: a stored value may be
-    # of a subtype of the column's type.
+    """Store ``value`` into one attribute of the object in
+    ``row[position]`` along the (validated) attribute path ``target``:
+    copy the object, set the mapped field, store the copy back.
+    Bindings are looked up on the runtime class: a stored value may be
+    of a subtype of the column's type."""
     current = row[position]
     if current is None:
         raise errors.NullValueError(
@@ -523,3 +506,10 @@ def _assign(
     binding = session.catalog.type_of(node).attribute(path[-1])
     setattr(node, binding.field_name, binding.descriptor.coerce(value))
     row[position] = updated
+
+
+#: Globals of every generated DML function.
+_RUNTIME = {
+    **LOOP_RUNTIME, **WRITE_RUNTIME, "Env": Env,
+    "_check_unique": _check_unique, "_assign_attribute": _assign_attribute,
+}

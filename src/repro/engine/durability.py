@@ -143,8 +143,12 @@ class DurabilityManager:
         sql: str,
         param_rows: Any,
         snapshot_seq: int = 0,
-    ) -> None:
-        """Append ONE redo record for a successfully executed statement.
+    ) -> bytes:
+        """Frame ONE redo record for a successfully executed statement
+        and return the frame, which the caller appends now
+        (:meth:`WriteAheadLog.write <repro.engine.wal.WriteAheadLog.write>`)
+        or with the commit marker (:meth:`log_commit`).  A parameter
+        that cannot be pickled raises here, before anything is written.
 
         ``param_rows`` holds every parameter row bound against ``sql``:
         one row is logged as a ``stmt`` record, N rows (an
@@ -163,13 +167,15 @@ class DurabilityManager:
             params: Any = tuple(tuple(row) for row in param_rows)
         else:
             kind, params = KIND_STATEMENT, tuple(param_rows[0] or ())
-        record = WalRecord(
+        return self.wal.encode(WalRecord(
             self._alloc_seq(), kind, txn, (user, sql, params, snapshot_seq)
-        )
-        self.wal.append(record)
+        ))
 
-    def log_commit(self, txn: int, stamp: Any = None) -> int:
-        """Append the commit marker; returns the WAL position to pass to
+    def log_commit(self, txn: int, stamp: Any = None,
+                   statement: bytes = b"") -> int:
+        """Append the commit marker — after ``statement``, the frame
+        :meth:`log_statement` made of an autocommit statement's record,
+        in the same ``write`` — and return the WAL position to pass to
         :meth:`wait_durable` once the engine lock is released.
 
         ``stamp`` is the transaction's MVCC commit stamp (None for a
@@ -179,8 +185,9 @@ class DurabilityManager:
         database's commit mutex, so marker order always equals stamp
         order.
         """
-        record = WalRecord(self._alloc_seq(), KIND_COMMIT, txn, stamp)
-        position = self.wal.append(record)
+        position = self.wal.append(
+            WalRecord(self._alloc_seq(), KIND_COMMIT, txn, stamp), statement
+        )
         with self._state_lock:
             self.active_txns.discard(txn)
             self._commits_since_checkpoint += 1

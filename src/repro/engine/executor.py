@@ -37,7 +37,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, \
 from repro import errors, faultpoints
 from repro.engine.catalog import Table
 from repro.engine.expressions import RUNTIME, Compiled, Env, RowShape, \
-    fresh, generate, prologue
+    fresh, generate, indent, prologue
 from repro.engine.mvcc import VISIBLE, settled_runs
 from repro.observability import metrics as _metrics
 from repro.observability import stats as _stats
@@ -53,7 +53,7 @@ __all__ = [
     "IndexNestedLoopJoin", "Sort", "Limit",
     "Distinct", "GroupAggregate", "AggregateSpec", "UnionOp", "QueryPlan",
     "OperatorStats", "PlanInstrumentation", "generate_plan",
-    "instrument_plan", "operator_children",
+    "instrument_plan", "operator_children", "target_loop", "LOOP_RUNTIME",
 ]
 
 #: Execution-time state shared by all operators of one run: an
@@ -89,12 +89,6 @@ class _Generated(Operator):
         if self.loop is None:
             generate_plan(self)
         return self.loop(self, ctx)
-
-
-def _indent(source: str, width: int) -> str:
-    """``source`` (newline-terminated lines) indented ``width`` spaces."""
-    pad = " " * width
-    return pad + source[:-1].replace("\n", "\n" + pad) + "\n"
 
 
 def _function(name: str, body: str, fragments: Sequence[Compiled],
@@ -211,7 +205,9 @@ _heapify_max = getattr(heapq, "heapify_max", None) or heapq._heapify_max
 _heapreplace_max = getattr(heapq, "heapreplace_max", None) \
     or heapq._heapreplace_max
 
-_RUNTIME = {**RUNTIME, "sort_key": sort_key,
+#: Globals of every generated loop (and of the generated DML that
+#: inlines :func:`target_loop`).
+LOOP_RUNTIME = {**RUNTIME, "sort_key": sort_key,
             "key_image": key_image, "_canonical": _canonical,
             "_join_image": _join_image, "_pick": _pick,
             "_scanned": _scanned, "length_hint": length_hint,
@@ -265,7 +261,7 @@ def generate_plan(root: Operator, plan: Optional["QueryPlan"] = None
                 bindings.update(compiled.bindings)
                 targets.append((compiled, "_fn", name))
     if parts:
-        values = generate("\n".join(parts), bindings, _RUNTIME)
+        values = generate("\n".join(parts), bindings, LOOP_RUNTIME)
         for target, attribute, name in targets:
             setattr(target, attribute, values[name])
 
@@ -336,12 +332,12 @@ def _scan_loop(path: str, scan: "_Scan", step: str,
     less the invisible ones are charged as rows scanned."""
     tested = (f"for v in sub:\n    if not ({VISIBLE}):\n"
               f"        hidden += 1\n        continue\n    r = v.row\n"
-              + _indent(step, 4))
+              + indent(step, 4))
     if scan.blocks:
         loop = ("for stop, frozen, items in settled_runs(vs):\n"
                 "    sub = iter(items)\n"
                 "    if frozen:\n        for r in sub:\n"
-                + _indent(step, 12) + "    else:\n" + _indent(tested, 8))
+                + indent(step, 12) + "    else:\n" + indent(tested, 8))
         start = "    hidden = stop = 0\n    sub = iter(())\n"
     else:
         loop = tested
@@ -349,7 +345,7 @@ def _scan_loop(path: str, scan: "_Scan", step: str,
     return (
         "    t = c.session.mvcc_txn\n    snap = t.snapshot_seq\n"
         f"    me = t.id\n{scan.probe(path, fragments)}{start}    try:\n"
-        + _indent(loop, 8)
+        + indent(loop, 8)
         + "    finally:\n"
         "        n = stop - length_hint(sub) - hidden\n"
         "        _ROWS_SCANNED.increment(n)\n        _note_scan(n)\n"
@@ -376,7 +372,29 @@ def _input(path: str, node: Operator, step: str,
         path, node = path + ".child", node.child
     if fuse and isinstance(node, _Scan):
         return _scan_loop(path, node, step, fragments)
-    return f"    for r in {path}.rows(c):\n" + _indent(step, 8)
+    return f"    for r in {path}.rows(c):\n" + indent(step, 8)
+
+
+def target_loop(path: str, scan: "_Scan", fragments: List[Compiled],
+                residual: Optional[Compiled] = None) -> str:
+    """Body setting ``ts`` to the versions among the candidates of
+    ``scan`` (reached from ``self`` as ``path``) that the snapshot sees,
+    in order, charged as rows scanned, then kept if ``residual`` (the
+    predicate the access path leaves unenforced) holds: the rows an
+    UPDATE or DELETE claims.  :data:`~repro.engine.mvcc.VISIBLE` is
+    tested on every version, frozen or not: a claim needs the version,
+    not its row.  Reads ``snap`` and ``me``, set by the caller after the
+    snapshot is taken (see :func:`_scan_loop`)."""
+    text = (scan.probe(path, fragments)
+            + f"    ts = []\n    for v in vs:\n        if {VISIBLE}:\n"
+            "            ts.append(v)\n"
+            "    _ROWS_SCANNED.increment(len(ts))\n    _note_scan(len(ts))\n")
+    if residual is None:
+        return text
+    fragments.append(residual)
+    return text + ("    vs = ts\n    ts = []\n    for v in vs:\n"
+                   f"        r = v.row\n        if {residual.test}:\n"
+                   "            ts.append(v)\n")
 
 
 class _Scan(_Generated):
@@ -392,14 +410,6 @@ class _Scan(_Generated):
     def candidates(self, ctx: RuntimeContext) -> List[Any]:
         """The versions to test, copied out of the heap or index."""
         raise NotImplementedError
-
-    def versions(self, ctx: RuntimeContext) -> List[Any]:
-        """The visible :class:`~repro.engine.mvcc.RowVersion` objects,
-        which an UPDATE or DELETE claims, charged as rows scanned."""
-        txn = ctx.session.mvcc_txn  # before the candidates: see _scan_loop
-        visible = txn.visible(self.candidates(ctx))
-        _scanned(len(visible))
-        return visible
 
     def probe(self, path: str, fragments: List[Compiled]) -> str:
         """Source setting ``vs`` to the candidates, for :func:`_scan_loop`."""
@@ -459,48 +469,66 @@ class IndexScan(_Scan):
         self.upper_inclusive = upper_inclusive
         #: SQL rendering of the probe predicate, for EXPLAIN output.
         self.description = description
+        #: An equality probe of a single-column index on a UNIQUE or
+        #: PRIMARY KEY column: its bucket is walked newest-first and
+        #: cut at the first visible version another transaction wrote
+        #: (:meth:`probe`).
+        self.unique = equal is not None and len(index.column_names) == 1 \
+            and table.columns[
+                table.column_position(index.column_names[0])].unique
 
     def expressions(self) -> List[Compiled]:
-        return [e for e in (self.equal or []) + [self.lower, self.upper]
-                if e is not None]
+        return [e for e in (self.lower, self.upper) if e is not None]
 
     def probe(self, path: str, fragments: List[Compiled]) -> str:
         """An equality probe, inlined: the key's fragments evaluated
-        against an empty row, then :meth:`candidates`' lookup."""
+        against an empty row, then the index lookup under the table's
+        mutation lock (writers change the index under it: a rolled back
+        insert empties a bucket).  A range probe calls
+        :meth:`candidates`."""
         if self.equal is None:
             return super().probe(path, fragments)
         fragments.extend(self.equal)
         key = "".join(f"{item.source}, " for item in self.equal)
-        return ("    _INDEX_LOOKUPS.increment()\n    r = []\n"
-                f"    pk = ({key})\n    with {path}.table.mutation_lock:\n"
-                f"        vs = list({path}.index.lookup(pk))\n")
+        text = ("    _INDEX_LOOKUPS.increment()\n    r = []\n"
+                f"    pk = ({key})\n    with {path}.table.mutation_lock:\n")
+        if not self.unique:
+            return text + f"        vs = list({path}.index.lookup(pk))\n"
+        # Of the versions of a unique key that other transactions wrote,
+        # at most one is visible to a snapshot: a committed state holds
+        # the key once.  The transaction's own writes come later in the
+        # bucket and may add one more (it inserted the key after a
+        # concurrent delete it still sees).  So the bucket is cut at the
+        # newest visible version another transaction wrote; what lies
+        # below it is never tested.  Scanning the cut tail keeps bucket
+        # order and the rows scanned.
+        return text + (
+            f"        vs = {path}.index.lookup(pk)\n"
+            "        i = len(vs) - 1\n        while i > 0:\n"
+            "            v = vs[i]\n"
+            f"            if v.xmin != me and {VISIBLE}:\n"
+            "                break\n            i -= 1\n"
+            "        vs = vs[i:]\n"
+        )
 
     def candidates(self, ctx: RuntimeContext) -> List[Any]:
-        """The versions the probe finds: index buckets hold every
+        """The versions a range probe finds: index buckets hold every
         version, whatever its visibility."""
         _INDEX_LOOKUPS.increment()
         env = ctx.env([])
-        if self.equal is not None:
-            values = tuple(compiled.fn(env) for compiled in self.equal)
-            probe = functools.partial(self.index.lookup, values)
-        else:
-            lower = upper = None
-            if self.lower is not None:
-                lower = self.lower.fn(env)
-                if lower is None:
-                    return []
-            if self.upper is not None:
-                upper = self.upper.fn(env)
-                if upper is None:
-                    return []
-            probe = functools.partial(
-                self.index.range, lower, upper,
-                self.lower_inclusive, self.upper_inclusive,
-            )
-        # Writers change the index under the mutation lock (a rolled
-        # back insert empties a bucket), so the probe holds it too.
+        lower = upper = None
+        if self.lower is not None:
+            lower = self.lower.fn(env)
+            if lower is None:
+                return []
+        if self.upper is not None:
+            upper = self.upper.fn(env)
+            if upper is None:
+                return []
         with self.table.mutation_lock:
-            return list(probe())
+            return list(self.index.range(
+                lower, upper, self.lower_inclusive, self.upper_inclusive,
+            ))
 
 
 class Filter(_Generated):
@@ -592,7 +620,7 @@ class _Join(_Generated):
             [self.predicate] if self.predicate is not None else [])
         head, candidates = self._candidates(build, probe, fragments)
         step = "q = r\n" + ("hit = False\n" if keep_probe else "") \
-            + candidates + _indent(
+            + candidates + indent(
                 f"r = {row('b', 'q')}\nif {test}:\n"
                 + ("    hit = True\n" if keep_probe else "")
                 + ("    matched[i] = True\n" if keep_build else "")
@@ -767,7 +795,7 @@ class IndexNestedLoopJoin(_Join):
         return head, step
 
     def _stream(self, loop: str) -> str:
-        return ("    try:\n" + _indent(loop, 4) + "    finally:\n"
+        return ("    try:\n" + indent(loop, 4) + "    finally:\n"
                 "        _scanned(seen)\n"
                 "        _INDEX_LOOKUPS.increment(probes)\n")
 

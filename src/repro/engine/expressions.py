@@ -47,7 +47,7 @@ from repro.sqltypes.values import cast_value
 
 __all__ = [
     "ColumnInfo", "RowShape", "Env", "Compiled", "ExpressionCompiler",
-    "generate", "fresh", "kind_of", "prologue", "RUNTIME",
+    "generate", "fresh", "indent", "kind_of", "prologue", "RUNTIME",
 ]
 
 
@@ -145,7 +145,7 @@ def fresh() -> str:
 
 # ``\b_v\d+\b`` and ``\bp\[(\d+)\]`` with the leading boundary as a
 # lookbehind: a literal start lets the regex skip ahead (several x faster).
-_NAME = re.compile(r"_v(?<!\w_v)\d+\b")
+_NAME = re.compile(r"(_v(?<!\w_v)\d+\b)")
 _PARAM = re.compile(r"p\[(?<!\wp\[)(\d+)\]")
 #: Canonical source -> code object: plans that differ only in the values
 #: they bind (one query shape, other literals) share one.
@@ -159,10 +159,14 @@ def generate(source: str, bindings: Dict[str, Any],
     Names are renumbered in order of appearance first, so only a new
     shape of source pays ``compile()``."""
     canonical: Dict[str, str] = {}
-    text = _NAME.sub(
-        lambda m: canonical.setdefault(m.group(), f"_v{len(canonical)}"),
-        source,
-    )
+    parts = _NAME.split(source)  # text, name, text, ..., name, text
+    for at in range(1, len(parts), 2):
+        name = parts[at]
+        new = canonical.get(name)
+        if new is None:
+            new = canonical[name] = f"_v{len(canonical)}"
+        parts[at] = new
+    text = "".join(parts)
     code = _CODE.get(text)
     if code is None:
         if len(_CODE) >= 1024:
@@ -177,16 +181,22 @@ def generate(source: str, bindings: Dict[str, Any],
             if new in namespace}
 
 
-def prologue(source: str) -> str:
+def indent(source: str, width: int) -> str:
+    """``source`` (newline-terminated lines) indented ``width`` spaces."""
+    pad = " " * width
+    return pad + source[:-1].replace("\n", "\n" + pad) + "\n"
+
+
+def prologue(source: str, params: str = "c.params") -> str:
     """The ``p = ...`` lines of a generated function reading ``source``:
-    the run's parameters, or a stand-in raising for a missing one
-    (:func:`_params`, inlined: the test costs no call on a point
-    query's path)."""
+    the run's parameters (``params``), or a stand-in raising for a
+    missing one (:func:`_params`, inlined: the test costs no call on a
+    point query's path)."""
     used = [int(index) for index in _PARAM.findall(source)]
     if not used:
         return ""
     needed = max(used) + 1
-    return (f"    p = c.params\n    if p is None or len(p) < {needed}:\n"
+    return (f"    p = {params}\n    if p is None or len(p) < {needed}:\n"
             f"        p = _params(p, {needed})\n")
 
 
@@ -716,6 +726,17 @@ def _arithmetic(compiler: ExpressionCompiler, expr: ast.Binary) -> Compiled:
 
     kind = "str" if op == "||" else \
         "int" if left.kind == right.kind == "int" else None
+    if op in native and {left.kind, right.kind} <= {"int", None}:
+        # Two ints (a column and a parameter, say) take the native
+        # operator, which is what ``arith`` would apply; anything else
+        # goes to ``arith``.  Each operand is evaluated once, in order.
+        helper, a, b = fresh(), fresh(), fresh()
+        return Compiled(
+            f"({a} {op} {b} if (({a} := {left.source}).__class__ is int) "
+            f"& (({b} := {right.source}).__class__ is int) "
+            f"else {helper}({a}, {b}))", descriptor,
+            {helper: arith, **_merged([left, right])}, kind,
+        )
     compiled = _helper_call(arith, [left, right], descriptor, kind=kind)
     compiled.pure = op == "||" and left.pure and right.pure
     return compiled

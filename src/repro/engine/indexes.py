@@ -13,10 +13,10 @@ instances stored in ``Table.versions``), matched by identity on
 removal.  The index mirrors the heap *including* provisional and dead
 versions — probes return candidates, and the executor filters them
 through the reading transaction's snapshot exactly as a sequential
-scan would.  :class:`repro.engine.storage.RowStore` DML keeps indexes
-synchronised, and undoing its write-list entries takes the versions
-out again, so a rolled-back statement leaves its indexes exactly as
-they were; vacuum removes the entries of reclaimed versions.
+scan would.  Every DML append (:mod:`repro.engine.storage`) keeps
+indexes synchronised, and undoing its write-list entries takes the
+versions out again, so a rolled-back statement leaves its indexes
+exactly as they were; vacuum removes the entries of reclaimed versions.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class Index:
     # key construction
     # ------------------------------------------------------------------
     def key_of_row(self, row: List[Any]) -> tuple:
-        return tuple(sort_key(row[p]) for p in self.positions)
+        return tuple(map(sort_key, map(row.__getitem__, self.positions)))
 
     @staticmethod
     def key_of_values(values: Tuple[Any, ...]) -> tuple:
@@ -155,16 +155,18 @@ class Index:
     # ------------------------------------------------------------------
     # probes
     # ------------------------------------------------------------------
-    def lookup(self, values: Tuple[Any, ...]) -> Iterator[Any]:
+    def lookup(self, values: Tuple[Any, ...]) -> List[Any]:
         """Versions whose key columns equal ``values`` (SQL equality).
 
-        Yields candidate :class:`RowVersion` objects across all
-        snapshots; the caller filters for visibility.
+        Candidate :class:`RowVersion` objects across all snapshots, in
+        the order they were added; the caller filters for visibility.
+        The list is the index's own: read it under the table's mutation
+        lock, and copy it to keep it.
         """
         for value in values:
             if value is None:
-                return iter(())  # NULL = anything is UNKNOWN
-        return iter(self._buckets.get(tuple(map(sort_key, values)), ()))
+                return []  # NULL = anything is UNKNOWN
+        return self._buckets.get(tuple(map(sort_key, values)), [])
 
     def range(self, lower: Optional[Any], upper: Optional[Any],
               lower_inclusive: bool = True,

@@ -282,7 +282,9 @@ class Transaction:
     claim — which is the undo log (:meth:`undo` reverses it newest
     first) and what :meth:`TransactionManager.stamp` walks at commit;
     savepoints are positions in it.  ``wal_txn`` is the durable
-    transaction id, allocated by the first redo-logged statement.
+    transaction id, allocated by the first redo-logged statement;
+    ``wal_statement`` the framed redo record of an autocommit statement,
+    appended with its commit marker.
 
     A session owns its transaction, but pooled connections migrate
     sessions across threads, so the write list and savepoints are
@@ -292,7 +294,7 @@ class Transaction:
 
     __slots__ = (
         "id", "snapshot_seq", "writes", "savepoints", "pristine",
-        "wal_txn", "_lock",
+        "wal_txn", "wal_statement", "_lock",
     )
 
     def __init__(self) -> None:
@@ -305,6 +307,7 @@ class Transaction:
         #: a conflicting first statement on a fresh snapshot).
         self.pristine = True
         self.wal_txn: Optional[int] = None
+        self.wal_statement = b""
         self._lock = threading.RLock()
 
     def record(self, kind: str, table: Any, payload: Any) -> None:
@@ -370,7 +373,7 @@ def _undo(kind: str, table: Any, payload: Any) -> None:
     with table.mutation_lock:
         if kind == CLAIM:
             # The mutation lock serializes every xmax check-then-set
-            # (RowStore.claim); unclaiming holds it too so a concurrent
+            # (storage.CLAIM_VERSION); unclaiming holds it too so a concurrent
             # claimant never reads a half-released stamp.
             payload.xmax = None
             return
@@ -399,9 +402,10 @@ class TransactionManager:
     """
 
     def __init__(self) -> None:
-        #: The condition's lock, taken bare by :meth:`begin` and
-        #: :meth:`finish`: every statement runs both, and the condition's
-        #: context-manager frames cost more than the work they guard.
+        #: The condition's lock, taken bare by :meth:`begin`,
+        #: :meth:`stamp` and :meth:`finish`: every statement runs them,
+        #: and the condition's context-manager frames cost more than the
+        #: work they guard.
         self._mutex = threading.Lock()
         self._cond = threading.Condition(self._mutex)
         #: Threads in :meth:`wait_for`; :meth:`finish` wakes only those.
@@ -458,7 +462,8 @@ class TransactionManager:
         marker order equal to stamp order even for transactions
         currently blocked on this one.
         """
-        with self._cond:
+        self._mutex.acquire()
+        try:
             if not txn.writes and stamp is None:
                 return None  # read-only: nothing to stamp
             if stamp is None:
@@ -472,6 +477,8 @@ class TransactionManager:
                     payload.end = stamp
                     self.dead_versions += 1
             return stamp
+        finally:
+            self._mutex.release()
 
     def finish(self, txn: Transaction, committed: bool = True) -> None:
         """Retire a transaction and wake conflict waiters.

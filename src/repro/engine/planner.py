@@ -67,7 +67,6 @@ from repro.engine.executor import (
 from repro.engine.expressions import (
     ColumnInfo,
     Compiled,
-    Env,
     ExpressionCompiler,
     RowShape,
     kind_of,
@@ -728,14 +727,15 @@ def _access_path(
 
 def plan_target(
     table: Table, where: Optional[ast.Expression], session: Any
-) -> Tuple[Operator, Optional[Callable[[Env], Any]]]:
+) -> Tuple[Operator, Optional[Compiled]]:
     """Access path for an UPDATE/DELETE target.
 
     Plans ``table`` under WHERE exactly as a SELECT's FROM item
     (:func:`_apply_conjuncts`) and returns the SeqScan or IndexScan it
     reads through plus the compiled predicate of whatever that path
-    leaves unenforced (None: nothing).  No SELECT privilege is checked —
-    the statement's own privilege covers reading the rows it changes.
+    leaves unenforced (None: nothing), for the DML's generated loop to
+    inline.  No SELECT privilege is checked — the statement's own
+    privilege covers reading the rows it changes.
     """
     access = _apply_conjuncts(
         _seq_scan(table, session),
@@ -745,7 +745,7 @@ def plan_target(
         None,
     )
     if isinstance(access, Filter):
-        return access.child, access.predicate.fn
+        return access.child, access.predicate
     return access, None
 
 

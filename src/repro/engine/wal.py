@@ -171,36 +171,56 @@ class WriteAheadLog:
         self.group_window = group_window
         self.group_size = max(1, group_size)
         self._file = open(path, "ab", buffering=0)
-        self._cond = threading.Condition()
+        #: The condition's lock, taken bare: every commit appends and
+        #: syncs, and the condition's context-manager frames cost more
+        #: than the work they guard.
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
         self._tail = self._file.tell()  # bytes appended (== file size)
         self._durable = self._tail
         self._pending_commits = 0
         self._leader_busy = False
+        #: Followers in :meth:`sync_to`; the leader wakes only those.
+        self._waiters = 0
         self._closed = False
 
     # ------------------------------------------------------------------
     # appending
     # ------------------------------------------------------------------
-    def append(self, record: WalRecord) -> int:
-        """Append one record; returns the log position (byte offset of
-        the record's end) to pass to :meth:`sync_to`.  The record is in
-        the OS after this call but NOT yet durable."""
+    def encode(self, record: WalRecord) -> bytes:
+        """``record``'s frame, for :meth:`write` now or later.  The
+        ``wal.append`` fault site fires before it is framed."""
         faultpoints.trigger("wal.append")
-        data = encode_record(record)
         # A corrupting fault rule here models a torn write: only part of
         # the frame reaches the file before the "crash".
-        data = faultpoints.pipe("wal.write", data)
-        with self._cond:
+        return faultpoints.pipe("wal.write", encode_record(record))
+
+    def append(self, record: WalRecord, statement: bytes = b"") -> int:
+        """Append one record — after ``statement``, when given, the frame
+        :meth:`encode` made of one earlier record: an autocommit
+        statement's redo record goes out with its commit marker, both
+        in one ``write``.  Returns the log position (byte offset of the
+        record's end) to pass to :meth:`sync_to`.  The record is in the
+        OS after this call but NOT yet durable."""
+        return self.write(statement + self.encode(record),
+                          2 if statement else 1, record.kind == KIND_COMMIT)
+
+    def write(self, data: bytes, records: int = 1,
+              commit: bool = False) -> int:
+        """Append ``data``, ``records`` frames :meth:`encode` made (the
+        last a commit marker if ``commit``), in one ``write``; returns
+        the log position after them."""
+        with self._mutex:
             self._check_open()
             self._file.write(data)
             self._tail += len(data)
-            if record.kind == KIND_COMMIT:
+            if commit:
                 self._pending_commits += 1
             position = self._tail
         faultpoints.trigger("wal.written")
         _WAL_BYTES.increment(len(data))
-        _WAL_RECORDS.increment()
-        if record.kind == KIND_COMMIT:
+        _WAL_RECORDS.increment(records)
+        if commit:
             _WAL_COMMITS.increment()
         return position
 
@@ -215,19 +235,23 @@ class WriteAheadLog:
         """
         if not self.sync:
             return
-        with self._cond:
+        with self._mutex:
             while position > self._durable:
                 if not self._leader_busy:
                     self._leader_busy = True
                     break
-                self._cond.wait()
+                self._waiters += 1
+                try:
+                    self._cond.wait()
+                finally:
+                    self._waiters -= 1
             else:
                 return
         try:
             if self.group_window > 0:
                 deadline = time.monotonic() + self.group_window
                 while True:
-                    with self._cond:
+                    with self._mutex:
                         if self._pending_commits >= self.group_size:
                             break
                     remaining = deadline - time.monotonic()
@@ -236,12 +260,13 @@ class WriteAheadLog:
                     time.sleep(min(0.0002, remaining))
             self._fsync()
         finally:
-            with self._cond:
+            with self._mutex:
                 self._leader_busy = False
-                self._cond.notify_all()
+                if self._waiters:
+                    self._cond.notify_all()
 
     def _fsync(self) -> None:
-        with self._cond:
+        with self._mutex:
             self._check_open()
             target = self._tail
             batch = self._pending_commits
@@ -259,7 +284,7 @@ class WriteAheadLog:
     def reset(self) -> None:
         """Discard the whole log (checkpoint has folded it into the
         snapshot).  Sequence numbers keep counting upward."""
-        with self._cond:
+        with self._mutex:
             self._check_open()
             self._file.truncate(0)
             self._file.seek(0)
@@ -269,7 +294,7 @@ class WriteAheadLog:
             self._pending_commits = 0
 
     def close(self) -> None:
-        with self._cond:
+        with self._mutex:
             if self._closed:
                 return
             self._closed = True

@@ -258,8 +258,9 @@ def note_lock_wait(exclusive: bool, seconds: float) -> None:
 def note_wal_wait(seconds: float) -> None:
     """Record time spent in the WAL fsync/group-commit barrier."""
     _WAIT_WAL.observe(seconds)
-    context = active()
-    if context is not None:
+    # active(), inlined: every durable commit lands here.
+    context = getattr(_local, "state", None)
+    if context is not None and context[_DEPTH]:
         context[_WAL_WAIT] += seconds
         context[_DIRTY] = 1
 

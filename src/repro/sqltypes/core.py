@@ -222,8 +222,9 @@ class BlobType(TypeDescriptor):
 
 class _IntType(TypeDescriptor):
     python_types = (int,)
-    _min: int = 0
-    _max: int = 0
+    #: The range of the type's values.
+    minimum: int = 0
+    maximum: int = 0
 
     def _coerce_non_null(self, value: Any) -> int:
         if isinstance(value, bool):
@@ -255,7 +256,7 @@ class _IntType(TypeDescriptor):
             raise errors.InvalidCastError(
                 f"cannot store {type(value).__name__} in {self.type_name}"
             )
-        if not (self._min <= result <= self._max):
+        if not (self.minimum <= result <= self.maximum):
             raise errors.NumericOverflowError(
                 f"value {result} out of range for {self.type_name}"
             )
@@ -265,19 +266,19 @@ class _IntType(TypeDescriptor):
 class SmallIntType(_IntType):
     type_code = typecodes.SMALLINT
     type_name = "SMALLINT"
-    _min, _max = -(2 ** 15), 2 ** 15 - 1
+    minimum, maximum = -(2 ** 15), 2 ** 15 - 1
 
 
 class IntegerType(_IntType):
     type_code = typecodes.INTEGER
     type_name = "INTEGER"
-    _min, _max = -(2 ** 31), 2 ** 31 - 1
+    minimum, maximum = -(2 ** 31), 2 ** 31 - 1
 
 
 class BigIntType(_IntType):
     type_code = typecodes.BIGINT
     type_name = "BIGINT"
-    _min, _max = -(2 ** 63), 2 ** 63 - 1
+    minimum, maximum = -(2 ** 63), 2 ** 63 - 1
 
 
 class DecimalType(TypeDescriptor):

@@ -13,8 +13,9 @@ Each ceiling pins the statement envelope (``Session._run_statement``,
 the one path every statement takes, traced or not) and the runtime,
 dbapi and profile layers above it: a change that puts a frame back on
 a point read or a keyed write fails here before it shows in a
-benchmark.  The database is durable, as the ``sqlj_oltp`` workload's
-is.
+benchmark.  A write is one generated function (``DmlPlan.run``) and
+an autocommit write one WAL ``write``; a batch is counted per row.
+The database is durable, as the ``sqlj_oltp`` workload's is.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ def read_account(ctx, k):
 
 def deposit(ctx, k, amount):
     #sql [ctx] { UPDATE accounts SET balance = balance + :amount WHERE k = :k };
+    return ctx.execution_context.update_count
+
+
+def open_account(ctx, k, owner, balance, branch):
+    #sql [ctx] { INSERT INTO accounts VALUES (:k, :owner, :balance, :branch) };
     return ctx.execution_context.update_count
 '''
 
@@ -170,7 +176,54 @@ def test_a_sqlj_keyed_update(bench):
         lambda: bench.module.deposit(bench.context, 5, 1)
     )
     assert count == 1
-    assert calls <= 128
+    assert calls <= 81
     assert bench.session.execute(
         "select balance from accounts where k = 5"
     ).rows == [[53]]
+
+
+def test_a_sqlj_autocommit_insert(bench):
+    keys = iter(range(1000, 1003))
+    calls, count = bench.count(
+        lambda: bench.module.open_account(
+            bench.context, next(keys), "new", 0, 1
+        )
+    )
+    assert count == 1
+    assert calls <= 82
+    assert bench.session.execute(
+        "select owner from accounts where k = 1002"
+    ).rows == [["new"]]
+
+
+def test_a_dbapi_keyed_delete(bench):
+    keys = iter(range(10, 13))
+    calls, cursor = bench.count(
+        lambda: bench.cursor.execute(
+            "delete from accounts where k = ?", [next(keys)]
+        )
+    )
+    assert cursor.rowcount == 1
+    assert calls <= 75
+    assert bench.session.execute(
+        "select count(*) from accounts where k between 10 and 12"
+    ).rows == [[0]]
+
+
+def test_an_executemany_insert_per_row(bench):
+    batches = iter(range(1, 4))
+
+    def insert():
+        base = 1000 * next(batches)
+        bench.cursor.executemany(
+            "insert into accounts values (?, ?, ?, ?)",
+            [[base + k, "bulk", k, k % 7] for k in range(100)],
+        )
+        return bench.cursor.rowcount
+
+    calls, rowcount = bench.count(insert)
+    assert rowcount == 100
+    assert calls / 100 <= 10.76
+    assert bench.session.execute(
+        "select count(*) from accounts where owner = 'bulk'"
+    ).rows == [[300]]

@@ -16,7 +16,8 @@ from repro.engine.functions import BUILTINS, NULL_TOLERANT, lookup_builtin
 from repro.engine.mvcc import Transaction, TransactionManager, \
     WriteConflict
 from repro.engine.privileges import PrivilegeManager
-from repro.engine.storage import RowStore
+from repro.engine.expressions import fresh, generate
+from repro.engine.storage import CLAIM_TARGETS, WRITE_RUNTIME, appending
 from repro.sqltypes import IntegerType, VarCharType
 from repro.testing import FaultPlan
 
@@ -109,7 +110,7 @@ class TestCatalog:
 
 class _StoreSession:
     """Bare-bones stand-in for :class:`repro.engine.database.Session`:
-    just the begun transaction :class:`RowStore` writes through."""
+    just the begun transaction :class:`_Store` writes through."""
 
     def __init__(self, manager=None):
         self.manager = manager or TransactionManager()
@@ -122,11 +123,52 @@ class _StoreSession:
         return stamp
 
 
+class _Store:
+    """The claim and the append every generated INSERT, UPDATE and
+    DELETE inlines (``storage.CLAIM_TARGETS``, ``storage.appending``),
+    each run alone over ``table`` in ``session``'s transaction."""
+
+    def __init__(self, table, session):
+        self.table = table
+        self.txn = session.mvcc_txn
+
+    def _run(self, body, argument, bindings=None):
+        """``body`` as a function of the transaction, table and
+        ``argument``."""
+        name = fresh()
+        source = (f"def {name}(txn, table, {argument}):\n"
+                  f"    me = txn.id\n{body}")
+        return generate(source, bindings or {}, WRITE_RUNTIME)[name]
+
+    def insert(self, rows, precondition=None, site="storage.insert"):
+        """Append ``rows``; ``precondition`` runs under the mutation
+        lock first, where generated DML runs its unique check."""
+        check, bindings = "", {}
+        if precondition is not None:
+            name = fresh()
+            check, bindings = f"{name}()\n", {name: precondition}
+        append = self._run(appending(site, check)
+                           + "        return vs\n    return []\n",
+                           "rows", bindings)
+        return append(self.txn, self.table, rows)
+
+    def replace(self, rows):
+        """Append an UPDATE's replacements (its targets claimed)."""
+        return self.insert(rows, site="storage.update")
+
+    def delete(self, versions):
+        """Claim each of ``versions``, as an UPDATE or DELETE does."""
+        self._run(CLAIM_TARGETS, "ts")(self.txn, self.table, versions)
+
+    def claim(self, version):
+        self.delete([version])
+
+
 class TestStorageAndTransactions:
     def test_insert_undo(self):
         table = make_table()
         session = _StoreSession()
-        store = RowStore(table, session)
+        store = _Store(table, session)
         store.insert([[1, "x"]])
         store.insert([[2, "y"], [3, "z"]])
         assert len(table.versions) == 3
@@ -141,7 +183,7 @@ class TestStorageAndTransactions:
     def test_one_append_faults_per_row_before_touching_the_heap(self):
         table = make_table()
         session = _StoreSession()
-        store = RowStore(table, session)
+        store = _Store(table, session)
         checked = []
         plan = FaultPlan(seed=1).inject(
             "storage.insert", error=errors.OperatorExecutionError,
@@ -166,18 +208,18 @@ class TestStorageAndTransactions:
             raise errors.UniqueViolationError("duplicate")
 
         with pytest.raises(errors.UniqueViolationError):
-            RowStore(table, session).insert(
+            _Store(table, session).insert(
                 [[1, "a"], [2, "b"]], precondition=reject
             )
         assert table.versions == []
-        assert RowStore(table, session).insert([]) == []
+        assert _Store(table, session).insert([]) == []
         assert session.mvcc_txn.writes == []
 
     def test_commit_stamps_versions(self):
         table = make_table()
         table.rows = [[1, "a"]]
         session = _StoreSession()
-        store = RowStore(table, session)
+        store = _Store(table, session)
         old = table.versions[0]
         store.claim(old)
         [new] = store.replace([[9, "z"]])
@@ -190,7 +232,7 @@ class TestStorageAndTransactions:
         table = make_table()
         table.rows = [[1, "a"], [2, "b"]]
         session = _StoreSession()
-        store = RowStore(table, session)
+        store = _Store(table, session)
         target = table.versions[0]
         store.delete([target])
         assert target.xmax == session.mvcc_txn.id
@@ -232,7 +274,7 @@ class TestStorageAndTransactions:
         table = make_table()
         table.rows = [[1, "a"], [2, "b"]]
         session = _StoreSession()
-        store = RowStore(table, session)
+        store = _Store(table, session)
         seeded = list(table.versions)
         store.claim(seeded[0])
         store.replace([[10, "a"]])
@@ -250,9 +292,9 @@ class TestStorageAndTransactions:
         first = _StoreSession(manager)
         second = _StoreSession(manager)
         version = table.versions[0]
-        RowStore(table, first).claim(version)
+        _Store(table, first).claim(version)
         with pytest.raises(WriteConflict) as conflict:
-            RowStore(table, second).claim(version)
+            _Store(table, second).claim(version)
         assert conflict.value.blocker == first.mvcc_txn.id
 
     def test_claim_of_committed_delete_is_serialization_failure(self):
@@ -263,10 +305,10 @@ class TestStorageAndTransactions:
         second = _StoreSession(manager)  # snapshot before first commits
         second.mvcc_txn.pristine = False  # a completed statement pins it
         version = table.versions[0]
-        RowStore(table, first).claim(version)
+        _Store(table, first).claim(version)
         first.commit()
         with pytest.raises(errors.SerializationFailureError) as info:
-            RowStore(table, second).claim(version)
+            _Store(table, second).claim(version)
         assert info.value.sqlstate == "40001"
 
     def test_claim_of_committed_delete_retryable_while_pristine(self):
@@ -279,11 +321,11 @@ class TestStorageAndTransactions:
         first = _StoreSession(manager)
         second = _StoreSession(manager)  # snapshot before first commits
         version = table.versions[0]
-        RowStore(table, first).claim(version)
+        _Store(table, first).claim(version)
         first.commit()
         assert second.mvcc_txn.pristine
         with pytest.raises(WriteConflict) as conflict:
-            RowStore(table, second).claim(version)
+            _Store(table, second).claim(version)
         assert conflict.value.blocker == first.mvcc_txn.id
 
 

@@ -17,7 +17,9 @@ shared, as a function under a SELECT does.
   default connection, raise SQLSTATE 2D000 from a CALL, from a
   function in a SELECT and from a customized profile entry.  The
   calling statement rolls back and the session goes on; on a durable
-  database the caller's own COMMIT is durable and checkpoints.
+  database the caller's own COMMIT is durable and checkpoints.  So do
+  RELEASE and ROLLBACK TO of a savepoint the body did not create; one
+  it creates it may end itself.
 * A COMMIT statement leaves the checkpoint it makes due to the next
   commit, which runs with no lock held.
 
@@ -75,6 +77,19 @@ def run_sql_fn(sql):
     return 1
 
 
+def run_sqls(sqls):
+    statement = DriverManager.get_connection(
+        "DBAPI:DEFAULT:CONNECTION"
+    ).create_statement()
+    for sql in sqls.split(";"):
+        statement.execute(sql)
+
+
+def run_sqls_fn(sqls):
+    run_sqls(sqls)
+    return 1
+
+
 def end_txn(how):
     connection = DriverManager.get_connection("DBAPI:DEFAULT:CONNECTION")
     connection.create_statement().execute("INSERT INTO audit VALUES (1)")
@@ -108,6 +123,12 @@ SETUP = [
     "language python parameter style python",
     "create function run_sql_fn(s varchar(200)) returns integer "
     "modifies sql data external name 'p:lock_routines.run_sql_fn' "
+    "language python parameter style python",
+    "create procedure run_sqls(s varchar(200)) modifies sql data "
+    "external name 'p:lock_routines.run_sqls' "
+    "language python parameter style python",
+    "create function run_sqls_fn(s varchar(200)) returns integer "
+    "modifies sql data external name 'p:lock_routines.run_sqls_fn' "
     "language python parameter style python",
     "create procedure end_txn(how varchar(20)) modifies sql data "
     "external name 'p:lock_routines.end_txn' "
@@ -409,6 +430,56 @@ def test_a_routine_body_may_not_end_its_callers_transaction(
         session.rollback()
         assert session.execute("select k from audit").rows == []
     assert env.database.lock.reader_count() == 0
+
+
+#: A body releasing or rolling back to a savepoint of its caller's.
+SAVEPOINT_ENDINGS = {
+    "release": "release savepoint sp",
+    "rollback_to": "rollback to savepoint sp",
+}
+
+
+@pytest.mark.parametrize("caller", ["call", "select"])
+@pytest.mark.parametrize("ending", list(SAVEPOINT_ENDINGS))
+def test_a_routine_body_may_not_end_its_callers_savepoint(
+    env, ending, caller
+):
+    session = env.open(autocommit=False)
+    session.execute("insert into audit values (0)")
+    session.execute("savepoint sp")
+    session.execute("insert into audit values (2)")
+    with pytest.raises(errors.SQLException) as excinfo:
+        ENDING_CALLERS[caller](session, "run_sql", SAVEPOINT_ENDINGS[ending])
+    assert excinfo.value.sqlstate == "2D000"
+    # The body's INSERT rolled back with its caller; the caller's
+    # savepoint, and its writes on both sides of it, are intact.
+    assert session.execute("select k from audit order by k").rows == [
+        [0], [2]
+    ]
+    session.execute("rollback to savepoint sp")
+    assert session.execute("select k from audit").rows == [[0]]
+    session.execute("release savepoint sp")
+    session.rollback()
+    assert session.execute("select k from audit").rows == []
+    assert env.database.lock.reader_count() == 0
+
+
+@pytest.mark.parametrize("caller", ["call", "select"])
+def test_a_routine_body_ends_its_own_savepoint(env, caller):
+    session = env.open(autocommit=False)
+    session.execute("savepoint sp")
+    ENDING_CALLERS[caller](session, "run_sqls", ";".join([
+        "insert into audit values (3)", "savepoint mine",
+        "insert into audit values (4)", "rollback to savepoint mine",
+        "release savepoint mine",
+    ]))
+    assert session.execute("select k from audit").rows == [[3]]
+    with pytest.raises(errors.SQLException):
+        session.execute("release savepoint mine")
+    # The caller's own savepoint is still there.
+    session.execute("rollback to savepoint sp")
+    assert session.execute("select k from audit").rows == []
+    session.rollback()
 
 
 def test_a_commit_in_a_routine_body_is_refused_on_a_durable_database(

@@ -28,7 +28,8 @@ import weakref
 import pytest
 
 import repro
-from repro.engine.expressions import Env
+from repro.engine.executor import LOOP_RUNTIME, target_loop
+from repro.engine.expressions import Env, fresh, generate
 from repro.engine.mvcc import BLOCK, VISIBLE, RowVersion, Transaction, \
     settled_runs
 from repro.engine.parser import parse_expression
@@ -86,6 +87,28 @@ def grid(request):
     return db, session, table, want
 
 
+def _targets(table, where, session):
+    """The versions an UPDATE or DELETE of ``table`` under ``where``
+    (SQL text or None) would claim in ``session``: the target loop its
+    generated function inlines (:func:`target_loop` over the planner's
+    access path and residual), run alone."""
+    access, residual = plan_target(
+        table, where and parse_expression(where), session
+    )
+    fragments = []
+    name, scan = fresh(), fresh()
+    body = target_loop(scan, access, fragments, residual)
+    bindings = {scan: access}
+    for fragment in fragments:
+        bindings.update(fragment.bindings)
+    source = (f"def {name}(session):\n"
+              "    c = Env((), (), None, session)\n"
+              "    txn = session.mvcc_txn\n    snap = txn.snapshot_seq\n"
+              f"    me = txn.id\n{body}    return ts\n")
+    return generate(source, bindings, {**LOOP_RUNTIME, "Env": Env})[name](
+        session)
+
+
 def _keys(result):
     return {row[0] for row in result.rows}
 
@@ -123,13 +146,7 @@ def test_scans_analyze_and_dml_targets_agree(grid):
     assert _keys(session.execute(ranged)) == want
 
     for where in (None, "k >= 0", "k = 7", "v >= 0"):
-        access, residual = plan_target(
-            table, where and parse_expression(where), session
-        )
-        got = access.versions(Env((), (), None, session))
-        if residual is not None:
-            got = [v for v in got
-                   if residual(Env(v.row, (), None, session))]
+        got = _targets(table, where, session)
         expected = want if where != "k = 7" else want & {7}
         assert {v.row[0] for v in got} == expected, where
 
@@ -416,8 +433,7 @@ def _agrees(reader, table, keys):
     for sql, want in READS:
         got = [row[0] for row in reader.execute(sql).rows]
         assert (sorted(got) if want is sorted else got) == want(keys), sql
-    access, _ = plan_target(table, None, reader)
-    got = access.versions(Env((), (), None, reader))
+    got = _targets(table, None, reader)
     assert sorted(v.row[0] for v in got) == keys
     txn = reader.mvcc_txn
     assert sorted(v.row[0] for v in txn.visible(table.versions)) == keys
@@ -600,3 +616,99 @@ def test_closed_database_is_freed_by_refcount(tmp_path, durable):
         assert ref() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# A hot unique key: the probe cuts its bucket at the newest visible
+# version another transaction wrote
+# ---------------------------------------------------------------------------
+
+
+def test_a_hot_unique_key_tests_only_its_newest_version():
+    """Of the versions of a UNIQUE or PRIMARY KEY value that other
+    transactions wrote, at most one is visible to a snapshot, so an
+    equality probe of its single-column index walks the bucket
+    newest-first and cuts it at the first such version it sees.  900
+    updates of one key leave 901 versions in its bucket (each table has
+    a database of its own, so no vacuum runs): the point read and the
+    keyed UPDATE test at most two, a twin without the constraint tests
+    them all, and the two tables answer alike, with the same rows
+    scanned and EXPLAIN ANALYZE counts."""
+    sessions = {}
+    for name, key in (("t", "k integer primary key"), ("twin", "k integer")):
+        db = repro.Database()
+        session = sessions[name] = db.create_session(autocommit=True)
+        session.execute(f"create table {name} ({key}, v integer)")
+        session.execute(f"create index {name}_k on {name} (k)")
+        session.execute_batch(
+            f"insert into {name} values (?, ?)", [(k, k) for k in range(1000)]
+        )
+        for _ in range(900):
+            session.execute(f"update {name} set v = v + 1 where k = 5")
+    read = "select k, v from {} where k = ?"
+    answers = {}
+    for name, at_most in (("t", 2), ("twin", 901)):
+        session = sessions[name]
+        table = session.catalog.get_table(name)
+        assert len(table.versions) == 1900
+        scanned = _scanned()
+        assert _tested(table, lambda: answers.setdefault(
+            name, session.execute(read.format(name), [5]).rows
+        )) <= at_most
+        assert _scanned() - scanned == 1
+        assert _tested(table, lambda: session.execute(
+            f"update {name} set v = v + 1 where k = ?", [5]
+        )) <= at_most
+    assert answers["t"] == answers["twin"] == [[5, 905]]
+    assert _actual_rows(sessions["t"], read.format("t").replace("?", "5")) \
+        == _actual_rows(
+            sessions["twin"], read.format("twin").replace("?", "5"))
+    # A transaction's own replacement is the version it sees; others
+    # still see the committed one.
+    writer = sessions["t"].database.create_session()
+    writer.execute("update t set v = -1 where k = 5")
+    assert writer.execute(read.format("t"), [5]).rows == [[5, -1]]
+    assert sessions["t"].execute(read.format("t"), [5]).rows == [[5, 906]]
+    writer.rollback()
+    for name in ("t", "twin"):
+        answers[name] = sessions[name].execute(
+            f"select k, v from {name}").rows
+    assert sorted(answers["t"]) == sorted(answers["twin"])
+
+
+@pytest.mark.parametrize("change", [
+    "delete from {} where k = 5", "update {} set k = 50 where k = 5",
+])
+def test_an_own_insert_of_a_key_gone_after_the_snapshot(change):
+    """Under a pinned snapshot a transaction still sees a key that
+    another transaction deleted (or re-keyed) and committed after the
+    snapshot, and may insert the key again: it then sees two versions of
+    it, the committed one and its own.  The probe of the PRIMARY KEY's
+    index returns both, as a SeqScan and an index on a twin without the
+    constraint do, and a keyed UPDATE claims the deleted version and
+    fails with 40001, as on the twin."""
+    db = repro.Database()
+    admin = db.create_session(autocommit=True)
+    for name, key in (("t", "k integer primary key"), ("twin", "k integer")):
+        admin.execute(f"create table {name} ({key}, v integer)")
+        admin.execute(f"create index {name}_k on {name} (k)")
+        admin.execute_batch(f"insert into {name} values (?, ?)",
+                            [(k, k) for k in range(10)])
+    reader = db.create_session()
+    assert reader.execute("select count(*) from t").rows == [[10]]
+    for name in ("t", "twin"):
+        admin.execute(change.format(name))
+        reader.execute(f"insert into {name} values (5, 500)")
+    both = [[5, 5], [5, 500]]
+    for sql, path in (("select k, v from {} where k = 5", "IndexScan"),
+                      ("select k, v from {} where k + 0 = 5", "SeqScan")):
+        for name in ("t", "twin"):
+            assert path in _explain(reader, sql.format(name))
+            assert sorted(reader.execute(sql.format(name)).rows) == both, \
+                (sql, name)
+    for name in ("t", "twin"):
+        reader.execute("savepoint before_update")
+        with pytest.raises(repro.errors.SerializationFailureError):
+            reader.execute(f"update {name} set v = v + 1 where k = 5")
+        reader.execute("rollback to savepoint before_update")
+    reader.rollback()

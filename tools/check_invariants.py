@@ -244,6 +244,23 @@ CHECKS = [
         ("src", "tests", "docs"),
         ("src/repro/engine/planted.py", "if entry.lean:"),
     ),
+    # Every INSERT, UPDATE and DELETE runs as one generated function
+    # (DmlPlan.run, emitted through expressions.generate): the closures
+    # that interpreted a write row by row — one Env per row, a coerce
+    # and store call per column, a NOT NULL call per column, a target
+    # function per parameter row — were deleted, not kept as a fallback,
+    # and so were the claim/append API (RowStore) and the target-version
+    # method (_Scan.versions) that ran the same rules beside it.
+    Check(
+        "One DML path (no interpreted row loop)",
+        "a deleted interpreted write step is back",
+        r"_target_rows|\bdef (produce|build|targets|versions)\("
+        r"|_check_not_null|store_value\(|_assign\(|Env\(version\.row"
+        r"|\bclass RowStore\b",
+        ("src",),
+        ("src/repro/engine/planted.py",
+         "def produce(env: Env) -> List[List[Any]]:"),
+    ),
 ]
 
 
